@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "api/registry.hpp"
+#include "api/executor.hpp"
 #include "ding/generators.hpp"
 #include "graph/generators.hpp"
 
@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto& registry = api::Registry::instance();
   const std::vector<Graph> graphs = workload(small);
   const char* solver = "algorithm1";
   api::Request req;
@@ -103,10 +102,10 @@ int main(int argc, char** argv) {
     api::BatchOptions opts;
     opts.threads = threads;
     opts.shard_size = 2;
+    api::BatchExecutor executor(opts);
     api::BatchDiagnostics diag;
     const auto start = std::chrono::steady_clock::now();
-    const auto responses =
-        registry.run_batch(solver, {graphs.data(), graphs.size()}, req, opts, &diag);
+    const auto responses = executor.run_batch(solver, {graphs.data(), graphs.size()}, req, &diag);
     const double secs = seconds_since(start);
     if (threads == 1) {
       reference = responses;

@@ -5,13 +5,14 @@
 // stays flat.
 //
 // Both solvers run through api::Registry; the mixed-structure trials go
-// through the sharded run_batch overload, one batch per solver.
+// through an api::BatchExecutor, one batch per solver.
 
 #include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "api/executor.hpp"
 #include "api/registry.hpp"
 #include "ding/generators.hpp"
 #include "graph/generators.hpp"
@@ -61,6 +62,7 @@ int main() {
   api::BatchOptions opts;
   opts.threads = 2;
   opts.shard_size = 1;
+  api::BatchExecutor executor(opts);
   api::Request quick_req;
   quick_req.measure_ratio = true;
   api::Request full_req = quick_req;
@@ -68,9 +70,9 @@ int main() {
   full_req.options["radius1"] = 4;
   full_req.options["radius2"] = 4;
   const auto quick_batch =
-      registry.run_batch("theorem44-mvc", {trials.data(), trials.size()}, quick_req, opts);
+      executor.run_batch("theorem44-mvc", {trials.data(), trials.size()}, quick_req);
   const auto full_batch =
-      registry.run_batch("algorithm1-mvc", {trials.data(), trials.size()}, full_req, opts);
+      executor.run_batch("algorithm1-mvc", {trials.data(), trials.size()}, full_req);
   for (std::size_t i = 0; i < trials.size(); ++i) {
     std::printf("  %-18s Thm4.4 %s   Alg.1 %s\n", trials[i].summary().c_str(),
                 quick_batch[i].ratio.to_string().c_str(),

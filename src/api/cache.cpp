@@ -1,5 +1,8 @@
 #include "api/cache.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstring>
@@ -407,11 +410,29 @@ void ResponseCache::install_entries_locked(LruList entries) {
 }
 
 void ResponseCache::save_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cache snapshot: cannot write " + path);
-  serialize(out);
-  out.flush();
-  if (!out) throw std::runtime_error("cache snapshot: write to " + path + " failed");
+  // Write <path>.tmp, fsync it, then rename it over <path>: rename is
+  // atomic, so a crash or a full disk mid-save leaves the previous snapshot
+  // in place.
+  common::MutexLock lock(save_mu_);
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw std::runtime_error("cache snapshot: cannot write " + tmp);
+    serialize(out);
+    out.close();
+    if (!out) {
+      ::unlink(tmp.c_str());
+      throw std::runtime_error("cache snapshot: write to " + tmp + " failed");
+    }
+  }
+  // fsync needs a descriptor; any descriptor of the file flushes its data.
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CLOEXEC);
+  const bool synced = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  if (!synced || ::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    throw std::runtime_error("cache snapshot: cannot replace " + path);
+  }
 }
 
 void ResponseCache::load_file(const std::string& path) {

@@ -150,8 +150,10 @@ class ResponseCache {
   void merge(std::istream& in) LMDS_EXCLUDES(mu_);
 
   /// File convenience over serialize()/deserialize(); throws
-  /// std::runtime_error when the file cannot be opened or written.
-  void save_file(const std::string& path) const;
+  /// std::runtime_error when the file cannot be opened or written. A save
+  /// writes and fsyncs `<path>.tmp`, then renames it over `path`, so a failed
+  /// or interrupted save leaves the previous snapshot intact.
+  void save_file(const std::string& path) const LMDS_EXCLUDES(save_mu_);
   void load_file(const std::string& path);
 
  private:
@@ -188,6 +190,9 @@ class ResponseCache {
   std::uint64_t misses_ LMDS_GUARDED_BY(mu_) = 0;
   std::uint64_t evictions_ LMDS_GUARDED_BY(mu_) = 0;
   std::map<std::string, NamespaceStats> ns_stats_ LMDS_GUARDED_BY(mu_);
+  /// Serializes save_file calls: concurrent saves of one path would share
+  /// its `.tmp` file.
+  mutable common::Mutex save_mu_;
 };
 
 }  // namespace lmds::api

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <thread>
 
 #include "api/registry.hpp"
 #include "common/mutex.hpp"
+#include "common/parallel.hpp"
 #include "graph/bfs.hpp"
 #include "graph/hash.hpp"
 #include "graph/ops.hpp"
@@ -33,9 +33,10 @@ std::vector<Response> BatchExecutor::run_batch(std::string_view solver,
                                                std::span<const Graph> graphs,
                                                const Request& req, const BatchOverrides& over,
                                                BatchDiagnostics* diag) {
-  return run_impl(
-      solver, [graphs](std::size_t i) -> const Graph& { return graphs[i]; }, graphs.size(),
-      req, over, diag);
+  std::vector<const Graph*> ptrs;
+  ptrs.reserve(graphs.size());
+  for (const Graph& g : graphs) ptrs.push_back(&g);
+  return run_batch(solver, std::span<const Graph* const>(ptrs), req, over, diag);
 }
 
 std::vector<Response> BatchExecutor::run_batch(
@@ -43,16 +44,7 @@ std::vector<Response> BatchExecutor::run_batch(
     const BatchOverrides& over, BatchDiagnostics* diag,
     std::span<const std::uint64_t> graph_hashes,
     std::span<const std::shared_ptr<const PatchLineage>> lineages) {
-  return run_impl(
-      solver, [graphs](std::size_t i) -> const Graph& { return *graphs[i]; }, graphs.size(),
-      req, over, diag, graph_hashes, lineages);
-}
-
-std::vector<Response> BatchExecutor::run_impl(
-    std::string_view solver, const std::function<const Graph&(std::size_t)>& graph_at,
-    std::size_t count, const Request& req, const BatchOverrides& over,
-    BatchDiagnostics* diag, std::span<const std::uint64_t> graph_hashes,
-    std::span<const std::shared_ptr<const PatchLineage>> lineages) {
+  const std::size_t count = graphs.size();
   // Validate once, up front: a malformed request throws here, on the calling
   // thread, before any worker spawns or cache entry is touched. Workers then
   // take the trusted run_resolved path — one name lookup per graph, no
@@ -71,17 +63,15 @@ std::vector<Response> BatchExecutor::run_impl(
   const std::size_t shard_size =
       static_cast<std::size_t>(over.shard_size.value_or(opts_.shard_size));
   const int shards = static_cast<int>((count + shard_size - 1) / shard_size);
-
-  int workers = over.threads.value_or(opts_.threads);
-  if (workers <= 0) workers = std::max(1u, std::thread::hardware_concurrency());
-  workers = std::max(1, std::min(workers, shards));
+  const int workers = std::max(
+      1, std::min(common::resolve_thread_count(over.threads.value_or(opts_.threads)), shards));
 
   // The second threading mode: shard each solve's own per-vertex work.
   // Resolved here (not deep in the solver) so diagnostics can report the
   // actual count; never folded into cache keys — responses are bit-identical
   // for every value.
-  int intra_threads = over.intra_graph_threads.value_or(opts_.intra_graph_threads);
-  if (intra_threads <= 0) intra_threads = std::max(1u, std::thread::hardware_concurrency());
+  const int intra_threads = common::resolve_thread_count(
+      over.intra_graph_threads.value_or(opts_.intra_graph_threads));
 
   const bool use_cache = cache_.enabled() && !over.bypass_cache;
 
@@ -100,7 +90,7 @@ std::vector<Response> BatchExecutor::run_impl(
   // Per-batch counters: concurrent run_batch calls share the cache, so the
   // per-batch numbers must be counted at the access sites, not diffed from
   // the cache's global stats.
-  std::uint64_t stolen_total = 0;
+  std::atomic<std::uint64_t> stolen{0};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> evictions{0};
@@ -119,23 +109,19 @@ std::vector<Response> BatchExecutor::run_impl(
         use_cache ? canonical_options(resolved, req.measure_traffic, req.measure_ratio)
                   : std::string();
 
-    // The shard queue: shards dealt round-robin onto one queue per worker,
-    // each queue drained through an atomic cursor. Any worker may pop from
-    // any queue, so "stealing" is just advancing a sibling's cursor — no
-    // locks, and a shard is claimed exactly once.
-    std::vector<std::vector<int>> queues(static_cast<std::size_t>(workers));
-    for (int s = 0; s < shards; ++s) {
-      queues[static_cast<std::size_t>(s % workers)].push_back(s);
-    }
-    std::vector<std::atomic<std::size_t>> cursors(static_cast<std::size_t>(workers));
-    std::atomic<std::uint64_t> stolen{0};
+    // Workers claim shards in index order from one atomic cursor. A shard
+    // counts as stolen (BatchDiagnostics::stolen_shards) when a worker other
+    // than its round-robin home, s % workers, runs it.
+    std::atomic<int> next_shard{0};
 
-    // First failure (lowest graph index among the shards that actually ran)
-    // wins; the flag makes every worker abandon unclaimed shards.
+    // The flag makes every worker stop claiming. A claimed shard always runs
+    // to its first failure, and every shard below a failing one was claimed
+    // before it, so the lowest-index failing graph is always attempted and
+    // its exception is the one rethrown, for any thread count.
     std::atomic<bool> failed{false};
     common::Mutex error_mu;  // guards first_error + error_index (locals, so
-                             // GUARDED_BY cannot name them — see run_impl's
-                             // catch block, the only locked path)
+                             // GUARDED_BY cannot name them — see the
+                             // worker's catch block, the only locked path)
     std::exception_ptr first_error;
     std::size_t error_index = count;
 
@@ -234,7 +220,7 @@ std::vector<Response> BatchExecutor::run_impl(
     };
 
     auto run_one = [&](std::size_t i) {
-      const Graph& g = graph_at(i);
+      const Graph& g = *graphs[i];
       CacheKey key;
       if (use_cache) {
         const std::uint64_t hash = i < graph_hashes.size() && graph_hashes[i] != 0
@@ -275,43 +261,36 @@ std::vector<Response> BatchExecutor::run_impl(
     };
 
     auto worker = [&](int w) {
-      for (int offset = 0; offset < workers; ++offset) {
-        const auto q = static_cast<std::size_t>((w + offset) % workers);
-        while (!failed.load(std::memory_order_relaxed)) {
-          const std::size_t pos = cursors[q].fetch_add(1, std::memory_order_relaxed);
-          if (pos >= queues[q].size()) break;
-          if (offset != 0) stolen.fetch_add(1, std::memory_order_relaxed);
-          const auto shard = static_cast<std::size_t>(queues[q][pos]);
-          const std::size_t begin = shard * shard_size;
-          const std::size_t end = std::min(begin + shard_size, count);
-          for (std::size_t i = begin; i != end; ++i) {
-            try {
-              run_one(i);
-            } catch (...) {
-              common::MutexLock lock(error_mu);
-              if (!first_error || i < error_index) {
-                first_error = std::current_exception();
-                error_index = i;
-              }
-              failed.store(true, std::memory_order_relaxed);
-              break;
+      while (!failed.load(std::memory_order_relaxed)) {
+        const int shard = next_shard.fetch_add(1, std::memory_order_relaxed);
+        if (shard >= shards) break;
+        if (shard % workers != w) stolen.fetch_add(1, std::memory_order_relaxed);
+        const std::size_t begin = static_cast<std::size_t>(shard) * shard_size;
+        const std::size_t end = std::min(begin + shard_size, count);
+        for (std::size_t i = begin; i != end; ++i) {
+          try {
+            run_one(i);
+          } catch (...) {
+            common::MutexLock lock(error_mu);
+            if (!first_error || i < error_index) {
+              first_error = std::current_exception();
+              error_index = i;
             }
+            failed.store(true, std::memory_order_relaxed);
+            break;
           }
         }
       }
     };
 
-    // Fixed-size pool: workers 1..n-1 on their own threads, worker 0 on the
-    // calling thread — a threads=1 batch never spawns, and a saturated
-    // process still makes progress on the caller.
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers - 1));
-    for (int w = 1; w < workers; ++w) pool.emplace_back(worker, w);
-    worker(0);
-    for (std::thread& t : pool) t.join();
+    // One worker per index; worker 0 runs on the calling thread, so a
+    // threads=1 batch never spawns and a saturated process still makes
+    // progress on the caller.
+    common::parallel_for(workers, workers, [&](int begin, int end) {
+      for (int w = begin; w < end; ++w) worker(w);
+    });
 
     if (first_error) std::rethrow_exception(first_error);
-    stolen_total = stolen.load();
     solves_served_.fetch_add(count, std::memory_order_relaxed);
   }
 
@@ -319,7 +298,7 @@ std::vector<Response> BatchExecutor::run_impl(
     diag->threads = workers;
     diag->intra_threads = intra_threads;
     diag->shards = shards;
-    diag->stolen_shards = stolen_total;
+    diag->stolen_shards = stolen.load();
     diag->cache_hits = hits.load();
     diag->cache_misses = misses.load();
     diag->cache_evictions = evictions.load();

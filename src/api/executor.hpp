@@ -3,29 +3,29 @@
 // serving engine the ROADMAP's run_batch seam promised. The LOCAL model of
 // the paper is inherently parallel (every vertex decides from its r-ball);
 // the systems analogue at the serving layer is parallelism *across graphs*:
-// a batch is cut into shards, shards are dealt round-robin onto per-worker
-// queues, and a fixed-size pool of workers drains its own queue first, then
-// steals from its sibling queues in cyclic order.
+// a batch is cut into shards, and a fixed-size set of workers forked by
+// common::parallel_for claims them in index order from one atomic cursor.
 //
 // Guarantees:
 //  * Deterministic results — response i answers graphs[i] and is written to
 //    a preallocated slot, so the Response vector is identical for any thread
 //    count (every solver in the registry is deterministic; asserted over the
 //    generator suite in tests/test_batch.cpp).
-//  * Fail fast — a solver exception makes every worker abandon its
-//    unclaimed shards; after the pool drains, the exception with the lowest
-//    graph index among those attempted is rethrown.
+//  * Fail fast — a solver exception makes every worker stop claiming
+//    shards; after the workers join, the exception of the lowest-index
+//    failing graph is rethrown. Claims follow index order, so that graph is
+//    always attempted and the rethrown error is the same for any thread
+//    count.
 //  * Reentrancy — one BatchExecutor may serve concurrent run_batch calls
 //    from many threads. The executor itself holds no mutex and no
 //    LMDS_GUARDED_BY members on purpose: opts_/registry_ are immutable after
-//    construction, shard queues and cursors are per-call locals (the cursors
-//    atomics), and the only cross-call shared state is cache_, whose locking
-//    is annotated and checked inside ResponseCache itself (api/cache.hpp).
-//    Exercised under TSan by tests/test_concurrency.cpp.
+//    construction, the shard cursor is a per-call local atomic, and the only
+//    cross-call shared state is cache_, whose locking is annotated and
+//    checked inside ResponseCache itself (api/cache.hpp). Exercised under
+//    TSan by tests/test_concurrency.cpp.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -46,8 +46,8 @@ struct BatchOptions {
   /// std::thread::hardware_concurrency(). The effective count is clamped to
   /// the number of shards.
   int threads = 1;
-  /// Graphs per shard — the work-queue granularity. Small shards balance
-  /// better, large shards amortize queue traffic; <= 0 is an error.
+  /// Graphs per shard — the unit a worker claims. Small shards balance
+  /// better, large shards amortize claims; <= 0 is an error.
   int shard_size = 4;
   /// LRU response-cache capacity in entries; 0 disables caching.
   std::size_t cache_capacity = 0;
@@ -85,7 +85,7 @@ struct BatchDiagnostics {
   int threads = 1;           ///< workers actually used
   int intra_threads = 1;     ///< per-solve worker count (resolved; 1 = off)
   int shards = 0;            ///< shards the batch was cut into
-  std::uint64_t stolen_shards = 0;  ///< shards drained from a sibling's queue
+  std::uint64_t stolen_shards = 0;  ///< shards run off their round-robin home worker (s % threads)
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -112,8 +112,7 @@ struct ExecutorHealth {
 };
 
 /// Sharded parallel batch runner with a response cache that persists across
-/// run_batch calls (a Registry-level convenience overload exists for one-shot
-/// batches; hold a BatchExecutor to get cross-batch cache hits).
+/// run_batch calls.
 class BatchExecutor {
  public:
   /// Runs against Registry::instance().
@@ -139,7 +138,8 @@ class BatchExecutor {
 
   /// Pointer-span variant for callers whose graphs are not contiguous —
   /// the serving layer's solve-by-handle path hands the GraphStore's stored
-  /// graphs straight to the pool, no per-request copies. Every pointer must
+  /// graphs straight to the workers, no per-request copies. The contiguous
+  /// overloads above forward here with a pointer per graph. Every pointer must
   /// be non-null and outlive the call. `graph_hashes`, when non-empty, must
   /// parallel `graphs` and carries precomputed graph_hash fingerprints (a
   /// graph-store handle *is* its graph's hash, so handle solves skip the
@@ -184,16 +184,6 @@ class BatchExecutor {
   const ResponseCache& cache() const { return cache_; }
 
  private:
-  /// The one real implementation; the public overloads adapt their graph
-  /// containers into the accessor.
-  std::vector<Response> run_impl(std::string_view solver,
-                                 const std::function<const Graph&(std::size_t)>& graph_at,
-                                 std::size_t count, const Request& req,
-                                 const BatchOverrides& over, BatchDiagnostics* diag,
-                                 std::span<const std::uint64_t> graph_hashes = {},
-                                 std::span<const std::shared_ptr<const PatchLineage>>
-                                     lineages = {});
-
   BatchOptions opts_;
   const Registry& registry_;
   ResponseCache cache_;

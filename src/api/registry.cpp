@@ -253,12 +253,4 @@ std::vector<Response> Registry::run_batch(std::string_view name,
   return out;
 }
 
-std::vector<Response> Registry::run_batch(std::string_view name,
-                                          std::span<const Graph> graphs, const Request& req,
-                                          const BatchOptions& opts,
-                                          BatchDiagnostics* diag) const {
-  BatchExecutor executor(opts, *this);
-  return executor.run_batch(name, graphs, req, diag);
-}
-
 }  // namespace lmds::api

@@ -10,10 +10,9 @@
 //   req.options["t"] = 5;
 //   api::Response res = reg.run("algorithm1", req);
 //
-// run_batch() executes one request shape across many graphs — the serving /
-// batching seam of the ROADMAP. The BatchOptions overload shards the batch
-// across a worker pool with response caching (see executor.hpp); hold a
-// BatchExecutor instead when cache hits should survive across batches.
+// run_batch() executes one request shape across many graphs, sequentially and
+// uncached — the reference the parallel BatchExecutor (executor.hpp) is
+// tested against. Sharded, cached batches go through a BatchExecutor.
 
 #include <functional>
 #include <span>
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "api/executor.hpp"
 
 namespace lmds::api {
 
@@ -102,15 +100,6 @@ class Registry {
   /// the behaviour of calling run() in a loop.
   std::vector<Response> run_batch(std::string_view name, std::span<const Graph> graphs,
                                   const Request& req) const;
-
-  /// Sharded parallel variant: executes through a transient BatchExecutor
-  /// with `opts` (worker pool + work-stealing shard queue + LRU response
-  /// cache). Responses are identical to the sequential overload for every
-  /// thread count. The cache lives only for this call; `diag`, when
-  /// non-null, receives the executor's per-batch diagnostics.
-  std::vector<Response> run_batch(std::string_view name, std::span<const Graph> graphs,
-                                  const Request& req, const BatchOptions& opts,
-                                  BatchDiagnostics* diag = nullptr) const;
 
  private:
   struct Entry {

@@ -7,7 +7,9 @@
 #include <utility>
 
 #include "api/graph_store.hpp"
+#include "common/parallel.hpp"
 #include "graph/hash.hpp"
+#include "server/net.hpp"
 #include "server/protocol.hpp"
 
 namespace lmds::cluster {
@@ -19,18 +21,9 @@ using server::JsonValue;
 
 /// Splits "host:port" or throws std::invalid_argument.
 std::pair<std::string, int> parse_peer(const std::string& peer) {
-  const std::size_t colon = peer.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == peer.size()) {
-    throw std::invalid_argument("peer must be host:port, got \"" + peer + "\"");
-  }
-  int port = 0;
-  for (std::size_t i = colon + 1; i < peer.size(); ++i) {
-    const char c = peer[i];
-    if (c < '0' || c > '9' || (port = port * 10 + (c - '0')) > 65535) {
-      throw std::invalid_argument("bad port in peer \"" + peer + "\"");
-    }
-  }
-  return {peer.substr(0, colon), port};
+  std::optional<std::pair<std::string, int>> parsed = server::parse_host_port(peer);
+  if (!parsed) throw std::invalid_argument("peer must be host:port, got \"" + peer + "\"");
+  return *std::move(parsed);
 }
 
 /// True when `line` parses as an {"ok":false,...} response with the given
@@ -342,9 +335,10 @@ std::optional<std::string> Router::route_solve(server::Session& session,
     sub.line = server::json_dump(JsonValue(std::move(obj)));
   }
 
-  // Fan out: thread-per-peer (bounded by the ring size), each sub-batch
-  // running the full retry/failover policy independently. Store-bound
-  // sub-batches cannot fail over — only the owner holds their graphs.
+  // Fan out: one worker per sub-batch (bounded by the ring size), sub-batch
+  // 0 on this connection's thread, each running the full retry/failover
+  // policy independently. Store-bound sub-batches cannot fail over — only
+  // the owner holds their graphs.
   std::vector<std::string> raw(subs.size());
   const auto run_one = [&](std::size_t i) {
     const SubBatch& sub = subs[i];
@@ -353,14 +347,10 @@ std::optional<std::string> Router::route_solve(server::Session& session,
     raw[i] = forward(preference, /*can_fail_over=*/!sub.has_handle, /*control=*/false,
                      sub.line);
   };
-  if (subs.size() == 1) {
-    run_one(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(subs.size());
-    for (std::size_t i = 0; i < subs.size(); ++i) threads.emplace_back(run_one, i);
-    for (std::thread& t : threads) t.join();
-  }
+  const int fan_out = static_cast<int>(subs.size());
+  common::parallel_for(fan_out, fan_out, [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) run_one(static_cast<std::size_t>(i));
+  });
 
   // Any failed sub-batch fails the whole request — the same all-or-nothing
   // contract a single server gives a batch. Report the failure owning the

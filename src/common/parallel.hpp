@@ -1,10 +1,10 @@
 #pragma once
-// Deterministic fork-join parallelism for per-vertex work — the intra-graph
-// threading primitive behind gather_views, the LOCAL runners and the
-// executor's multi-threaded-single-solve mode. The contract that keeps every
-// output bit-identical for any thread count: work is split into contiguous
-// index chunks, each chunk writes only its own slots of a preallocated
-// result array, and the caller collects slots in index order afterwards.
+// Deterministic fork-join parallelism, the library's one per-call thread
+// spawner: gather_views, the LOCAL runners, BatchExecutor's shard workers and
+// the router's sub-batch fan-out all fork here. Outputs stay bit-identical
+// for any thread count because work is split into contiguous index chunks,
+// each chunk writes only its own slots of a preallocated result array, and
+// the caller collects slots in index order afterwards.
 
 #include <algorithm>
 #include <exception>

@@ -1,5 +1,5 @@
 // lmds_serve — the long-lived batch-serving front-end. Owns one ServerCore
-// (worker pool + work-stealing shards + LRU response cache + graph store)
+// (sharded batch executor + LRU response cache + graph store)
 // and answers protocol v2 (src/server/protocol.hpp) over the newline-
 // delimited JSON/TCP line protocol, plus — with --http-port — the HTTP/1.1
 // front-end of src/server/http.hpp over the same core. See README.md

@@ -14,6 +14,20 @@
 
 namespace lmds::server {
 
+std::optional<std::pair<std::string, int>> parse_host_port(std::string_view addr) {
+  const std::size_t colon = addr.rfind(':');
+  if (colon == std::string_view::npos || colon == 0 || colon + 1 == addr.size()) {
+    return std::nullopt;
+  }
+  int port = 0;
+  for (const char c : addr.substr(colon + 1)) {
+    if (c < '0' || c > '9') return std::nullopt;
+    port = port * 10 + (c - '0');
+    if (port > 65535) return std::nullopt;
+  }
+  return std::pair{std::string(addr.substr(0, colon)), port};
+}
+
 int tcp_connect(const std::string& host, int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;

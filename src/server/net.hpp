@@ -8,8 +8,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace lmds::server {
+
+/// Splits "host:port" at the last colon. std::nullopt unless the host is
+/// non-empty and the port is a non-empty run of decimal digits <= 65535.
+std::optional<std::pair<std::string, int>> parse_host_port(std::string_view addr);
 
 /// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1"). Returns the
 /// connected fd, or -1 with errno set.

@@ -6,6 +6,7 @@
 #include "cluster/replication.hpp"
 #include "server/client.hpp"
 #include "server/json.hpp"
+#include "server/net.hpp"
 
 namespace lmds::server {
 
@@ -348,30 +349,18 @@ std::string Session::do_replicate_out(const JsonValue& root) {
   if (!peer) return encode_ok("replicate_out", members);  // pull: payload inline
 
   // Push mode: dial the peer and hand the payload to its replicate_in.
-  if (peer->type() != JsonValue::Type::String) {
+  const std::optional<std::pair<std::string, int>> host_port =
+      peer->type() == JsonValue::Type::String ? parse_host_port(peer->as_string())
+                                              : std::nullopt;
+  if (!host_port) {
     throw ProtocolError(ErrorCode::BadRequest, "replicate \"peer\" must be \"host:port\"");
   }
   const std::string& addr = peer->as_string();
-  const std::size_t colon = addr.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size()) {
-    throw ProtocolError(ErrorCode::BadRequest, "replicate \"peer\" must be \"host:port\"");
-  }
-  int port = 0;
-  for (std::size_t i = colon + 1; i < addr.size(); ++i) {
-    const char c = addr[i];
-    if (c < '0' || c > '9') {
-      throw ProtocolError(ErrorCode::BadRequest, "replicate \"peer\" port must be numeric");
-    }
-    port = port * 10 + (c - '0');
-    if (port > 65535) {
-      throw ProtocolError(ErrorCode::BadRequest, "replicate \"peer\" port out of range");
-    }
-  }
   try {
     ClientOptions peer_opts;
     peer_opts.connect_timeout_ms = 5000;
     peer_opts.io_timeout_ms = 60000;  // a big payload may take a moment
-    ProtocolClient client(addr.substr(0, colon), port, /*http=*/false, "", peer_opts);
+    ProtocolClient client(host_port->first, host_port->second, /*http=*/false, "", peer_opts);
     const JsonValue response = client.exchange("replicate_in", members);
     require_ok(response, "replicate_in on " + addr);
     std::string extra = "\"peer\":";

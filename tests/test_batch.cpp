@@ -1,18 +1,22 @@
 // Tests for the batch-serving layer: graph_hash fingerprints, the LRU
-// response cache (hit identity, eviction, counters), the sharded parallel
-// executor (determinism across thread counts, work stealing, error
-// propagation, concurrent callers) and the typed ParamValue widening of
-// SolverSpec parameters.
+// response cache (hit identity, eviction, counters, crash-safe snapshot
+// files), the sharded parallel executor (determinism across thread counts,
+// error propagation, concurrent callers) and the typed ParamValue widening
+// of SolverSpec parameters.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "api/executor.hpp"
 #include "api/graph_store.hpp"
 #include "api/registry.hpp"
 #include "ding/generators.hpp"
@@ -281,6 +285,32 @@ TEST(ResponseCache, RejectsCorruptAndTruncatedSnapshots) {
   EXPECT_TRUE(target.lookup(key_of(100)).has_value());
 }
 
+TEST(ResponseCache, FailedSaveFileKeepsThePreviousSnapshot) {
+  namespace fs = std::filesystem;
+  const std::string path = (fs::path(testing::TempDir()) / "lmds_cache_save.bin").string();
+  const fs::path tmp = path + ".tmp";
+  fs::remove_all(tmp);
+
+  ResponseCache cache(4);
+  cache.insert(key_of(1), response_of(1));
+  cache.save_file(path);
+  EXPECT_FALSE(fs::exists(tmp)) << "a successful save leaves no temp file behind";
+
+  // A directory squatting on <path>.tmp makes the next save fail before the
+  // snapshot at <path> is touched.
+  cache.insert(key_of(2), response_of(2));
+  fs::create_directory(tmp);
+  EXPECT_THROW(cache.save_file(path), std::runtime_error);
+  fs::remove(tmp);
+
+  ResponseCache restored(4);
+  restored.load_file(path);
+  EXPECT_EQ(restored.stats().size, 1u);
+  EXPECT_TRUE(restored.lookup(key_of(1)).has_value());
+  EXPECT_FALSE(restored.lookup(key_of(2)).has_value());
+  fs::remove(path);
+}
+
 // ---------------------------------------------------------------------------
 // Parallel executor: determinism, caching, diagnostics
 
@@ -297,8 +327,9 @@ TEST(BatchExecutor, ThreadCountsProduceIdenticalResponses) {
       BatchOptions opts;
       opts.threads = threads;
       opts.shard_size = 2;
+      BatchExecutor executor(opts);
       BatchDiagnostics diag;
-      const auto parallel = reg.run_batch(solver, span_of(graphs), req, opts, &diag);
+      const auto parallel = executor.run_batch(solver, span_of(graphs), req, &diag);
       ASSERT_EQ(parallel.size(), graphs.size());
       EXPECT_EQ(parallel, sequential) << solver << " diverged at threads=" << threads;
       EXPECT_EQ(diag.shards, static_cast<int>((graphs.size() + 1) / 2));
@@ -316,7 +347,8 @@ TEST(BatchExecutor, LocalModeStaysDeterministicInParallel) {
   BatchOptions opts;
   opts.threads = 8;
   opts.shard_size = 1;
-  EXPECT_EQ(reg.run_batch("theorem44", span_of(graphs), req, opts), sequential);
+  BatchExecutor executor(opts);
+  EXPECT_EQ(executor.run_batch("theorem44", span_of(graphs), req), sequential);
 }
 
 TEST(BatchExecutor, CacheHitIsBitIdentical) {
@@ -428,27 +460,35 @@ TEST(BatchExecutor, ConcurrentCallersAreSafe) {
 }
 
 TEST(BatchExecutor, SolverExceptionPropagatesAndAbortsBatch) {
+  // Graphs 2 and 3 throw; graph 0 stalls first, so a sibling worker could
+  // fail on graph 3 before anyone reached graph 2. The rethrown error must
+  // still be graph 2's: the lowest failing index, for every thread count.
   Registry reg;
-  reg.add({.name = "boom", .problem = Problem::Mds, .summary = "throws on cycles", .params = {}},
+  reg.add({.name = "boom", .problem = Problem::Mds, .summary = "throws on n = 6, 7", .params = {}},
           [](const SolveContext& ctx) {
-            if (ctx.graph.num_edges() == ctx.graph.num_vertices()) {
-              throw std::runtime_error("boom");
-            }
+            const int n = ctx.graph.num_vertices();
+            if (n == 4) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            if (n == 6 || n == 7) throw std::runtime_error("boom at n=" + std::to_string(n));
             SolverOutput out;
-            for (Vertex v = 0; v < ctx.graph.num_vertices(); ++v) out.solution.push_back(v);
+            for (Vertex v = 0; v < n; ++v) out.solution.push_back(v);
             return out;
           });
 
   std::vector<Graph> graphs;
   for (int i = 0; i < 6; ++i) graphs.push_back(graph::gen::path(4 + i));
-  graphs.push_back(graph::gen::cycle(5));  // the poisoned graph
 
-  BatchOptions opts;
-  opts.threads = 4;
-  opts.shard_size = 1;
-  BatchExecutor executor(opts, reg);
-  Request req;
-  EXPECT_THROW((void)executor.run_batch("boom", span_of(graphs), req), std::runtime_error);
+  for (const int threads : {1, 2, 4, 8}) {
+    BatchOptions opts;
+    opts.threads = threads;
+    opts.shard_size = 1;
+    BatchExecutor executor(opts, reg);
+    try {
+      (void)executor.run_batch("boom", span_of(graphs), Request{});
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom at n=6") << "threads=" << threads;
+    }
+  }
 }
 
 TEST(BatchExecutor, ThrowingSolveDoesNotCountAMiss) {

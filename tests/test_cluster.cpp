@@ -395,6 +395,26 @@ TEST(Replication, RejectsGarbagePayloads) {
   EXPECT_FALSE(bad_graph.find("ok")->as_bool());
 }
 
+TEST(Replication, MalformedPeerRejectedByRouterAndReplicateOut) {
+  // Router peers and replicate_out's push target share one host:port
+  // parser; each caller reports a malformed address its own way.
+  ServerOptions opts = worker_options();
+  Server srv(opts);
+  Session session(srv.core());
+  for (const std::string peer : {":80", "h:", "h", "h:8x", "h:65536"}) {
+    RouterOptions ropts;
+    ropts.peers = {peer};
+    EXPECT_THROW((void)Router(ropts, srv.core()), std::invalid_argument) << peer;
+    const JsonValue reply = json_parse(
+        session.handle_line(R"({"op":"replicate_out","peer":")" + peer + "\"}"));
+    EXPECT_FALSE(reply.find("ok")->as_bool()) << peer;
+    EXPECT_EQ(reply.find("code")->as_string(), "bad_request") << peer;
+  }
+  RouterOptions highest_port;
+  highest_port.peers = {"127.0.0.1:65535"};
+  EXPECT_NO_THROW((void)Router(highest_port, srv.core()));
+}
+
 TEST(Base64, RoundTripsAndRejectsMalformedInput) {
   for (const std::string& data :
        {std::string(""), std::string("a"), std::string("ab"), std::string("abc"),
@@ -543,8 +563,11 @@ TEST_F(RoutedClusterTest, PatchForwardsToParentOwnerAndChildStaysRouted) {
   // the location map — its content hash may belong elsewhere on the ring).
   const std::string solve =
       "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[\"" + child + "\"]}";
-  const auto routed_pieces = split_raw_responses(raw_line_exchange(fd, reader, solve));
-  const auto single_pieces = split_raw_responses(ref.handle_line(solve));
+  // The pieces are views into these lines, so the lines must outlive them.
+  const std::string routed_line = raw_line_exchange(fd, reader, solve);
+  const std::string single_line = ref.handle_line(solve);
+  const auto routed_pieces = split_raw_responses(routed_line);
+  const auto single_pieces = split_raw_responses(single_line);
   ASSERT_TRUE(routed_pieces.has_value());
   ASSERT_TRUE(single_pieces.has_value());
   EXPECT_EQ((*routed_pieces)[0], (*single_pieces)[0]);
