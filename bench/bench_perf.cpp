@@ -34,6 +34,7 @@
 #include "common/parallel.hpp"
 #include "graph/generators.hpp"
 #include "local/view.hpp"
+#include "support/view_reference.hpp"
 
 namespace {
 

@@ -12,7 +12,8 @@
 // --check exits 1 unless solve-by-handle is at least 2x the inline-edge
 // throughput — the regression gate CI runs (acceptance criterion of the
 // protocol-v2 redesign). --json writes the measurements for the BENCH_*
-// artifact trail.
+// artifact trail; its runs[].graphs_per_sec is the inline path (one graph
+// per request), the figure scripts/bench_regression.py ratchets.
 
 #include <charconv>
 #include <chrono>
@@ -135,9 +136,11 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n  \"bench\": \"serve_v2\",\n  \"vertices\": %d,\n  \"iters\": %d,\n"
                  "  \"inline_req_per_sec\": %s,\n  \"handle_req_per_sec\": %s,\n"
-                 "  \"handle_speedup\": %s\n}\n",
+                 "  \"handle_speedup\": %s,\n"
+                 "  \"runs\": [{\"path\": \"inline\", \"graphs_per_sec\": %s}]\n}\n",
                  g.num_vertices(), iters, json_num(inline_rate, 2).c_str(),
-                 json_num(handle_rate, 2).c_str(), json_num(speedup, 3).c_str());
+                 json_num(handle_rate, 2).c_str(), json_num(speedup, 3).c_str(),
+                 json_num(inline_rate, 2).c_str());
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }

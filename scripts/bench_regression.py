@@ -6,8 +6,10 @@ Usage: bench_regression.py PREVIOUS.json CURRENT.json [--max-drop 0.20]
 The compared metric is the best graphs/sec across the per-thread runs — the
 figure a deployment actually gets from the serving layer. CI runners are
 noisy, so the gate is a relative drop (default 20%, the ROADMAP's threshold),
-not an absolute number. Exit codes: 0 ok / within tolerance, 1 regression,
-2 unusable input (missing file, malformed JSON, no runs).
+not an absolute number. A PREVIOUS artifact without runs[] (written before
+its bench recorded them) skips the comparison. Exit codes: 0 ok / within
+tolerance / skipped, 1 regression, 2 unusable input (missing file, malformed
+JSON, no runs in CURRENT).
 """
 
 import argparse
@@ -15,7 +17,8 @@ import json
 import sys
 
 
-def best_rate(path: str) -> float:
+def best_rate(path: str, missing_ok: bool = False):
+    """Best graphs/sec in `path`; None when it has no runs and missing_ok."""
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -25,6 +28,8 @@ def best_rate(path: str) -> float:
     rates = [run["graphs_per_sec"] for run in data.get("runs", [])
              if isinstance(run.get("graphs_per_sec"), (int, float))]
     if not rates:
+        if missing_ok:
+            return None
         print(f"bench_regression: no graphs_per_sec runs in {path}", file=sys.stderr)
         sys.exit(2)
     return max(rates)
@@ -38,8 +43,11 @@ def main() -> int:
                         help="maximum tolerated relative drop (0.20 = 20%%)")
     args = parser.parse_args()
 
-    prev = best_rate(args.previous)
+    prev = best_rate(args.previous, missing_ok=True)
     curr = best_rate(args.current)
+    if prev is None:
+        print(f"bench_regression: {args.previous} has no runs to compare against; skipping")
+        return 0
     change = (curr - prev) / prev
     print(f"bench_regression: previous best {prev:.1f} graphs/sec, "
           f"current best {curr:.1f} graphs/sec ({change:+.1%})")

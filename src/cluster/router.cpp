@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <initializer_list>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "api/graph_store.hpp"
 #include "common/parallel.hpp"
-#include "graph/hash.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
 
@@ -28,7 +29,11 @@ std::pair<std::string, int> parse_peer(const std::string& peer) {
 
 /// True when `line` parses as an {"ok":false,...} response with the given
 /// code. An unparseable line is not busy — it is a failure the caller wraps.
+/// Success lines (a solve's carries every solution) are recognised by their
+/// prefix, as the HTTP front-end's status mapping does; only the short
+/// error lines are parsed.
 bool is_busy_line(const std::string& line) {
+  if (line.starts_with("{\"ok\":true")) return false;
   try {
     const JsonValue parsed = server::json_parse(line);
     const JsonValue* ok = parsed.find("ok");
@@ -50,8 +55,18 @@ std::uint64_t diag_counter(const JsonValue& diag, const char* name) {
 
 /// Folds one worker sub-response's "diag" object into the routed batch's
 /// merged diagnostics: concurrency highs are maxed, work counters summed.
-void merge_diag(api::BatchDiagnostics& out, const JsonValue& response) {
-  const JsonValue* diag = response.find("diag");
+/// `tail` is what follows the sub-response's "responses" array
+/// (`,"namespace":..,"diag":{..}}`, from split_raw_responses), so only
+/// those few members are parsed, never the solutions.
+void merge_diag(api::BatchDiagnostics& out, std::string_view tail) {
+  if (!tail.starts_with(',')) return;
+  JsonValue members;
+  try {
+    members = server::json_parse("{" + std::string(tail.substr(1)));
+  } catch (const server::JsonError&) {
+    return;  // split_raw_responses accepted the line, so this cannot happen
+  }
+  const JsonValue* diag = members.find("diag");
   if (!diag || diag->type() != JsonValue::Type::Object) return;
   out.threads = std::max<int>(out.threads, static_cast<int>(diag_counter(*diag, "threads")));
   out.intra_threads =
@@ -75,14 +90,36 @@ struct SubBatch {
   std::string line;            ///< the sub-request line
 };
 
+/// A request line for a worker: `head` (pre-encoded members, "op" first)
+/// followed by every member of `root` not named in `replaced`. json_dump
+/// re-emits Raw graph slots verbatim, so no graph is re-encoded.
+std::string forward_line(const JsonValue& root, std::string_view head,
+                         std::initializer_list<std::string_view> replaced) {
+  std::string line = "{";
+  line += head;
+  for (const auto& [key, value] : root.as_object()) {
+    if (std::find(replaced.begin(), replaced.end(), key) != replaced.end()) continue;
+    line += ',';
+    server::json_append_string(line, key);
+    line += ':';
+    line += server::json_dump(value);
+  }
+  line += '}';
+  return line;
+}
+
 }  // namespace
 
-std::optional<std::vector<std::string_view>> split_raw_responses(std::string_view line) {
+std::optional<std::vector<std::string_view>> split_raw_responses(std::string_view line,
+                                                                std::string_view* tail) {
   constexpr std::string_view kPrefix = "{\"ok\":true,\"op\":\"solve\",\"responses\":[";
   if (!line.starts_with(kPrefix)) return std::nullopt;
   std::vector<std::string_view> out;
   std::size_t i = kPrefix.size();
-  if (i < line.size() && line[i] == ']') return out;  // empty batch
+  if (i < line.size() && line[i] == ']') {  // empty batch
+    if (tail) *tail = line.substr(i + 1);
+    return out;
+  }
   while (i < line.size()) {
     // One array element: scan to its end with string- and escape-aware
     // depth tracking ('[' ']' '{' '}' inside JSON strings must not count).
@@ -110,7 +147,10 @@ std::optional<std::vector<std::string_view>> split_raw_responses(std::string_vie
     }
     if (i >= line.size() || depth != 0 || in_string) return std::nullopt;
     out.push_back(line.substr(start, i - start));
-    if (line[i] == ']') return out;  // done; tail (diag etc.) follows
+    if (line[i] == ']') {  // done; the tail (diag etc.) follows
+      if (tail) *tail = line.substr(i + 1);
+      return out;
+    }
     ++i;                             // past the ','
   }
   return std::nullopt;  // ran off the end without the closing ']'
@@ -288,17 +328,16 @@ std::optional<std::string> Router::route_solve(server::Session& session,
       if (!parsed) return std::nullopt;
       hash = *parsed;
       is_handle = true;
-    } else if (slots[slot].type() == JsonValue::Type::Object) {
+    } else {
       try {
-        // Decoding here is not wasted work: the fingerprint IS the routing
-        // key, and it is what gives repeated inline graphs cache affinity
-        // (the same graph always lands on the same warm worker).
-        hash = graph::graph_hash(server::decode_graph(slots[slot], limits));
+        // The fingerprint IS the routing key, and it is what gives repeated
+        // inline graphs cache affinity (the same graph always lands on the
+        // same warm worker). The decoder yields it from the CSR build; the
+        // slot's bytes themselves are forwarded untouched.
+        hash = server::decode_graph_hashed(slots[slot], limits).hash;
       } catch (const server::ProtocolError&) {
         return std::nullopt;
       }
-    } else {
-      return std::nullopt;
     }
     const std::size_t peer =
         is_handle ? locate_handle(slots[slot].as_string(), hash) : ring_.owner_index(hash);
@@ -314,25 +353,29 @@ std::optional<std::string> Router::route_solve(server::Session& session,
     sub.has_handle = sub.has_handle || is_handle;
   }
 
-  // Build each peer's sub-request: the client's request verbatim (solver,
-  // options, measure flags, batch overrides all ride along — json_dump
-  // canonicalizes, which is fine for REQUESTS; workers parse them) with the
-  // graphs array cut down to the peer's slots and the namespace pinned
-  // explicitly (pooled connections are namespace-less).
+  // Build each peer's sub-request: a graphs array of the peer's slots,
+  // spliced from the client's bytes (Raw slots are the source text; handles
+  // are re-quoted), the namespace pinned explicitly (pooled connections are
+  // namespace-less), then every other member of the client's request —
+  // solver, options, measure flags, batch overrides — json_dump'ed, which
+  // canonicalizes (fine for REQUESTS; workers parse them).
   for (SubBatch& sub : subs) {
-    JsonValue::Object obj = root.type() == JsonValue::Type::Object ? root.as_object()
-                                                                   : JsonValue::Object{};
-    obj.insert_or_assign("op", JsonValue(std::string("solve")));
-    JsonValue::Array mine;
-    mine.reserve(sub.slots.size());
-    for (const std::size_t slot : sub.slots) mine.push_back(slots[slot]);
-    obj.insert_or_assign("graphs", JsonValue(std::move(mine)));
-    if (!ns.empty()) {
-      obj.insert_or_assign("namespace", JsonValue(ns));
-    } else {
-      obj.erase("namespace");
+    std::string head = "\"op\":\"solve\",\"graphs\":[";
+    for (std::size_t i = 0; i < sub.slots.size(); ++i) {
+      if (i) head += ',';
+      const JsonValue& slot = slots[sub.slots[i]];
+      if (slot.type() == JsonValue::Type::Raw) {
+        head += slot.raw_text();
+      } else {
+        head += server::json_dump(slot);
+      }
     }
-    sub.line = server::json_dump(JsonValue(std::move(obj)));
+    head += ']';
+    if (!ns.empty()) {
+      head += ",\"namespace\":";
+      server::json_append_string(head, ns);
+    }
+    sub.line = forward_line(root, head, {"op", "graphs", "namespace"});
   }
 
   // Fan out: one worker per sub-batch (bounded by the ring size), sub-batch
@@ -361,7 +404,9 @@ std::optional<std::string> Router::route_solve(server::Session& session,
   std::size_t error_sub = SIZE_MAX;
   std::size_t error_slot = slots.size();
   for (std::size_t i = 0; i < subs.size(); ++i) {
-    const std::optional<std::vector<std::string_view>> pieces = split_raw_responses(raw[i]);
+    std::string_view tail;
+    const std::optional<std::vector<std::string_view>> pieces =
+        split_raw_responses(raw[i], &tail);
     if (!pieces || pieces->size() != subs[i].slots.size()) {
       if (subs[i].slots.front() < error_slot) {
         error_slot = subs[i].slots.front();
@@ -370,12 +415,7 @@ std::optional<std::string> Router::route_solve(server::Session& session,
       continue;
     }
     for (std::size_t j = 0; j < pieces->size(); ++j) ordered[subs[i].slots[j]] = (*pieces)[j];
-    try {
-      merge_diag(diag, server::json_parse(raw[i]));
-    } catch (const server::JsonError&) {
-      // split_raw_responses accepted it, so this cannot happen; a diag-less
-      // merge is still a complete answer.
-    }
+    merge_diag(diag, tail);
   }
   if (error_sub != SIZE_MAX) {
     const std::string& line = raw[error_sub];
@@ -401,19 +441,17 @@ std::optional<std::string> Router::route_put(const JsonValue& root) {
   if (!graph_member) return std::nullopt;
   std::uint64_t hash = 0;
   try {
-    hash = graph::graph_hash(server::decode_graph(*graph_member, core_.options().limits));
+    hash = server::decode_graph_hashed(*graph_member, core_.options().limits).hash;
   } catch (const server::ProtocolError&) {
     return std::nullopt;  // local dispatch reports the malformed graph
   }
-  JsonValue::Object obj = root.as_object();
-  obj.insert_or_assign("op", JsonValue(std::string("put_graph")));
   // Content-addressed placement: the handle the worker will mint IS this
   // fingerprint, so no put location needs remembering — the ring re-derives
   // the owner from any future handle. No failover: a graph stored on a
   // non-owner would be unreachable to routing.
   const std::size_t peer = ring_.owner_index(hash);
   return forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-                 server::json_dump(JsonValue(std::move(obj))));
+                 forward_line(root, "\"op\":\"put_graph\"", {"op"}));
 }
 
 std::optional<std::string> Router::route_patch(server::Session& session,
@@ -423,15 +461,13 @@ std::optional<std::string> Router::route_patch(server::Session& session,
   if (!handle || handle->type() != JsonValue::Type::String) return std::nullopt;
   const std::optional<std::uint64_t> hash = api::GraphStore::parse_handle(handle->as_string());
   if (!hash) return std::nullopt;
-  JsonValue::Object obj = root.as_object();
-  obj.insert_or_assign("op", JsonValue(std::string("patch_graph")));
   // The PARENT's owner applies the patch (it holds the adjacency the child
   // structurally shares). The child's content hash need not land on the same
   // ring segment, so its true location goes into the location map.
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
   const std::string response =
       forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-              server::json_dump(JsonValue(std::move(obj))));
+              forward_line(root, "\"op\":\"patch_graph\"", {"op"}));
   try {
     const JsonValue parsed = server::json_parse(response);
     const JsonValue* ok = parsed.find("ok");
@@ -450,12 +486,10 @@ std::optional<std::string> Router::route_drop(const JsonValue& root) {
   if (!handle || handle->type() != JsonValue::Type::String) return std::nullopt;
   const std::optional<std::uint64_t> hash = api::GraphStore::parse_handle(handle->as_string());
   if (!hash) return std::nullopt;
-  JsonValue::Object obj = root.as_object();
-  obj.insert_or_assign("op", JsonValue(std::string("drop_graph")));
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
   const std::string response =
       forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-              server::json_dump(JsonValue(std::move(obj))));
+              forward_line(root, "\"op\":\"drop_graph\"", {"op"}));
   {
     // Whatever the outcome, the location entry is stale or useless now.
     common::MutexLock lock(loc_mu_);

@@ -4,7 +4,8 @@
 // namespaces and counters all work unchanged — and installs itself as the
 // core's dispatch override, intercepting the store-and-solve verbs:
 //
-//   put_graph    -> decode, fingerprint, forward to the ring owner
+//   put_graph    -> decode (the fingerprint comes out of the CSR build),
+//                   forward to the ring owner with the graph's bytes as sent
 //   patch_graph  -> forward to the parent handle's owner; remember where the
 //                   derived child lives (its content hash need not land on
 //                   the same ring segment as its parent's)
@@ -12,7 +13,8 @@
 //   solve        -> partition the graphs array by owner (handles via the
 //                   location map then the ring, inline graphs by their
 //                   fingerprint so repeat traffic hits the same warm
-//                   worker), fan the sub-batches out concurrently, then
+//                   worker), build each sub-request by splicing its slots'
+//                   raw bytes, fan the sub-batches out concurrently, then
 //                   splice the workers' response objects back together IN
 //                   SLOT ORDER as raw text — bit-identical to what one
 //                   server would emit (re-encoding parsed JSON would reorder
@@ -63,9 +65,11 @@ struct RouterOptions {
 /// Splits a worker's {"ok":true,"op":"solve","responses":[...],...} line
 /// into the verbatim text of each element of its "responses" array. The
 /// views point into `line`. Returns std::nullopt when the line is not a
-/// solve success line of that exact shape. Exposed for tests — this scanner
-/// is what routed bit-identity rests on.
-std::optional<std::vector<std::string_view>> split_raw_responses(std::string_view line);
+/// solve success line of that exact shape. A non-null `tail` receives the
+/// bytes after the array's closing ']' (the namespace and diag members).
+/// Exposed for tests — this scanner is what routed bit-identity rests on.
+std::optional<std::vector<std::string_view>> split_raw_responses(std::string_view line,
+                                                                std::string_view* tail = nullptr);
 
 class Router {
  public:

@@ -4,19 +4,9 @@ namespace lmds::graph {
 
 std::uint64_t graph_hash(const Graph& g) {
   const int n = g.num_vertices();
-  // Domain-separation constant so an empty graph does not hash to mix64(0)
-  // of some other empty structure.
-  std::uint64_t h = mix64(0x6c6d64735f677268ULL ^ static_cast<std::uint64_t>(n));
-  for (Vertex v = 0; v < n; ++v) {
-    const auto nbrs = g.neighbors(v);
-    // Degree delimits each adjacency list, so ({0,1},{}) and ({0},{1})
-    // streams cannot collide by concatenation.
-    h = mix64(h ^ static_cast<std::uint64_t>(nbrs.size()));
-    for (const Vertex u : nbrs) {
-      h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)));
-    }
-  }
-  return h;
+  GraphHasher hasher(n);
+  for (Vertex v = 0; v < n; ++v) hasher.add_row(g.neighbors(v));
+  return hasher.value();
 }
 
 }  // namespace lmds::graph

@@ -10,8 +10,9 @@
 // knowledge bitset — a radius-capped BFS over known edges into a reusable
 // ViewScratch arena, then a monotone relabelling straight into the view's
 // CSR arrays. No per-vertex GraphBuilder, no full-graph BFS, no n-sized
-// allocation per centre. The seed implementations survive in detail:: as
-// the differential baselines (tests/test_hotpath.cpp, bench_perf).
+// allocation per centre. The seed implementations survive outside the
+// library, in tests/support/view_reference.hpp, as the differential
+// baselines (tests/test_hotpath.cpp, bench_perf).
 
 #include <vector>
 
@@ -80,13 +81,6 @@ BallView cut_view_into(const Network& net, Vertex centre, int radius, ViewScratc
 std::vector<BallView> cut_views(const Network& net, int radius, int threads = 1);
 
 namespace detail {
-
-/// Seed implementations, kept verbatim: per-vertex GraphBuilder + full-graph
-/// BFS + induced_subgraph. They are the differential baselines the hot path
-/// is tested and benched against — never call them from product code.
-std::vector<BallView> gather_views_reference(const Network& net, int radius,
-                                             TrafficStats* stats = nullptr);
-BallView cut_view_reference(const Network& net, Vertex centre, int radius);
 
 /// Undirected edge id of every directed CSR slot of g: slot
 /// adjacency_offset(u) + j holds the index of edge {u, neighbors(u)[j]} in

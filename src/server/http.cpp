@@ -163,7 +163,9 @@ std::string handle_http_request(const HttpRequest& req, Session& session) {
     return make_response(400, encode_error(e.code(), e.what()), req.keep_alive);
   }
 
-  const auto parse_body = [&](bool required) -> JsonValue {
+  // `parse` is json_parse_graph for a body that is itself a graph.
+  const auto parse_body = [&](bool required,
+                              JsonValue (*parse)(std::string_view) = json_parse) -> JsonValue {
     if (req.body.empty()) {
       if (required) {
         throw ProtocolError(ErrorCode::BadRequest, "this route requires a JSON body");
@@ -171,7 +173,7 @@ std::string handle_http_request(const HttpRequest& req, Session& session) {
       return JsonValue(JsonValue::Object{});
     }
     try {
-      return json_parse(req.body);
+      return parse(req.body);
     } catch (const JsonError& e) {
       throw ProtocolError(ErrorCode::BadRequest, std::string("invalid JSON body: ") + e.what());
     }
@@ -185,7 +187,7 @@ std::string handle_http_request(const HttpRequest& req, Session& session) {
     } else if (req.target == "/v2/graphs" && req.method == "PUT") {
       // The body IS the graph; wrap it the way the line protocol nests it.
       JsonValue::Object root;
-      root.emplace("graph", parse_body(true));
+      root.emplace("graph", parse_body(true, json_parse_graph));
       body = session.dispatch("put_graph", JsonValue(std::move(root)));
       // A fresh upload is a created resource; read the response's "new"
       // member structurally (the body is small) rather than string-sniffing.

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
+#include <utility>
 
 namespace lmds::server {
 
@@ -15,6 +17,7 @@ std::string_view to_string(JsonValue::Type t) {
     case JsonValue::Type::String: return "string";
     case JsonValue::Type::Array: return "array";
     case JsonValue::Type::Object: return "object";
+    case JsonValue::Type::Raw: return "raw";
   }
   return "?";
 }
@@ -59,6 +62,11 @@ const JsonValue::Object& JsonValue::as_object() const {
   return std::get<Object>(v_);
 }
 
+const std::string& JsonValue::raw_text() const {
+  if (type() != Type::Raw) type_error(type(), "raw");
+  return std::get<RawText>(v_).bytes;
+}
+
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (type() != Type::Object) return nullptr;
   const Object& obj = std::get<Object>(v_);
@@ -69,22 +77,38 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 // ---------------------------------------------------------------------------
 // Parser
 
+namespace detail {
+
 namespace {
 
 constexpr int kMaxDepth = 64;
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+/// What a validate-only parse returns in place of a value.
+struct Skipped {};
 
-  JsonValue parse_document() {
-    JsonValue v = parse_value(0);
+}  // namespace
+
+// One recursive-descent grammar, instantiated twice: Build = true
+// materialises JsonValues, Build = false only validates (graph slots). Both
+// run every branch in the same order, so on any input they fail with the
+// same message at the same byte.
+class JsonParser {
+ public:
+  explicit JsonParser(std::string_view text) : text_(text) {}
+
+  JsonValue parse_document(bool root_is_slot) {
+    JsonValue v = root_is_slot ? parse_slot(0) : parse_value<true>(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing garbage after JSON value");
     return v;
   }
 
  private:
+  template <bool Build>
+  using Value = std::conditional_t<Build, JsonValue, Skipped>;
+  template <bool Build>
+  using String = std::conditional_t<Build, std::string, Skipped>;
+
   std::string_view text_;
   std::size_t pos_ = 0;
 
@@ -114,43 +138,85 @@ class Parser {
     return true;
   }
 
-  JsonValue parse_value(int depth) {
+  template <bool Build, typename T>
+  static Value<Build> make(T&& v) {
+    if constexpr (Build) {
+      return JsonValue(std::forward<T>(v));
+    } else {
+      return Skipped{};
+    }
+  }
+
+  template <bool Build>
+  Value<Build> parse_value(int depth) {
     if (depth > kMaxDepth) fail("nesting deeper than 64 levels");
     skip_ws();
     if (eof()) fail("unexpected end of input");
     const char c = peek();
     switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return JsonValue(parse_string());
+      case '{': return parse_object<Build>(depth);
+      case '[': return parse_array<Build>(depth, /*slots=*/false);
+      case '"':
+        if constexpr (Build) {
+          return JsonValue(parse_string<true>());
+        } else {
+          return parse_string<false>();
+        }
       case 't':
-        if (consume_literal("true")) return JsonValue(true);
+        if (consume_literal("true")) return make<Build>(true);
         fail("invalid literal");
       case 'f':
-        if (consume_literal("false")) return JsonValue(false);
+        if (consume_literal("false")) return make<Build>(false);
         fail("invalid literal");
       case 'n':
-        if (consume_literal("null")) return JsonValue(nullptr);
+        if (consume_literal("null")) return make<Build>(nullptr);
         fail("invalid literal");
-      default: return parse_number();
+      default: return parse_number<Build>();
     }
   }
 
-  JsonValue parse_object(int depth) {
+  /// A graph slot: an object is validated without being materialised and
+  /// kept as its bytes; anything else parses as usual (a handle string, or
+  /// a value decode_graph will reject).
+  JsonValue parse_slot(int depth) {
+    skip_ws();
+    if (eof() || peek() != '{') return parse_value<true>(depth);
+    const std::size_t start = pos_;
+    parse_value<false>(depth);
+    return JsonValue(JsonValue::RawText{std::string(text_.substr(start, pos_ - start))});
+  }
+
+  template <bool Build>
+  Value<Build> parse_object(int depth) {
     expect('{');
-    JsonValue::Object obj;
+    [[maybe_unused]] JsonValue::Object obj;
     skip_ws();
     if (!eof() && peek() == '}') {
       ++pos_;
-      return JsonValue(std::move(obj));
+      return make<Build>(std::move(obj));
     }
     while (true) {
       skip_ws();
       if (eof() || peek() != '"') fail("expected object key string");
-      std::string key = parse_string();
+      String<Build> key = parse_string<Build>();
       skip_ws();
       expect(':');
-      obj[std::move(key)] = parse_value(depth + 1);  // duplicate key: last wins
+      if constexpr (Build) {
+        // Only the root object (depth 0) holds graph slots.
+        JsonValue value;
+        if (depth == 0 && key == "graph") {
+          value = parse_slot(depth + 1);
+        } else if (depth == 0 && key == "graphs") {
+          skip_ws();
+          value = !eof() && peek() == '[' ? parse_array<true>(depth + 1, /*slots=*/true)
+                                          : parse_value<true>(depth + 1);
+        } else {
+          value = parse_value<true>(depth + 1);
+        }
+        obj[std::move(key)] = std::move(value);  // duplicate key: last wins
+      } else {
+        parse_value<false>(depth + 1);
+      }
       skip_ws();
       if (eof()) fail("unterminated object");
       if (peek() == ',') {
@@ -158,20 +224,26 @@ class Parser {
         continue;
       }
       expect('}');
-      return JsonValue(std::move(obj));
+      return make<Build>(std::move(obj));
     }
   }
 
-  JsonValue parse_array(int depth) {
+  /// `slots`: the elements are graph slots (the top-level "graphs" array).
+  template <bool Build>
+  Value<Build> parse_array(int depth, bool slots) {
     expect('[');
-    JsonValue::Array arr;
+    [[maybe_unused]] JsonValue::Array arr;
     skip_ws();
     if (!eof() && peek() == ']') {
       ++pos_;
-      return JsonValue(std::move(arr));
+      return make<Build>(std::move(arr));
     }
     while (true) {
-      arr.push_back(parse_value(depth + 1));
+      if constexpr (Build) {
+        arr.push_back(slots ? parse_slot(depth + 1) : parse_value<true>(depth + 1));
+      } else {
+        parse_value<false>(depth + 1);
+      }
       skip_ws();
       if (eof()) fail("unterminated array");
       if (peek() == ',') {
@@ -179,7 +251,7 @@ class Parser {
         continue;
       }
       expect(']');
-      return JsonValue(std::move(arr));
+      return make<Build>(std::move(arr));
     }
   }
 
@@ -197,7 +269,7 @@ class Parser {
     return value;
   }
 
-  void append_utf8(std::string& out, unsigned cp) {
+  static void append_utf8(std::string& out, unsigned cp) {
     if (cp < 0x80) {
       out += static_cast<char>(cp);
     } else if (cp < 0x800) {
@@ -215,29 +287,37 @@ class Parser {
     }
   }
 
-  std::string parse_string() {
+  template <bool Build>
+  String<Build> parse_string() {
     expect('"');
-    std::string out;
+    [[maybe_unused]] std::string out;
     while (true) {
       if (eof()) fail("unterminated string");
       const char c = text_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') {
+        if constexpr (Build) {
+          return out;
+        } else {
+          return Skipped{};
+        }
+      }
       if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
       if (c != '\\') {
-        out += c;
+        if constexpr (Build) out += c;
         continue;
       }
       if (eof()) fail("unterminated escape");
       const char e = text_[pos_++];
+      char plain = 0;
       switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
+        case '"': plain = '"'; break;
+        case '\\': plain = '\\'; break;
+        case '/': plain = '/'; break;
+        case 'b': plain = '\b'; break;
+        case 'f': plain = '\f'; break;
+        case 'n': plain = '\n'; break;
+        case 'r': plain = '\r'; break;
+        case 't': plain = '\t'; break;
         case 'u': {
           unsigned cp = parse_hex4();
           if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate: need the pair
@@ -251,15 +331,17 @@ class Parser {
           } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
             fail("unpaired surrogate");
           }
-          append_utf8(out, cp);
-          break;
+          if constexpr (Build) append_utf8(out, cp);
+          continue;
         }
         default: fail("invalid escape character");
       }
+      if constexpr (Build) out += plain;
     }
   }
 
-  JsonValue parse_number() {
+  template <bool Build>
+  Value<Build> parse_number() {
     const std::size_t start = pos_;
     if (!eof() && peek() == '-') ++pos_;
     while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
@@ -276,10 +358,15 @@ class Parser {
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
     }
     const std::string_view lit = text_.substr(start, pos_ - start);
+    if constexpr (!Build) {
+      // 1..18 digits always fit int64: nothing left to check.
+      const std::size_t digits = lit.size() - (lit.starts_with('-') ? 1 : 0);
+      if (integral && digits >= 1 && digits <= 18) return Skipped{};
+    }
     if (integral) {
       std::int64_t value = 0;
       const auto [ptr, ec] = std::from_chars(lit.data(), lit.data() + lit.size(), value);
-      if (ec == std::errc() && ptr == lit.data() + lit.size()) return JsonValue(value);
+      if (ec == std::errc() && ptr == lit.data() + lit.size()) return make<Build>(value);
       // Out-of-int64-range integer literals fall through to double.
     }
     double value = 0.0;
@@ -288,13 +375,19 @@ class Parser {
       pos_ = start;
       fail("invalid number");
     }
-    return JsonValue(value);
+    return make<Build>(value);
   }
 };
 
-}  // namespace
+}  // namespace detail
 
-JsonValue json_parse(std::string_view text) { return Parser(text).parse_document(); }
+JsonValue json_parse(std::string_view text) {
+  return detail::JsonParser(text).parse_document(/*root_is_slot=*/false);
+}
+
+JsonValue json_parse_graph(std::string_view text) {
+  return detail::JsonParser(text).parse_document(/*root_is_slot=*/true);
+}
 
 void json_append_string(std::string& out, std::string_view s) {
   out += '"';
@@ -354,6 +447,7 @@ void dump_value(std::string& out, const JsonValue& v) {
       out += ']';
       break;
     }
+    case JsonValue::Type::Raw: out += v.raw_text(); break;
     case JsonValue::Type::Object: {
       out += '{';
       bool first = true;

@@ -131,13 +131,17 @@ bool send_all(int fd, std::string_view data) {
 std::optional<std::string> LineReader::next_line(std::size_t max_bytes) {
   if (oversized_) return std::nullopt;
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
+    // Bytes before scanned_ were searched by an earlier pass: a long line
+    // arriving in many reads is scanned once, not once per read.
+    const std::size_t nl = buffer_.find('\n', scanned_);
     if (nl != std::string::npos) {
       std::string line = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
+      scanned_ = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
+    scanned_ = buffer_.size();
     if (buffer_.size() > max_bytes) {
       oversized_ = true;
       return std::nullopt;
@@ -147,6 +151,7 @@ std::optional<std::string> LineReader::next_line(std::size_t max_bytes) {
       if (buffer_.empty()) return std::nullopt;
       std::string line = std::move(buffer_);
       buffer_.clear();
+      scanned_ = 0;
       return line;
     }
     char chunk[65536];
@@ -194,6 +199,7 @@ std::optional<std::string> LineReader::read_exact(std::size_t n) {
   if (buffer_.size() < n) return std::nullopt;  // peer closed mid-body
   std::string out = buffer_.substr(0, n);
   buffer_.erase(0, n);
+  scanned_ = 0;
   return out;
 }
 

@@ -69,6 +69,7 @@ class LineReader {
  private:
   int fd_;
   std::string buffer_;
+  std::size_t scanned_ = 0;  ///< buffer_ prefix known to hold no '\n'
   bool eof_ = false;
   bool oversized_ = false;
   bool timed_out_ = false;

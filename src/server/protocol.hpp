@@ -153,14 +153,38 @@ struct SolveRequest {
   std::string solver;
   api::Request request;
   std::vector<GraphRef> graphs;
+  /// graph_hash per slot, parallel to `graphs`: a handle's own fingerprint,
+  /// or the hash the decoder computed while building an inline graph — so
+  /// the executor never walks a request graph a second time to key it.
+  std::vector<std::uint64_t> hashes;
   api::BatchOverrides overrides;
   std::optional<std::string> ns;  ///< request-level namespace override
 };
 
+/// A decoded graph and its graph_hash, computed during the CSR build.
+struct DecodedGraph {
+  graph::Graph graph;
+  std::uint64_t hash = 0;
+};
+
 /// Decodes {"n":int?,"edges":[[u,v],...]} into a Graph. `n` is optional —
-/// absent, it becomes max endpoint + 1. Throws ProtocolError(BadRequest) on
-/// a malformed shape, an endpoint outside [0, n), a self-loop, or n beyond
-/// limits.max_graph_vertices.
+/// absent, it becomes max endpoint + 1 — and may come before or after
+/// "edges"; duplicate members resolve last-wins and escaped member names
+/// count as their decoded names, as in json_parse. Duplicate edges (either
+/// orientation) collapse. Throws ProtocolError(BadRequest) with checks in
+/// this precedence: not an object; "edges" absent, then not an array; "n"
+/// not an int, out of int range, negative or beyond
+/// limits.max_graph_vertices; then edge by edge in array order — not a
+/// [u, v] pair, an endpoint not an int or out of int range, negative, at or
+/// beyond n, beyond the limit, a self-loop.
+///
+/// A Raw value (json_parse's graph slots) is decoded in one streaming pass
+/// over its bytes into a flat edge array, then into the CSR by counting
+/// sort; an in-memory object takes a thin walk into the same checks and the
+/// same build. Either way graph_hash comes out of the build.
+DecodedGraph decode_graph_hashed(const JsonValue& v, const ServerLimits& limits);
+
+/// decode_graph_hashed without the hash.
 graph::Graph decode_graph(const JsonValue& v, const ServerLimits& limits);
 
 /// The client-side inverse of decode_graph: encodes a Graph as the wire's
@@ -188,7 +212,8 @@ std::string encode_patch_members(const graph::GraphPatch& patch);
 /// (BadRequest; int/bool/double map onto ParamValue, coercion rules are the
 /// registry's), the per-request "batch" overrides against `limits`, and the
 /// namespace tag. Handles are validated for shape only — resolution against
-/// the store happens at execution time. Does not run anything.
+/// the store happens at execution time. Inline graphs are decoded (with
+/// their hashes). Does not run anything.
 SolveRequest decode_solve(const JsonValue& root, const api::Registry& registry,
                           const ServerLimits& limits);
 

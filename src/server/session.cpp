@@ -171,10 +171,9 @@ std::string Session::do_solve(const JsonValue& root) {
   std::vector<std::shared_ptr<const graph::Graph>> pinned;
   std::vector<const graph::Graph*> ptrs;
   ptrs.reserve(req.graphs.size());
-  // A handle IS its graph's fingerprint, so handle entries hand the
-  // executor a precomputed hash and skip the O(V+E) hash walk; inline
-  // entries leave 0 = "compute".
-  std::vector<std::uint64_t> hashes(req.graphs.size(), 0);
+  // Every slot arrives with its fingerprint (a handle IS one; the decoder
+  // hashed each inline graph as it built it), so the executor never walks a
+  // graph to key the cache.
   // Patched handles additionally hand over their lineage, unlocking the
   // executor's ball-granular incremental re-solve (nullptr elsewhere).
   std::vector<std::shared_ptr<const api::PatchLineage>> lineages(req.graphs.size());
@@ -186,7 +185,6 @@ std::string Session::do_solve(const JsonValue& root) {
                             "unknown graph handle \"" + *handle +
                                 "\" (expired, dropped, or never put)");
       }
-      hashes[ptrs.size()] = api::GraphStore::parse_handle(*handle).value_or(0);
       lineages[ptrs.size()] = core_.store().lineage(*handle);
       ptrs.push_back(g.get());
       pinned.push_back(std::move(g));
@@ -201,7 +199,7 @@ std::string Session::do_solve(const JsonValue& root) {
   try {
     responses = core_.executor().run_batch(req.solver, {ptrs.data(), ptrs.size()},
                                            req.request, req.overrides, &diag,
-                                           {hashes.data(), hashes.size()},
+                                           {req.hashes.data(), req.hashes.size()},
                                            {lineages.data(), lineages.size()});
   } catch (const api::RequestError& e) {
     // Undeclared option, type mismatch, traffic on a centralized-only

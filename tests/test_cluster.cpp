@@ -433,9 +433,13 @@ TEST(Base64, RoundTripsAndRejectsMalformedInput) {
 
 class RoutedClusterTest : public ::testing::Test {
  protected:
+  /// The two routed workers' options (the router and the reference server
+  /// always run worker_options()).
+  virtual ServerOptions routed_worker_options() const { return worker_options(); }
+
   void SetUp() override {
-    worker1_ = std::make_unique<Server>(worker_options());
-    worker2_ = std::make_unique<Server>(worker_options());
+    worker1_ = std::make_unique<Server>(routed_worker_options());
+    worker2_ = std::make_unique<Server>(routed_worker_options());
     worker1_->bind_and_listen();
     worker2_->bind_and_listen();
     threads_.emplace_back([this] { worker1_->serve(); });
@@ -598,6 +602,90 @@ TEST_F(RoutedClusterTest, UnknownHandleAndBadRequestsMatchSingleServerCodes) {
     ASSERT_FALSE(direct.find("ok")->as_bool()) << request;
     EXPECT_EQ(routed.find("code")->as_string(), direct.find("code")->as_string()) << request;
   }
+  ::close(fd);
+}
+
+// Workers that admit one solve per namespace at a time. A test holds that
+// slot through core().try_begin_solve, so every sub-batch the router sends
+// that worker in the default namespace answers server_busy.
+class BusyWorkerClusterTest : public RoutedClusterTest {
+ protected:
+  ServerOptions routed_worker_options() const override {
+    ServerOptions opts = worker_options();
+    opts.core.limits.max_namespace_inflight = 1;
+    return opts;
+  }
+
+  Server& worker(std::size_t peer) { return peer == 0 ? *worker1_ : *worker2_; }
+
+  /// The router's forward counter for `peer`, from its stats line (stats
+  /// is answered by the router itself, so reading it forwards nothing).
+  std::uint64_t forwards(int fd, LineReader& reader, std::size_t peer) {
+    const JsonValue stats = json_parse(raw_line_exchange(fd, reader, "{\"op\":\"stats\"}"));
+    const JsonValue* count =
+        stats.find("router")->find("forwards")->find(router_->ring().peers()[peer]);
+    return count ? static_cast<std::uint64_t>(count->as_int()) : 0;
+  }
+
+  /// One try plus the router's default busy retries.
+  const std::uint64_t kAttempts = 1 + static_cast<std::uint64_t>(RouterOptions{}.busy_retries);
+};
+
+TEST_F(BusyWorkerClusterTest, BusyHandleBatchIsRetriedThenPassedThroughVerbatim) {
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  const Graph g = graph::gen::grid(4, 5);
+  const JsonValue put = json_parse(
+      raw_line_exchange(fd, reader, "{\"op\":\"put_graph\",\"graph\":" + graph_json(g) + "}"));
+  ASSERT_TRUE(put.find("ok")->as_bool());
+  const std::string solve = "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[\"" +
+                            put.find("handle")->as_string() + "\"]}";
+  const std::size_t owner = router_->ring().owner_index(graph::graph_hash(g));
+  const std::size_t other = 1 - owner;
+
+  ASSERT_TRUE(worker(owner).core().try_begin_solve(""));
+  const std::uint64_t owner_before = forwards(fd, reader, owner);
+  const std::uint64_t other_before = forwards(fd, reader, other);
+  const std::string routed = raw_line_exchange(fd, reader, solve);
+  // The owner's own busy line, byte for byte: only the owner holds the
+  // graph, so the router retries it and then passes its answer through.
+  Session direct(worker(owner).core());
+  EXPECT_EQ(routed, direct.handle_line(solve));
+  EXPECT_EQ(json_parse(routed).find("code")->as_string(), "server_busy");
+  EXPECT_EQ(forwards(fd, reader, owner) - owner_before, kAttempts);
+  EXPECT_EQ(forwards(fd, reader, other) - other_before, 0u);
+
+  worker(owner).core().end_solve("");
+  EXPECT_TRUE(json_parse(raw_line_exchange(fd, reader, solve)).find("ok")->as_bool());
+  ::close(fd);
+}
+
+TEST_F(BusyWorkerClusterTest, BusyInlineBatchFailsOverToTheOtherWorker) {
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  const Graph g = graph::gen::cycle(11);
+  const std::string solve =
+      "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[" + graph_json(g) + "]}";
+  const std::size_t owner = router_->ring().owner_index(graph::graph_hash(g));
+  const std::size_t other = 1 - owner;
+
+  ASSERT_TRUE(worker(owner).core().try_begin_solve(""));
+  const std::uint64_t owner_before = forwards(fd, reader, owner);
+  const std::uint64_t other_before = forwards(fd, reader, other);
+  const std::string routed = raw_line_exchange(fd, reader, solve);
+  worker(owner).core().end_solve("");
+
+  Session ref(reference_->core());
+  const std::string single = ref.handle_line(solve);
+  const auto routed_pieces = split_raw_responses(routed);
+  const auto single_pieces = split_raw_responses(single);
+  ASSERT_TRUE(routed_pieces.has_value()) << routed;
+  ASSERT_TRUE(single_pieces.has_value()) << single;
+  EXPECT_EQ(*routed_pieces, *single_pieces);
+  EXPECT_EQ(forwards(fd, reader, owner) - owner_before, kAttempts);
+  EXPECT_EQ(forwards(fd, reader, other) - other_before, 1u);
   ::close(fd);
 }
 

@@ -1,8 +1,8 @@
 // Hot-path differential suite: the CSR-native view extraction and the
 // intra-graph threading mode must be BIT-IDENTICAL to the seed
 // implementations they replaced. The seed code survives in
-// local::detail::{gather_views_reference, cut_view_reference} precisely so
-// this file can hold it against the rewrite on every generator, every
+// local::detail::{gather_views_reference, cut_view_reference}
+// (tests/support/view_reference.hpp) precisely so this file can hold it against the rewrite on every generator, every
 // radius, and adversarial (shuffled) id assignments; the executor half
 // asserts every registered solver returns the same Response for every
 // intra_threads value, composed with cross-graph sharding and both
@@ -29,6 +29,7 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/session.hpp"
+#include "support/view_reference.hpp"
 
 namespace lmds {
 namespace {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -782,6 +784,46 @@ TEST(ServerSocket, EndToEndSolveAndShutdown) {
   serving.join();
   close_fd(fd);
   EXPECT_EQ(server.counters().connections, 1u);
+}
+
+// LineReader resumes its newline search where the previous scan stopped;
+// the framing must survive that: a long line in small pieces, several lines
+// in one read, CRLF, and the over-limit cut-off.
+TEST(LineReader, FramesLinesAcrossAndWithinReads) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string big(1u << 20, 'x');
+  std::thread writer([&] {
+    for (std::size_t at = 0; at < big.size(); at += 4096) {
+      EXPECT_TRUE(send_all(fds[1], std::string_view(big).substr(at, 4096)));
+    }
+    EXPECT_TRUE(send_all(fds[1], "\n"));
+    EXPECT_TRUE(send_all(fds[1], "first\nsecond\n"));  // two lines, one write
+    EXPECT_TRUE(send_all(fds[1], "crlf\r\n"));
+  });
+  LineReader reader(fds[0]);
+  EXPECT_EQ(reader.next_line(2u << 20), big);
+  EXPECT_EQ(reader.next_line(1024), "first");
+  EXPECT_EQ(reader.next_line(1024), "second");
+  EXPECT_EQ(reader.next_line(1024), "crlf");
+  writer.join();
+  close_fd(fds[1]);
+  EXPECT_FALSE(reader.next_line(1024).has_value());  // EOF
+  EXPECT_FALSE(reader.oversized());
+  close_fd(fds[0]);
+}
+
+TEST(LineReader, OverLimitLineSetsOversized) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // 10 KB in 1 KB writes and no newline: past the 4 KB limit after a few
+  // reads, however the kernel coalesces them.
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(send_all(fds[1], std::string(1000, 'y')));
+  LineReader reader(fds[0]);
+  EXPECT_FALSE(reader.next_line(4096).has_value());
+  EXPECT_TRUE(reader.oversized());
+  close_fd(fds[0]);
+  close_fd(fds[1]);
 }
 
 TEST(ServerSocket, OversizedLineIsRejectedAndConnectionDropped) {
