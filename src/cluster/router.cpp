@@ -20,30 +20,18 @@ namespace {
 using server::ErrorCode;
 using server::JsonValue;
 
+// The failure policy. The I/O timeout is generous because a worker solve can
+// be slow; a dead worker still fails in finite time.
+constexpr int kConnectTimeoutMs = 5000;
+constexpr int kIoTimeoutMs = 60000;
+constexpr int kBackoffMs = 25;  ///< first busy backoff; grows linearly per attempt
+constexpr std::size_t kMaxLocations = std::size_t{1} << 20;  ///< child-handle map bound
+
 /// Splits "host:port" or throws std::invalid_argument.
 std::pair<std::string, int> parse_peer(const std::string& peer) {
   std::optional<std::pair<std::string, int>> parsed = server::parse_host_port(peer);
   if (!parsed) throw std::invalid_argument("peer must be host:port, got \"" + peer + "\"");
   return *std::move(parsed);
-}
-
-/// True when `line` parses as an {"ok":false,...} response with the given
-/// code. An unparseable line is not busy — it is a failure the caller wraps.
-/// Success lines (a solve's carries every solution) are recognised by their
-/// prefix, as the HTTP front-end's status mapping does; only the short
-/// error lines are parsed.
-bool is_busy_line(const std::string& line) {
-  if (line.starts_with("{\"ok\":true")) return false;
-  try {
-    const JsonValue parsed = server::json_parse(line);
-    const JsonValue* ok = parsed.find("ok");
-    if (!ok || ok->type() != JsonValue::Type::Bool || ok->as_bool()) return false;
-    const JsonValue* code = parsed.find("code");
-    return code && code->type() == JsonValue::Type::String &&
-           code->as_string() == to_string(ErrorCode::ServerBusy);
-  } catch (const server::JsonError&) {
-    return false;
-  }
 }
 
 std::uint64_t diag_counter(const JsonValue& diag, const char* name) {
@@ -176,27 +164,12 @@ void Router::install() {
       });
 }
 
-Router::ClientPtr Router::dial(std::size_t peer) const {
-  const auto [host, port] = parse_peer(opts_.peers[peer]);
-  // Line protocol, default namespace: solve sub-requests carry their
-  // namespace explicitly, and reconnect stays off — the router owns retry
-  // and failover itself (a blind replay could double-apply).
-  return std::make_unique<server::ProtocolClient>(
-      host, port, /*http=*/false, /*ns=*/"",
-      server::ClientOptions{.connect_timeout_ms = opts_.connect_timeout_ms,
-                            .io_timeout_ms = opts_.io_timeout_ms});
-}
-
 Router::ClientPtr Router::acquire(std::size_t peer) {
-  {
-    common::MutexLock lock(pool_mu_);
-    if (!pool_[peer].empty()) {
-      ClientPtr client = std::move(pool_[peer].back());
-      pool_[peer].pop_back();
-      return client;
-    }
-  }
-  return dial(peer);  // connect outside the lock
+  common::MutexLock lock(pool_mu_);
+  if (pool_[peer].empty()) return nullptr;  // exchange() dials, outside the lock
+  ClientPtr client = std::move(pool_[peer].back());
+  pool_[peer].pop_back();
+  return client;
 }
 
 void Router::release(std::size_t peer, ClientPtr client) {
@@ -204,39 +177,26 @@ void Router::release(std::size_t peer, ClientPtr client) {
   pool_[peer].push_back(std::move(client));
 }
 
-std::string Router::exchange_pooled(std::size_t peer, const std::string& line) {
-  ClientPtr client = acquire(peer);
-  forwards_[peer]->fetch_add(1, std::memory_order_relaxed);
-  // An error path drops the client (its stream state is unknown); only a
-  // clean round trip returns the connection to the pool.
-  if (!client->send_raw(line + "\n")) {
-    throw std::runtime_error("peer " + opts_.peers[peer] + " closed the connection");
+std::string Router::exchange(std::size_t peer, ClientPtr& client, const std::string& line) {
+  if (!client) {
+    const auto [host, port] = parse_peer(opts_.peers[peer]);
+    // Line protocol, default namespace: solve sub-requests carry their
+    // namespace explicitly.
+    client = std::make_unique<server::ProtocolClient>(
+        host, port, /*http=*/false, /*ns=*/"",
+        server::ClientOptions{.connect_timeout_ms = kConnectTimeoutMs,
+                              .io_timeout_ms = kIoTimeoutMs});
   }
-  std::optional<std::string> response = client->read_raw_line();
+  forwards_[peer]->fetch_add(1, std::memory_order_relaxed);
+  std::optional<std::string> response;
+  if (client->send_raw(line + "\n")) response = client->read_raw_line();
   if (!response) {
+    // A reset control connection is re-dialed by the next verb, which starts
+    // a fresh worker-side session and releases the old one's pins (the
+    // graphs stay in the store, unpinned).
+    client.reset();
     throw std::runtime_error("peer " + opts_.peers[peer] +
                              " closed the connection before responding");
-  }
-  release(peer, std::move(client));
-  return *std::move(response);
-}
-
-std::string Router::exchange_control(std::size_t peer, const std::string& line) {
-  common::MutexLock lock(control_mu_);
-  if (!control_[peer]) control_[peer] = dial(peer);
-  forwards_[peer]->fetch_add(1, std::memory_order_relaxed);
-  // A failed control connection resets to null so the next verb re-dials —
-  // which starts a fresh worker-side session, releasing the old one's pins
-  // (the graphs stay in the store, unpinned).
-  if (!control_[peer]->send_raw(line + "\n")) {
-    control_[peer].reset();
-    throw std::runtime_error("peer " + opts_.peers[peer] + " closed the control connection");
-  }
-  std::optional<std::string> response = control_[peer]->read_raw_line();
-  if (!response) {
-    control_[peer].reset();
-    throw std::runtime_error("peer " + opts_.peers[peer] +
-                             " closed the control connection before responding");
   }
   return *std::move(response);
 }
@@ -248,20 +208,28 @@ std::string Router::forward(const std::vector<std::size_t>& preference, bool can
   std::string last_error;
   for (std::size_t p = 0; p < tries; ++p) {
     const std::size_t peer = preference[p];
-    for (int attempt = 0; attempt <= opts_.busy_retries; ++attempt) {
+    for (int attempt = 0; attempt <= kBusyRetries; ++attempt) {
       if (attempt > 0) {
         // Linear backoff: busy means admission control said no, and
         // hammering an over-quota namespace just burns the quota window.
-        std::this_thread::sleep_for(std::chrono::milliseconds(opts_.backoff_ms * attempt));
+        std::this_thread::sleep_for(std::chrono::milliseconds(kBackoffMs * attempt));
       }
       std::string response;
       try {
-        response = control ? exchange_control(peer, line) : exchange_pooled(peer, line);
+        if (control) {
+          common::MutexLock lock(control_mu_);
+          response = exchange(peer, control_[peer], line);
+        } else {
+          // Only a clean round trip returns the connection to the pool.
+          ClientPtr client = acquire(peer);
+          response = exchange(peer, client, line);
+          release(peer, std::move(client));
+        }
       } catch (const std::exception& e) {
         last_error = e.what();
         break;  // connection trouble: next peer (or give up)
       }
-      if (!is_busy_line(response)) return response;
+      if (server::error_code_of(response) != ErrorCode::ServerBusy) return response;
       last_busy = std::move(response);
     }
   }
@@ -293,7 +261,7 @@ std::size_t Router::locate_handle(const std::string& handle, std::uint64_t hash)
 
 void Router::record_location(const std::string& handle, std::size_t peer) {
   common::MutexLock lock(loc_mu_);
-  if (locations_.size() >= opts_.max_locations && !locations_.contains(handle)) {
+  if (locations_.size() >= kMaxLocations && !locations_.contains(handle)) {
     // Arbitrary eviction keeps the map bounded; a dropped entry only costs
     // a ring-directed lookup that may answer unknown_handle — exactly what
     // an over-capacity single server answers.
@@ -358,7 +326,8 @@ std::optional<std::string> Router::route_solve(server::Session& session,
   // are re-quoted), the namespace pinned explicitly (pooled connections are
   // namespace-less), then every other member of the client's request —
   // solver, options, measure flags, batch overrides — json_dump'ed, which
-  // canonicalizes (fine for REQUESTS; workers parse them).
+  // canonicalizes member order but keeps every value's type (a 5.0 stays a
+  // double, so the worker rejects it exactly where a single server would).
   for (SubBatch& sub : subs) {
     std::string head = "\"op\":\"solve\",\"graphs\":[";
     for (std::size_t i = 0; i < sub.slots.size(); ++i) {
@@ -419,14 +388,7 @@ std::optional<std::string> Router::route_solve(server::Session& session,
   }
   if (error_sub != SIZE_MAX) {
     const std::string& line = raw[error_sub];
-    try {
-      const JsonValue parsed = server::json_parse(line);
-      const JsonValue* ok = parsed.find("ok");
-      if (ok && ok->type() == JsonValue::Type::Bool && !ok->as_bool()) {
-        return line;  // a well-formed worker error line passes through verbatim
-      }
-    } catch (const server::JsonError&) {
-    }
+    if (server::error_code_of(line)) return line;  // a worker error line passes through verbatim
     return server::encode_error(
         ErrorCode::IoError, "peer " + opts_.peers[subs[error_sub].peer] +
                                 " returned an unusable solve response for this batch");

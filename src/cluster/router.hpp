@@ -51,15 +51,11 @@
 
 namespace lmds::cluster {
 
+/// lmds_serve's --peer and --vnodes. The failure policy (timeouts, busy
+/// retries, backoff, location-map bound) is fixed; see router.cpp.
 struct RouterOptions {
   std::vector<std::string> peers;  ///< "host:port" per worker; >= 1 required
   int vnodes = 64;
-  int connect_timeout_ms = 5000;
-  int io_timeout_ms = 60000;  ///< generous: a worker solve can be slow, a
-                              ///< dead worker still fails in finite time
-  int busy_retries = 2;       ///< extra same-worker attempts on server_busy
-  int backoff_ms = 25;        ///< first backoff; grows linearly per attempt
-  std::size_t max_locations = 1u << 20;  ///< bound on the child-handle map
 };
 
 /// Splits a worker's {"ok":true,"op":"solve","responses":[...],...} line
@@ -87,34 +83,36 @@ class Router {
 
   const HashRing& ring() const { return ring_; }
 
+  /// Extra same-worker attempts on server_busy, before failover.
+  static constexpr int kBusyRetries = 2;
+
  private:
-  /// One pooled connection, returned to the pool on clean release.
+  /// One worker connection; a null pointer is dialed on first use.
   using ClientPtr = std::unique_ptr<server::ProtocolClient>;
 
+  /// A pooled solve connection for `peer` (null when the pool is empty), and
+  /// its return after a clean round trip.
   ClientPtr acquire(std::size_t peer) LMDS_EXCLUDES(pool_mu_);
   void release(std::size_t peer, ClientPtr client) LMDS_EXCLUDES(pool_mu_);
-  ClientPtr dial(std::size_t peer) const;
 
-  /// One request line against one peer over a pooled solve connection.
-  /// Throws std::runtime_error on connect/IO failure; returns the verbatim
-  /// response line (raw text — never reparsed-and-reencoded).
-  std::string exchange_pooled(std::size_t peer, const std::string& line)
-      LMDS_EXCLUDES(pool_mu_);
+  /// One request line against `peer` over `client`, dialing it first when
+  /// null. Returns the verbatim response line (raw text — never
+  /// reparsed-and-reencoded). On connect/IO failure resets `client` (its
+  /// stream state is unknown) and throws std::runtime_error.
+  std::string exchange(std::size_t peer, ClientPtr& client, const std::string& line);
 
-  /// Same, over the peer's single long-lived CONTROL connection. put/patch/
-  /// drop must all share one worker-side session — pins belong to the
-  /// connection that made them, so a drop sent over a different pooled
-  /// connection than its put would fail ownership. Serialized by control_mu_
-  /// (these verbs are rare next to solves).
-  std::string exchange_control(std::size_t peer, const std::string& line)
-      LMDS_EXCLUDES(control_mu_);
-
-  /// Full failure policy (busy backoff + optional ring failover) around the
-  /// exchanges. `preference` is the peer order to try; `can_fail_over` false
-  /// restricts it to the first entry. Returns the first non-busy response,
-  /// or an encoded error line when every attempt failed.
+  /// Full failure policy (busy backoff + optional ring failover) around
+  /// exchange(). `preference` is the peer order to try; `can_fail_over`
+  /// false restricts it to the first entry. Solves ride a pooled connection;
+  /// `control` verbs (put/patch/drop) ride the peer's single long-lived
+  /// control connection, serialized by control_mu_ (these verbs are rare
+  /// next to solves) — pins belong to the worker-side session that made
+  /// them, so a drop sent over a different connection than its put would
+  /// fail ownership. Returns the first non-busy response, or an encoded
+  /// error line when every attempt failed.
   std::string forward(const std::vector<std::size_t>& preference, bool can_fail_over,
-                      bool control, const std::string& line);
+                      bool control, const std::string& line)
+      LMDS_EXCLUDES(pool_mu_, control_mu_);
 
   std::optional<std::string> route_solve(server::Session& session,
                                          const server::JsonValue& root);
@@ -142,7 +140,7 @@ class Router {
 
   common::Mutex loc_mu_;
   /// Patch-derived child handle -> owning peer index. Bounded by
-  /// opts_.max_locations (oldest-insertion arbitrary eviction — a miss just
+  /// kMaxLocations in router.cpp (arbitrary eviction — a miss just
   /// means the ring answers, and for a child that can be unknown_handle,
   /// the same answer an over-capacity single server would give).
   std::unordered_map<std::string, std::size_t> locations_ LMDS_GUARDED_BY(loc_mu_);

@@ -11,14 +11,6 @@ namespace lmds::server {
 
 namespace {
 
-// An exchange that died because the server closed the connection — the one
-// failure mode reconnect_on_eof may retry. Timeouts and protocol garbage
-// stay plain runtime_errors: the connection is not known-dead, so replaying
-// the request on a fresh one could double-apply it.
-struct ConnectionClosed : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
 int connect_or_throw(const std::string& host, int port, int timeout_ms) {
   const int fd = tcp_connect(host, port, timeout_ms);
   if (fd < 0) {
@@ -32,38 +24,14 @@ int connect_or_throw(const std::string& host, int port, int timeout_ms) {
 
 ProtocolClient::ProtocolClient(const std::string& host, int port, bool http, std::string ns,
                                ClientOptions options)
-    : ProtocolClient(connect_or_throw(host, port, options.connect_timeout_ms), http,
-                     std::move(ns), options) {
-  host_ = host;
-  port_ = port;
-}
-
-ProtocolClient::ProtocolClient(int fd, bool http, std::string ns, ClientOptions options)
-    : fd_(fd), reader_(fd), http_(http), ns_(std::move(ns)), options_(options) {
-  if (options_.io_timeout_ms > 0) set_io_timeout(fd_, options_.io_timeout_ms);
+    : fd_(connect_or_throw(host, port, options.connect_timeout_ms)),
+      reader_(fd_),
+      http_(http),
+      ns_(std::move(ns)) {
+  if (options.io_timeout_ms > 0) set_io_timeout(fd_, options.io_timeout_ms);
 }
 
 ProtocolClient::~ProtocolClient() { close_fd(fd_); }
-
-void ProtocolClient::reconnect() {
-  const int fd = connect_or_throw(host_, port_, options_.connect_timeout_ms);
-  close_fd(fd_);
-  fd_ = fd;
-  reader_ = LineReader(fd_);
-  if (options_.io_timeout_ms > 0) set_io_timeout(fd_, options_.io_timeout_ms);
-  if (!http_ && !ns_.empty()) {
-    // The namespace was session state on the dead connection; restore it
-    // before replaying the caller's request. No retry inside a retry.
-    const JsonValue response =
-        exchange_line_once("{\"op\":\"open_session\",\"namespace\":" + [&] {
-          std::string quoted;
-          json_append_string(quoted, ns_);
-          return quoted;
-        }() + "}");
-    const JsonValue* ok = response.find("ok");
-    if (!ok || !ok->as_bool()) throw std::runtime_error("open_session failed after reconnect");
-  }
-}
 
 JsonValue ProtocolClient::exchange(const std::string& op, const std::string& members) {
   if (!http_) {
@@ -116,54 +84,30 @@ void ProtocolClient::open_session() {
 }
 
 JsonValue ProtocolClient::exchange_line(const std::string& line) {
-  if (!can_reconnect()) return exchange_line_once(line);
-  try {
-    return exchange_line_once(line);
-  } catch (const ConnectionClosed&) {
-    reconnect();
-    return exchange_line_once(line);
-  }
-}
-
-JsonValue ProtocolClient::exchange_http(const std::string& method, const std::string& target,
-                                        const std::string& body) {
-  if (!can_reconnect()) return exchange_http_once(method, target, body);
-  try {
-    return exchange_http_once(method, target, body);
-  } catch (const ConnectionClosed&) {
-    reconnect();
-    return exchange_http_once(method, target, body);
-  }
-}
-
-JsonValue ProtocolClient::exchange_line_once(const std::string& line) {
   if (!send_all(fd_, line + "\n")) {
-    throw ConnectionClosed("send failed (server closed the connection?)");
+    throw std::runtime_error("send failed (server closed the connection?)");
   }
   const auto response = reader_.next_line(64u << 20);
   if (!response) {
     if (reader_.timed_out()) throw std::runtime_error("read timed out waiting for the server");
-    throw ConnectionClosed("server closed the connection mid-exchange");
+    throw std::runtime_error("server closed the connection mid-exchange");
   }
   return json_parse(*response);
 }
 
-JsonValue ProtocolClient::exchange_http_once(const std::string& method,
-                                             const std::string& target,
-                                             const std::string& body) {
+JsonValue ProtocolClient::exchange_http(const std::string& method, const std::string& target,
+                                        const std::string& body) {
   std::string request = method + " " + target + " HTTP/1.1\r\nHost: lmds\r\n";
   if (!ns_.empty()) request += "X-Lmds-Namespace: " + ns_ + "\r\n";
   request += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" + body;
   if (!send_all(fd_, request)) {
-    throw ConnectionClosed("send failed (server closed the connection?)");
+    throw std::runtime_error("send failed (server closed the connection?)");
   }
-  // Status line, headers (only Content-Length matters to us), body. Only an
-  // EOF *before any response byte* is retryable — past the status line the
-  // server may have acted on the request, so a replay could double-apply.
+  // Status line, headers (only Content-Length matters to us), body.
   const auto status_line = reader_.next_line(1u << 16);
   if (!status_line) {
     if (reader_.timed_out()) throw std::runtime_error("read timed out waiting for the server");
-    throw ConnectionClosed("server closed the connection before responding");
+    throw std::runtime_error("server closed the connection before responding");
   }
   if (!status_line->starts_with("HTTP/1.1 ")) {
     throw std::runtime_error("bad HTTP status line");

@@ -9,7 +9,10 @@
 // The client is deliberately blocking: every exchange writes one request and
 // reads one response. The protocol guarantees the server either answers or
 // closes the connection, so "no answer, no close" is a server wedge — which
-// is precisely what soak timeouts are for.
+// is precisely what soak timeouts are for. A failed exchange throws and is
+// never replayed: the server may already have acted on the request, so
+// whoever owns the connection decides what a retry means (the cluster
+// router drops the connection and applies its own retry and failover).
 
 #include <optional>
 #include <string>
@@ -19,17 +22,12 @@
 
 namespace lmds::server {
 
-/// Knobs for how patient a ProtocolClient is with a slow or dead peer. The
-/// defaults reproduce the historical behavior (block forever, no reconnect)
-/// so existing callers — soak, serve_client, tests — are unchanged; the
-/// cluster router dials peers with real timeouts and reconnect enabled.
+/// How patient a ProtocolClient is with a slow or dead peer. The defaults
+/// block forever (soak, serve_client, tests); the cluster router and
+/// replicate_out's push dial peers with real timeouts.
 struct ClientOptions {
-  int connect_timeout_ms = 0;     ///< bound on the TCP connect; 0 = kernel default
-  int io_timeout_ms = 0;          ///< bound on each read/write; 0 = block forever
-  bool reconnect_on_eof = false;  ///< retry an exchange once over a fresh
-                                  ///< connection when the server closed this one
-                                  ///< (host:port ctor only; a session namespace
-                                  ///< is re-opened on the new connection)
+  int connect_timeout_ms = 0;  ///< bound on the TCP connect; 0 = kernel default
+  int io_timeout_ms = 0;       ///< bound on each read/write; 0 = block forever
 };
 
 /// One client connection to an lmds_serve instance. Owns the socket.
@@ -42,10 +40,6 @@ class ProtocolClient {
   /// Throws std::runtime_error when the TCP connect fails (or times out).
   ProtocolClient(const std::string& host, int port, bool http, std::string ns,
                  ClientOptions options = {});
-
-  /// Adopts an already-connected socket (tests, ephemeral-port setups).
-  /// reconnect_on_eof is ignored — the endpoint is unknown.
-  ProtocolClient(int fd, bool http, std::string ns, ClientOptions options = {});
 
   ~ProtocolClient();
   ProtocolClient(const ProtocolClient&) = delete;
@@ -83,28 +77,18 @@ class ProtocolClient {
   JsonValue exchange_http(const std::string& method, const std::string& target,
                           const std::string& body);
 
-  /// Lowest-level access for fuzzing: send bytes verbatim / read one line.
-  /// send_raw returns false when the server already closed the connection;
-  /// read_raw_line returns nullopt on close.
+  /// Lowest-level access (the fuzzer, the cluster router's verbatim
+  /// replies): send bytes verbatim / read one line. send_raw returns false
+  /// when the server already closed the connection; read_raw_line returns
+  /// nullopt on close or an I/O timeout.
   bool send_raw(const std::string& bytes);
   std::optional<std::string> read_raw_line(std::size_t max_bytes = 64u << 20);
 
  private:
-  /// The unretried bodies of exchange_line/exchange_http; throw the cpp-local
-  /// ConnectionClosed on an EOF so the public wrappers can reconnect once.
-  JsonValue exchange_line_once(const std::string& line);
-  JsonValue exchange_http_once(const std::string& method, const std::string& target,
-                               const std::string& body);
-  bool can_reconnect() const { return options_.reconnect_on_eof && port_ >= 0; }
-  void reconnect();
-
   int fd_;
   LineReader reader_;
   bool http_;
   std::string ns_;
-  ClientOptions options_;
-  std::string host_;  ///< empty when the socket was adopted
-  int port_ = -1;     ///< <0 when the socket was adopted
 };
 
 /// Throws std::runtime_error("<what> failed: ...") unless the response body

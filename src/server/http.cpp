@@ -53,24 +53,17 @@ std::string make_response(int status, std::string_view body, bool keep_alive) {
   return out;
 }
 
-/// Maps a protocol response body onto an HTTP status. Success bodies all
-/// start with {"ok":true — O(1); error bodies are short, so parsing them to
-/// read the code is cheap.
+/// Maps a protocol response body onto an HTTP status, reading only its
+/// prefix: success bodies start with {"ok":true, error bodies with their
+/// code. Put and patch successes end with their "new" member, so a newly
+/// stored graph is a created resource.
 int status_of(std::string_view body) {
-  if (body.starts_with("{\"ok\":true")) return 200;
-  try {
-    const JsonValue parsed = json_parse(body);
-    const JsonValue* code = parsed.find("code");
-    if (code && code->type() == JsonValue::Type::String) {
-      const std::string& c = code->as_string();
-      if (c == "bad_request") return 400;
-      if (c == "unknown_solver" || c == "unknown_handle") return 404;
-      if (c == "server_busy") return 503;
-    }
-  } catch (const JsonError&) {
-    // fall through — an unparseable body is a server-side bug class
-  }
-  return 500;
+  if (body.starts_with("{\"ok\":true")) return body.ends_with(",\"new\":true}") ? 201 : 200;
+  const std::optional<ErrorCode> code = error_code_of(body);
+  if (code == ErrorCode::BadRequest) return 400;
+  if (code == ErrorCode::UnknownSolver || code == ErrorCode::UnknownHandle) return 404;
+  if (code == ErrorCode::ServerBusy) return 503;
+  return 500;  // solver_failure, io_error
 }
 
 }  // namespace
@@ -154,15 +147,6 @@ std::optional<HttpRequest> read_http_request(LineReader& reader, int fd,
 
 std::string handle_http_request(const HttpRequest& req, Session& session) {
   const ServerLimits& limits = session.core().options().limits;
-  // The header namespace is this request's open_session equivalent; a
-  // "namespace" field inside a solve body still wins (decode_solve).
-  try {
-    JsonValue ns_value{req.ns};
-    session.set_ns(decode_namespace(ns_value, limits));
-  } catch (const ProtocolError& e) {
-    return make_response(400, encode_error(e.code(), e.what()), req.keep_alive);
-  }
-
   // `parse` is json_parse_graph for a body that is itself a graph.
   const auto parse_body = [&](bool required,
                               JsonValue (*parse)(std::string_view) = json_parse) -> JsonValue {
@@ -180,8 +164,10 @@ std::string handle_http_request(const HttpRequest& req, Session& session) {
   };
 
   std::string body;
-  int created_status = 200;
   try {
+    // The header namespace is this request's open_session equivalent; a
+    // "namespace" field inside a solve body still wins (decode_solve).
+    session.set_ns(decode_namespace(JsonValue(req.ns), limits));
     if (req.target == "/v2/solve" && req.method == "POST") {
       body = session.dispatch("solve", parse_body(true));
     } else if (req.target == "/v2/graphs" && req.method == "PUT") {
@@ -189,19 +175,6 @@ std::string handle_http_request(const HttpRequest& req, Session& session) {
       JsonValue::Object root;
       root.emplace("graph", parse_body(true, json_parse_graph));
       body = session.dispatch("put_graph", JsonValue(std::move(root)));
-      // A fresh upload is a created resource; read the response's "new"
-      // member structurally (the body is small) rather than string-sniffing.
-      try {
-        // The parsed value must outlive the pointer find() hands back into
-        // it — a temporary here is a use-after-free (caught by ASan).
-        const JsonValue parsed = json_parse(body);
-        const JsonValue* inserted = parsed.find("new");
-        if (inserted && inserted->type() == JsonValue::Type::Bool && inserted->as_bool()) {
-          created_status = 201;
-        }
-      } catch (const JsonError&) {
-        // an unparseable success body is a server-side bug class; stay 200
-      }
     } else if (req.target.starts_with("/v2/graphs/") && req.target.ends_with("/patch") &&
                req.method == "POST") {
       // POST /v2/graphs/<handle>/patch — the handle rides in the route (like
@@ -216,16 +189,6 @@ std::string handle_http_request(const HttpRequest& req, Session& session) {
       JsonValue::Object root = body_value.as_object();
       root.insert_or_assign("handle", JsonValue(std::move(handle)));
       body = session.dispatch("patch_graph", JsonValue(std::move(root)));
-      // A newly derived graph is a created resource, same as a fresh upload.
-      try {
-        const JsonValue parsed = json_parse(body);
-        const JsonValue* inserted = parsed.find("new");
-        if (inserted && inserted->type() == JsonValue::Type::Bool && inserted->as_bool()) {
-          created_status = 201;
-        }
-      } catch (const JsonError&) {
-        // an unparseable success body is a server-side bug class; stay 200
-      }
     } else if (req.target.starts_with("/v2/graphs/") && req.method == "DELETE") {
       JsonValue::Object root;
       root.emplace("handle", JsonValue(req.target.substr(sizeof("/v2/graphs/") - 1)));
@@ -254,13 +217,9 @@ std::string handle_http_request(const HttpRequest& req, Session& session) {
           req.keep_alive);
     }
   } catch (const ProtocolError& e) {
-    return make_response(e.code() == ErrorCode::BadRequest ? 400 : 500,
-                         encode_error(e.code(), e.what()), req.keep_alive);
+    body = encode_error(e.code(), e.what());
   }
-
-  int status = status_of(body);
-  if (status == 200) status = created_status;
-  return make_response(status, body, req.keep_alive);
+  return make_response(status_of(body), body, req.keep_alive);
 }
 
 std::string http_error_response(int status, ErrorCode code, std::string_view message) {

@@ -434,7 +434,18 @@ void dump_value(std::string& out, const JsonValue& v) {
     case JsonValue::Type::Null: out += "null"; break;
     case JsonValue::Type::Bool: out += v.as_bool() ? "true" : "false"; break;
     case JsonValue::Type::Int: out += std::to_string(v.as_int()); break;
-    case JsonValue::Type::Double: json_append_double(out, v.as_double()); break;
+    case JsonValue::Type::Double: {
+      // Shortest form prints 5.0 as "5", which would parse back as an Int;
+      // a ".0" keeps the value a Double through a dump/parse round trip.
+      const std::size_t start = out.size();
+      json_append_double(out, v.as_double());
+      const std::string_view text = std::string_view(out).substr(start);
+      const std::string_view digits = text.starts_with('-') ? text.substr(1) : text;
+      if (!digits.empty() && digits.find_first_not_of("0123456789") == std::string_view::npos) {
+        out += ".0";
+      }
+      break;
+    }
     case JsonValue::Type::String: json_append_string(out, v.as_string()); break;
     case JsonValue::Type::Array: {
       out += '[';

@@ -111,10 +111,13 @@ void json_append_double(std::string& out, double v);
 /// Serializes a parsed value back to compact JSON (no whitespace). Object
 /// members emit in std::map order, i.e. sorted by key — NOT the original
 /// wire order, so a parse→dump round trip is canonicalizing, not
-/// byte-preserving. Raw graph values are the exception: they are re-emitted
-/// verbatim, whitespace and member order included. The router never dumps
-/// whole responses (their bit-identity is contractual), and it splices the
-/// graph slots of the requests it forwards as raw bytes.
+/// byte-preserving. It does preserve every value's type: an integral Double
+/// gets a ".0" (5.0 dumps as "5.0", never "5"), so the router's forwarded
+/// request members mean to a worker what they meant to the router. Raw
+/// graph values are re-emitted verbatim, whitespace and member order
+/// included. The router never dumps whole responses (their bit-identity is
+/// contractual), and it splices the graph slots of the requests it
+/// forwards as raw bytes.
 std::string json_dump(const JsonValue& v);
 
 }  // namespace lmds::server

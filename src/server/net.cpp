@@ -28,81 +28,47 @@ std::optional<std::pair<std::string, int>> parse_host_port(std::string_view addr
   return std::pair{std::string(addr.substr(0, colon)), port};
 }
 
-int tcp_connect(const std::string& host, int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close_fd(fd);
-    errno = EINVAL;
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    const int saved = errno;
-    close_fd(fd);
-    errno = saved;
-    return -1;
-  }
-  return fd;
+namespace {
+
+/// Closes `fd` and returns -1 with errno = `err`: every tcp_connect failure.
+int fail_connect(int fd, int err) {
+  close_fd(fd);
+  errno = err;
+  return -1;
 }
 
+}  // namespace
+
 int tcp_connect(const std::string& host, int port, int timeout_ms) {
-  if (timeout_ms <= 0) return tcp_connect(host, port);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close_fd(fd);
-    errno = EINVAL;
-    return -1;
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) return fail_connect(fd, EINVAL);
+  const auto* sa = reinterpret_cast<const sockaddr*>(&addr);
+  if (timeout_ms <= 0) {
+    return ::connect(fd, sa, sizeof addr) == 0 ? fd : fail_connect(fd, errno);
   }
   // Non-blocking connect + poll-for-writable is the portable way to put a
   // deadline on the three-way handshake; SO_SNDTIMEO does not apply to
   // connect(2) on Linux.
   const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    const int saved = errno;
-    close_fd(fd);
-    errno = saved;
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 &&
-      errno != EINPROGRESS) {
-    const int saved = errno;
-    close_fd(fd);
-    errno = saved;
-    return -1;
-  }
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) return fail_connect(fd, errno);
+  if (::connect(fd, sa, sizeof addr) != 0 && errno != EINPROGRESS) return fail_connect(fd, errno);
   pollfd pfd{};
   pfd.fd = fd;
   pfd.events = POLLOUT;
   int rc;
   while ((rc = ::poll(&pfd, 1, timeout_ms)) < 0 && errno == EINTR) {
   }
-  if (rc == 0) {
-    close_fd(fd);
-    errno = ETIMEDOUT;
-    return -1;
-  }
+  if (rc == 0) return fail_connect(fd, ETIMEDOUT);
+  if (rc < 0) return fail_connect(fd, errno);
   int err = 0;
   socklen_t len = sizeof err;
-  if (rc < 0 ||
-      ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-    const int saved = err != 0 ? err : errno;
-    close_fd(fd);
-    errno = saved;
-    return -1;
-  }
-  if (::fcntl(fd, F_SETFL, flags) != 0) {  // back to blocking
-    const int saved = errno;
-    close_fd(fd);
-    errno = saved;
-    return -1;
-  }
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) return fail_connect(fd, errno);
+  if (err != 0) return fail_connect(fd, err);
+  if (::fcntl(fd, F_SETFL, flags) != 0) return fail_connect(fd, errno);  // back to blocking
   return fd;
 }
 
@@ -154,53 +120,36 @@ std::optional<std::string> LineReader::next_line(std::size_t max_bytes) {
       scanned_ = 0;
       return line;
     }
-    char chunk[65536];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO expired: the fd is still usable, report "no line" but
-        // remember why so the caller can tell silence from a closed peer.
-        timed_out_ = true;
-        return std::nullopt;
-      }
-      eof_ = true;  // connection error: treat as EOF
-      continue;
-    }
-    if (n == 0) {
-      eof_ = true;
-      continue;
-    }
-    timed_out_ = false;
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    if (!fill()) return std::nullopt;
   }
 }
 
 std::optional<std::string> LineReader::read_exact(std::size_t n) {
   while (buffer_.size() < n && !eof_) {
-    char chunk[65536];
-    const ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        timed_out_ = true;
-        return std::nullopt;
-      }
-      eof_ = true;
-      break;
-    }
-    if (got == 0) {
-      eof_ = true;
-      break;
-    }
-    timed_out_ = false;
-    buffer_.append(chunk, static_cast<std::size_t>(got));
+    if (!fill()) return std::nullopt;
   }
   if (buffer_.size() < n) return std::nullopt;  // peer closed mid-body
   std::string out = buffer_.substr(0, n);
   buffer_.erase(0, n);
   scanned_ = 0;
   return out;
+}
+
+bool LineReader::fill() {
+  char chunk[65536];
+  ssize_t n;
+  while ((n = ::recv(fd_, chunk, sizeof chunk, 0)) < 0 && errno == EINTR) {
+  }
+  // SO_RCVTIMEO expired: the fd is still usable, report "no data" but
+  // remember why so the caller can tell silence from a closed peer.
+  timed_out_ = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  if (timed_out_) return false;
+  if (n > 0) {
+    buffer_.append(chunk, static_cast<std::size_t>(n));
+  } else {
+    eof_ = true;  // a connection error counts as EOF
+  }
+  return true;
 }
 
 void close_fd(int fd) {

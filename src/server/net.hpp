@@ -16,15 +16,12 @@ namespace lmds::server {
 /// non-empty and the port is a non-empty run of decimal digits <= 65535.
 std::optional<std::pair<std::string, int>> parse_host_port(std::string_view addr);
 
-/// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1"). Returns the
-/// connected fd, or -1 with errno set.
-int tcp_connect(const std::string& host, int port);
-
-/// Same, but gives up after `timeout_ms` milliseconds (ETIMEDOUT) instead of
+/// Connects to host:port (numeric IPv4 host, e.g. "127.0.0.1"; anything else
+/// is EINVAL). Returns the connected fd, or -1 with errno set. A positive
+/// `timeout_ms` gives up after that many milliseconds (ETIMEDOUT) instead of
 /// blocking for the kernel's SYN-retry eternity — the router's dial path to a
-/// possibly-dead peer. timeout_ms <= 0 falls back to the blocking connect.
-/// The returned fd is back in blocking mode.
-int tcp_connect(const std::string& host, int port, int timeout_ms);
+/// possibly-dead peer; the returned fd is blocking either way.
+int tcp_connect(const std::string& host, int port, int timeout_ms = 0);
 
 /// Bounds every subsequent recv/send on `fd` to `timeout_ms` milliseconds
 /// (SO_RCVTIMEO / SO_SNDTIMEO); 0 restores fully blocking I/O. Returns false
@@ -55,7 +52,7 @@ class LineReader {
 
   /// Exactly `n` bytes (buffered remainder first, then the socket) — the
   /// HTTP front-end's Content-Length body read. std::nullopt when the peer
-  /// closes before `n` bytes arrive.
+  /// closes before `n` bytes arrive, or on an I/O timeout (timed_out()).
   std::optional<std::string> read_exact(std::size_t n);
 
   bool oversized() const { return oversized_; }
@@ -67,6 +64,11 @@ class LineReader {
   bool timed_out() const { return timed_out_; }
 
  private:
+  /// One recv into buffer_, retrying EINTR: true when bytes arrived or the
+  /// peer closed (eof_ set; a connection error counts as a close), false on
+  /// an I/O timeout (timed_out_ set). Every recv sets timed_out_ afresh.
+  bool fill();
+
   int fd_;
   std::string buffer_;
   std::size_t scanned_ = 0;  ///< buffer_ prefix known to hold no '\n'

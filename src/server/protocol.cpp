@@ -623,6 +623,19 @@ std::string encode_error(ErrorCode code, std::string_view message) {
   return out;
 }
 
+std::optional<ErrorCode> error_code_of(std::string_view line) {
+  constexpr std::string_view kPrefix = "{\"ok\":false,\"code\":\"";
+  if (!line.starts_with(kPrefix)) return std::nullopt;
+  line.remove_prefix(kPrefix.size());
+  for (const ErrorCode code : {ErrorCode::BadRequest, ErrorCode::UnknownSolver,
+                               ErrorCode::UnknownHandle, ErrorCode::SolverFailure,
+                               ErrorCode::IoError, ErrorCode::ServerBusy}) {
+    const std::string_view name = to_string(code);
+    if (line.starts_with(name) && line.substr(name.size()).starts_with("\",")) return code;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 void append_vertices(std::string& out, const std::vector<api::Vertex>& vs) {

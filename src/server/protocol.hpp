@@ -225,6 +225,11 @@ std::string decode_namespace(const JsonValue& v, const ServerLimits& limits);
 /// {"ok":false,"code":"bad_request","error":"..."}.
 std::string encode_error(ErrorCode code, std::string_view message);
 
+/// The code of an error line, read from the fixed {"ok":false,"code":"<code>",
+/// prefix encode_error writes — it is the only writer of error lines, so no
+/// parse is needed. std::nullopt for any other line (success lines included).
+std::optional<ErrorCode> error_code_of(std::string_view line);
+
 /// The solve success line: responses[i] answers graphs[i]. A non-empty `ns`
 /// is echoed as a "namespace" member (absent for the default namespace, so
 /// v1 responses are byte-identical to before namespaces existed).

@@ -595,7 +595,13 @@ TEST_F(RoutedClusterTest, UnknownHandleAndBadRequestsMatchSingleServerCodes) {
        {std::string("{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[\"g00000000000000aa\"]}"),
         std::string("{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[\"nonsense\"]}"),
         std::string("{\"op\":\"drop_graph\",\"handle\":\"g00000000000000aa\"}"),
-        std::string("{\"op\":\"solve\",\"solver\":\"nope\",\"graphs\":[{\"edges\":[[0,1]]}]}")}) {
+        std::string("{\"op\":\"solve\",\"solver\":\"nope\",\"graphs\":[{\"edges\":[[0,1]]}]}"),
+        // Integral doubles where ints are required: the forwarded request
+        // must keep them doubles for the worker to refuse them too.
+        std::string("{\"op\":\"solve\",\"solver\":\"algorithm1\",\"options\":{\"t\":5.0},"
+                    "\"graphs\":[{\"edges\":[[0,1]]}]}"),
+        std::string("{\"op\":\"solve\",\"solver\":\"greedy\",\"batch\":{\"threads\":2.0},"
+                    "\"graphs\":[{\"edges\":[[0,1]]}]}")}) {
     const JsonValue routed = json_parse(raw_line_exchange(fd, reader, request));
     const JsonValue direct = json_parse(ref.handle_line(request));
     ASSERT_FALSE(routed.find("ok")->as_bool()) << request;
@@ -627,8 +633,8 @@ class BusyWorkerClusterTest : public RoutedClusterTest {
     return count ? static_cast<std::uint64_t>(count->as_int()) : 0;
   }
 
-  /// One try plus the router's default busy retries.
-  const std::uint64_t kAttempts = 1 + static_cast<std::uint64_t>(RouterOptions{}.busy_retries);
+  /// One try plus the router's busy retries.
+  const std::uint64_t kAttempts = 1 + static_cast<std::uint64_t>(Router::kBusyRetries);
 };
 
 TEST_F(BusyWorkerClusterTest, BusyHandleBatchIsRetriedThenPassedThroughVerbatim) {

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -86,6 +89,24 @@ TEST(Json, DoubleEmissionIsLocaleIndependent) {
   EXPECT_EQ(out, "0.125");  // always '.', never a locale decimal comma
 }
 
+TEST(Json, DumpKeepsIntegralDoublesDouble) {
+  // The router re-dumps request members; a 5.0 that came back as 5 would
+  // turn a bad_request into a success.
+  for (const auto& [literal, dumped] : std::vector<std::pair<std::string, std::string>>{
+           {"5.0", "5.0"}, {"-2.0", "-2.0"}, {"1e300", "1e+300"}, {"0.5", "0.5"},
+           {"1e0", "1.0"}, {"-0.0", "-0.0"}}) {
+    const JsonValue parsed = json_parse(literal);
+    ASSERT_EQ(parsed.type(), JsonValue::Type::Double) << literal;
+    EXPECT_EQ(json_dump(parsed), dumped) << literal;
+    const JsonValue back = json_parse(json_dump(parsed));
+    EXPECT_EQ(back.type(), JsonValue::Type::Double) << literal;
+    EXPECT_EQ(back.as_double(), parsed.as_double()) << literal;
+  }
+  EXPECT_EQ(json_dump(json_parse("5")), "5");
+  EXPECT_EQ(json_dump(json_parse("-17")), "-17");
+  EXPECT_EQ(json_dump(json_parse(R"({"t":5.0,"k":3})")), R"({"k":3,"t":5.0})");
+}
+
 // ---------------------------------------------------------------------------
 // Graph decode
 
@@ -133,6 +154,33 @@ TEST(Protocol, RejectsOversizedGraph) {
   EXPECT_THROW((void)decode_graph(json_parse(R"({"edges": [[0, 10]]})"), limits),
                ProtocolError);
   EXPECT_NO_THROW((void)decode_graph(json_parse(R"({"n": 10, "edges": []})"), limits));
+}
+
+// ---------------------------------------------------------------------------
+// Reply classification
+
+TEST(Protocol, ErrorCodeOfReadsEveryEncodedCode) {
+  for (const ErrorCode code : {ErrorCode::BadRequest, ErrorCode::UnknownSolver,
+                               ErrorCode::UnknownHandle, ErrorCode::SolverFailure,
+                               ErrorCode::IoError, ErrorCode::ServerBusy}) {
+    // A message that itself looks like an error line changes nothing.
+    for (const char* message : {"", "boom", R"({"ok":false,"code":"io_error","error":"x"})"}) {
+      EXPECT_EQ(error_code_of(encode_error(code, message)), code) << to_string(code);
+    }
+  }
+  for (const char* line : {
+           R"({"ok":true,"op":"stats"})",
+           R"({"ok":true,"op":"put_graph","handle":"g0","code":"bad_request","new":true})",
+           R"({"ok":false})",
+           R"({"ok":false,"code":"server_bu)",        // truncated prefix
+           R"({"ok":false,"code":"server_busy")",     // truncated after the code
+           R"({"ok":false,"code":"server_busy_x","error":"?"})",  // unknown code
+           R"({"ok":false,"code":"frobnicated","error":"?"})",    // unknown code
+           R"({"ok": false,"code":"bad_request","error":"?"})",   // not encode_error's
+           "",
+       }) {
+    EXPECT_EQ(error_code_of(line), std::nullopt) << line;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -737,6 +785,12 @@ TEST(Http, RoutesMapOntoProtocolVerbsWithStatuses) {
   EXPECT_EQ(http_status(response), 404);
   response = handle_http_request(make_http("GET", "/v2/solve", ""), session);
   EXPECT_EQ(http_status(response), 404);
+  response = handle_http_request(
+      make_http("POST", "/v2/solve", solve, std::string(core_opts.limits.max_namespace_bytes + 1,
+                                                        'n')),
+      session);
+  EXPECT_EQ(http_status(response), 400);  // namespace header over the limit
+  EXPECT_EQ(json_parse(http_body(response)).find("code")->as_string(), "bad_request");
 
   // GET /v2/stats carries the same body as the stats verb.
   response = handle_http_request(make_http("GET", "/v2/stats", ""), session);
@@ -744,6 +798,40 @@ TEST(Http, RoutesMapOntoProtocolVerbsWithStatuses) {
   EXPECT_GE(json_parse(http_body(response)).find("server")->find("uptime_seconds")
                 ->as_double(), 0.0);
   EXPECT_FALSE(core.stopping());
+}
+
+TEST(Http, ServerBusyIs503AndSolverFailureIs500) {
+  api::Registry registry;
+  registry.add({.name = "boom",
+                .problem = api::Problem::Mds,
+                .summary = "always throws",
+                .params = {}},
+               [](const api::SolveContext&) -> api::SolverOutput {
+                 throw std::runtime_error("boom");
+               });
+  CoreOptions core_opts;
+  core_opts.batch.threads = 1;
+  core_opts.store_capacity = 2;
+  core_opts.snapshot_dir.clear();
+  ServerCore core(core_opts, registry);
+  Session session(core);
+
+  // A store at capacity with every entry pinned answers a new put busy.
+  for (const Graph& g : {graph::gen::path(3), graph::gen::path(4)}) {
+    const std::string response =
+        handle_http_request(make_http("PUT", "/v2/graphs", encode_graph_json(g)), session);
+    ASSERT_EQ(http_status(response), 201) << response;
+  }
+  std::string response = handle_http_request(
+      make_http("PUT", "/v2/graphs", encode_graph_json(graph::gen::path(5))), session);
+  EXPECT_EQ(http_status(response), 503);
+  EXPECT_EQ(error_code_of(http_body(response)), ErrorCode::ServerBusy);
+
+  response = handle_http_request(
+      make_http("POST", "/v2/solve", R"({"solver":"boom","graphs":[{"edges":[[0,1]]}]})"),
+      session);
+  EXPECT_EQ(http_status(response), 500);
+  EXPECT_EQ(error_code_of(http_body(response)), ErrorCode::SolverFailure);
 }
 
 // ---------------------------------------------------------------------------
@@ -824,6 +912,85 @@ TEST(LineReader, OverLimitLineSetsOversized) {
   EXPECT_TRUE(reader.oversized());
   close_fd(fds[0]);
   close_fd(fds[1]);
+}
+
+TEST(LineReader, UnterminatedTailBeforeEofIsALine) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(send_all(fds[1], "head\ntail"));
+  close_fd(fds[1]);
+  LineReader reader(fds[0]);
+  EXPECT_EQ(reader.next_line(1024), "head");
+  EXPECT_EQ(reader.next_line(1024), "tail");
+  EXPECT_FALSE(reader.next_line(1024).has_value());
+  EXPECT_FALSE(reader.timed_out());
+  close_fd(fds[0]);
+}
+
+TEST(LineReader, ReadExactTakesTheBufferedRemainderFirst) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // The header line and the start of the body arrive in one read; the rest
+  // of the body comes later.
+  ASSERT_TRUE(send_all(fds[1], "Content-Length: 10\n0123"));
+  LineReader reader(fds[0]);
+  EXPECT_EQ(reader.next_line(1024), "Content-Length: 10");
+  ASSERT_TRUE(send_all(fds[1], "456789next\n"));
+  EXPECT_EQ(reader.read_exact(10), "0123456789");
+  EXPECT_EQ(reader.next_line(1024), "next");
+  close_fd(fds[0]);
+  close_fd(fds[1]);
+}
+
+TEST(LineReader, ReadExactOnASilentPeerTimesOut) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(set_io_timeout(fds[0], 50));
+  ASSERT_TRUE(send_all(fds[1], "abc"));
+  LineReader reader(fds[0]);
+  EXPECT_FALSE(reader.read_exact(10).has_value());
+  EXPECT_TRUE(reader.timed_out());  // the peer is alive, only quiet
+  ASSERT_TRUE(send_all(fds[1], "defghij"));
+  EXPECT_EQ(reader.read_exact(10), "abcdefghij");  // nothing was lost
+  EXPECT_FALSE(reader.timed_out());
+  close_fd(fds[0]);
+  close_fd(fds[1]);
+}
+
+TEST(LineReader, ReadExactWhenThePeerClosesMidBody) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(set_io_timeout(fds[0], 5000));
+  ASSERT_TRUE(send_all(fds[1], "abc"));
+  close_fd(fds[1]);
+  LineReader reader(fds[0]);
+  EXPECT_FALSE(reader.read_exact(10).has_value());
+  EXPECT_FALSE(reader.timed_out());  // a close, not silence
+  close_fd(fds[0]);
+}
+
+TEST(TcpConnect, RefusedPortAndNonNumericHostSetErrno) {
+  // An ephemeral port that was bound and closed without listening: nothing
+  // accepts there, so the kernel refuses the handshake.
+  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(probe, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(probe, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const int port = ntohs(addr.sin_port);
+  close_fd(probe);
+
+  for (const int timeout_ms : {0, 100}) {
+    errno = 0;
+    EXPECT_EQ(tcp_connect("127.0.0.1", port, timeout_ms), -1) << timeout_ms;
+    EXPECT_EQ(errno, ECONNREFUSED) << timeout_ms;
+    errno = 0;
+    EXPECT_EQ(tcp_connect("not-an-ip", port, timeout_ms), -1) << timeout_ms;
+    EXPECT_EQ(errno, EINVAL) << timeout_ms;
+  }
 }
 
 TEST(ServerSocket, OversizedLineIsRejectedAndConnectionDropped) {
