@@ -12,15 +12,14 @@
 // a stress test. With --json the measurements land in FILE for the CI
 // artifact trail (BENCH_*.json).
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "api/executor.hpp"
+#include "bench_common.hpp"
 #include "ding/generators.hpp"
 #include "graph/generators.hpp"
 
@@ -48,35 +47,12 @@ std::vector<Graph> workload(bool small) {
   return gs;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// Locale-independent fixed-point formatting for the JSON artifact: fprintf's
-// "%f" obeys LC_NUMERIC, so under e.g. de_DE it writes "0,125" and corrupts
-// BENCH_*.json; std::to_chars always emits '.'.
-std::string json_num(double v, int precision) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool small = true;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--preset") && i + 1 < argc) {
-      small = std::string(argv[++i]) != "full";
-    } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_batch_throughput [--preset small|full] [--json FILE]\n");
-      return 2;
-    }
-  }
+  std::string preset = "small";
+  bench::Harness h("batch_throughput", argc, argv, {{"--preset", &preset, "small|full"}});
+  const bool small = preset != "full";
 
   const std::vector<Graph> graphs = workload(small);
   const char* solver = "algorithm1";
@@ -91,12 +67,8 @@ int main(int argc, char** argv) {
               "shards", "stolen");
   std::printf("%s\n", std::string(62, '-').c_str());
 
-  struct Run {
-    int threads;
-    double seconds;
-    double rate;
-  };
-  std::vector<Run> runs;
+  std::vector<bench::Fields> runs;
+  double base_rate = 0;  // graphs/sec at threads=1
   std::vector<api::Response> reference;
   for (const int threads : {1, 2, 4, 8}) {
     api::BatchOptions opts;
@@ -106,18 +78,21 @@ int main(int argc, char** argv) {
     api::BatchDiagnostics diag;
     const auto start = std::chrono::steady_clock::now();
     const auto responses = executor.run_batch(solver, {graphs.data(), graphs.size()}, req, &diag);
-    const double secs = seconds_since(start);
+    const double secs = bench::seconds_since(start);
+    const double rate = static_cast<double>(graphs.size()) / secs;
     if (threads == 1) {
       reference = responses;
+      base_rate = rate;
     } else if (responses != reference) {
       std::fprintf(stderr, "DETERMINISM VIOLATION at threads=%d\n", threads);
       return 1;
     }
-    const double rate = static_cast<double>(graphs.size()) / secs;
-    runs.push_back({threads, secs, rate});
-    std::printf("%8d %10.3f %12.1f %9.2fx %8d %8llu\n", threads, secs, rate,
-                rate / runs.front().rate, diag.shards,
-                static_cast<unsigned long long>(diag.stolen_shards));
+    runs.push_back({{"threads", std::to_string(threads)},
+                    {"seconds", bench::json_num(secs, 6)},
+                    {"graphs_per_sec", bench::json_num(rate, 2)},
+                    {"speedup_vs_1", bench::json_num(rate / base_rate, 3)}});
+    std::printf("%8d %10.3f %12.1f %9.2fx %8d %8llu\n", threads, secs, rate, rate / base_rate,
+                diag.shards, static_cast<unsigned long long>(diag.stolen_shards));
   }
 
   // Response cache: a second identical batch should be all hits.
@@ -130,11 +105,11 @@ int main(int argc, char** argv) {
   api::BatchDiagnostics warm;
   const auto start_cold = std::chrono::steady_clock::now();
   (void)executor.run_batch(solver, {graphs.data(), graphs.size()}, req, &cold);
-  const double cold_secs = seconds_since(start_cold);
+  const double cold_secs = bench::seconds_since(start_cold);
   const auto start_warm = std::chrono::steady_clock::now();
   const auto warm_responses =
       executor.run_batch(solver, {graphs.data(), graphs.size()}, req, &warm);
-  const double warm_secs = seconds_since(start_warm);
+  const double warm_secs = bench::seconds_since(start_warm);
   if (warm_responses != reference) {
     std::fprintf(stderr, "CACHE VIOLATION: warm responses differ from uncached run\n");
     return 1;
@@ -145,32 +120,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cold.cache_misses), warm_secs,
               static_cast<unsigned long long>(warm.cache_hits), cold_secs / warm_secs);
 
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"batch_throughput\",\n  \"preset\": \"%s\",\n"
-                 "  \"solver\": \"%s\",\n  \"graphs\": %zu,\n  \"runs\": [",
-                 small ? "small" : "full", solver, graphs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      std::fprintf(f, "%s\n    {\"threads\": %d, \"seconds\": %s, \"graphs_per_sec\": %s, "
-                      "\"speedup_vs_1\": %s}",
-                   i ? "," : "", runs[i].threads, json_num(runs[i].seconds, 6).c_str(),
-                   json_num(runs[i].rate, 2).c_str(),
-                   json_num(runs[i].rate / runs.front().rate, 3).c_str());
-    }
-    std::fprintf(f,
-                 "\n  ],\n  \"cache\": {\"cold_seconds\": %s, \"warm_seconds\": %s, "
-                 "\"hits\": %llu, \"misses\": %llu}\n}\n",
-                 json_num(cold_secs, 6).c_str(), json_num(warm_secs, 6).c_str(),
-                 static_cast<unsigned long long>(warm.cache_hits),
-                 static_cast<unsigned long long>(cold.cache_misses));
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  h.write_json({{"preset", bench::json_str(small ? "small" : "full")},
+                {"solver", bench::json_str(solver)},
+                {"graphs", std::to_string(graphs.size())},
+                {"cache", bench::json_object(
+                              {{"cold_seconds", bench::json_num(cold_secs, 6)},
+                               {"warm_seconds", bench::json_num(warm_secs, 6)},
+                               {"hits", std::to_string(warm.cache_hits)},
+                               {"misses", std::to_string(cold.cache_misses)}})}},
+               runs);
 
   std::printf("\nReading: speedup tracks min(threads, cores) while per-graph work dominates\n"
               "shard bookkeeping; the warm pass costs only graph hashing + map lookups.\n");

@@ -21,16 +21,15 @@
 // subsystem; perfect fan-out is 2.0x, 1.7x absorbs routing overhead and CI
 // noise). --json writes the measurements for the BENCH_* artifact trail.
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/registry.hpp"
+#include "bench_common.hpp"
 #include "cluster/hash_ring.hpp"
 #include "cluster/router.hpp"
 #include "graph/generators.hpp"
@@ -41,17 +40,6 @@
 namespace {
 
 using namespace lmds;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string json_num(double v, int precision) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
 
 /// The bench-only solver: a fixed service time, then the (always valid)
 /// take-all dominating set. Registered at startup; the workers share this
@@ -91,26 +79,10 @@ int main(int argc, char** argv) {
   int batches = 6;
   int batch_size = 32;
   int service_us = 2000;
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--batches") && i + 1 < argc) {
-      batches = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--batch-size") && i + 1 < argc) {
-      batch_size = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--service-us") && i + 1 < argc) {
-      service_us = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--check")) {
-      check = true;
-    } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_cluster [--batches N] [--batch-size N] [--service-us N]\n"
-                   "                     [--check] [--json FILE]\n");
-      return 2;
-    }
-  }
+  bench::Harness h("cluster", argc, argv,
+                   {{"--batches", &batches},
+                    {"--batch-size", &batch_size},
+                    {"--service-us", &service_us}});
   if (batches < 1) batches = 1;
   if (batch_size < 2) batch_size = 2;
   if (batch_size % 2) ++batch_size;  // half per worker
@@ -176,7 +148,7 @@ int main(int argc, char** argv) {
         std::exit(1);
       }
     }
-    return seconds_since(start);
+    return bench::seconds_since(start);
   };
 
   const int total_graphs = batches * batch_size;
@@ -199,30 +171,15 @@ int main(int argc, char** argv) {
   std::printf("%-22s %10.4f %14.1f\n", "router + 2 workers", routed_secs, routed_rate);
   std::printf("\n2-worker aggregate speedup: %.2fx (perfect fan-out: 2.00x)\n", speedup);
 
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"cluster\",\n  \"batches\": %d,\n"
-                 "  \"batch_size\": %d,\n  \"service_us\": %d,\n"
-                 "  \"runs\": [\n"
-                 "    {\"name\": \"single_worker\", \"graphs_per_sec\": %s},\n"
-                 "    {\"name\": \"routed_2_workers\", \"graphs_per_sec\": %s}\n"
-                 "  ],\n  \"cluster_speedup\": %s\n}\n",
-                 batches, batch_size, service_us, json_num(single_rate, 2).c_str(),
-                 json_num(routed_rate, 2).c_str(), json_num(speedup, 3).c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (check && speedup < 1.7) {
-    std::fprintf(stderr,
-                 "REGRESSION: routed 2-worker cluster is only %.2fx one worker (need >= 1.7x)\n",
-                 speedup);
-    return 1;
-  }
-  return 0;
+  h.write_json({{"batches", std::to_string(batches)},
+                {"batch_size", std::to_string(batch_size)},
+                {"service_us", std::to_string(service_us)},
+                {"cluster_speedup", bench::json_num(speedup, 3)}},
+               {{{"name", bench::json_str("single_worker")},
+                 {"graphs_per_sec", bench::json_num(single_rate, 2)}},
+                {{"name", bench::json_str("routed_2_workers")},
+                 {"graphs_per_sec", bench::json_num(routed_rate, 2)}}});
+  h.gate(speedup >= 1.7, "routed 2-worker cluster is only %.2fx one worker (need >= 1.7x)",
+         speedup);
+  return h.exit_code();
 }

@@ -22,16 +22,15 @@
 // --json writes runs[].graphs_per_sec for scripts/bench_regression.py and
 // the BENCH_* artifact trail.
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <queue>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ops.hpp"
@@ -45,17 +44,6 @@ using namespace lmds;
 using graph::Edge;
 using graph::Graph;
 using graph::Vertex;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string json_num(double v, int precision) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
 
 // A clustered edit batch: BFS out from a random center and delete the first
 // `count` edges whose endpoints are both inside the visited region. Edits
@@ -97,26 +85,8 @@ int main(int argc, char** argv) {
   int vertices = 100'000;
   int iters = 3;
   std::string solver = "ksv";
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--vertices") && i + 1 < argc) {
-      vertices = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--iters") && i + 1 < argc) {
-      iters = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--solver") && i + 1 < argc) {
-      solver = argv[++i];
-    } else if (!std::strcmp(argv[i], "--check")) {
-      check = true;
-    } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_patch_throughput [--vertices N] [--iters N] [--solver S] "
-                   "[--check] [--json FILE]\n");
-      return 2;
-    }
-  }
+  bench::Harness h("patch_throughput", argc, argv,
+                   {{"--vertices", &vertices}, {"--iters", &iters}, {"--solver", &solver, "S"}});
   if (vertices < 16) vertices = 16;
   if (iters < 1) iters = 1;
 
@@ -176,8 +146,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", std::string(76, '-').c_str());
 
   std::mt19937_64 rng(0xBE7C'9A11);
-  std::string runs_json;
-  bool gate_failed = false;
+  std::vector<bench::Fields> runs;
   for (const double churn : kChurn) {
     const int edits = std::max(1, static_cast<int>(churn * g.num_edges()));
 
@@ -200,7 +169,7 @@ int main(int argc, char** argv) {
     for (const std::string& child : children) {
       incremental.push_back(parse_solve(exchange(solve_line(child, /*no_cache=*/false))));
     }
-    const double incr_secs = seconds_since(incr_start);
+    const double incr_secs = bench::seconds_since(incr_start);
 
     // Full arm: same children, cache bypassed — the from-scratch baseline.
     std::vector<SolveResult> full;
@@ -208,7 +177,7 @@ int main(int argc, char** argv) {
     for (const std::string& child : children) {
       full.push_back(parse_solve(exchange(solve_line(child, /*no_cache=*/true))));
     }
-    const double full_secs = seconds_since(full_start);
+    const double full_secs = bench::seconds_since(full_start);
 
     double dirty_sum = 0;
     for (std::size_t i = 0; i < incremental.size(); ++i) {
@@ -232,33 +201,21 @@ int main(int argc, char** argv) {
     std::printf("%7.2f%% %8d %9.1f%% %12.4f %12.4f %10.2f %9.1fx\n", churn * 100, edits,
                 dirty_frac * 100, incr_secs / iters, full_secs / iters, incr_rate, speedup);
 
-    if (!runs_json.empty()) runs_json += ",\n";
-    runs_json += "    {\"churn\": " + json_num(churn, 4) + ", \"edits\": " +
-                 std::to_string(edits) + ", \"dirty_fraction\": " + json_num(dirty_frac, 4) +
-                 ", \"graphs_per_sec\": " + json_num(incr_rate, 2) +
-                 ", \"full_graphs_per_sec\": " + json_num(full_rate, 2) +
-                 ", \"speedup\": " + json_num(speedup, 2) + "}";
-    if (check && churn <= 0.01 && speedup < 5.0) {
-      std::fprintf(stderr,
-                   "REGRESSION: churn %.2f%% incremental speedup %.2fx (need >= 5x at <= 1%%)\n",
-                   churn * 100, speedup);
-      gate_failed = true;
-    }
+    runs.push_back({{"churn", bench::json_num(churn, 4)},
+                    {"edits", std::to_string(edits)},
+                    {"dirty_fraction", bench::json_num(dirty_frac, 4)},
+                    {"graphs_per_sec", bench::json_num(incr_rate, 2)},
+                    {"full_graphs_per_sec", bench::json_num(full_rate, 2)},
+                    {"speedup", bench::json_num(speedup, 2)}});
+    h.gate(churn > 0.01 || speedup >= 5.0,
+           "churn %.2f%% incremental speedup %.2fx (need >= 5x at <= 1%%)", churn * 100,
+           speedup);
   }
 
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"patch_throughput\",\n  \"vertices\": %d,\n"
-                 "  \"edges\": %d,\n  \"solver\": \"%s\",\n  \"iters\": %d,\n"
-                 "  \"runs\": [\n%s\n  ]\n}\n",
-                 g.num_vertices(), g.num_edges(), solver.c_str(), iters, runs_json.c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return gate_failed ? 1 : 0;
+  h.write_json({{"vertices", std::to_string(g.num_vertices())},
+                {"edges", std::to_string(g.num_edges())},
+                {"solver", bench::json_str(solver)},
+                {"iters", std::to_string(iters)}},
+               runs);
+  return h.exit_code();
 }

@@ -22,84 +22,44 @@
 // --json writes runs[].graphs_per_sec for scripts/bench_regression.py and
 // the BENCH_* artifact trail.
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "api/executor.hpp"
 #include "api/registry.hpp"
+#include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "graph/generators.hpp"
 #include "local/view.hpp"
 #include "support/view_reference.hpp"
 
-namespace {
-
 using namespace lmds;
 using graph::Graph;
 using graph::Vertex;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string json_num(double v, int precision) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-struct Run {
-  std::string name;
-  double fast_per_sec = 0;  // views/sec or solves/sec on the optimized path
-  double ref_per_sec = 0;   // same unit on the reference / single-thread arm
-  double speedup = 0;
-};
-
-void append_run(std::string& runs_json, const Run& r) {
-  if (!runs_json.empty()) runs_json += ",\n";
-  runs_json += "    {\"name\": \"" + r.name +
-               "\", \"graphs_per_sec\": " + json_num(r.fast_per_sec, 2) +
-               ", \"reference_per_sec\": " + json_num(r.ref_per_sec, 2) +
-               ", \"speedup\": " + json_num(r.speedup, 2) + "}";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int vertices = 100'000;
   int threads = 0;  // 0 = hardware_concurrency
   int sample = 64;
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--vertices") && i + 1 < argc) {
-      vertices = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--sample") && i + 1 < argc) {
-      sample = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--check")) {
-      check = true;
-    } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_perf [--vertices N] [--threads N] [--sample N] "
-                   "[--check] [--json FILE]\n");
-      return 2;
-    }
-  }
+  bench::Harness h("perf", argc, argv,
+                   {{"--vertices", &vertices}, {"--threads", &threads}, {"--sample", &sample}});
   if (vertices < 64) vertices = 64;
   if (sample < 1) sample = 1;
   const int workers = common::resolve_thread_count(threads);
 
-  std::string runs_json;
-  bool gate_failed = false;
+  // Each run: graphs_per_sec is views/sec or solves/sec on the optimized
+  // path, reference_per_sec the same unit on the reference / single-thread
+  // arm.
+  std::vector<bench::Fields> runs;
+  const auto add_run = [&](const char* name, double fast_per_sec, double ref_per_sec,
+                           double speedup) {
+    runs.push_back({{"name", bench::json_str(name)},
+                    {"graphs_per_sec", bench::json_num(fast_per_sec, 2)},
+                    {"reference_per_sec", bench::json_num(ref_per_sec, 2)},
+                    {"speedup", bench::json_num(speedup, 2)}});
+  };
 
   // -------------------------------------------------------------------- 1.
   // Flooded gather: small enough that the reference (per-vertex GraphBuilder
@@ -115,23 +75,21 @@ int main(int argc, char** argv) {
       local::TrafficStats stats;
       (void)local::gather_views(net, kRadius, &stats);
     }
-    const double fast_secs = seconds_since(fast_start) / kIters;
+    const double fast_secs = bench::seconds_since(fast_start) / kIters;
 
     const auto ref_start = std::chrono::steady_clock::now();
     {
       local::TrafficStats stats;
       (void)local::detail::gather_views_reference(net, kRadius, &stats);
     }
-    const double ref_secs = seconds_since(ref_start);
+    const double ref_secs = bench::seconds_since(ref_start);
 
-    Run r;
-    r.name = "gather_flooded";
-    r.fast_per_sec = g.num_vertices() / fast_secs;
-    r.ref_per_sec = g.num_vertices() / ref_secs;
-    r.speedup = ref_secs / fast_secs;
+    const double fast_rate = g.num_vertices() / fast_secs;
+    const double ref_rate = g.num_vertices() / ref_secs;
+    const double speedup = ref_secs / fast_secs;
     std::printf("gather_flooded  %6d vertices r=%d   fast %10.0f views/s   ref %10.0f views/s   %6.1fx\n",
-                g.num_vertices(), kRadius, r.fast_per_sec, r.ref_per_sec, r.speedup);
-    append_run(runs_json, r);
+                g.num_vertices(), kRadius, fast_rate, ref_rate, speedup);
+    add_run("gather_flooded", fast_rate, ref_rate, speedup);
   }
 
   // -------------------------------------------------------------------- 2.
@@ -145,7 +103,7 @@ int main(int argc, char** argv) {
   {
     const auto fast_start = std::chrono::steady_clock::now();
     (void)local::cut_views(big_net, kCutRadius, /*threads=*/1);
-    const double fast_secs = seconds_since(fast_start);
+    const double fast_secs = bench::seconds_since(fast_start);
 
     const int probes = std::min(sample, big.num_vertices());
     const auto ref_start = std::chrono::steady_clock::now();
@@ -154,21 +112,15 @@ int main(int argc, char** argv) {
           static_cast<Vertex>(static_cast<long long>(i) * big.num_vertices() / probes);
       (void)local::detail::cut_view_reference(big_net, centre, kCutRadius);
     }
-    const double ref_secs_per_view = seconds_since(ref_start) / probes;
+    const double ref_secs_per_view = bench::seconds_since(ref_start) / probes;
 
-    Run r;
-    r.name = "cut_views";
-    r.fast_per_sec = big.num_vertices() / fast_secs;
-    r.ref_per_sec = 1.0 / ref_secs_per_view;
-    r.speedup = r.fast_per_sec / r.ref_per_sec;
+    const double fast_rate = big.num_vertices() / fast_secs;
+    const double ref_rate = 1.0 / ref_secs_per_view;
+    const double speedup = fast_rate / ref_rate;
     std::printf("cut_views       %6d vertices r=%d   fast %10.0f views/s   ref %10.0f views/s   %6.1fx\n",
-                big.num_vertices(), kCutRadius, r.fast_per_sec, r.ref_per_sec, r.speedup);
-    append_run(runs_json, r);
-    if (check && r.speedup < 3.0) {
-      std::fprintf(stderr, "REGRESSION: cut-view extraction %.2fx reference (need >= 3x)\n",
-                   r.speedup);
-      gate_failed = true;
-    }
+                big.num_vertices(), kCutRadius, fast_rate, ref_rate, speedup);
+    add_run("cut_views", fast_rate, ref_rate, speedup);
+    h.gate(speedup >= 3.0, "cut-view extraction %.2fx reference (need >= 3x)", speedup);
   }
 
   // -------------------------------------------------------------------- 3.
@@ -188,7 +140,7 @@ int main(int argc, char** argv) {
       over.intra_graph_threads = intra;
       const auto start = std::chrono::steady_clock::now();
       auto responses = executor.run_batch("ksv", graphs, req, over);
-      return std::pair{seconds_since(start), std::move(responses[0].solution)};
+      return std::pair{bench::seconds_since(start), std::move(responses[0].solution)};
     };
 
     const auto [seq_secs, seq_solution] = timed_solve(1);
@@ -201,35 +153,16 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    Run r;
-    r.name = "intra_solve";
-    r.fast_per_sec = 1.0 / par_secs;
-    r.ref_per_sec = 1.0 / seq_secs;
-    r.speedup = seq_secs / par_secs;
+    const double speedup = seq_secs / par_secs;
     std::printf("intra_solve     %6d vertices ksv   1 thr %8.2f s      %2d thr %8.2f s      %6.1fx\n",
-                big.num_vertices(), seq_secs, workers, par_secs, r.speedup);
-    append_run(runs_json, r);
-    if (check && workers >= 2 && r.speedup < 2.0) {
-      std::fprintf(stderr,
-                   "REGRESSION: intra-graph mode %.2fx single-thread with %d workers "
-                   "(need >= 2x)\n",
-                   r.speedup, workers);
-      gate_failed = true;
-    }
+                big.num_vertices(), seq_secs, workers, par_secs, speedup);
+    add_run("intra_solve", 1.0 / par_secs, 1.0 / seq_secs, speedup);
+    h.gate(workers < 2 || speedup >= 2.0,
+           "intra-graph mode %.2fx single-thread with %d workers (need >= 2x)", speedup, workers);
   }
 
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"perf\",\n  \"vertices\": %d,\n  \"threads\": %d,\n"
-                 "  \"runs\": [\n%s\n  ]\n}\n",
-                 big.num_vertices(), workers, runs_json.c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return gate_failed ? 1 : 0;
+  h.write_json(
+      {{"vertices", std::to_string(big.num_vertices())}, {"threads", std::to_string(workers)}},
+      runs);
+  return h.exit_code();
 }

@@ -15,53 +15,21 @@
 // artifact trail; its runs[].graphs_per_sec is the inline path (one graph
 // per request), the figure scripts/bench_regression.py ratchets.
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "server/json.hpp"
 #include "server/server.hpp"
 
-namespace {
-
 using namespace lmds;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string json_num(double v, int precision) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int vertices = 10'000;
   int iters = 40;
-  bool check = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--vertices") && i + 1 < argc) {
-      vertices = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--iters") && i + 1 < argc) {
-      iters = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--check")) {
-      check = true;
-    } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_serve_v2 [--vertices N] [--iters N] [--check] [--json FILE]\n");
-      return 2;
-    }
-  }
+  bench::Harness h("serve_v2", argc, argv, {{"--vertices", &vertices}, {"--iters", &iters}});
   if (vertices < 4) vertices = 4;
   if (iters < 1) iters = 1;
 
@@ -107,7 +75,7 @@ int main(int argc, char** argv) {
         std::exit(1);
       }
     }
-    return seconds_since(start);
+    return bench::seconds_since(start);
   };
 
   const double inline_secs = time_line(inline_line);
@@ -127,29 +95,14 @@ int main(int argc, char** argv) {
   std::printf("\nsolve-by-handle speedup: %.1fx (wire bytes shrink %zux)\n", speedup,
               inline_line.size() / handle_line.size());
 
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"serve_v2\",\n  \"vertices\": %d,\n  \"iters\": %d,\n"
-                 "  \"inline_req_per_sec\": %s,\n  \"handle_req_per_sec\": %s,\n"
-                 "  \"handle_speedup\": %s,\n"
-                 "  \"runs\": [{\"path\": \"inline\", \"graphs_per_sec\": %s}]\n}\n",
-                 g.num_vertices(), iters, json_num(inline_rate, 2).c_str(),
-                 json_num(handle_rate, 2).c_str(), json_num(speedup, 3).c_str(),
-                 json_num(inline_rate, 2).c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (check && speedup < 2.0) {
-    std::fprintf(stderr,
-                 "REGRESSION: solve-by-handle is only %.2fx inline throughput (need >= 2x)\n",
-                 speedup);
-    return 1;
-  }
-  return 0;
+  h.write_json({{"vertices", std::to_string(g.num_vertices())},
+                {"iters", std::to_string(iters)},
+                {"inline_req_per_sec", bench::json_num(inline_rate, 2)},
+                {"handle_req_per_sec", bench::json_num(handle_rate, 2)},
+                {"handle_speedup", bench::json_num(speedup, 3)}},
+               {{{"path", bench::json_str("inline")},
+                 {"graphs_per_sec", bench::json_num(inline_rate, 2)}}});
+  h.gate(speedup >= 2.0, "solve-by-handle is only %.2fx inline throughput (need >= 2x)",
+         speedup);
+  return h.exit_code();
 }

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Compare two bench_batch_throughput --json artifacts and fail on regression.
+"""Compare two --json artifacts of one CI bench and fail on regression.
 
 Usage: bench_regression.py PREVIOUS.json CURRENT.json [--max-drop 0.20]
 
-The compared metric is the best graphs/sec across the per-thread runs — the
-figure a deployment actually gets from the serving layer. CI runners are
+Works for all five CI benches (bench_serve_v2, bench_patch_throughput,
+bench_perf, bench_cluster, bench_batch_throughput), whose BENCH_*.json
+artifacts bench/bench_common.hpp writes. The compared metric is the best
+runs[].graphs_per_sec in the artifact, e.g. the best thread count of
+bench_batch_throughput or the inline path of bench_serve_v2. CI runners are
 noisy, so the gate is a relative drop (default 20%, the ROADMAP's threshold),
 not an absolute number. A PREVIOUS artifact without runs[] (written before
 its bench recorded them) skips the comparison. Exit codes: 0 ok / within

@@ -190,6 +190,7 @@ GraphStore::PutResult GraphStore::put_replica(graph::Graph g, std::string_view n
   out.edges = g.num_edges();
 
   common::MutexLock lock(mu_);
+  expire_leases_locked();
   if (const auto it = entries_.find(hash); it != entries_.end()) {
     // Already present (the common replication case — handles are globally
     // stable). Promote, don't pin: nobody owns a replica.

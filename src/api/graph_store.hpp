@@ -191,8 +191,9 @@ class GraphStore {
   std::size_t release_session(SessionId session) LMDS_EXCLUDES(mu_);
 
   /// Expires owned leases whose ttl ran out (no-op when lease_ttl is 0).
-  /// Called lazily by every put/patch/stats, and callable directly (tests,
-  /// a server's idle sweep). Returns the number of pins released.
+  /// Called lazily by every put/put_replica/patch/stats, and callable
+  /// directly (tests, a server's idle sweep). Returns the number of pins
+  /// released.
   std::size_t expire_leases() LMDS_EXCLUDES(mu_);
 
   /// Every stored graph with its handle, most-recently-stored order not

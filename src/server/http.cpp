@@ -146,7 +146,6 @@ std::optional<HttpRequest> read_http_request(LineReader& reader, int fd,
 }
 
 std::string handle_http_request(const HttpRequest& req, Session& session) {
-  const ServerLimits& limits = session.core().options().limits;
   // `parse` is json_parse_graph for a body that is itself a graph.
   const auto parse_body = [&](bool required,
                               JsonValue (*parse)(std::string_view) = json_parse) -> JsonValue {
@@ -167,7 +166,7 @@ std::string handle_http_request(const HttpRequest& req, Session& session) {
   try {
     // The header namespace is this request's open_session equivalent; a
     // "namespace" field inside a solve body still wins (decode_solve).
-    session.set_ns(decode_namespace(JsonValue(req.ns), limits));
+    session.set_ns(decode_namespace(JsonValue(req.ns)));
     if (req.target == "/v2/solve" && req.method == "POST") {
       body = session.dispatch("solve", parse_body(true));
     } else if (req.target == "/v2/graphs" && req.method == "PUT") {

@@ -32,10 +32,6 @@ struct Scalar {
   std::int64_t value = 0;
 };
 
-Scalar scalar_of(const JsonValue& v) {
-  return {v.type(), v.type() == JsonValue::Type::Int ? v.as_int() : 0};
-}
-
 /// Why `s` is not an int-range int, prefixed with `what`; nothing if it is.
 std::optional<std::string> int_error(const Scalar& s, std::string_view what) {
   if (s.type != JsonValue::Type::Int) {
@@ -48,7 +44,7 @@ std::optional<std::string> int_error(const Scalar& s, std::string_view what) {
 }
 
 int int_field(const JsonValue& v, std::string_view what) {
-  const Scalar s = scalar_of(v);
+  const Scalar s{v.type(), v.type() == JsonValue::Type::Int ? v.as_int() : 0};
   if (std::optional<std::string> error = int_error(s, what)) bad_request(*error);
   return static_cast<int>(s.value);
 }
@@ -56,11 +52,11 @@ int int_field(const JsonValue& v, std::string_view what) {
 // ---------------------------------------------------------------------------
 // Edge-list decoding
 
-/// decode_graph's edge checks and CSR build, shared by the raw-text scan and
-/// the DOM walk. Edges arrive in array order. "n" may follow "edges" in the
-/// object, so the one check that needs it (endpoint < n) waits for
-/// finish(), which replays decode_graph's precedence: "n" first, then each
-/// edge in order with all of its checks.
+/// decode_graph's edge checks and CSR build, fed by the raw-text scan. Edges
+/// arrive in array order. "n" may follow "edges" in the object, so the one
+/// check that needs it (endpoint < n) waits for finish(), which replays
+/// decode_graph's precedence: "n" first, then each edge in order with all of
+/// its checks.
 class EdgeListDecoder {
  public:
   explicit EdgeListDecoder(const ServerLimits& limits) : limits_(limits) {}
@@ -386,30 +382,15 @@ DecodedGraph decode_raw_graph(std::string_view text, const ServerLimits& limits)
   return edges.finish(n);
 }
 
-DecodedGraph decode_dom_graph(const JsonValue& v, const ServerLimits& limits) {
-  if (v.type() != JsonValue::Type::Object) bad_request("graph must be an object");
-  const JsonValue* edges = v.find("edges");
-  if (!edges) bad_request("graph has no \"edges\" array");
-  if (edges->type() != JsonValue::Type::Array) bad_request("\"edges\" must be an array");
-  EdgeListDecoder decoder(limits);
-  for (const JsonValue& e : edges->as_array()) {
-    if (e.type() != JsonValue::Type::Array || e.as_array().size() != 2) {
-      decoder.bad_pair();
-    } else {
-      decoder.add(scalar_of(e.as_array()[0]), scalar_of(e.as_array()[1]));
-    }
-    if (decoder.failed()) break;
-  }
-  std::optional<Scalar> n;
-  if (const JsonValue* declared = v.find("n")) n = scalar_of(*declared);
-  return decoder.finish(n);
-}
-
 }  // namespace
 
 DecodedGraph decode_graph_hashed(const JsonValue& v, const ServerLimits& limits) {
   if (v.type() == JsonValue::Type::Raw) return decode_raw_graph(v.raw_text(), limits);
-  return decode_dom_graph(v, limits);
+  if (v.type() != JsonValue::Type::Object) bad_request("graph must be an object");
+  // An object built in memory rather than parsed from a graph slot. json_dump
+  // keeps every scalar's JSON type (a Double always dumps with '.' or an
+  // exponent), so scanning the dump gives the outcome a walk of v would.
+  return decode_raw_graph(json_dump(v), limits);
 }
 
 graph::Graph decode_graph(const JsonValue& v, const ServerLimits& limits) {
@@ -458,12 +439,12 @@ graph::GraphPatch decode_patch(const JsonValue& root, const ServerLimits& limits
   return patch;
 }
 
-std::string decode_namespace(const JsonValue& v, const ServerLimits& limits) {
+std::string decode_namespace(const JsonValue& v) {
   if (v.type() != JsonValue::Type::String) bad_request("\"namespace\" must be a string");
   const std::string& ns = v.as_string();
-  if (ns.size() > limits.max_namespace_bytes) {
+  if (ns.size() > kMaxNamespaceBytes) {
     bad_request("namespace too long: " + std::to_string(ns.size()) + " bytes exceeds limit " +
-                std::to_string(limits.max_namespace_bytes));
+                std::to_string(kMaxNamespaceBytes));
   }
   for (const char c : ns) {
     if (static_cast<unsigned char>(c) < 0x20 || c == 0x7F) {
@@ -519,16 +500,16 @@ SolveRequest decode_solve(const JsonValue& root, const api::Registry& registry,
     for (const auto& [name, value] : batch->as_object()) {
       if (name == "threads") {
         const int threads = int_field(value, "batch \"threads\"");
-        if (threads < 1 || threads > limits.max_request_threads) {
+        if (threads < 1 || threads > kMaxRequestThreads) {
           bad_request("batch \"threads\" must be in [1, " +
-                      std::to_string(limits.max_request_threads) + "]");
+                      std::to_string(kMaxRequestThreads) + "]");
         }
         out.overrides.threads = threads;
       } else if (name == "intra_threads") {
         const int intra = int_field(value, "batch \"intra_threads\"");
-        if (intra < 1 || intra > limits.max_request_threads) {
+        if (intra < 1 || intra > kMaxRequestThreads) {
           bad_request("batch \"intra_threads\" must be in [1, " +
-                      std::to_string(limits.max_request_threads) + "]");
+                      std::to_string(kMaxRequestThreads) + "]");
         }
         out.overrides.intra_graph_threads = intra;
       } else if (name == "shard_size") {
@@ -549,7 +530,7 @@ SolveRequest decode_solve(const JsonValue& root, const api::Registry& registry,
     }
   }
   if (const JsonValue* ns = root.find("namespace")) {
-    out.ns = decode_namespace(*ns, limits);
+    out.ns = decode_namespace(*ns);
   }
 
   const JsonValue* graphs = root.find("graphs");

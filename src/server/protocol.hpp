@@ -128,8 +128,6 @@ struct ServerLimits {
   std::size_t max_line_bytes = 8u << 20;  ///< one request line / HTTP body
   int max_graph_vertices = 1'000'000;     ///< per decoded graph
   std::size_t max_batch_graphs = 10'000;  ///< graphs per solve request
-  int max_request_threads = 64;           ///< cap on a per-request threads override
-  std::size_t max_namespace_bytes = 128;  ///< cap on a namespace tag
   /// Multi-tenant quotas (0 = unlimited, the historical behavior).
   std::uint64_t max_namespace_store_bytes = 0;  ///< approx graph-store bytes
                                                 ///< one namespace may hold;
@@ -180,8 +178,8 @@ struct DecodedGraph {
 ///
 /// A Raw value (json_parse's graph slots) is decoded in one streaming pass
 /// over its bytes into a flat edge array, then into the CSR by counting
-/// sort; an in-memory object takes a thin walk into the same checks and the
-/// same build. Either way graph_hash comes out of the build.
+/// sort, with graph_hash folded into the build. An in-memory object (built
+/// by code, not parsed from a slot) is json_dump'ed and scanned the same way.
 DecodedGraph decode_graph_hashed(const JsonValue& v, const ServerLimits& limits);
 
 /// decode_graph_hashed without the hash.
@@ -207,6 +205,9 @@ graph::GraphPatch decode_patch(const JsonValue& root, const ServerLimits& limits
 /// wrap them as a POST body (server::ProtocolClient::patch_graph does both).
 std::string encode_patch_members(const graph::GraphPatch& patch);
 
+/// Cap on a solve request's "batch" "threads" and "intra_threads" overrides.
+inline constexpr int kMaxRequestThreads = 64;
+
 /// Decodes a parsed {"op":"solve",...} object. Validates the solver name
 /// against `registry` (UnknownSolver), every option value's JSON type
 /// (BadRequest; int/bool/double map onto ParamValue, coercion rules are the
@@ -217,9 +218,13 @@ std::string encode_patch_members(const graph::GraphPatch& patch);
 SolveRequest decode_solve(const JsonValue& root, const api::Registry& registry,
                           const ServerLimits& limits);
 
-/// Validates a namespace tag: at most limits.max_namespace_bytes bytes, no
-/// control characters. Returns it; throws ProtocolError(BadRequest) else.
-std::string decode_namespace(const JsonValue& v, const ServerLimits& limits);
+/// Cap on a namespace tag's length (the tag itself, not the store bytes a
+/// namespace may hold — that is ServerLimits::max_namespace_store_bytes).
+inline constexpr std::size_t kMaxNamespaceBytes = 128;
+
+/// Validates a namespace tag: at most kMaxNamespaceBytes bytes, no control
+/// characters. Returns it; throws ProtocolError(BadRequest) else.
+std::string decode_namespace(const JsonValue& v);
 
 /// One error line (no trailing newline), e.g.
 /// {"ok":false,"code":"bad_request","error":"..."}.

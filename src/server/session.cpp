@@ -302,7 +302,7 @@ std::string Session::do_drop_graph(const JsonValue& root) {
 std::string Session::do_open_session(const JsonValue& root) {
   std::string ns;
   if (const JsonValue* v = root.find("namespace")) {
-    ns = decode_namespace(*v, core_.options().limits);
+    ns = decode_namespace(*v);
   }
   ns_ = std::move(ns);
   std::string extra = "\"namespace\":";

@@ -194,6 +194,21 @@ TEST(PinLeases, ExpiryReleasesPinsAndFreesCapacity) {
   EXPECT_NO_THROW((void)store.put(graph::gen::grid(2, 3), /*session=*/8));
 }
 
+// Replicated graphs land through put_replica, which must sweep expired
+// leases before its capacity decision like put does: a store held full
+// only by expired pins takes the replica instead of throwing.
+TEST(PinLeases, ReplicaInsertSweepsExpiredLeases) {
+  api::GraphStore::StoreOptions opts;
+  opts.capacity = 1;
+  opts.lease_ttl = std::chrono::milliseconds(1);
+  api::GraphStore store(opts);
+  (void)store.put(graph::gen::path(3), /*session=*/7);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(store.put_replica(graph::gen::cycle(4)).inserted);
+  EXPECT_EQ(store.stats().lease_expiries, 1u);
+  EXPECT_EQ(store.stats().size, 1u);
+}
+
 TEST(PinLeases, TouchRenewsTheLease) {
   api::GraphStore::StoreOptions opts;
   opts.capacity = 2;

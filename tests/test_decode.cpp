@@ -1,8 +1,8 @@
 // Edge-list decoder suite. decode_graph reads Raw graph slots in one
-// streaming pass and in-memory objects through a thin walk; both must agree
-// with the DOM decoder they replaced (decode_graph_reference, kept in
-// tests/support) on every input: the same Graph and graph_hash, or the same
-// ProtocolError code and message. A table pins the edge cases; seeded byte
+// streaming pass and in-memory objects by scanning their json_dump; both
+// must agree with the DOM decoder they replaced (decode_graph_reference,
+// kept in tests/support) on every input: the same Graph and graph_hash, or
+// the same ProtocolError code and message. A table pins the edge cases; seeded byte
 // mutations of solve / put_graph / replicate_in lines then hold raw-slot
 // json_parse to an eager parse of the same bytes (same JsonError text,
 // offset included) and every slot to the oracle.
@@ -72,9 +72,9 @@ DecodedGraph checked_decode(const JsonValue& v, const ServerLimits& limits) {
 void expect_agreement(const std::string& text, const ServerLimits& limits) {
   const Outcome want = outcome_of([&] { return oracle_decode(json_parse(text), limits); });
   const Outcome raw = outcome_of([&] { return checked_decode(json_parse_graph(text), limits); });
-  const Outcome walked = outcome_of([&] { return checked_decode(json_parse(text), limits); });
+  const Outcome in_memory = outcome_of([&] { return checked_decode(json_parse(text), limits); });
   EXPECT_EQ(raw, want) << text;
-  EXPECT_EQ(walked, want) << text;
+  EXPECT_EQ(in_memory, want) << text;
 }
 
 std::string nested(int depth) { return std::string(depth, '[') + std::string(depth, ']'); }

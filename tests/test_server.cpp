@@ -638,10 +638,15 @@ TEST(ServerCore, NamespacesIsolateCacheEntries) {
   EXPECT_EQ(namespaces->find("tenant-b")->find("misses")->as_int(), n);
   EXPECT_EQ(namespaces->find("tenant-b")->find("size")->as_int(), n);
 
-  // Bad namespaces are rejected at decode.
-  const JsonValue bad = json_parse(server.handle_line(
-      "{\"op\":\"open_session\",\"namespace\":\"" + std::string(300, 'x') + "\"}"));
-  EXPECT_EQ(bad.find("code")->as_string(), "bad_request");
+  // Bad namespaces are rejected at decode; the length cap is inclusive.
+  const auto open_session = [&](std::size_t ns_bytes) {
+    return json_parse(server.handle_line("{\"op\":\"open_session\",\"namespace\":\"" +
+                                         std::string(ns_bytes, 'x') + "\"}"));
+  };
+  EXPECT_TRUE(open_session(128).find("ok")->as_bool());
+  for (const std::size_t too_long : {129, 300}) {
+    EXPECT_EQ(open_session(too_long).find("code")->as_string(), "bad_request") << too_long;
+  }
 
   // Without the operator flag, stats must not leak other tenants' tags —
   // knowing a tag is all it takes to read that tenant's warm cache. A
@@ -675,9 +680,18 @@ TEST(ServerCore, PerRequestBatchOverrides) {
   EXPECT_EQ(bypass.find("diag")->find("cache_hits")->as_int(), 0);
   EXPECT_EQ(bypass.find("diag")->find("cache_misses")->as_int(), 0);
 
-  // Override validation: out-of-range and unknown keys are bad requests.
+  // Override validation: the thread caps are inclusive; out-of-range and
+  // unknown keys are bad requests.
+  for (const char* good : {
+           R"({"op":"solve","solver":"greedy","batch":{"threads":64},"graphs":[]})",
+           R"({"op":"solve","solver":"greedy","batch":{"intra_threads":64},"graphs":[]})",
+       }) {
+    EXPECT_TRUE(json_parse(server.handle_line(good)).find("ok")->as_bool()) << good;
+  }
   for (const char* bad : {
            R"({"op":"solve","solver":"greedy","batch":{"threads":0},"graphs":[]})",
+           R"({"op":"solve","solver":"greedy","batch":{"threads":65},"graphs":[]})",
+           R"({"op":"solve","solver":"greedy","batch":{"intra_threads":65},"graphs":[]})",
            R"({"op":"solve","solver":"greedy","batch":{"threads":100000},"graphs":[]})",
            R"({"op":"solve","solver":"greedy","batch":{"shard_size":0},"graphs":[]})",
            R"({"op":"solve","solver":"greedy","batch":{"frobnicate":1},"graphs":[]})",
@@ -786,8 +800,7 @@ TEST(Http, RoutesMapOntoProtocolVerbsWithStatuses) {
   response = handle_http_request(make_http("GET", "/v2/solve", ""), session);
   EXPECT_EQ(http_status(response), 404);
   response = handle_http_request(
-      make_http("POST", "/v2/solve", solve, std::string(core_opts.limits.max_namespace_bytes + 1,
-                                                        'n')),
+      make_http("POST", "/v2/solve", solve, std::string(kMaxNamespaceBytes + 1, 'n')),
       session);
   EXPECT_EQ(http_status(response), 400);  // namespace header over the limit
   EXPECT_EQ(json_parse(http_body(response)).find("code")->as_string(), "bad_request");
