@@ -66,11 +66,11 @@ std::string canonical_options(const Options& params, bool measure_traffic,
 
 ResponseCache::ResponseCache(std::size_t capacity) : capacity_(capacity) {}
 
-std::optional<Response> ResponseCache::lookup(const CacheKey& key) {
-  if (!enabled()) return std::nullopt;
+std::shared_ptr<const CachedResponse> ResponseCache::lookup(const CacheKey& key) {
+  if (!enabled()) return nullptr;
   common::MutexLock lock(mu_);
   const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;  // the completing insert() counts the miss
+  if (it == index_.end()) return nullptr;  // the completing insert() counts the miss
   lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
   ++hits_;
   ++ns_stats_[key.ns].hits;
@@ -110,7 +110,9 @@ bool ResponseCache::insert(const CacheKey& key, const Response& value) {
   }
   const bool evict = lru_.size() >= capacity_;
   if (evict) evict_lru_locked();
-  lru_.emplace_front(key, value);
+  // A copy, not the caller's Response: its vectors are sized exactly, where a
+  // freshly computed solution may carry spare capacity.
+  lru_.emplace_front(key, std::make_shared<const CachedResponse>(value));
   index_[key] = lru_.begin();
   ++ns_stats_[key.ns].size;
   return evict;
@@ -158,7 +160,8 @@ void ResponseCache::clear() {
 // str = u32 length + bytes; vec<i32> = u32 count + i32 each; f64 = IEEE bits
 // as u64. The footer catches truncation: a snapshot cut anywhere fails the
 // footer read (or an inner read) and deserialize() throws without touching
-// the live entries.
+// the live entries. Byte memos (CachedResponse::memo) are never written: a
+// loaded entry encodes again on its first hit.
 
 namespace {
 
@@ -326,7 +329,7 @@ void ResponseCache::serialize(std::ostream& out) const {
     put_str(out, it->first.solver);
     put_str(out, it->first.options);
     put_str(out, it->first.ns);
-    put_response(out, it->second);
+    put_response(out, it->second->response);
   }
   put_u64(out, kFooter);
   if (!out) throw std::runtime_error("cache snapshot: stream write failed");
@@ -356,8 +359,8 @@ ResponseCache::LruList ResponseCache::parse_snapshot(std::istream& in,
     key.options = get_str(in);
     // Version 1 predates namespaces; its entries belong to the default one.
     key.ns = version >= kVersion ? get_str(in) : std::string();
-    Response value = get_response(in);
-    entries.emplace_front(std::move(key), std::move(value));
+    entries.emplace_front(std::move(key),
+                          std::make_shared<const CachedResponse>(get_response(in)));
     if (clamp > 0 && entries.size() > clamp) entries.pop_back();  // drop oldest
   }
   if (get_u64(in) != kFooter) truncated();

@@ -19,8 +19,17 @@
 // trade by design — the cache stores no graph copies and key comparison is
 // O(|options string|).
 //
-// Hits return a copy of the stored Response, bit-identical to the Response
-// the original run produced (asserted in tests/test_batch.cpp).
+// Entries are immutable and shared: insert() stores an exact-size copy of the
+// computed Response in a CachedResponse, and a hit hands out a shared_ptr to
+// that same entry instead of copying its solution and diagnostic vectors.
+// The Response is bit-identical to the one the original run produced
+// (asserted in tests/test_batch.cpp). Each entry also carries an opaque byte
+// memo that a serving front-end fills once, on the entry's first hit, with
+// its own encoding of the Response (the server's JSON response element), so
+// every later hit is a pointer copy plus a splice of stored bytes. Only
+// entries served as hits ever hold bytes; a memo costs about 1.5x the
+// entry's solution vector. JSON stays out of src/api: the encoder is passed
+// in at the call site.
 //
 // Persistence: serialize() / deserialize() snapshot the entries (keys +
 // responses, in recency order) to a versioned binary stream, so a long-lived
@@ -30,8 +39,10 @@
 #include <iosfwd>
 #include <list>
 #include <map>
-#include <optional>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -92,8 +103,37 @@ struct NamespaceStats {
   friend bool operator==(const NamespaceStats&, const NamespaceStats&) = default;
 };
 
-/// Fixed-capacity LRU map CacheKey -> Response. All operations take an
-/// internal mutex, so one cache may back concurrent run_batch calls.
+/// One cache entry: an immutable Response shared by every hit, plus an
+/// opaque byte memo of its encoding. Thread-safe: any number of threads may
+/// read `response` and call memo() at once.
+class CachedResponse {
+ public:
+  explicit CachedResponse(Response r) : response(std::move(r)) {}
+
+  const Response response;
+
+  /// Appends the encoding of a Response to `out`.
+  using Encoder = void (*)(std::string& out, const Response& response);
+
+  /// The bytes `encode` writes for `response`, computed by the first call
+  /// (std::call_once, trimmed to size) and returned unchanged by every later
+  /// one, whatever encoder it passes: one entry has one encoding. The view
+  /// lives as long as the entry.
+  std::string_view memo(Encoder encode) const {
+    std::call_once(memo_once_, [&] {
+      encode(memo_, response);
+      memo_.shrink_to_fit();
+    });
+    return memo_;
+  }
+
+ private:
+  mutable std::once_flag memo_once_;
+  mutable std::string memo_;
+};
+
+/// Fixed-capacity LRU map CacheKey -> shared CachedResponse. All operations
+/// take an internal mutex, so one cache may back concurrent run_batch calls.
 class ResponseCache {
  public:
   /// capacity == 0 constructs a disabled cache: lookups miss without
@@ -103,15 +143,16 @@ class ResponseCache {
   bool enabled() const { return capacity_ > 0; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Returns a copy of the cached Response and promotes the entry to
-  /// most-recently-used; std::nullopt on miss. Counts a hit on success;
-  /// a miss is counted by the insert() that completes the request.
-  std::optional<Response> lookup(const CacheKey& key) LMDS_EXCLUDES(mu_);
+  /// Returns the cached entry itself (shared, never copied) and promotes it
+  /// to most-recently-used; nullptr on miss. Counts a hit on success; a miss
+  /// is counted by the insert() that completes the request.
+  std::shared_ptr<const CachedResponse> lookup(const CacheKey& key) LMDS_EXCLUDES(mu_);
 
-  /// Inserts (or refreshes) an entry, evicting the least-recently-used one
-  /// when at capacity. Counts one miss — insert() is called exactly once per
-  /// computed Response, so the counter tracks completed work, not attempts.
-  /// Returns true iff an entry was evicted.
+  /// Inserts (or refreshes) an entry holding an exact-size copy of `value`,
+  /// evicting the least-recently-used one when at capacity. Counts one miss
+  /// — insert() is called exactly once per computed Response, so the counter
+  /// tracks completed work, not attempts. Returns true iff an entry was
+  /// evicted.
   bool insert(const CacheKey& key, const Response& value) LMDS_EXCLUDES(mu_);
 
   CacheStats stats() const LMDS_EXCLUDES(mu_);
@@ -157,7 +198,8 @@ class ResponseCache {
   void load_file(const std::string& path);
 
  private:
-  using LruList = std::list<std::pair<CacheKey, Response>>;  // front = MRU
+  using LruList =
+      std::list<std::pair<CacheKey, std::shared_ptr<const CachedResponse>>>;  // front = MRU
 
   /// Evicts the least-recently-used entry, charging the eviction to the
   /// namespace losing it (capacity is shared; that need not be the

@@ -44,6 +44,21 @@ std::vector<Response> BatchExecutor::run_batch(
     const BatchOverrides& over, BatchDiagnostics* diag,
     std::span<const std::uint64_t> graph_hashes,
     std::span<const std::shared_ptr<const PatchLineage>> lineages) {
+  const std::vector<std::shared_ptr<const CachedResponse>> entries =
+      run_batch_shared(solver, graphs, req, over, diag, graph_hashes, lineages);
+  std::vector<Response> out;
+  out.reserve(entries.size());
+  for (const std::shared_ptr<const CachedResponse>& entry : entries) {
+    out.push_back(entry->response);
+  }
+  return out;
+}
+
+std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shared(
+    std::string_view solver, std::span<const Graph* const> graphs, const Request& req,
+    const BatchOverrides& over, BatchDiagnostics* diag,
+    std::span<const std::uint64_t> graph_hashes,
+    std::span<const std::shared_ptr<const PatchLineage>> lineages) {
   const std::size_t count = graphs.size();
   // Validate once, up front: a malformed request throws here, on the calling
   // thread, before any worker spawns or cache entry is touched. Workers then
@@ -86,7 +101,7 @@ std::vector<Response> BatchExecutor::run_batch(
     ~InFlightGuard() { gauge.fetch_sub(1, std::memory_order_relaxed); }
   } in_flight_guard{batches_in_flight_};
 
-  std::vector<Response> out(count);
+  std::vector<std::shared_ptr<const CachedResponse>> out(count);
   // Per-batch counters: concurrent run_batch calls share the cache, so the
   // per-batch numbers must be counted at the access sites, not diffed from
   // the cache's global stats.
@@ -108,11 +123,37 @@ std::vector<Response> BatchExecutor::run_batch(
     const std::string options_key =
         use_cache ? canonical_options(resolved, req.measure_traffic, req.measure_ratio)
                   : std::string();
+    // Slot i's fingerprint: the caller's, else graph_hash computed on first
+    // use. Each slot is touched by one thread at a time.
+    std::vector<std::uint64_t> hashes(count, 0);
+    std::copy_n(graph_hashes.begin(), std::min(count, graph_hashes.size()), hashes.begin());
+    const auto hash_of = [&](std::size_t i) {
+      if (hashes[i] == 0) hashes[i] = graph::graph_hash(*graphs[i]);
+      return hashes[i];
+    };
 
-    // Workers claim shards in index order from one atomic cursor. A shard
-    // counts as stolen (BatchDiagnostics::stolen_shards) when a worker other
-    // than its round-robin home, s % workers, runs it.
-    std::atomic<int> next_shard{0};
+    // The hit prefix: the calling thread answers slots from the cache until
+    // the first miss, so an all-hit batch never forks. It stops there rather
+    // than looking up every slot: a graph repeated later in a cold batch must
+    // still hit the entry its first occurrence inserts.
+    std::size_t prefix = 0;
+    if (use_cache) {
+      CacheKey key{0, std::string(solver), options_key, over.cache_namespace};
+      for (; prefix < count; ++prefix) {
+        key.graph_hash = hash_of(prefix);
+        std::shared_ptr<const CachedResponse> hit = cache_.lookup(key);
+        if (!hit) break;
+        out[prefix] = std::move(hit);
+      }
+      hits.fetch_add(prefix, std::memory_order_relaxed);
+    }
+    const int first_shard = static_cast<int>(prefix / shard_size);
+
+    // Workers claim the shards left after the prefix in index order from one
+    // atomic cursor. A shard counts as stolen (BatchDiagnostics::
+    // stolen_shards) when a worker other than its round-robin home,
+    // s % workers, runs it.
+    std::atomic<int> next_shard{first_shard};
 
     // The flag makes every worker stop claiming. A claimed shard always runs
     // to its first failure, and every shard below a failing one was claimed
@@ -141,7 +182,7 @@ std::vector<Response> BatchExecutor::run_batch(
                                  const PatchLineage& lin) -> std::optional<Response> {
       const CacheKey parent_key{lin.parent_hash, std::string(solver), options_key,
                                 over.cache_namespace};
-      std::optional<Response> parent = cache_.lookup(parent_key);
+      const std::shared_ptr<const CachedResponse> parent = cache_.lookup(parent_key);
       if (!parent) return std::nullopt;
       const Graph& pg = *lin.parent;
       const auto pn = static_cast<graph::Vertex>(pg.num_vertices());
@@ -175,8 +216,10 @@ std::vector<Response> BatchExecutor::run_batch(
       }
 
       std::vector<char> in_parent(static_cast<std::size_t>(pn), 0);
-      for (graph::Vertex v : parent->solution) in_parent[static_cast<std::size_t>(v)] = 1;
-      Response result = *std::move(parent);  // solver/problem/diag carry over:
+      for (graph::Vertex v : parent->response.solution) {
+        in_parent[static_cast<std::size_t>(v)] = 1;
+      }
+      Response result = parent->response;  // solver/problem/diag carry over:
       // every decomposable solver's diagnostics are solution-independent
       // constants (its round count), and traffic/ratio are excluded above.
       result.solution.clear();
@@ -192,16 +235,15 @@ std::vector<Response> BatchExecutor::run_batch(
         const CacheKey sub_key{graph::graph_hash(support.graph), std::string(solver),
                                options_key + "|ball=r" + std::to_string(locality),
                                over.cache_namespace};
-        Response sub;
-        if (std::optional<Response> sub_hit = cache_.lookup(sub_key)) {
-          sub = *std::move(sub_hit);
-        } else {
-          sub = registry_.run_resolved(solver, support.graph, resolved, false, false,
-                                       intra_threads);
-          cache_.insert(sub_key, sub);
+        std::shared_ptr<const CachedResponse> sub = cache_.lookup(sub_key);
+        if (!sub) {
+          Response fresh = registry_.run_resolved(solver, support.graph, resolved, false,
+                                                  false, intra_threads);
+          cache_.insert(sub_key, fresh);
+          sub = std::make_shared<const CachedResponse>(std::move(fresh));
         }
         in_sub.assign(static_cast<std::size_t>(support.graph.num_vertices()), 0);
-        for (graph::Vertex v : sub.solution) in_sub[static_cast<std::size_t>(v)] = 1;
+        for (graph::Vertex v : sub->response.solution) in_sub[static_cast<std::size_t>(v)] = 1;
       }
       for (graph::Vertex v = 0; v < cn; ++v) {
         // A clean vertex is < pn by construction (new vertices are all dirty).
@@ -223,13 +265,10 @@ std::vector<Response> BatchExecutor::run_batch(
       const Graph& g = *graphs[i];
       CacheKey key;
       if (use_cache) {
-        const std::uint64_t hash = i < graph_hashes.size() && graph_hashes[i] != 0
-                                       ? graph_hashes[i]
-                                       : graph::graph_hash(g);
-        key = CacheKey{hash, std::string(solver), options_key, over.cache_namespace};
-        if (std::optional<Response> hit = cache_.lookup(key)) {
+        key = CacheKey{hash_of(i), std::string(solver), options_key, over.cache_namespace};
+        if (std::shared_ptr<const CachedResponse> hit = cache_.lookup(key)) {
           hits.fetch_add(1, std::memory_order_relaxed);
-          out[i] = *std::move(hit);
+          out[i] = std::move(hit);
           return;
         }
       }
@@ -238,26 +277,27 @@ std::vector<Response> BatchExecutor::run_batch(
         if (std::optional<Response> spliced =
                 locality >= 0 ? incremental_solve(g, *lin) : std::nullopt) {
           incr_solves.fetch_add(1, std::memory_order_relaxed);
-          out[i] = *std::move(spliced);
           misses.fetch_add(1, std::memory_order_relaxed);
-          if (cache_.insert(key, out[i])) {
+          if (cache_.insert(key, *spliced)) {
             evictions.fetch_add(1, std::memory_order_relaxed);
           }
+          out[i] = std::make_shared<const CachedResponse>(*std::move(spliced));
           return;
         }
         incr_fallbacks.fetch_add(1, std::memory_order_relaxed);
       }
-      out[i] = registry_.run_resolved(solver, g, resolved, req.measure_traffic,
-                                      req.measure_ratio, intra_threads);
+      Response fresh = registry_.run_resolved(solver, g, resolved, req.measure_traffic,
+                                              req.measure_ratio, intra_threads);
       // The miss is counted only now that the compute succeeded (a throwing
       // solve never reaches here), keeping hits + misses equal to completed
       // work; ResponseCache::insert counts its own lifetime miss the same way.
       if (use_cache) {
         misses.fetch_add(1, std::memory_order_relaxed);
-        if (cache_.insert(key, out[i])) {
+        if (cache_.insert(key, fresh)) {
           evictions.fetch_add(1, std::memory_order_relaxed);
         }
       }
+      out[i] = std::make_shared<const CachedResponse>(std::move(fresh));
     };
 
     auto worker = [&](int w) {
@@ -267,7 +307,7 @@ std::vector<Response> BatchExecutor::run_batch(
         if (shard % workers != w) stolen.fetch_add(1, std::memory_order_relaxed);
         const std::size_t begin = static_cast<std::size_t>(shard) * shard_size;
         const std::size_t end = std::min(begin + shard_size, count);
-        for (std::size_t i = begin; i != end; ++i) {
+        for (std::size_t i = std::max(begin, prefix); i != end; ++i) {
           try {
             run_one(i);
           } catch (...) {
@@ -283,12 +323,15 @@ std::vector<Response> BatchExecutor::run_batch(
       }
     };
 
-    // One worker per index; worker 0 runs on the calling thread, so a
-    // threads=1 batch never spawns and a saturated process still makes
-    // progress on the caller.
-    common::parallel_for(workers, workers, [&](int begin, int end) {
-      for (int w = begin; w < end; ++w) worker(w);
-    });
+    // One worker per index, at most one per shard left; worker 0 runs on the
+    // calling thread, so a threads=1 batch never spawns and a saturated
+    // process still makes progress on the caller.
+    if (prefix < count) {
+      const int forked = std::min(workers, shards - first_shard);
+      common::parallel_for(forked, forked, [&](int begin, int end) {
+        for (int w = begin; w < end; ++w) worker(w);
+      });
+    }
 
     if (first_error) std::rethrow_exception(first_error);
     solves_served_.fetch_add(count, std::memory_order_relaxed);

@@ -5,6 +5,8 @@
 // the systems analogue at the serving layer is parallelism *across graphs*:
 // a batch is cut into shards, and a fixed-size set of workers forked by
 // common::parallel_for claims them in index order from one atomic cursor.
+// The calling thread first answers the longest prefix of cache hits, and
+// forks only if a slot is left — warm serving batches never spawn a thread.
 //
 // Guarantees:
 //  * Deterministic results — response i answers graphs[i] and is written to
@@ -82,7 +84,10 @@ struct BatchOverrides {
 /// concurrent run_batch calls on one executor); lifetime totals are
 /// BatchExecutor::cache_stats().
 struct BatchDiagnostics {
-  int threads = 1;           ///< workers actually used
+  /// Workers the batch was sized for: min(threads, shards). The cache-hit
+  /// prefix runs on the calling thread first, so an all-hit batch forks
+  /// nothing and reports 0 stolen shards, with threads and shards unchanged.
+  int threads = 1;
   int intra_threads = 1;     ///< per-solve worker count (resolved; 1 = off)
   int shards = 0;            ///< shards the batch was cut into
   std::uint64_t stolen_shards = 0;  ///< shards run off their round-robin home worker (s % threads)
@@ -164,6 +169,19 @@ class BatchExecutor {
                                   std::span<const std::uint64_t> graph_hashes = {},
                                   std::span<const std::shared_ptr<const PatchLineage>>
                                       lineages = {});
+
+  /// The pointer-span run_batch without the copies: slot i answers graphs[i]
+  /// with a shared entry — on a cache hit the cache's own entry, otherwise a
+  /// private one holding the fresh Response (the cache keeps its own
+  /// exact-size copy). A serving front-end encodes each slot through
+  /// CachedResponse::memo, so only entries served as hits keep their bytes.
+  /// The Response-vector overloads copy out of these; same arguments, same
+  /// diagnostics, same errors.
+  std::vector<std::shared_ptr<const CachedResponse>> run_batch_shared(
+      std::string_view solver, std::span<const Graph* const> graphs, const Request& req,
+      const BatchOverrides& over, BatchDiagnostics* diag = nullptr,
+      std::span<const std::uint64_t> graph_hashes = {},
+      std::span<const std::shared_ptr<const PatchLineage>> lineages = {});
 
   const BatchOptions& options() const { return opts_; }
   /// Lifetime counters of the executor's cache.

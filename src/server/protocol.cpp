@@ -1,6 +1,7 @@
 #include "server/protocol.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <optional>
 
@@ -619,40 +620,31 @@ std::optional<ErrorCode> error_code_of(std::string_view line) {
 
 namespace {
 
-void append_vertices(std::string& out, const std::vector<api::Vertex>& vs) {
-  out += '[';
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    if (i) out += ',';
-    out += std::to_string(vs[i]);
-  }
-  out += ']';
+/// Appends the decimal spelling of `v` — what std::to_string writes, without
+/// the temporary.
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];  // any 64-bit value with its sign
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
-void append_response(std::string& out, const api::Response& r) {
-  out += "{\"solver\":";
-  json_append_string(out, r.solver);
-  out += ",\"problem\":";
-  json_append_string(out, to_string(r.problem));
-  out += ",\"solution\":";
-  append_vertices(out, r.solution);
-  out += ",\"valid\":";
-  out += r.valid ? "true" : "false";
-  out += ",\"rounds\":";
-  out += std::to_string(r.diag.rounds);
-  if (r.diag.traffic_measured) {
-    out += ",\"traffic\":{\"rounds\":" + std::to_string(r.diag.traffic.rounds) +
-           ",\"messages\":" + std::to_string(r.diag.traffic.messages) +
-           ",\"bytes\":" + std::to_string(r.diag.traffic.bytes) + '}';
+/// The longest spelling of one element of a vertex array, comma included.
+constexpr std::size_t kMaxVertexChars = 12;  // ",-2147483648"
+
+/// Appends `vs` as a JSON int array, written with std::to_chars straight into
+/// `out`: the tail is sized for the longest spelling, then trimmed.
+void append_vertices(std::string& out, const std::vector<api::Vertex>& vs) {
+  const std::size_t start = out.size();
+  out.resize(start + 2 + kMaxVertexChars * vs.size());
+  char* p = out.data() + start;
+  char* const end = out.data() + out.size();
+  *p++ = '[';
+  for (std::size_t i = 0; i < vs.size(); ++i) {
+    if (i) *p++ = ',';
+    p = std::to_chars(p, end, vs[i]).ptr;
   }
-  if (r.ratio_measured) {
-    out += ",\"ratio\":{\"solution_size\":" + std::to_string(r.ratio.solution_size) +
-           ",\"reference\":" + std::to_string(r.ratio.reference) + ",\"exact\":";
-    out += r.ratio.exact ? "true" : "false";
-    out += ",\"ratio\":";
-    json_append_double(out, r.ratio.ratio);
-    out += '}';
-  }
-  out += '}';
+  *p++ = ']';
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 // Everything after the "responses" array — shared by the local and the
@@ -690,14 +682,51 @@ void append_solve_tail(std::string& out, const api::BatchDiagnostics& diag,
   out += "}}";
 }
 
+constexpr std::string_view kSolveHead = "{\"ok\":true,\"op\":\"solve\",\"responses\":[";
+
 }  // namespace
+
+void encode_response_element(std::string& out, const api::Response& r) {
+  // Room for the whole element: the fixed members and the optional traffic
+  // and ratio objects fit in 256 bytes, the solution in its longest spelling.
+  out.reserve(out.size() + 256 + r.solver.size() + kMaxVertexChars * r.solution.size());
+  out += "{\"solver\":";
+  json_append_string(out, r.solver);
+  out += ",\"problem\":";
+  json_append_string(out, to_string(r.problem));
+  out += ",\"solution\":";
+  append_vertices(out, r.solution);
+  out += r.valid ? ",\"valid\":true" : ",\"valid\":false";
+  out += ",\"rounds\":";
+  append_int(out, r.diag.rounds);
+  if (r.diag.traffic_measured) {
+    out += ",\"traffic\":{\"rounds\":";
+    append_int(out, r.diag.traffic.rounds);
+    out += ",\"messages\":";
+    append_int(out, r.diag.traffic.messages);
+    out += ",\"bytes\":";
+    append_int(out, r.diag.traffic.bytes);
+    out += '}';
+  }
+  if (r.ratio_measured) {
+    out += ",\"ratio\":{\"solution_size\":";
+    append_int(out, r.ratio.solution_size);
+    out += ",\"reference\":";
+    append_int(out, r.ratio.reference);
+    out += r.ratio.exact ? ",\"exact\":true" : ",\"exact\":false";
+    out += ",\"ratio\":";
+    json_append_double(out, r.ratio.ratio);
+    out += '}';
+  }
+  out += '}';
+}
 
 std::string encode_solve_result(std::span<const api::Response> responses,
                                 const api::BatchDiagnostics& diag, std::string_view ns) {
-  std::string out = "{\"ok\":true,\"op\":\"solve\",\"responses\":[";
+  std::string out(kSolveHead);
   for (std::size_t i = 0; i < responses.size(); ++i) {
     if (i) out += ',';
-    append_response(out, responses[i]);
+    encode_response_element(out, responses[i]);
   }
   append_solve_tail(out, diag, ns);
   return out;
@@ -706,7 +735,11 @@ std::string encode_solve_result(std::span<const api::Response> responses,
 std::string encode_solve_result_raw(std::span<const std::string_view> raw_responses,
                                     const api::BatchDiagnostics& diag,
                                     std::string_view ns) {
-  std::string out = "{\"ok\":true,\"op\":\"solve\",\"responses\":[";
+  std::size_t size = kSolveHead.size() + 256 + ns.size();  // head + tail
+  for (const std::string_view raw : raw_responses) size += raw.size() + 1;
+  std::string out;
+  out.reserve(size);
+  out += kSolveHead;
   for (std::size_t i = 0; i < raw_responses.size(); ++i) {
     if (i) out += ',';
     out += raw_responses[i];

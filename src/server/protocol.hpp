@@ -235,6 +235,13 @@ std::string encode_error(ErrorCode code, std::string_view message);
 /// parse is needed. std::nullopt for any other line (success lines included).
 std::optional<ErrorCode> error_code_of(std::string_view line);
 
+/// Appends one element of a solve line's "responses" array — the JSON object
+/// for `r` — to `out`. The one writer of response elements:
+/// encode_solve_result calls it per slot, and Session::do_solve memoizes its
+/// bytes on each slot's cache entry (api::CachedResponse::memo), so a warm
+/// hit splices bytes encoded once instead of re-encoding its Response.
+void encode_response_element(std::string& out, const api::Response& r);
+
 /// The solve success line: responses[i] answers graphs[i]. A non-empty `ns`
 /// is echoed as a "namespace" member (absent for the default namespace, so
 /// v1 responses are byte-identical to before namespaces existed).
@@ -242,9 +249,12 @@ std::string encode_solve_result(std::span<const api::Response> responses,
                                 const api::BatchDiagnostics& diag,
                                 std::string_view ns = {});
 
-/// The router's variant: each element of `raw_responses` is the *verbatim
-/// text* of one already-encoded response object, spliced into the
-/// "responses" array unreparsed. This is what makes a routed batch
+/// The splice variant, and the encoder of every solve line a server sends:
+/// each element of `raw_responses` is the *verbatim text* of one
+/// already-encoded response object, spliced into the "responses" array
+/// unreparsed — a worker's reply in the router, an entry's memo in
+/// Session::do_solve. The line equals encode_solve_result of the same
+/// Responses byte for byte. This is also what makes a routed batch
 /// bit-identical to a single-server solve — re-encoding parsed JSON would
 /// reorder object keys (JsonValue::Object is a sorted map).
 std::string encode_solve_result_raw(std::span<const std::string_view> raw_responses,

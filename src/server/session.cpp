@@ -195,12 +195,12 @@ std::string Session::do_solve(const JsonValue& root) {
   }
 
   api::BatchDiagnostics diag;
-  std::vector<api::Response> responses;
+  std::vector<std::shared_ptr<const api::CachedResponse>> entries;
   try {
-    responses = core_.executor().run_batch(req.solver, {ptrs.data(), ptrs.size()},
-                                           req.request, req.overrides, &diag,
-                                           {req.hashes.data(), req.hashes.size()},
-                                           {lineages.data(), lineages.size()});
+    entries = core_.executor().run_batch_shared(req.solver, {ptrs.data(), ptrs.size()},
+                                                req.request, req.overrides, &diag,
+                                                {req.hashes.data(), req.hashes.size()},
+                                                {lineages.data(), lineages.size()});
   } catch (const api::RequestError& e) {
     // Undeclared option, type mismatch, traffic on a centralized-only
     // solver — the request's fault, not the solver's.
@@ -210,8 +210,16 @@ std::string Session::do_solve(const JsonValue& root) {
                         "solver '" + req.solver + "' failed: " + e.what());
   }
   core_.count_graphs(req.graphs.size());
-  return encode_solve_result({responses.data(), responses.size()}, diag,
-                             req.overrides.cache_namespace);
+  // Each slot's element is its entry's memo: a hit's entry is the cache's
+  // own, encoded on its first hit and spliced unchanged ever after; a miss's
+  // is private and freed with this reply.
+  std::vector<std::string_view> elements;
+  elements.reserve(entries.size());
+  for (const std::shared_ptr<const api::CachedResponse>& entry : entries) {
+    elements.push_back(entry->memo(encode_response_element));
+  }
+  return encode_solve_result_raw({elements.data(), elements.size()}, diag,
+                                 req.overrides.cache_namespace);
 }
 
 std::string Session::do_put_graph(const JsonValue& root) {

@@ -1,8 +1,9 @@
 // Tests for the batch-serving layer: graph_hash fingerprints, the LRU
 // response cache (hit identity, eviction, counters, crash-safe snapshot
-// files), the sharded parallel executor (determinism across thread counts,
-// error propagation, concurrent callers) and the typed ParamValue widening
-// of SolverSpec parameters.
+// files, shared entries and their byte memo), the sharded parallel executor
+// (determinism across thread counts, error propagation, concurrent callers,
+// the cache-hit prefix that keeps all-hit batches off the fork) and the
+// typed ParamValue widening of SolverSpec parameters.
 
 #include <gtest/gtest.h>
 
@@ -112,13 +113,13 @@ TEST(ResponseCache, HitReturnsStoredResponseAndPromotes) {
   cache.insert(key_of(2), response_of(2));
 
   const auto hit = cache.lookup(key_of(1));  // promotes 1 to MRU
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, response_of(1));
+  ASSERT_TRUE(hit != nullptr);
+  EXPECT_EQ(hit->response, response_of(1));
 
   cache.insert(key_of(3), response_of(3));  // evicts LRU = 2, not 1
-  EXPECT_TRUE(cache.lookup(key_of(1)).has_value());
-  EXPECT_FALSE(cache.lookup(key_of(2)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(3)).has_value());
+  EXPECT_TRUE(cache.lookup(key_of(1)) != nullptr);
+  EXPECT_FALSE(cache.lookup(key_of(2)) != nullptr);
+  EXPECT_TRUE(cache.lookup(key_of(3)) != nullptr);
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -138,17 +139,17 @@ TEST(ResponseCache, EvictsAtCapacity) {
   EXPECT_EQ(stats.size, 3u);
   EXPECT_EQ(stats.evictions, 7u);
   // The three most recently inserted survive.
-  EXPECT_TRUE(cache.lookup(key_of(9)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(8)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(7)).has_value());
-  EXPECT_FALSE(cache.lookup(key_of(6)).has_value());
+  EXPECT_TRUE(cache.lookup(key_of(9)) != nullptr);
+  EXPECT_TRUE(cache.lookup(key_of(8)) != nullptr);
+  EXPECT_TRUE(cache.lookup(key_of(7)) != nullptr);
+  EXPECT_FALSE(cache.lookup(key_of(6)) != nullptr);
 }
 
 TEST(ResponseCache, ZeroCapacityIsDisabled) {
   ResponseCache cache(0);
   EXPECT_FALSE(cache.enabled());
   cache.insert(key_of(1), response_of(1));
-  EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
+  EXPECT_FALSE(cache.lookup(key_of(1)) != nullptr);
   EXPECT_EQ(cache.stats().misses, 0u);  // disabled lookups do not count
 }
 
@@ -198,8 +199,8 @@ TEST(ResponseCache, SnapshotRoundTripPreservesEntriesAndRecency) {
   EXPECT_EQ(restored.stats().size, 3u);
   for (int tag = 1; tag <= 3; ++tag) {
     const auto hit = restored.lookup(key_of(tag));
-    ASSERT_TRUE(hit.has_value()) << "tag " << tag;
-    EXPECT_EQ(*hit, response_of(tag));
+    ASSERT_TRUE(hit != nullptr) << "tag " << tag;
+    EXPECT_EQ(hit->response, response_of(tag));
   }
   // Recency survived the round trip: inserting one new entry must evict the
   // snapshot's LRU entry (2), not 1 or 3. Rebuild to avoid the lookups above.
@@ -208,9 +209,9 @@ TEST(ResponseCache, SnapshotRoundTripPreservesEntriesAndRecency) {
   snapshot.seekg(0);
   again.deserialize(snapshot);
   again.insert(key_of(99), response_of(99));
-  EXPECT_TRUE(again.lookup(key_of(1)).has_value());
-  EXPECT_TRUE(again.lookup(key_of(3)).has_value());
-  EXPECT_FALSE(again.lookup(key_of(2)).has_value());
+  EXPECT_TRUE(again.lookup(key_of(1)) != nullptr);
+  EXPECT_TRUE(again.lookup(key_of(3)) != nullptr);
+  EXPECT_FALSE(again.lookup(key_of(2)) != nullptr);
 }
 
 TEST(ResponseCache, SnapshotPreservesFullResponsePayload) {
@@ -239,8 +240,8 @@ TEST(ResponseCache, SnapshotPreservesFullResponsePayload) {
   ResponseCache restored(4);
   restored.deserialize(snapshot);
   const auto hit = restored.lookup(key_of(42));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, r);  // field-wise, the determinism operator
+  ASSERT_TRUE(hit != nullptr);
+  EXPECT_EQ(hit->response, r);  // field-wise, the determinism operator
 }
 
 TEST(ResponseCache, SnapshotClampsToCapacityKeepingMostRecent) {
@@ -254,10 +255,10 @@ TEST(ResponseCache, SnapshotClampsToCapacityKeepingMostRecent) {
   const CacheStats stats = small.stats();
   EXPECT_EQ(stats.size, 3u);
   EXPECT_EQ(stats.evictions, 0u);  // clamping a snapshot is not an eviction
-  EXPECT_TRUE(small.lookup(key_of(7)).has_value());
-  EXPECT_TRUE(small.lookup(key_of(6)).has_value());
-  EXPECT_TRUE(small.lookup(key_of(5)).has_value());
-  EXPECT_FALSE(small.lookup(key_of(4)).has_value());
+  EXPECT_TRUE(small.lookup(key_of(7)) != nullptr);
+  EXPECT_TRUE(small.lookup(key_of(6)) != nullptr);
+  EXPECT_TRUE(small.lookup(key_of(5)) != nullptr);
+  EXPECT_FALSE(small.lookup(key_of(4)) != nullptr);
 }
 
 TEST(ResponseCache, RejectsCorruptAndTruncatedSnapshots) {
@@ -282,7 +283,7 @@ TEST(ResponseCache, RejectsCorruptAndTruncatedSnapshots) {
 
   // Every failed load left the target untouched.
   EXPECT_EQ(target.stats().size, 1u);
-  EXPECT_TRUE(target.lookup(key_of(100)).has_value());
+  EXPECT_TRUE(target.lookup(key_of(100)) != nullptr);
 }
 
 TEST(ResponseCache, FailedSaveFileKeepsThePreviousSnapshot) {
@@ -306,8 +307,8 @@ TEST(ResponseCache, FailedSaveFileKeepsThePreviousSnapshot) {
   ResponseCache restored(4);
   restored.load_file(path);
   EXPECT_EQ(restored.stats().size, 1u);
-  EXPECT_TRUE(restored.lookup(key_of(1)).has_value());
-  EXPECT_FALSE(restored.lookup(key_of(2)).has_value());
+  EXPECT_TRUE(restored.lookup(key_of(1)) != nullptr);
+  EXPECT_FALSE(restored.lookup(key_of(2)) != nullptr);
   fs::remove(path);
 }
 
@@ -554,6 +555,103 @@ TEST(BatchExecutor, EmptyBatchReturnsEmpty) {
 }
 
 // ---------------------------------------------------------------------------
+// The hit prefix (an all-hit batch never forks) and shared cache entries
+
+// Eight distinct graphs: one per shard at shard_size 1.
+std::vector<Graph> eight_graphs() {
+  std::vector<Graph> gs;
+  for (int n = 5; n < 13; ++n) gs.push_back(graph::gen::cycle(n));
+  return gs;
+}
+
+TEST(BatchExecutor, AllHitBatchKeepsItsSizingAndStealsNothing) {
+  const auto graphs = eight_graphs();
+  const Request req;
+  const auto reference = BatchExecutor({.threads = 1}).run_batch("greedy", span_of(graphs), req);
+  BatchExecutor executor({.threads = 4, .shard_size = 1, .cache_capacity = 64});
+  (void)executor.run_batch("greedy", span_of(graphs), req);  // fill
+  BatchDiagnostics warm;
+  EXPECT_EQ(executor.run_batch("greedy", span_of(graphs), req, &warm), reference);
+  EXPECT_EQ(warm.threads, 4);
+  EXPECT_EQ(warm.shards, 8);
+  EXPECT_EQ(warm.stolen_shards, 0u);
+  EXPECT_EQ(warm.cache_hits, 8u);
+  EXPECT_EQ(warm.cache_misses, 0u);
+}
+
+TEST(BatchExecutor, MissAfterTheHitPrefixMatchesOneThread) {
+  const auto graphs = eight_graphs();
+  const Request req;
+  const auto reference = BatchExecutor({.threads = 1}).run_batch("greedy", span_of(graphs), req);
+  // Shard size 3 puts the middle and last misses inside a shard the prefix
+  // already entered.
+  for (const int shard_size : {1, 3}) {
+    for (const std::size_t miss : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
+      BatchExecutor executor({.threads = 4, .shard_size = shard_size, .cache_capacity = 64});
+      std::vector<Graph> others;
+      for (std::size_t i = 0; i < graphs.size(); ++i) {
+        if (i != miss) others.push_back(graphs[i]);
+      }
+      (void)executor.run_batch("greedy", span_of(others), req);  // warm all but `miss`
+      BatchDiagnostics diag;
+      EXPECT_EQ(executor.run_batch("greedy", span_of(graphs), req, &diag), reference)
+          << "shard_size " << shard_size << ", miss at " << miss;
+      EXPECT_EQ(diag.cache_hits, 7u) << "shard_size " << shard_size << ", miss at " << miss;
+      EXPECT_EQ(diag.cache_misses, 1u) << "shard_size " << shard_size << ", miss at " << miss;
+    }
+  }
+}
+
+TEST(BatchExecutor, RepeatedGraphInAColdBatchHitsItsFirstOccurrence) {
+  const std::vector<Graph> twice = {graph::gen::grid(3, 4), graph::gen::grid(3, 4)};
+  BatchExecutor executor({.threads = 1, .shard_size = 4, .cache_capacity = 8});
+  BatchDiagnostics diag;
+  const auto out = executor.run_batch("greedy", span_of(twice), Request{}, &diag);
+  EXPECT_EQ(out[0], out[1]);
+  EXPECT_EQ(diag.cache_misses, 1u);
+  EXPECT_EQ(diag.cache_hits, 1u);
+}
+
+TEST(BatchExecutor, HitsShareTheCacheEntryAndMissesGetAPrivateOne) {
+  const Graph g = graph::gen::grid(4, 4);
+  const Graph* const graphs[] = {&g};
+  const Request req;
+  BatchExecutor executor({.threads = 1, .cache_capacity = 8});
+  const CacheKey key{graph::graph_hash(g), "greedy",
+                     canonical_options(Registry::instance().resolve_options("greedy", req),
+                                       false, false),
+                     ""};
+
+  const auto cold = executor.run_batch_shared("greedy", graphs, req, BatchOverrides{});
+  const auto cached = executor.cache().lookup(key);
+  ASSERT_NE(cached, nullptr);
+  EXPECT_NE(cold[0], cached);                       // the miss answers from its own entry,
+  EXPECT_EQ(cold[0]->response, cached->response);  // holding the Response the cache copied
+  const auto warm = executor.run_batch_shared("greedy", graphs, req, BatchOverrides{});
+  EXPECT_EQ(warm[0], cached);  // a hit hands out the cache's entry itself
+
+  BatchOverrides bypass;
+  bypass.bypass_cache = true;
+  const auto fresh = executor.run_batch_shared("greedy", graphs, req, bypass);
+  EXPECT_NE(fresh[0], cached);
+  EXPECT_EQ(fresh[0]->response, cached->response);
+}
+
+TEST(CachedResponse, MemoEncodesOnceAndKeepsItsBytes) {
+  static int calls = 0;
+  const auto encode = [](std::string& out, const Response& r) {
+    ++calls;
+    out += "solution=" + std::to_string(r.solution.at(0));
+  };
+  const CachedResponse entry(response_of(5));
+  const std::string_view first = entry.memo(encode);
+  const std::string_view second = entry.memo(encode);
+  EXPECT_EQ(first, "solution=5");
+  EXPECT_EQ(second.data(), first.data());  // the stored bytes, not a re-encode
+  EXPECT_EQ(calls, 1);
+}
+
+// ---------------------------------------------------------------------------
 // Typed ParamValue
 
 TEST(ParamValue, TypedAccessors) {
@@ -666,11 +764,11 @@ TEST(ParamValue, ParseParamValueRejectsMalformedAndOutOfRange) {
 TEST(ResponseCache, NamespacesNeverShareEntries) {
   ResponseCache cache(8);
   cache.insert(key_in_ns(1, ""), response_of(1));
-  EXPECT_FALSE(cache.lookup(key_in_ns(1, "tenant-a")).has_value());
+  EXPECT_FALSE(cache.lookup(key_in_ns(1, "tenant-a")) != nullptr);
   cache.insert(key_in_ns(1, "tenant-a"), response_of(2));
   // Same (hash, solver, options) — distinct namespaces hold distinct values.
-  EXPECT_EQ(cache.lookup(key_in_ns(1, ""))->solution, response_of(1).solution);
-  EXPECT_EQ(cache.lookup(key_in_ns(1, "tenant-a"))->solution, response_of(2).solution);
+  EXPECT_EQ(cache.lookup(key_in_ns(1, ""))->response.solution, response_of(1).solution);
+  EXPECT_EQ(cache.lookup(key_in_ns(1, "tenant-a"))->response.solution, response_of(2).solution);
 
   const auto ns = cache.namespace_stats();
   ASSERT_TRUE(ns.contains(""));
@@ -692,7 +790,7 @@ TEST(ResponseCache, EvictionChargedToTheNamespaceLosingTheEntry) {
   EXPECT_EQ(ns.at("a").size, 0u);
   EXPECT_EQ(ns.at("b").evictions, 0u);
   EXPECT_EQ(ns.at("b").size, 2u);
-  EXPECT_FALSE(cache.lookup(key_in_ns(1, "a")).has_value());
+  EXPECT_FALSE(cache.lookup(key_in_ns(1, "a")) != nullptr);
 }
 
 TEST(ResponseCache, NamespaceCountersAreBoundedAgainstTenantChurn) {
@@ -717,8 +815,8 @@ TEST(ResponseCache, SnapshotRoundTripPreservesNamespaces) {
 
   ResponseCache restored(4);
   restored.deserialize(snapshot);
-  EXPECT_EQ(restored.lookup(key_in_ns(1, ""))->solution, response_of(1).solution);
-  EXPECT_EQ(restored.lookup(key_in_ns(1, "tenant-a"))->solution, response_of(2).solution);
+  EXPECT_EQ(restored.lookup(key_in_ns(1, ""))->response.solution, response_of(1).solution);
+  EXPECT_EQ(restored.lookup(key_in_ns(1, "tenant-a"))->response.solution, response_of(2).solution);
   const auto ns = restored.namespace_stats();
   EXPECT_EQ(ns.at("").size, 1u);
   EXPECT_EQ(ns.at("tenant-a").size, 1u);
@@ -775,9 +873,9 @@ TEST(ResponseCache, ReadsVersion1SnapshotsIntoDefaultNamespace) {
   std::stringstream snapshot(bytes, std::ios::in | std::ios::binary);
   cache.deserialize(snapshot);
   const auto hit = cache.lookup(CacheKey{7, "solver", "opts", ""});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->solution, std::vector<Vertex>{5});
-  EXPECT_FALSE(cache.lookup(CacheKey{7, "solver", "opts", "tenant-a"}).has_value());
+  ASSERT_TRUE(hit != nullptr);
+  EXPECT_EQ(hit->response.solution, std::vector<Vertex>{5});
+  EXPECT_FALSE(cache.lookup(CacheKey{7, "solver", "opts", "tenant-a"}) != nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // TSan-targeted stress tests for the concurrent serving core: many threads
 // hammer one ServerCore through the real protocol surface — solve (inline
 // and by handle), put_graph/drop_graph, namespace_stats via the stats verb,
-// and save_cache/load_cache snapshots — all at once. The assertions are
+// save_cache/load_cache snapshots, and first hits racing to fill one cache
+// entry's byte memo — all at once. The assertions are
 // deliberately coarse (every response is a well-formed protocol line, the
 // counters balance at the end): the real check is the ThreadSanitizer /
 // AddressSanitizer run in CI, where any data race, lock-order inversion or
@@ -221,6 +222,43 @@ TEST(Concurrency, ConcurrentNamespacedBatchesOnOneExecutor) {
   std::size_t total = 0;
   for (const auto& [ns, stats] : namespaces) total += stats.size;
   EXPECT_EQ(total, executor.cache_stats().size);
+}
+
+// The first hit on a cache entry fills its byte memo (std::call_once). Eight
+// sessions hitting a never-hit entry at once must all send the same bytes: a
+// fresh encode of the Response under the all-hit diag, which the calling
+// thread answers without forking.
+TEST(Concurrency, FirstHitsOnOneEntryShareItsMemo) {
+  CoreOptions opts;
+  opts.batch = {.threads = 4, .shard_size = 1, .cache_capacity = 64};
+  opts.snapshot_dir.clear();
+  ServerCore core(opts, api::Registry::instance());
+  api::BatchDiagnostics warm;  // one graph: sized for 1 worker over 1 shard
+  warm.shards = 1;
+  warm.cache_hits = 1;
+  for (int round = 0; round < 6; ++round) {
+    const graph::Graph g = graph::gen::grid(3, 3 + round);  // a fresh entry per round
+    const std::string line = solve_inline_request(g, 4);
+    ASSERT_TRUE(is_ok(Session(core).handle_line(line)));  // the miss inserts it, unencoded
+    api::Request req;
+    req.graph = &g;
+    const api::Response direct = api::Registry::instance().run("greedy", req);
+    const std::string expected = encode_solve_result({&direct, 1}, warm);
+
+    std::vector<std::string> replies(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        Session session(core);
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        replies[static_cast<std::size_t>(t)] = session.handle_line(line);
+      });
+    }
+    for (std::thread& th : pool) th.join();
+    for (const std::string& reply : replies) EXPECT_EQ(reply, expected) << "round " << round;
+  }
 }
 
 }  // namespace

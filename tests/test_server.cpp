@@ -1,10 +1,11 @@
 // Tests for the serving subsystem: the minimal JSON layer, protocol
-// decode/encode (graph decode, solve requests, error classes), the
-// socket-free Session core (v1 round-trips, protocol-v2 graph handles,
-// namespaces, per-request overrides, malformed-request rejection, admin
-// verbs, cache snapshot save/load/warm-hit), the HTTP front-end (routing,
-// status mapping), and real TCP round-trips over the loopback interface for
-// both transports.
+// decode/encode (graph decode, solve requests, error classes, the response
+// encoder against its std::to_string oracle), the socket-free Session core
+// (v1 round-trips, protocol-v2 graph handles, namespaces, per-request
+// overrides, malformed-request rejection, admin verbs, cache snapshot
+// save/load/warm-hit, warm replies spliced from memoized bytes), the HTTP
+// front-end (routing, status mapping), and real TCP round-trips over the
+// loopback interface for both transports.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -29,6 +32,7 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/session.hpp"
+#include "support/encode_reference.hpp"
 
 namespace lmds::server {
 namespace {
@@ -181,6 +185,85 @@ TEST(Protocol, ErrorCodeOfReadsEveryEncodedCode) {
        }) {
     EXPECT_EQ(error_code_of(line), std::nullopt) << line;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Response encoding: the std::to_chars writer against its oracle
+
+std::string reference_element(const api::Response& r) {
+  std::string out;
+  encode_response_element_reference(out, r);
+  return out;
+}
+
+std::string element(const api::Response& r) {
+  std::string out;
+  encode_response_element(out, r);
+  return out;
+}
+
+TEST(Protocol, ResponseElementMatchesReferenceOnEverySolver) {
+  std::mt19937_64 rng(20261017);
+  std::vector<Graph> gs;
+  gs.push_back(graph::gen::path(12));
+  gs.push_back(graph::gen::cycle(9));
+  gs.push_back(graph::gen::star(7));
+  gs.push_back(graph::gen::grid(4, 5));
+  gs.push_back(graph::gen::spider(4, 3));
+  gs.push_back(graph::gen::theta_chain(4, 4));
+  gs.push_back(graph::gen::caterpillar(8, 2));
+  gs.push_back(graph::gen::clique_with_pendants(9));
+  gs.push_back(graph::gen::random_tree(30, rng));
+  const api::Registry& registry = api::Registry::instance();
+  std::size_t compared = 0;
+  for (const api::SolverSpec* spec : registry.specs()) {
+    for (const bool ratio : {false, true}) {
+      for (const bool traffic : {false, true}) {
+        if (traffic && !spec->supports(api::Mode::Local)) continue;
+        api::Request req;
+        req.measure_ratio = ratio;
+        req.measure_traffic = traffic;
+        const std::vector<api::Response> responses =
+            registry.run_batch(spec->name, {gs.data(), gs.size()}, req);
+        std::vector<std::string> expected;
+        for (const api::Response& r : responses) {
+          expected.push_back(reference_element(r));
+          EXPECT_EQ(element(r), expected.back())
+              << spec->name << " ratio=" << ratio << " traffic=" << traffic;
+          ++compared;
+        }
+        // The whole line: encode_solve_result's elements are the oracle's.
+        const std::vector<std::string_view> raw(expected.begin(), expected.end());
+        api::BatchDiagnostics diag;
+        diag.shards = static_cast<int>(gs.size());
+        EXPECT_EQ(encode_solve_result({responses.data(), responses.size()}, diag, "t"),
+                  encode_solve_result_raw({raw.data(), raw.size()}, diag, "t"))
+            << spec->name;
+      }
+    }
+  }
+  EXPECT_GE(compared, registry.specs().size() * 2 * gs.size());
+}
+
+TEST(Protocol, ResponseElementMatchesReferenceOnExtremeValues) {
+  api::Response r;
+  r.solver = "quote\"slash\\ctl\x01";
+  r.problem = api::Problem::Mvc;
+  r.solution = {std::numeric_limits<api::Vertex>::min(), 0, 9, 10, 99, 100, 65535,
+                std::numeric_limits<api::Vertex>::max()};
+  r.valid = false;
+  r.ratio_measured = true;
+  r.ratio = {7, 3, false, 7.0 / 3.0};
+  r.diag.rounds = -1;
+  r.diag.traffic_measured = true;
+  r.diag.traffic = {std::numeric_limits<int>::max(), std::numeric_limits<std::uint64_t>::max(),
+                    0};
+  EXPECT_EQ(element(r), reference_element(r));
+  r.solution.clear();
+  r.ratio = {0, 0, true, 0.0};
+  r.diag.rounds = std::numeric_limits<int>::min();
+  EXPECT_EQ(element(r), reference_element(r));
+  EXPECT_EQ(element(api::Response{}), reference_element(api::Response{}));
 }
 
 // ---------------------------------------------------------------------------
@@ -737,6 +820,99 @@ HttpRequest make_http(std::string method, std::string target, std::string body,
   req.body = std::move(body);
   req.ns = std::move(ns);
   return req;
+}
+
+// ---------------------------------------------------------------------------
+// Warm replies: every element spliced from its cache entry's memo
+
+// The solve line for suite() with `solver`, optional ratio and namespace.
+std::string suite_solve_line(std::string_view solver, bool ratio, std::string_view ns) {
+  std::string line = "{\"op\":\"solve\",\"solver\":\"" + std::string(solver) + "\"";
+  if (ratio) line += ",\"measure_ratio\":true";
+  if (!ns.empty()) line += ",\"namespace\":\"" + std::string(ns) + "\"";
+  return line + ",\"graphs\":" + graphs_json(suite()) + "}";
+}
+
+// The diag of an all-hit suite() batch under test_options(): sized for 2
+// workers over 4 one-graph shards, run on the calling thread.
+api::BatchDiagnostics warm_suite_diag() {
+  api::BatchDiagnostics diag;
+  diag.threads = 2;
+  diag.shards = static_cast<int>(suite().size());
+  diag.cache_hits = suite().size();
+  return diag;
+}
+
+TEST(WarmReplies, EqualAFreshEncodeOverLineAndHttp) {
+  const std::vector<Graph> gs = suite();
+  const auto payload_of = [](const std::string& line) {
+    return line.substr(0, line.find("\"diag\""));
+  };
+  for (const bool http : {false, true}) {
+    Server server(test_options(256));
+    Session session(server.core());
+    for (const char* solver : {"theorem44", "theorem44-mvc", "greedy", "ksv"}) {
+      for (const bool ratio : {false, true}) {
+        for (const std::string ns : {"", "tenant-a"}) {
+          // Over HTTP the namespace rides in the header, as clients send it.
+          const std::string line = suite_solve_line(solver, ratio, http ? "" : ns);
+          const auto send = [&] {
+            return http ? http_body(handle_http_request(
+                              make_http("POST", "/v2/solve", line, ns), session))
+                        : session.handle_line(line);
+          };
+          api::Request req;
+          req.measure_ratio = ratio;
+          const std::vector<api::Response> direct =
+              api::Registry::instance().run_batch(solver, {gs.data(), gs.size()}, req);
+          const std::string expected =
+              encode_solve_result({direct.data(), direct.size()}, warm_suite_diag(), ns);
+          const std::string context = std::string(solver) + " ratio=" +
+                                      std::to_string(ratio) + " ns=" + ns +
+                                      (http ? " http" : " line");
+          const std::string cold = send();
+          EXPECT_EQ(payload_of(cold), payload_of(expected)) << context;
+          EXPECT_EQ(send(), expected) << context;  // first hit: encodes the memo
+          EXPECT_EQ(send(), expected) << context;  // later hits: splice it
+        }
+      }
+    }
+  }
+}
+
+TEST(WarmReplies, LoadCacheAndReplicateInReplayTheSourceBytes) {
+  const std::string path = "lmds_warm_replies.bin";
+  const std::vector<std::string> lines = {suite_solve_line("theorem44", true, ""),
+                                          suite_solve_line("greedy", false, "tenant-a")};
+  Server source(test_options());
+  std::vector<std::string> source_warm;
+  for (const std::string& line : lines) {
+    (void)source.handle_line(line);
+    source_warm.push_back(source.handle_line(line));
+  }
+  ASSERT_TRUE(json_parse(source.handle_line("{\"op\":\"save_cache\",\"path\":\"" + path +
+                                            "\"}"))
+                  .find("ok")
+                  ->as_bool());
+  JsonValue::Object payload =
+      json_parse(source.handle_line(R"({"op":"replicate_out"})")).as_object();
+  payload.insert_or_assign("op", JsonValue(std::string("replicate_in")));
+  const std::string replicate_in = json_dump(JsonValue(std::move(payload)));
+
+  Server loaded(test_options());
+  ASSERT_TRUE(json_parse(loaded.handle_line("{\"op\":\"load_cache\",\"path\":\"" + path +
+                                            "\"}"))
+                  .find("ok")
+                  ->as_bool());
+  Server replica(test_options());
+  ASSERT_TRUE(json_parse(replica.handle_line(replicate_in)).find("ok")->as_bool());
+  for (Server* target : {&loaded, &replica}) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(target->handle_line(lines[i]), source_warm[i]) << "first warm reply " << i;
+      EXPECT_EQ(target->handle_line(lines[i]), source_warm[i]) << "second warm reply " << i;
+    }
+  }
+  std::remove(temp_path(path).c_str());
 }
 
 TEST(Http, RoutesMapOntoProtocolVerbsWithStatuses) {
