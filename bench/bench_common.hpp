@@ -1,8 +1,10 @@
-// Shared plumbing of the CI benches (bench_serve_v2, bench_patch_throughput,
-// bench_perf, bench_cluster, bench_batch_throughput): wall-clock timing,
-// locale-proof JSON numbers, a declared-flags parser with the built-in
-// --check and --json FILE, regression gates, and the BENCH_*.json writer
-// whose runs[].graphs_per_sec scripts/bench_regression.py ratchets.
+// Shared plumbing of the benches: the five CI benches (bench_serve_v2,
+// bench_patch_throughput, bench_perf, bench_cluster, bench_batch_throughput)
+// and bench_paper, the paper's claims as one gated run table. It provides
+// wall-clock timing, locale-proof JSON numbers, a declared-flags parser with
+// the built-in --check and --json FILE, regression gates, and the
+// BENCH_*.json writer whose runs[].graphs_per_sec scripts/bench_regression.py
+// ratchets (bench_paper writes no artifact).
 //
 //   int iters = 40;  // the default
 //   bench::Harness h("serve_v2", argc, argv, {{"--iters", &iters}});

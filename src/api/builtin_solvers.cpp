@@ -188,7 +188,7 @@ void register_builtin_solvers(Registry& reg) {
           [](const SolveContext& ctx) { return plain(solve::exact_mvc(ctx.graph), -1); });
 
   // KSV-style rule: the gamma test reads radius-2 balls (3 rounds) and the
-  // greedy fixup is one more round — the "4" bench_table1 always annotated.
+  // greedy fixup is one more round — the "4" of bench_paper's table1 row.
   reg.add({.name = "ksv",
            .problem = Problem::Mds,
            .modes = {Mode::Centralized},

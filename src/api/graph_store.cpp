@@ -6,6 +6,17 @@
 
 namespace lmds::api {
 
+namespace {
+
+GraphStore::PutResult put_result(std::uint64_t hash, const graph::Graph& g) {
+  return {.handle = GraphStore::handle_for(hash),
+          .hash = hash,
+          .vertices = g.num_vertices(),
+          .edges = g.num_edges()};
+}
+
+}  // namespace
+
 GraphStore::GraphStore(const StoreOptions& opts) : opts_(opts) {}
 
 std::string GraphStore::handle_for(std::uint64_t hash) {
@@ -106,16 +117,22 @@ void GraphStore::uncharge_namespace_locked(const std::string& ns, std::uint64_t 
   if (it->second == 0) ns_bytes_.erase(it);
 }
 
-void GraphStore::pin_locked(Entry& entry, SessionId session) {
+void GraphStore::touch_locked(Entry& entry, SessionId session) {
   if (entry.refs == 0) {
-    unpinned_.erase(entry.lru_it);
+    // Keep a live-but-unpinned graph from being the next eviction victim.
+    unpinned_.splice(unpinned_.begin(), unpinned_, entry.lru_it);
+    return;
   }
-  ++entry.refs;
-  Lease& lease = entry.leases[session];
-  ++lease.count;
-  if (session != kSharedSession && opts_.lease_ttl.count() > 0) {
-    lease.deadline = std::chrono::steady_clock::now() + opts_.lease_ttl;
+  if (session == kSharedSession || opts_.lease_ttl.count() <= 0) return;
+  if (const auto lease_it = entry.leases.find(session); lease_it != entry.leases.end()) {
+    lease_it->second.deadline = std::chrono::steady_clock::now() + opts_.lease_ttl;
   }
+}
+
+void GraphStore::pin_locked(Entry& entry, SessionId session) {
+  if (entry.refs++ == 0) unpinned_.erase(entry.lru_it);
+  ++entry.leases[session].count;
+  touch_locked(entry, session);
 }
 
 std::size_t GraphStore::expire_leases_locked() {
@@ -144,76 +161,54 @@ std::size_t GraphStore::expire_leases_locked() {
   return released;
 }
 
-GraphStore::PutResult GraphStore::put(graph::Graph g, SessionId session, std::string_view ns) {
-  const std::uint64_t hash = graph::graph_hash(g);
-  PutResult out;
-  out.handle = handle_for(hash);
-  out.hash = hash;
-  out.vertices = g.num_vertices();
-  out.edges = g.num_edges();
-
-  common::MutexLock lock(mu_);
+bool GraphStore::store_locked(graph::Graph&& g, std::uint64_t hash,
+                              std::optional<SessionId> owner, std::string_view ns,
+                              std::shared_ptr<const PatchLineage>&& lineage) {
   expire_leases_locked();
   if (const auto it = entries_.find(hash); it != entries_.end()) {
-    // Content-addressed reuse: re-pin, discarding the caller's copy.
-    pin_locked(it->second, session);
+    // Content-addressed reuse: the caller keeps (and frees, after unlocking)
+    // its copy. An owner re-pins the entry; a replica only promotes it.
+    if (owner) {
+      pin_locked(it->second, *owner);
+    } else {
+      touch_locked(it->second, kSharedSession);
+    }
     ++reuses_;
-    return out;
+    return false;
   }
   if (entries_.size() >= opts_.capacity) evict_unpinned_locked();
   // Quota after eviction: freeing an unrelated namespace's LRU entry first
   // is harmless, and this order never leaves charged bytes without an entry.
-  const std::uint64_t bytes = approx_bytes(out.vertices, out.edges);
+  const std::uint64_t bytes = approx_bytes(g.num_vertices(), g.num_edges());
   charge_namespace_locked(std::string(ns), bytes);
-  Entry entry;
+  Entry& entry = entries_[hash];
   entry.graph = std::make_shared<const graph::Graph>(std::move(g));
-  entry.refs = 1;
-  entry.leases[session] = Lease{
-      .count = 1,
-      .deadline = session != kSharedSession && opts_.lease_ttl.count() > 0
-                      ? std::chrono::steady_clock::now() + opts_.lease_ttl
-                      : std::chrono::steady_clock::time_point{}};
+  entry.lineage = std::move(lineage);
   entry.ns = std::string(ns);
   entry.bytes = bytes;
-  entries_.emplace(hash, std::move(entry));
-  ++puts_;
-  out.inserted = true;
+  unpinned_.push_front(hash);
+  entry.lru_it = unpinned_.begin();
+  if (owner) pin_locked(entry, *owner);
+  return true;
+}
+
+GraphStore::PutResult GraphStore::put(graph::Graph g, SessionId session, std::string_view ns) {
+  const std::uint64_t hash = graph::graph_hash(g);
+  PutResult out = put_result(hash, g);
+  common::MutexLock lock(mu_);
+  out.inserted = store_locked(std::move(g), hash, session, ns, nullptr);
+  if (out.inserted) ++puts_;
   return out;
 }
 
 GraphStore::PutResult GraphStore::put_replica(graph::Graph g, std::string_view ns) {
+  // Already present is the common replication case (handles are globally
+  // stable). Nobody owns a replica, so it is stored or promoted unpinned.
   const std::uint64_t hash = graph::graph_hash(g);
-  PutResult out;
-  out.handle = handle_for(hash);
-  out.hash = hash;
-  out.vertices = g.num_vertices();
-  out.edges = g.num_edges();
-
+  PutResult out = put_result(hash, g);
   common::MutexLock lock(mu_);
-  expire_leases_locked();
-  if (const auto it = entries_.find(hash); it != entries_.end()) {
-    // Already present (the common replication case — handles are globally
-    // stable). Promote, don't pin: nobody owns a replica.
-    if (it->second.refs == 0) {
-      unpinned_.splice(unpinned_.begin(), unpinned_, it->second.lru_it);
-    }
-    ++reuses_;
-    return out;
-  }
-  if (entries_.size() >= opts_.capacity) evict_unpinned_locked();
-  const std::uint64_t bytes = approx_bytes(out.vertices, out.edges);
-  charge_namespace_locked(std::string(ns), bytes);
-  Entry entry;
-  entry.graph = std::make_shared<const graph::Graph>(std::move(g));
-  entry.refs = 0;
-  entry.ns = std::string(ns);
-  entry.bytes = bytes;
-  const auto [it, ok] = entries_.emplace(hash, std::move(entry));
-  (void)ok;
-  unpinned_.push_front(hash);
-  it->second.lru_it = unpinned_.begin();
-  ++puts_;
-  out.inserted = true;
+  out.inserted = store_locked(std::move(g), hash, std::nullopt, ns, nullptr);
+  if (out.inserted) ++puts_;
   return out;
 }
 
@@ -224,14 +219,7 @@ GraphStore::PatchResult GraphStore::patch(std::string_view handle, const graph::
   if (parent_hash) {
     common::MutexLock lock(mu_);
     if (const auto it = entries_.find(*parent_hash); it != entries_.end()) {
-      if (it->second.refs == 0) {
-        unpinned_.splice(unpinned_.begin(), unpinned_, it->second.lru_it);
-      } else if (const auto lease_it = it->second.leases.find(session);
-                 lease_it != it->second.leases.end() && session != kSharedSession &&
-                 opts_.lease_ttl.count() > 0) {
-        // Patching through a handle is a touch: renew the owner's lease.
-        lease_it->second.deadline = std::chrono::steady_clock::now() + opts_.lease_ttl;
-      }
+      touch_locked(it->second, session);  // patching through a handle is a touch
       parent = it->second.graph;
     }
   }
@@ -243,43 +231,19 @@ GraphStore::PatchResult GraphStore::patch(std::string_view handle, const graph::
   // pinned by our shared_ptr even if it is concurrently dropped and evicted.
   graph::PatchedGraph patched = graph::apply_patch(*parent, p);
   const std::uint64_t child_hash = graph::graph_hash(patched.graph);
-
-  PatchResult out;
-  out.put.handle = handle_for(child_hash);
-  out.put.hash = child_hash;
-  out.put.vertices = patched.graph.num_vertices();
-  out.put.edges = patched.graph.num_edges();
-  out.parent = std::string(handle);
+  PatchResult out{.put = put_result(child_hash, patched.graph), .parent = std::string(handle)};
+  std::shared_ptr<const PatchLineage> lineage =
+      std::make_shared<PatchLineage>(PatchLineage{.parent = std::move(parent),
+                                                  .parent_hash = *parent_hash,
+                                                  .added = std::move(patched.added),
+                                                  .removed = std::move(patched.removed)});
 
   common::MutexLock lock(mu_);
-  expire_leases_locked();
-  if (const auto it = entries_.find(child_hash); it != entries_.end()) {
-    // Content-addressed reuse (includes the no-op patch, whose child is the
-    // parent itself): re-pin the existing entry, keep its original lineage.
-    pin_locked(it->second, session);
-    ++reuses_;
-    return out;
-  }
-  if (entries_.size() >= opts_.capacity) evict_unpinned_locked();
-  const std::uint64_t bytes = approx_bytes(out.put.vertices, out.put.edges);
-  charge_namespace_locked(std::string(ns), bytes);
-  auto lineage = std::make_shared<PatchLineage>();
-  lineage->parent = std::move(parent);
-  lineage->parent_hash = *parent_hash;
-  lineage->added = std::move(patched.added);
-  lineage->removed = std::move(patched.removed);
-  Entry entry;
-  entry.graph = std::make_shared<const graph::Graph>(std::move(patched.graph));
-  entry.refs = 1;
-  entry.leases[session] = Lease{
-      .count = 1,
-      .deadline = session != kSharedSession && opts_.lease_ttl.count() > 0
-                      ? std::chrono::steady_clock::now() + opts_.lease_ttl
-                      : std::chrono::steady_clock::time_point{}};
-  entry.lineage = std::move(lineage);
-  entry.ns = std::string(ns);
-  entry.bytes = bytes;
-  entries_.emplace(child_hash, std::move(entry));
+  // A hit (the no-op patch's child is the parent itself) re-pins the stored
+  // entry and keeps its original lineage.
+  out.put.inserted =
+      store_locked(std::move(patched.graph), child_hash, session, ns, std::move(lineage));
+  if (!out.put.inserted) return out;
   // Eviction protection for the parent — if its entry still exists. (It may
   // have been dropped and evicted while we hashed; the lineage's shared_ptr
   // alone then keeps the parent graph alive.)
@@ -287,7 +251,6 @@ GraphStore::PatchResult GraphStore::patch(std::string_view handle, const graph::
     ++parent_it->second.child_refs;
   }
   ++patches_;
-  out.put.inserted = true;
   return out;
 }
 
@@ -306,17 +269,9 @@ std::shared_ptr<const graph::Graph> GraphStore::get(std::string_view handle,
   common::MutexLock lock(mu_);
   const auto it = entries_.find(*hash);
   if (it == entries_.end()) return nullptr;
-  if (it->second.refs == 0) {
-    // Keep a live-but-unpinned graph from being the next eviction victim.
-    unpinned_.splice(unpinned_.begin(), unpinned_, it->second.lru_it);
-  } else if (session != kSharedSession && opts_.lease_ttl.count() > 0) {
-    // Solving by handle is a touch: renew the owner's lease so an active
-    // client's pins never expire under it.
-    if (const auto lease_it = it->second.leases.find(session);
-        lease_it != it->second.leases.end()) {
-      lease_it->second.deadline = std::chrono::steady_clock::now() + opts_.lease_ttl;
-    }
-  }
+  // Solving by handle is a touch, so an active client's pins never expire
+  // under it.
+  touch_locked(it->second, session);
   return it->second.graph;
 }
 

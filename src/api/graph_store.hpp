@@ -261,8 +261,20 @@ class GraphStore {
   /// namespace + lineage accounting.
   void erase_entry_locked(std::unordered_map<std::uint64_t, Entry>::iterator it)
       LMDS_REQUIRES(mu_);
+  /// A use of `entry` by `session`: promotes an unpinned entry to most
+  /// recent, or else renews `session`'s lease on it, if one is held.
+  void touch_locked(Entry& entry, SessionId session) LMDS_REQUIRES(mu_);
   /// Adds one pin for `session` on `entry`, renewing its lease deadline.
   void pin_locked(Entry& entry, SessionId session) LMDS_REQUIRES(mu_);
+  /// The one insert path of put, put_replica and patch: sweeps expired
+  /// leases, then reuses the entry stored under `hash` (pinning it for
+  /// `owner`, or promoting it when there is none) or stores `g` with
+  /// `lineage`, charged to `ns` and pinned for `owner` (unpinned without
+  /// one). Moves from `g` and `lineage` only when it inserts, which is what
+  /// it returns. Throws GraphStoreFull like put().
+  bool store_locked(graph::Graph&& g, std::uint64_t hash, std::optional<SessionId> owner,
+                    std::string_view ns, std::shared_ptr<const PatchLineage>&& lineage)
+      LMDS_REQUIRES(mu_);
   /// Lazy lease-ttl sweep; no-op when lease_ttl is 0.
   std::size_t expire_leases_locked() LMDS_REQUIRES(mu_);
 

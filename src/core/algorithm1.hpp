@@ -13,7 +13,7 @@
 // 73t+5 exceed the diameter of any graph one can simulate, at which point
 // local cuts coincide with global cuts. The config therefore exposes the
 // radii; radius <= 0 means "use the paper constant". Benches sweep the
-// radius to chart the ratio/rounds trade-off (DESIGN.md E3).
+// radius to chart the ratio/rounds trade-off (bench_paper --row radius_sweep).
 //
 // Round accounting (model-level, also measured by the simulator path):
 //   * twin reduction: 2 rounds;

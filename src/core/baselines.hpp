@@ -11,8 +11,8 @@
 //                          take every vertex whose closed neighbourhood
 //                          cannot be dominated by <= k other vertices, then
 //                          greedily fix the leftovers. Stands in for the
-//                          K_t / K_{s,t} rows of Table 1 (see DESIGN.md,
-//                          substitutions).
+//                          K_t / K_{s,t} rows of Table 1 (see
+//                          docs/REPRODUCTION.md, note 6).
 
 #include <vector>
 

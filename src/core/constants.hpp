@@ -14,7 +14,8 @@
 //
 // Reproduction note: Theorem 4.1 states the ratio c3.2(1) + c3.3(1) + 1 = 50,
 // but with the printed constants the sum is 6 + 44 + 1 = 51. We expose both
-// the claimed 50 and the derived value; EXPERIMENTS.md discusses the gap.
+// the claimed 50 and the derived value; docs/REPRODUCTION.md (note 1)
+// discusses the gap.
 
 namespace lmds::core {
 

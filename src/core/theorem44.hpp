@@ -10,7 +10,8 @@
 //
 // MVC (ratio t): drop isolated vertices, take every vertex of degree >= 2
 // plus the minimum-id endpoint of every isolated edge. The paper states this
-// ratio without proof; DESIGN.md gives the reconstruction via Lemma 5.18.
+// ratio without proof; docs/REPRODUCTION.md (note 3) gives the reconstruction
+// via Lemma 5.18.
 
 #include <vector>
 

@@ -1,7 +1,7 @@
 #pragma once
 // Minimal 2-cuts (2-separators).
 //
-// Convention (DESIGN.md §4): {u, v} is a *minimal* 2-cut iff at least two
+// Convention (docs/REPRODUCTION.md, note 4): {u, v} is a *minimal* 2-cut iff at least two
 // connected components of G − {u, v} are adjacent to both u and v ("full"
 // components). This matches the standard minimal-separator notion and every
 // use in the paper: no proper subset separates the same components, and in a

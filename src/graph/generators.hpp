@@ -4,7 +4,7 @@
 // Families relevant to the paper:
 //  * theta_chain      — the adversarial K_{2,t}-minor-free family on which the
 //                       3-round rule of Theorem 4.4 is Θ(t)-approximate while
-//                       Algorithm 1 stays O(1)-approximate (see DESIGN.md §4);
+//                       Algorithm 1 stays O(1)-approximate (see docs/REPRODUCTION.md);
 //  * clique_with_pendants — the Section 4 example showing that vertices in
 //                       (non-interesting) 2-cuts can be ω(MDS(G));
 //  * random_maximal_outerplanar / apollonian — the outerplanar / planar rows

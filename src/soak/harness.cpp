@@ -153,8 +153,6 @@ SoakReport run_soak(const SoakOptions& opts) {
   SoakReport report;
   report.seed = opts.seed;
   report.duration = opts.duration;
-  report.tcp = opts.tcp;
-  report.http = opts.http;
   report.sampling_rule = "top-two";
 
   // One in-process server, both listeners on ephemeral ports. threads = 1 in
@@ -194,8 +192,7 @@ SoakReport run_soak(const SoakOptions& opts) {
     const int rounds = opts.duration * kRoundsPerUnit;
     std::uint64_t next_index = 0;
     for (int round = 0; round < rounds; ++round) {
-      const bool use_http = opts.http && (!opts.tcp || round % 2 == 1);
-      ProtocolClient& client = use_http ? http_client : line_client;
+      ProtocolClient& client = round % 2 == 1 ? http_client : line_client;
       const std::string ns = kNamespaces[static_cast<std::size_t>(round) % 3];
       const bool by_handle = round % 3 == 2;
 
@@ -365,116 +362,113 @@ SoakReport run_soak(const SoakOptions& opts) {
   report.configs = std::move(results);
 
   // ---------------------------------------------------------------- fuzz —
-  if (opts.fuzz) {
-    std::mt19937_64 fuzz_rng(mix_seed(opts.seed, 0xF022));
-    const GraphCase small = make_case(opts.seed, 0);
-    const std::string graph_json = server::encode_graph_json(small.graph);
-    const std::vector<std::string> bases = {
-        "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[" + graph_json + "]}",
-        "{\"op\":\"solve\",\"solver\":\"theorem44\",\"namespace\":\"soak-a\",\"graphs\":[" +
-            graph_json + "]}",
-        "{\"op\":\"put_graph\",\"graph\":" + graph_json + "}",
-        "{\"op\":\"patch_graph\",\"handle\":\"g0123456789abcdef\","
-        "\"add\":[[0,2]],\"del\":[],\"n\":30}",
-        "{\"op\":\"drop_graph\",\"handle\":\"g0123456789abcdef\"}",
-        "{\"op\":\"stats\"}",
-        "{\"op\":\"open_session\",\"namespace\":\"soak-b\"}",
-    };
+  std::mt19937_64 fuzz_rng(mix_seed(opts.seed, 0xF022));
+  const GraphCase small = make_case(opts.seed, 0);
+  const std::string graph_json = server::encode_graph_json(small.graph);
+  const std::vector<std::string> bases = {
+      "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[" + graph_json + "]}",
+      "{\"op\":\"solve\",\"solver\":\"theorem44\",\"namespace\":\"soak-a\",\"graphs\":[" +
+          graph_json + "]}",
+      "{\"op\":\"put_graph\",\"graph\":" + graph_json + "}",
+      "{\"op\":\"patch_graph\",\"handle\":\"g0123456789abcdef\","
+      "\"add\":[[0,2]],\"del\":[],\"n\":30}",
+      "{\"op\":\"drop_graph\",\"handle\":\"g0123456789abcdef\"}",
+      "{\"op\":\"stats\"}",
+      "{\"op\":\"open_session\",\"namespace\":\"soak-b\"}",
+  };
 
-    const auto probe_liveness = [&](const char* after) -> bool {
-      ++report.fuzz.liveness_probes;
+  const auto probe_liveness = [&](const char* after) -> bool {
+    ++report.fuzz.liveness_probes;
+    try {
+      ProtocolClient probe(host, line_port, /*http=*/false, "");
+      server::require_ok(probe.exchange("stats", ""), "liveness stats");
+      return true;
+    } catch (const std::exception& e) {
+      ++report.fuzz.failures;
+      ViolationRecord rec;
+      rec.config = "fuzz";
+      rec.reason = std::string("server unresponsive after ") + after + ": " + e.what();
+      report.violations.push_back(std::move(rec));
+      return false;
+    }
+  };
+
+  const int cases = opts.duration * kFuzzPerUnit;
+  {  // line protocol: one connection, reopened whenever the server closes it
+    std::unique_ptr<ProtocolClient> fc;
+    for (int i = 0; i < cases; ++i) {
+      const auto kind = static_cast<MutationKind>(i % kMutationKinds);
+      FuzzKindCounters& k = report.fuzz.kinds[std::string(to_string(kind))];
+      ++k.attempts;
+      const std::string mutated =
+          mutate_line(bases[static_cast<std::size_t>(i) % bases.size()], kind, fuzz_rng);
+      if (!fc) fc = std::make_unique<ProtocolClient>(host, line_port, false, "");
+      // The line loop ignores blank lines (keep-alive), so an empty
+      // mutation gets a stats chaser — the response proves the server
+      // swallowed the blank without wedging.
+      const std::string wire =
+          mutated.empty() ? "\n{\"op\":\"stats\"}\n" : mutated + "\n";
+      std::optional<std::string> response;
+      if (fc->send_raw(wire)) response = fc->read_raw_line();
+      if (!response) {
+        ++k.closed_connections;
+        fc.reset();
+        if (!probe_liveness(to_string(kind).data())) break;
+        continue;
+      }
       try {
-        ProtocolClient probe(host, line_port, /*http=*/false, "");
-        server::require_ok(probe.exchange("stats", ""), "liveness stats");
-        return true;
-      } catch (const std::exception& e) {
+        const JsonValue body = server::json_parse(*response);
+        const JsonValue* ok = body.find("ok");
+        if (ok && ok->as_bool()) {
+          ++k.ok_responses;  // mutation happened to stay well-formed
+        } else {
+          ++k.error_responses;
+        }
+      } catch (const std::exception&) {
+        // A non-JSON line would break the protocol's own contract.
         ++report.fuzz.failures;
         ViolationRecord rec;
         rec.config = "fuzz";
-        rec.reason = std::string("server unresponsive after ") + after + ": " + e.what();
+        rec.reason = "non-JSON response line after " + std::string(to_string(kind)) +
+                     " mutation: " + mutated.substr(0, 120);
         report.violations.push_back(std::move(rec));
-        return false;
-      }
-    };
-
-    const int cases = opts.duration * kFuzzPerUnit;
-    if (opts.tcp) {
-      std::unique_ptr<ProtocolClient> fc;
-      for (int i = 0; i < cases; ++i) {
-        const auto kind = static_cast<MutationKind>(i % kMutationKinds);
-        FuzzKindCounters& k = report.fuzz.kinds[std::string(to_string(kind))];
-        ++k.attempts;
-        const std::string mutated =
-            mutate_line(bases[static_cast<std::size_t>(i) % bases.size()], kind, fuzz_rng);
-        if (!fc) fc = std::make_unique<ProtocolClient>(host, line_port, false, "");
-        // The line loop ignores blank lines (keep-alive), so an empty
-        // mutation gets a stats chaser — the response proves the server
-        // swallowed the blank without wedging.
-        const std::string wire =
-            mutated.empty() ? "\n{\"op\":\"stats\"}\n" : mutated + "\n";
-        std::optional<std::string> response;
-        if (fc->send_raw(wire)) response = fc->read_raw_line();
-        if (!response) {
-          ++k.closed_connections;
-          fc.reset();
-          if (!probe_liveness(to_string(kind).data())) break;
-          continue;
-        }
-        try {
-          const JsonValue body = server::json_parse(*response);
-          const JsonValue* ok = body.find("ok");
-          if (ok && ok->as_bool()) {
-            ++k.ok_responses;  // mutation happened to stay well-formed
-          } else {
-            ++k.error_responses;
-          }
-        } catch (const std::exception&) {
-          // A non-JSON line would break the protocol's own contract.
-          ++report.fuzz.failures;
-          ViolationRecord rec;
-          rec.config = "fuzz";
-          rec.reason = "non-JSON response line after " + std::string(to_string(kind)) +
-                       " mutation: " + mutated.substr(0, 120);
-          report.violations.push_back(std::move(rec));
-        }
       }
     }
-    if (opts.http) {
-      static constexpr struct {
-        const char* method;
-        const char* target;
-      } kRoutes[] = {{"POST", "/v2/solve"},
-                     {"PUT", "/v2/graphs"},
-                     {"POST", "/v2/solve"},
-                     {"GET", "/v2/nonexistent"},
-                     {"BREW", "/v2/solve"},
-                     {"POST", "/v2/graphs/zzz"},
-                     {"POST", "/v2/graphs/g0123456789abcdef/patch"}};
-      for (int i = 0; i < cases; ++i) {
-        const auto kind = static_cast<MutationKind>(i % kMutationKinds);
-        FuzzKindCounters& k = report.fuzz.kinds[std::string(to_string(kind))];
-        ++k.attempts;
-        const std::string body =
-            mutate_line(bases[static_cast<std::size_t>(i) % bases.size()], kind, fuzz_rng);
-        const auto& route = kRoutes[static_cast<std::size_t>(i) % std::size(kRoutes)];
-        try {
-          // Fresh connection per case (HTTP errors may close), valid framing
-          // with a recomputed Content-Length — the fuzz targets the request
-          // body and route, never the framing (a framing attack would just
-          // hang the client side of this very loop).
-          ProtocolClient hc(host, http_port, /*http=*/true, "");
-          const JsonValue parsed = hc.exchange_http(route.method, route.target, body);
-          const JsonValue* ok = parsed.find("ok");
-          if (ok && ok->as_bool()) {
-            ++k.ok_responses;
-          } else {
-            ++k.error_responses;
-          }
-        } catch (const std::exception&) {
-          ++k.closed_connections;
-          if (!probe_liveness(to_string(kind).data())) break;
-        }
+  }
+
+  static constexpr struct {
+    const char* method;
+    const char* target;
+  } kRoutes[] = {{"POST", "/v2/solve"},
+                 {"PUT", "/v2/graphs"},
+                 {"POST", "/v2/solve"},
+                 {"GET", "/v2/nonexistent"},
+                 {"BREW", "/v2/solve"},
+                 {"POST", "/v2/graphs/zzz"},
+                 {"POST", "/v2/graphs/g0123456789abcdef/patch"}};
+  for (int i = 0; i < cases; ++i) {
+    const auto kind = static_cast<MutationKind>(i % kMutationKinds);
+    FuzzKindCounters& k = report.fuzz.kinds[std::string(to_string(kind))];
+    ++k.attempts;
+    const std::string body =
+        mutate_line(bases[static_cast<std::size_t>(i) % bases.size()], kind, fuzz_rng);
+    const auto& route = kRoutes[static_cast<std::size_t>(i) % std::size(kRoutes)];
+    try {
+      // Fresh connection per case (HTTP errors may close), valid framing
+      // with a recomputed Content-Length — the fuzz targets the request
+      // body and route, never the framing (a framing attack would just
+      // hang the client side of this very loop).
+      ProtocolClient hc(host, http_port, /*http=*/true, "");
+      const JsonValue parsed = hc.exchange_http(route.method, route.target, body);
+      const JsonValue* ok = parsed.find("ok");
+      if (ok && ok->as_bool()) {
+        ++k.ok_responses;
+      } else {
+        ++k.error_responses;
       }
+    } catch (const std::exception&) {
+      ++k.closed_connections;
+      if (!probe_liveness(to_string(kind).data())) break;
     }
   }
 

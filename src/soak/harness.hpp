@@ -21,16 +21,13 @@ namespace lmds::soak {
 struct SoakOptions {
   std::uint64_t seed = 1;
   int duration = 10;  ///< work units: kRoundsPerUnit solve rounds + kFuzzPerUnit fuzz cases each
-  bool tcp = true;    ///< drive the newline-JSON line protocol
-  bool http = true;   ///< drive the HTTP/1.1 front-end
-  bool fuzz = true;   ///< run the protocol fuzz stage after the BAI loop
   bool timing = false;  ///< include wall_seconds in the report (breaks byte-determinism)
   std::string repro_dir = "repro";  ///< where violation repros are dumped
 };
 
 /// Solve rounds per duration unit (each round = one batch on one arm).
 inline constexpr int kRoundsPerUnit = 3;
-/// Fuzz cases per duration unit per enabled transport.
+/// Fuzz cases per duration unit per transport.
 inline constexpr int kFuzzPerUnit = 12;
 /// Graphs per solve round (one per workload family).
 inline constexpr int kBatchSize = 5;

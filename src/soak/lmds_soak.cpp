@@ -28,9 +28,8 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: lmds_soak [--seed N] [--duration UNITS] [--check]\n"
-               "                 [--report FILE] [--repro-dir DIR]\n"
-               "                 [--tcp-only] [--http-only] [--no-fuzz] [--timing]\n"
-               "--check is the CI smoke: --duration 2 with every stage enabled.\n"
+               "                 [--report FILE] [--repro-dir DIR] [--timing]\n"
+               "--check is the CI smoke: --duration 2.\n"
                "--duration is a deterministic work budget (~1s per unit), so equal\n"
                "seeds produce byte-identical reports; --timing trades that for\n"
                "measured wall_seconds.\n");
@@ -78,22 +77,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--repro-dir" && value) {
       opts.repro_dir = value;
       ++i;
-    } else if (arg == "--tcp-only") {
-      opts.http = false;
-    } else if (arg == "--http-only") {
-      opts.tcp = false;
-    } else if (arg == "--no-fuzz") {
-      opts.fuzz = false;
     } else if (arg == "--timing") {
       opts.timing = true;
     } else {
       std::fprintf(stderr, "lmds_soak: bad flag: %s\n", arg.c_str());
       return usage();
     }
-  }
-  if (!opts.tcp && !opts.http) {
-    std::fprintf(stderr, "lmds_soak: --tcp-only and --http-only exclude each other\n");
-    return usage();
   }
 
   lmds::soak::SoakReport report;

@@ -39,9 +39,7 @@ void RatioHistogram::append_json(std::string& out) const {
 
 std::string SoakReport::to_json() const {
   std::string out = "{\"soak\":{\"seed\":" + std::to_string(seed) +
-                    ",\"duration\":" + std::to_string(duration) +
-                    ",\"transports\":{\"tcp\":" + (tcp ? "true" : "false") +
-                    ",\"http\":" + (http ? "true" : "false") + "}";
+                    ",\"duration\":" + std::to_string(duration);
   if (wall_seconds >= 0.0) {
     out += ",\"wall_seconds\":";
     json_append_double(out, wall_seconds);

@@ -89,8 +89,6 @@ struct ExecutorSnapshot {
 struct SoakReport {
   std::uint64_t seed = 0;
   int duration = 0;
-  bool tcp = false;
-  bool http = false;
   std::string sampling_rule;
   std::uint64_t decided_after = 0;  ///< rewards until BAI confidence (0 = never)
   std::string best_config;          ///< name of the winning arm

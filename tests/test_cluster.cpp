@@ -223,6 +223,27 @@ TEST(PinLeases, TouchRenewsTheLease) {
   EXPECT_EQ(store.stats().pinned, 1u);
 }
 
+// Patching through a handle touches the parent like a get does: the same
+// patch, repeated, re-pins the stored child, and only the touch keeps the
+// parent's own lease alive.
+TEST(PinLeases, PatchRenewsTheParentLease) {
+  api::GraphStore::StoreOptions opts;
+  opts.capacity = 4;
+  opts.lease_ttl = std::chrono::milliseconds(120);
+  api::GraphStore store(opts);
+  const auto put = store.put(graph::gen::path(3), /*session=*/7);
+  graph::GraphPatch p;
+  p.add = {{0, 2}};
+  for (int i = 0; i < 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    (void)store.patch(put.handle, p, /*session=*/7);  // renews the parent
+  }
+  EXPECT_EQ(store.expire_leases(), 0u);  // 160ms elapsed, but never idle >120
+  const api::GraphStoreStats stats = store.stats();
+  EXPECT_EQ(stats.lease_expiries, 0u);
+  EXPECT_EQ(stats.pinned, 2u);  // the parent and its child
+}
+
 TEST(PinLeases, SharedSessionNeverExpires) {
   api::GraphStore::StoreOptions opts;
   opts.capacity = 2;

@@ -63,7 +63,7 @@ TEST(Properties, LocalCutRadiusMonotonicityGraphLevel) {
   // within distance r, so a distance-(r+1) cut pair only becomes visible at
   // radius r+1 (our fuzzer found 13-vertex counterexamples). The claim is
   // sound for k = 1, which is all the paper's proofs rely on; we pin the
-  // k = 1 version here and the k = 2 caveat in EXPERIMENTS.md.
+  // k = 1 version here and the k = 2 caveat in docs/REPRODUCTION.md.
   std::mt19937_64 rng(31415);
   for (int trial = 0; trial < 12; ++trial) {
     const Graph g = random_instance(rng, trial);

@@ -227,7 +227,6 @@ TEST(SoakReport, HistogramBucketsAndJson) {
   soak::SoakReport report;
   report.seed = 42;
   report.duration = 10;
-  report.tcp = report.http = true;
   report.sampling_rule = "top-two";
   report.best_config = "greedy";
   const std::string json = report.to_json();
