@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
 
   // Pre-balance every batch: unique path graphs, picked so exactly half hash
   // to each worker. An unbalanced batch would measure ring luck, not fan-out.
-  const cluster::HashRing ring(ropts.peers, ropts.vnodes);
+  const cluster::HashRing ring(ropts.peers);
   std::vector<std::string> batch_lines;
   const std::string prefix =
       "{\"op\":\"solve\",\"solver\":\"bench-service\",\"options\":{\"service_us\":" +

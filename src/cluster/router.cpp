@@ -147,7 +147,7 @@ std::optional<std::vector<std::string_view>> split_raw_responses(std::string_vie
 Router::Router(RouterOptions opts, server::ServerCore& core)
     : opts_(std::move(opts)),
       core_(core),
-      ring_(opts_.peers, opts_.vnodes),
+      ring_(opts_.peers),
       pool_(opts_.peers.size()),
       control_(opts_.peers.size()) {
   for (const std::string& peer : opts_.peers) (void)parse_peer(peer);  // validate early
@@ -408,10 +408,11 @@ std::optional<std::string> Router::route_put(const JsonValue& root) {
     return std::nullopt;  // local dispatch reports the malformed graph
   }
   // Content-addressed placement: the handle the worker will mint IS this
-  // fingerprint, so no put location needs remembering — the ring re-derives
-  // the owner from any future handle. No failover: a graph stored on a
-  // non-owner would be unreachable to routing.
-  const std::size_t peer = ring_.owner_index(hash);
+  // fingerprint, so the put goes wherever that handle already lives — a
+  // patch-derived child's recorded worker, else the ring owner — and a
+  // single server's "new":false answer carries over. No failover: a graph
+  // stored on a non-owner would be unreachable to routing.
+  const std::size_t peer = locate_handle(api::GraphStore::handle_for(hash), hash);
   return forward({peer}, /*can_fail_over=*/false, /*control=*/true,
                  forward_line(root, "\"op\":\"put_graph\"", {"op"}));
 }
@@ -448,16 +449,11 @@ std::optional<std::string> Router::route_drop(const JsonValue& root) {
   if (!handle || handle->type() != JsonValue::Type::String) return std::nullopt;
   const std::optional<std::uint64_t> hash = api::GraphStore::parse_handle(handle->as_string());
   if (!hash) return std::nullopt;
+  // The location entry stays: a dropped graph remains resolvable on its
+  // worker until evicted, as on a single server (kMaxLocations bounds the map).
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
-  const std::string response =
-      forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-              forward_line(root, "\"op\":\"drop_graph\"", {"op"}));
-  {
-    // Whatever the outcome, the location entry is stale or useless now.
-    common::MutexLock lock(loc_mu_);
-    locations_.erase(handle->as_string());
-  }
-  return response;
+  return forward({peer}, /*can_fail_over=*/false, /*control=*/true,
+                 forward_line(root, "\"op\":\"drop_graph\"", {"op"}));
 }
 
 std::string Router::route_stats(server::Session& session, const JsonValue& root) {

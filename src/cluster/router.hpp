@@ -51,11 +51,11 @@
 
 namespace lmds::cluster {
 
-/// lmds_serve's --peer and --vnodes. The failure policy (timeouts, busy
-/// retries, backoff, location-map bound) is fixed; see router.cpp.
+/// lmds_serve's --peer. The ring's points per peer (HashRing's default) and
+/// the failure policy (timeouts, busy retries, backoff, location-map bound)
+/// are fixed; see router.cpp.
 struct RouterOptions {
   std::vector<std::string> peers;  ///< "host:port" per worker; >= 1 required
-  int vnodes = 64;
 };
 
 /// Splits a worker's {"ok":true,"op":"solve","responses":[...],...} line

@@ -1,10 +1,11 @@
 #pragma once
 // Deterministic fork-join parallelism, the library's one per-call thread
-// spawner: gather_views, the LOCAL runners, BatchExecutor's shard workers and
-// the router's sub-batch fan-out all fork here. Outputs stay bit-identical
-// for any thread count because work is split into contiguous index chunks,
-// each chunk writes only its own slots of a preallocated result array, and
-// the caller collects slots in index order afterwards.
+// spawner: gather_views, the per-vertex rules (through parallel_select),
+// BatchExecutor's shard workers and the router's sub-batch fan-out all fork
+// here. Outputs stay bit-identical for any thread count because work is
+// split into contiguous index chunks, each chunk writes only its own slots
+// of a preallocated result array, and the caller collects slots in index
+// order afterwards.
 
 #include <algorithm>
 #include <exception>
@@ -52,6 +53,23 @@ void parallel_for(int n, int threads, const Fn& fn) {
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }
+}
+
+/// The ascending indices i of [0, n) with pred(i): pred runs under
+/// parallel_for into one slot per index, and the slots are collected in
+/// index order, so the result is the same for any thread count. pred must
+/// be safe to call concurrently on distinct indices.
+template <typename Pred>
+std::vector<int> parallel_select(int n, int threads, const Pred& pred) {
+  std::vector<char> keep(static_cast<std::size_t>(std::max(n, 0)), 0);
+  parallel_for(n, threads, [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) keep[static_cast<std::size_t>(i)] = pred(i) ? 1 : 0;
+  });
+  std::vector<int> selected;
+  for (int i = 0; i < n; ++i) {
+    if (keep[static_cast<std::size_t>(i)]) selected.push_back(i);
+  }
+  return selected;
 }
 
 }  // namespace lmds::common

@@ -1,203 +1,210 @@
+// Algorithm 1 and its vertex-cover variant (end of §4): the same three steps
+// on a graph g. Steps 1-2 select X, the m3.2-local 1-cuts, and a second cut
+// set (the m3.3-interesting vertices for MDS, every vertex of an m3.3-local
+// minimal 2-cut for MVC); step 3 brute-forces each residual component. Only
+// MDS removes true twins first.
+
 #include "core/algorithm1.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <optional>
+#include <span>
 
 #include "common/parallel.hpp"
+#include "core/mvc.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
 #include "graph/bfs.hpp"
 #include "graph/ops.hpp"
 #include "local/view.hpp"
 #include "solve/exact_mds.hpp"
+#include "solve/exact_mvc.hpp"
 
 namespace lmds::core {
 
 namespace {
 
-// Shared step 3: given the reduced graph and S0 = X ∪ I (reduced indices),
-// computes U, the residual components, and the per-component optimal
-// B-dominating sets. Appends the picked vertices (reduced indices) and
-// fills the diagnostics fields.
-std::vector<Vertex> brute_force_residual(const Graph& g, const std::vector<Vertex>& s0,
-                                         Algorithm1Diagnostics& diag) {
-  const int n = g.num_vertices();
-  std::vector<char> in_s0(static_cast<std::size_t>(n), 0);
-  for (Vertex v : s0) in_s0[static_cast<std::size_t>(v)] = 1;
+enum class Problem { kMds, kMvc };
 
-  // Dominated = N[S0].
-  std::vector<char> dominated(static_cast<std::size_t>(n), 0);
-  for (Vertex v : s0) {
-    dominated[static_cast<std::size_t>(v)] = 1;
-    for (Vertex w : g.neighbors(v)) dominated[static_cast<std::size_t>(w)] = 1;
-  }
+struct CutSets {
+  std::vector<Vertex> one_cuts;  ///< X
+  std::vector<Vertex> second;    ///< I (MDS) or the 2-cut vertices (MVC)
+};
 
-  // U = dominated vertices with every neighbour dominated (paper: vertices
-  // of N[S0] whose closed neighbourhood lies in N[S0]).
-  std::vector<Vertex> removed = s0;
-  for (Vertex v = 0; v < n; ++v) {
-    if (in_s0[static_cast<std::size_t>(v)] || !dominated[static_cast<std::size_t>(v)]) continue;
-    bool all_neighbors_dominated = true;
-    for (Vertex w : g.neighbors(v)) {
-      if (!dominated[static_cast<std::size_t>(w)]) {
-        all_neighbors_dominated = false;
-        break;
-      }
-    }
-    if (all_neighbors_dominated) removed.push_back(v);
-  }
-
-  const auto comps = graph::components_without(g, removed);
-  diag.residual_components = 0;
-  diag.max_residual_diameter = 0;
-
-  std::vector<Vertex> picked;
-  for (const auto& component : comps.groups()) {
-    if (component.empty()) continue;
-    // B = undominated vertices of this component.
-    std::vector<Vertex> b;
-    for (Vertex v : component) {
-      if (!dominated[static_cast<std::size_t>(v)]) b.push_back(v);
-    }
-    if (b.empty()) continue;
-    ++diag.residual_components;
-    const auto sub = graph::induced_subgraph(g, component);
-    diag.max_residual_diameter =
-        std::max(diag.max_residual_diameter, graph::diameter(sub.graph));
-    const auto solution = solve::exact_b_domination(g, b);
-    picked.insert(picked.end(), solution.begin(), solution.end());
-  }
-  std::sort(picked.begin(), picked.end());
-  picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
-  return picked;
+std::vector<Vertex> sorted_union(std::vector<Vertex> a, std::span<const Vertex> b) {
+  a.insert(a.end(), b.begin(), b.end());
+  std::sort(a.begin(), a.end());
+  a.erase(std::unique(a.begin(), a.end()), a.end());
+  return a;
 }
 
-Algorithm1Result run_pipeline(const Graph& input, const Algorithm1Config& cfg,
-                              const std::vector<Vertex>* precomputed_one_cuts,
-                              const std::vector<Vertex>* precomputed_interesting) {
-  Algorithm1Result result;
+// Steps 1-2. The centralized run (net == nullptr) calls the whole-graph
+// functions, which test each 2-cut pair once. The LOCAL run gathers one view
+// per node of net, whose topology is g, and applies the per-vertex rules to
+// the views.
+CutSets cut_steps(const Graph& g, const local::Network* net, const Algorithm1Config& cfg,
+                  Problem problem, int threads, local::TrafficStats& traffic) {
   const int r1 = cfg.effective_radius1();
   const int r2 = cfg.effective_radius2();
+  if (net == nullptr) {
+    return {cuts::local_one_cuts(g, r1), problem == Problem::kMds
+                                             ? cuts::interesting_vertices(g, r2)
+                                             : cuts::vertices_in_local_two_cuts(g, r2)};
+  }
+  // One view gather serves both steps. Radius max(r1, 2*r2) guarantees the
+  // double balls of every candidate 2-cut partner are complete (see
+  // cuts/local_cuts.hpp), but never needs to exceed the graph itself —
+  // beyond the diameter the views are the whole graph already.
+  const int radius = std::min(std::max(r1, 2 * r2), g.num_vertices());
+  const auto views = local::gather_views(*net, radius, &traffic, threads);
+  const auto select = [&](bool (*rule)(const Graph&, Vertex, int), int r) {
+    return common::parallel_select(g.num_vertices(), threads, [&](Vertex v) {
+      const local::BallView& view = views[static_cast<std::size_t>(v)];
+      return rule(view.graph, view.centre, std::min(r, radius));
+    });
+  };
+  return {select(cuts::is_local_one_cut, r1),
+          select(problem == Problem::kMds ? cuts::is_interesting : cuts::in_local_two_cut, r2)};
+}
 
-  // Step 0: true-twin reduction.
+// A residual component's brute-force picks, or nullopt when the component
+// has nothing left to solve.
+using Picks = std::optional<std::vector<Vertex>>;
+
+// Step 3: one `solve` per component of g − removed. The solved components
+// and their largest diameter (the Lemma 4.2 quantity) go into diag. Returns
+// the sorted picks.
+template <typename Diag, typename Solve>
+std::vector<Vertex> residual_step(const Graph& g, std::span<const Vertex> removed, Diag& diag,
+                                  const Solve& solve) {
+  std::vector<Vertex> picked;
+  for (const auto& component : graph::components_without(g, removed).groups()) {
+    const Picks picks = solve(component);
+    if (!picks) continue;
+    ++diag.residual_components;
+    const auto sub = graph::induced_subgraph(g, component);
+    diag.max_residual_diameter = std::max(diag.max_residual_diameter, graph::diameter(sub.graph));
+    picked.insert(picked.end(), picks->begin(), picks->end());
+  }
+  return sorted_union(std::move(picked), {});
+}
+
+// Model-level rounds after the twin reduction: the view gather for steps 1-2,
+// then the leader-based residual resolution.
+int cut_and_residual_rounds(const Algorithm1Config& cfg, int max_residual_diameter) {
+  const int view_radius = std::max(cfg.effective_radius1(), 2 * cfg.effective_radius2());
+  return (view_radius + 1) + (max_residual_diameter + 3);
+}
+
+Algorithm1Result run_mds(const Graph& input, const local::Network* net,
+                         const Algorithm1Config& cfg, int threads) {
+  Algorithm1Result result;
+  // Step 0, once per run: the true-twin reduction (2 rounds in the model).
+  // The LOCAL run's reduced network keeps each representative's id.
   graph::TwinReduction reduction;
+  std::optional<local::Network> reduced_net;
   const Graph* g = &input;
   if (cfg.twin_removal) {
     reduction = graph::remove_true_twins(input);
     g = &reduction.reduced.graph;
-    result.diag.twin_classes = reduction.num_classes;
-  } else {
-    result.diag.twin_classes = input.num_vertices();
+    if (net != nullptr) {
+      std::vector<local::NodeId> ids;
+      for (Vertex rep : reduction.reduced.to_parent) ids.push_back(net->id_of(rep));
+      net = &reduced_net.emplace(*g, std::move(ids));
+    }
   }
+  result.diag.twin_classes = g->num_vertices();
 
-  // Steps 1-2: local cuts (either centrally computed here or supplied by the
-  // LOCAL path, already in reduced indices).
-  const std::vector<Vertex> x =
-      precomputed_one_cuts ? *precomputed_one_cuts : cuts::local_one_cuts(*g, r1);
-  const std::vector<Vertex> i =
-      precomputed_interesting ? *precomputed_interesting : cuts::interesting_vertices(*g, r2);
+  const CutSets cut = cut_steps(*g, net, cfg, Problem::kMds, threads, result.diag.traffic);
+  const std::vector<Vertex> s0 = sorted_union(cut.one_cuts, cut.second);
 
-  std::vector<Vertex> s0 = x;
-  s0.insert(s0.end(), i.begin(), i.end());
-  std::sort(s0.begin(), s0.end());
-  s0.erase(std::unique(s0.begin(), s0.end()), s0.end());
-
-  // Step 3: per-component brute force.
-  const std::vector<Vertex> extra = brute_force_residual(*g, s0, result.diag);
-
-  std::vector<Vertex> solution = s0;
-  solution.insert(solution.end(), extra.begin(), extra.end());
-  std::sort(solution.begin(), solution.end());
-  solution.erase(std::unique(solution.begin(), solution.end()), solution.end());
-
-  // Lift to input indices.
-  if (cfg.twin_removal) {
-    result.dominating_set = reduction.reduced.lift(solution);
-    result.diag.one_cuts = reduction.reduced.lift(x);
-    result.diag.interesting = reduction.reduced.lift(i);
-    result.diag.brute_forced = reduction.reduced.lift(extra);
-  } else {
-    result.dominating_set = solution;
-    result.diag.one_cuts = x;
-    result.diag.interesting = i;
-    result.diag.brute_forced = extra;
+  // Dominated = N[S0]. Step 3 removes U, the dominated vertices with every
+  // neighbour dominated; U contains S0.
+  std::vector<char> dominated(static_cast<std::size_t>(g->num_vertices()), 0);
+  for (Vertex v : s0) {
+    dominated[static_cast<std::size_t>(v)] = 1;
+    for (Vertex w : g->neighbors(v)) dominated[static_cast<std::size_t>(w)] = 1;
   }
-  std::sort(result.dominating_set.begin(), result.dominating_set.end());
+  const auto is_dominated = [&](Vertex v) { return dominated[static_cast<std::size_t>(v)] != 0; };
+  std::vector<Vertex> removed;
+  for (Vertex v = 0; v < g->num_vertices(); ++v) {
+    const auto nbrs = g->neighbors(v);
+    if (is_dominated(v) && std::all_of(nbrs.begin(), nbrs.end(), is_dominated)) {
+      removed.push_back(v);
+    }
+  }
+  // Each component's optimal B-dominating set, B its undominated vertices.
+  const auto b_domination = [&](const std::vector<Vertex>& component) -> Picks {
+    std::vector<Vertex> b;
+    for (Vertex v : component) {
+      if (!is_dominated(v)) b.push_back(v);
+    }
+    if (b.empty()) return std::nullopt;
+    return solve::exact_b_domination(*g, b);
+  };
+  const std::vector<Vertex> extra = residual_step(*g, removed, result.diag, b_domination);
 
-  // Model-level rounds: 2 (twin reduction) + view gather for steps 1-2 +
-  // leader-based residual resolution.
-  const int view_radius = std::max(r1, 2 * r2);
-  result.diag.rounds = (cfg.twin_removal ? 2 : 0) + (view_radius + 1) +
-                       (result.diag.max_residual_diameter + 3);
+  // Lift to input indices (a monotone map, so sorted lists stay sorted).
+  const auto lift = [&](const std::vector<Vertex>& s) {
+    return cfg.twin_removal ? reduction.reduced.lift(s) : s;
+  };
+  result.dominating_set = lift(sorted_union(s0, extra));
+  result.diag.one_cuts = lift(cut.one_cuts);
+  result.diag.interesting = lift(cut.second);
+  result.diag.brute_forced = lift(extra);
+  result.diag.rounds = (cfg.twin_removal ? 2 : 0) +
+                       cut_and_residual_rounds(cfg, result.diag.max_residual_diameter);
+  return result;
+}
+
+MvcAlgorithm1Result run_mvc(const Graph& g, const local::Network* net,
+                            const Algorithm1Config& cfg, int threads) {
+  MvcAlgorithm1Result result;
+  CutSets cut = cut_steps(g, net, cfg, Problem::kMvc, threads, result.diag.traffic);
+  const std::vector<Vertex> s0 = sorted_union(cut.one_cuts, cut.second);
+  std::vector<char> in_s0(static_cast<std::size_t>(g.num_vertices()), 0);
+  for (Vertex v : s0) in_s0[static_cast<std::size_t>(v)] = 1;
+
+  // Each component's minimum cover of its uncovered edges: those with both
+  // endpoints outside S0, which lie inside the residual components.
+  const auto edge_cover = [&](const std::vector<Vertex>& component) -> Picks {
+    std::vector<graph::Edge> uncovered;
+    for (Vertex v : component) {
+      for (Vertex w : g.neighbors(v)) {
+        if (v < w && !in_s0[static_cast<std::size_t>(w)]) uncovered.push_back({v, w});
+      }
+    }
+    if (uncovered.empty()) return std::nullopt;
+    return solve::exact_edge_cover_vertices(g, uncovered);
+  };
+  std::vector<Vertex> extra = residual_step(g, s0, result.diag, edge_cover);
+
+  result.vertex_cover = sorted_union(s0, extra);
+  result.diag.one_cuts = std::move(cut.one_cuts);
+  result.diag.two_cut_vertices = std::move(cut.second);
+  result.diag.brute_forced = std::move(extra);
+  result.diag.rounds = cut_and_residual_rounds(cfg, result.diag.max_residual_diameter);
   return result;
 }
 
 }  // namespace
 
 Algorithm1Result algorithm1(const Graph& g, const Algorithm1Config& cfg) {
-  return run_pipeline(g, cfg, nullptr, nullptr);
+  return run_mds(g, nullptr, cfg, 1);
 }
 
 Algorithm1Result algorithm1_local(const local::Network& net, const Algorithm1Config& cfg,
                                   int threads) {
-  const int r1 = cfg.effective_radius1();
-  const int r2 = cfg.effective_radius2();
+  return run_mds(net.topology(), &net, cfg, threads);
+}
 
-  // Twin reduction (2 rounds in the model; performed consistently from
-  // radius-2 knowledge — we materialise the reduced network directly).
-  const Graph& input = net.topology();
-  graph::TwinReduction reduction;
-  const Graph* g = &input;
-  std::vector<local::NodeId> reduced_ids;
-  if (cfg.twin_removal) {
-    reduction = graph::remove_true_twins(input);
-    g = &reduction.reduced.graph;
-    for (Vertex v = 0; v < g->num_vertices(); ++v) {
-      reduced_ids.push_back(net.id_of(reduction.reduced.to_parent[static_cast<std::size_t>(v)]));
-    }
-  } else {
-    for (Vertex v = 0; v < g->num_vertices(); ++v) reduced_ids.push_back(net.id_of(v));
-  }
-  local::Network reduced_net(*g, reduced_ids);
+MvcAlgorithm1Result algorithm1_mvc(const Graph& g, const Algorithm1Config& cfg) {
+  return run_mvc(g, nullptr, cfg, 1);
+}
 
-  // One view gather serves both cut steps. Radius max(r1, 2*r2) guarantees
-  // the double balls of every candidate 2-cut partner are complete (see
-  // cuts/local_cuts.hpp), but never needs to exceed the graph itself —
-  // beyond the diameter the views are the whole graph already.
-  int view_radius = std::max(r1, 2 * r2);
-  const int diam_cap = g->num_vertices();  // safe upper bound on any view
-  view_radius = std::min(view_radius, diam_cap);
-
-  local::TrafficStats traffic;
-  const auto views = local::gather_views(reduced_net, view_radius, &traffic, threads);
-
-  // Per-vertex cut classification into slot arrays; the ordered collect
-  // below keeps X and I bit-identical for any thread count.
-  const int rn = g->num_vertices();
-  std::vector<char> is_one_cut(static_cast<std::size_t>(rn), 0);
-  std::vector<char> is_interesting_v(static_cast<std::size_t>(rn), 0);
-  common::parallel_for(rn, threads, [&](int begin, int end) {
-    for (Vertex v = begin; v < end; ++v) {
-      const local::BallView& view = views[static_cast<std::size_t>(v)];
-      if (cuts::is_local_one_cut(view.graph, view.centre, std::min(r1, view_radius))) {
-        is_one_cut[static_cast<std::size_t>(v)] = 1;
-      }
-      if (cuts::is_interesting(view.graph, view.centre, std::min(r2, view_radius))) {
-        is_interesting_v[static_cast<std::size_t>(v)] = 1;
-      }
-    }
-  });
-  std::vector<Vertex> one_cuts;
-  std::vector<Vertex> interesting;
-  for (Vertex v = 0; v < rn; ++v) {
-    if (is_one_cut[static_cast<std::size_t>(v)]) one_cuts.push_back(v);
-    if (is_interesting_v[static_cast<std::size_t>(v)]) interesting.push_back(v);
-  }
-
-  Algorithm1Config local_cfg = cfg;
-  Algorithm1Result result = run_pipeline(input, local_cfg, &one_cuts, &interesting);
-  result.diag.traffic = traffic;
-  return result;
+MvcAlgorithm1Result algorithm1_mvc_local(const local::Network& net,
+                                         const Algorithm1Config& cfg, int threads) {
+  return run_mvc(net.topology(), &net, cfg, threads);
 }
 
 }  // namespace lmds::core

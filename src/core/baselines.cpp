@@ -17,26 +17,14 @@ std::vector<Vertex> take_all(const Graph& g) {
 }
 
 std::vector<Vertex> tree_degree_rule(const Graph& g, int threads) {
-  const int n = g.num_vertices();
-  std::vector<char> joins(static_cast<std::size_t>(n), 0);
-  common::parallel_for(n, threads, [&](int begin, int end) {
-    for (Vertex v = begin; v < end; ++v) {
-      const int deg = g.degree(v);
-      if (deg >= 2 || deg == 0) {
-        joins[static_cast<std::size_t>(v)] = 1;
-        continue;
-      }
-      // Pendant: joins only when its single neighbour is also pendant (a K2
-      // component) and v carries the smaller id.
-      const Vertex u = g.neighbors(v)[0];
-      if (g.degree(u) == 1 && v < u) joins[static_cast<std::size_t>(v)] = 1;
-    }
+  return common::parallel_select(g.num_vertices(), threads, [&](Vertex v) {
+    const int deg = g.degree(v);
+    if (deg >= 2 || deg == 0) return true;
+    // Pendant: joins only when its single neighbour is also pendant (a K2
+    // component) and v carries the smaller id.
+    const Vertex u = g.neighbors(v)[0];
+    return g.degree(u) == 1 && v < u;
   });
-  std::vector<Vertex> result;
-  for (Vertex v = 0; v < n; ++v) {
-    if (joins[static_cast<std::size_t>(v)]) result.push_back(v);
-  }
-  return result;
 }
 
 int gamma(const Graph& g, Vertex v, int cap) {
@@ -61,17 +49,9 @@ int gamma(const Graph& g, Vertex v, int cap) {
 std::vector<Vertex> ksv_style(const Graph& g, int k, int threads) {
   const int n = g.num_vertices();
   // gamma dominates the runtime (a tiny set-cover per vertex), and each call
-  // touches only its own ball — shard it into a slot array.
-  std::vector<char> in_x(static_cast<std::size_t>(n), 0);
-  common::parallel_for(n, threads, [&](int begin, int end) {
-    for (Vertex v = begin; v < end; ++v) {
-      if (gamma(g, v, k) > k) in_x[static_cast<std::size_t>(v)] = 1;
-    }
-  });
-  std::vector<Vertex> x;
-  for (Vertex v = 0; v < n; ++v) {
-    if (in_x[static_cast<std::size_t>(v)]) x.push_back(v);
-  }
+  // touches only its own ball.
+  const std::vector<Vertex> x =
+      common::parallel_select(n, threads, [&](Vertex v) { return gamma(g, v, k) > k; });
 
   std::vector<char> dominated(static_cast<std::size_t>(n), 0);
   for (Vertex v : x) {

@@ -3,7 +3,8 @@
 // vertices of m3.2-local 1-cuts and *all* vertices of m3.3-local minimal
 // 2-cuts (not just interesting ones), then brute-force a minimum cover of
 // the remaining uncovered edges in each residual component. No twin removal
-// is needed for vertex cover.
+// is needed for vertex cover. Both variants run on the one pipeline in
+// core/algorithm1.cpp.
 
 #include <vector>
 

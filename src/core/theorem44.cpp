@@ -1,7 +1,5 @@
 #include "core/theorem44.hpp"
 
-#include <algorithm>
-
 #include "common/parallel.hpp"
 #include "core/constants.hpp"
 
@@ -45,25 +43,6 @@ std::vector<local::NodeId> identity_ids(int n) {
   return ids;
 }
 
-// Evaluates a pure per-vertex rule across all vertices, sharded over
-// `threads` workers into a slot array; collection in vertex order keeps the
-// output bit-identical for any thread count.
-template <typename Rule>
-std::vector<Vertex> apply_rule(const Graph& g, int threads, const Rule& rule) {
-  const int n = g.num_vertices();
-  std::vector<char> joins(static_cast<std::size_t>(n), 0);
-  common::parallel_for(n, threads, [&](int begin, int end) {
-    for (Vertex v = begin; v < end; ++v) {
-      joins[static_cast<std::size_t>(v)] = rule(v) ? 1 : 0;
-    }
-  });
-  std::vector<Vertex> out;
-  for (Vertex v = 0; v < n; ++v) {
-    if (joins[static_cast<std::size_t>(v)]) out.push_back(v);
-  }
-  return out;
-}
-
 }  // namespace
 
 bool theorem44_mds_decision(const local::BallView& view) {
@@ -77,7 +56,8 @@ bool theorem44_mvc_decision(const local::BallView& view) {
 Theorem44Result theorem44_mds(const Graph& g, int threads) {
   Theorem44Result result;
   const auto ids = identity_ids(g.num_vertices());
-  result.solution = apply_rule(g, threads, [&](Vertex v) { return mds_rule(g, v, ids); });
+  result.solution = common::parallel_select(g.num_vertices(), threads,
+                                            [&](Vertex v) { return mds_rule(g, v, ids); });
   result.traffic.rounds = PaperConstants::kTheorem44Rounds;
   return result;
 }
@@ -93,7 +73,8 @@ Theorem44Result theorem44_mds_local(const local::Network& net, int threads) {
 Theorem44Result theorem44_mvc(const Graph& g, int threads) {
   Theorem44Result result;
   const auto ids = identity_ids(g.num_vertices());
-  result.solution = apply_rule(g, threads, [&](Vertex v) { return mvc_rule(g, v, ids); });
+  result.solution = common::parallel_select(g.num_vertices(), threads,
+                                            [&](Vertex v) { return mvc_rule(g, v, ids); });
   result.traffic.rounds = PaperConstants::kTheorem44Rounds;
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cuts/local_cuts.hpp"
 #include "graph/bfs.hpp"
 #include "graph/ops.hpp"
 
@@ -9,26 +10,23 @@ namespace lmds::cuts {
 
 namespace {
 
-// Shared condition check on an already-materialised host graph h in which
-// {u, v} is known to be a minimal 2-cut. Conditions:
-//   (1) N_G[v] ⊄ N_G[u] — evaluated in h, which agrees with g because h
-//       contains the full 1-balls of u and v;
-//   (2) >= 2 components of h − {u, v} contain a vertex non-adjacent to u.
-bool interesting_conditions(const Graph& h, Vertex v, Vertex u) {
-  if (h.closed_neighborhood_contained(v, u)) return false;  // N[v] ⊆ N[u]
+// Condition (2) in a host graph h where {u, v} is a minimal 2-cut: at least
+// two components of h − {u, v} hold a vertex non-adjacent to u.
+bool condition2(const Graph& h, Vertex v, Vertex u) {
   const Vertex removed[] = {u, v};
   const auto comps = graph::components_without(h, removed);
   std::vector<char> has_nonneighbor(static_cast<std::size_t>(comps.count), 0);
   for (Vertex w = 0; w < h.num_vertices(); ++w) {
     const int c = comps.component[static_cast<std::size_t>(w)];
-    if (c < 0) continue;
-    if (!h.has_edge(w, u)) has_nonneighbor[static_cast<std::size_t>(c)] = 1;
+    if (c >= 0 && !h.has_edge(w, u)) has_nonneighbor[static_cast<std::size_t>(c)] = 1;
   }
-  int count = 0;
-  for (int c = 0; c < comps.count; ++c) {
-    if (has_nonneighbor[static_cast<std::size_t>(c)]) ++count;
-  }
-  return count >= 2;
+  return std::count(has_nonneighbor.begin(), has_nonneighbor.end(), 1) >= 2;
+}
+
+// Conditions (1) and (2). (1) N_G[v] ⊄ N_G[u] is evaluated in h, which
+// agrees with g because h contains the full 1-balls of u and v.
+bool interesting_conditions(const Graph& h, Vertex v, Vertex u) {
+  return !h.closed_neighborhood_contained(v, u) && condition2(h, v, u);
 }
 
 }  // namespace
@@ -52,6 +50,13 @@ bool is_interesting(const Graph& g, Vertex v, int r) {
   for (Vertex u : graph::ball(g, v, r)) {
     if (u == v) continue;
     if (certifies_interesting(g, v, u, r)) return true;
+  }
+  return false;
+}
+
+bool in_local_two_cut(const Graph& g, Vertex v, int r) {
+  for (Vertex u : graph::ball(g, v, r)) {
+    if (u != v && is_local_two_cut(g, v, u, r)) return true;
   }
   return false;
 }
@@ -88,20 +93,7 @@ std::vector<Vertex> globally_interesting_vertices(const Graph& g) {
 
 bool is_almost_interesting(const Graph& g, Vertex v) {
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (u == v || !is_minimal_two_cut(g, u, v)) continue;
-    const Vertex removed[] = {u, v};
-    const auto comps = graph::components_without(g, removed);
-    std::vector<char> has_nonneighbor(static_cast<std::size_t>(comps.count), 0);
-    for (Vertex w = 0; w < g.num_vertices(); ++w) {
-      const int c = comps.component[static_cast<std::size_t>(w)];
-      if (c < 0) continue;
-      if (!g.has_edge(w, u)) has_nonneighbor[static_cast<std::size_t>(c)] = 1;
-    }
-    int count = 0;
-    for (int c = 0; c < comps.count; ++c) {
-      if (has_nonneighbor[static_cast<std::size_t>(c)]) ++count;
-    }
-    if (count >= 2) return true;
+    if (u != v && is_minimal_two_cut(g, u, v) && condition2(g, v, u)) return true;
   }
   return false;
 }

@@ -25,6 +25,11 @@ bool certifies_interesting(const Graph& g, Vertex v, Vertex u, int r);
 /// True iff some u makes v r-interesting.
 bool is_interesting(const Graph& g, Vertex v, int r);
 
+/// True iff v lies in some r-local minimal 2-cut {v, u}
+/// (cuts/local_cuts.hpp) — the vertex-cover variant's counterpart of
+/// is_interesting; vertices_in_local_two_cuts lists the same vertices.
+bool in_local_two_cut(const Graph& g, Vertex v, int r);
+
 /// Sorted list of all r-interesting vertices of g.
 std::vector<Vertex> interesting_vertices(const Graph& g, int r);
 

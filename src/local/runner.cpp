@@ -4,48 +4,13 @@
 
 namespace lmds::local {
 
-namespace {
-
-// Slot-per-vertex merge: workers fill disjoint ranges of `joined`, then the
-// selected list is collected in vertex order — identical for any thread
-// count.
-std::vector<Vertex> collect(const std::vector<char>& joined) {
-  std::vector<Vertex> selected;
-  for (Vertex v = 0; v < static_cast<Vertex>(joined.size()); ++v) {
-    if (joined[static_cast<std::size_t>(v)]) selected.push_back(v);
-  }
-  return selected;
-}
-
-}  // namespace
-
 RunResult run_ball_algorithm(const Network& net, int radius, const BallDecision& decide,
                              int threads) {
   RunResult result;
   const auto views = gather_views(net, radius, &result.traffic, threads);
-  std::vector<char> joined(static_cast<std::size_t>(net.num_nodes()), 0);
-  common::parallel_for(net.num_nodes(), threads, [&](int begin, int end) {
-    for (Vertex v = begin; v < end; ++v) {
-      joined[static_cast<std::size_t>(v)] = decide(views[static_cast<std::size_t>(v)]) ? 1 : 0;
-    }
+  result.selected = common::parallel_select(net.num_nodes(), threads, [&](Vertex v) {
+    return decide(views[static_cast<std::size_t>(v)]);
   });
-  result.selected = collect(joined);
-  return result;
-}
-
-RunResult run_ball_algorithm_fast(const Network& net, int radius, const BallDecision& decide,
-                                  int threads) {
-  RunResult result;
-  result.traffic.rounds = radius + 1;
-  std::vector<char> joined(static_cast<std::size_t>(net.num_nodes()), 0);
-  common::parallel_for(net.num_nodes(), threads, [&](int begin, int end) {
-    ViewScratch scratch;
-    for (Vertex v = begin; v < end; ++v) {
-      joined[static_cast<std::size_t>(v)] =
-          decide(cut_view_into(net, v, radius, scratch)) ? 1 : 0;
-    }
-  });
-  result.selected = collect(joined);
   return result;
 }
 

@@ -1,18 +1,17 @@
 #pragma once
-// Adapters that run ball-decision functions as LOCAL algorithms.
+// The adapter that runs ball-decision functions as LOCAL algorithms.
 //
 // A BallDecision is a pure function BallView -> bool ("do I join the output
 // set?"). run_ball_algorithm gathers radius-r views through the
 // message-passing simulator and applies the decision at every node,
-// reporting the measured rounds/messages/bytes. run_ball_algorithm_fast
-// computes the same output through cut views (no traffic simulation) — the
-// two are tested to agree, and benches choose per their needs.
+// reporting the measured rounds/messages/bytes.
 //
-// Both runners accept a thread count: per-vertex view extraction and
-// decisions shard across a fork-join pool, each vertex writing a
-// preallocated slot, and the selected set is collected in vertex order —
-// results are bit-identical for every thread count. Decisions must be pure
-// (they are: every decision in this library reads only its BallView).
+// The runner accepts a thread count: view extraction (gather_views) and
+// decisions (common::parallel_select) shard across a fork-join pool, each
+// vertex writing a preallocated slot, and the selected set is collected in
+// vertex order — results are bit-identical for every thread count.
+// Decisions must be pure (they are: every decision in this library reads
+// only its BallView).
 
 #include <functional>
 
@@ -33,10 +32,5 @@ struct RunResult {
 /// `decide` at every node. `threads` <= 0 picks hardware_concurrency.
 RunResult run_ball_algorithm(const Network& net, int radius, const BallDecision& decide,
                              int threads = 1);
-
-/// Same output, computed without simulating traffic (traffic reports the
-/// model cost: rounds = radius + 1, messages/bytes = 0).
-RunResult run_ball_algorithm_fast(const Network& net, int radius, const BallDecision& decide,
-                                  int threads = 1);
 
 }  // namespace lmds::local

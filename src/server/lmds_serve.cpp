@@ -49,7 +49,7 @@ int usage() {
                "                  [--max-batch-graphs N]\n"
                "                  [--lease-ttl-ms N] [--max-namespace-bytes N]\n"
                "                  [--max-namespace-inflight N]\n"
-               "                  [--router --peer HOST:PORT ... [--vnodes N]]\n"
+               "                  [--router --peer HOST:PORT ...]\n"
                "defaults: 127.0.0.1:7411, threads 0 (hardware), shard_size 4,\n"
                "          cache 4096 entries, graph store 1024 graphs,\n"
                "          max 256 concurrent connections, HTTP disabled;\n"
@@ -164,9 +164,6 @@ int main(int argc, char** argv) {
       router_mode = true;
     } else if (arg == "--peer" && value) {
       router_opts.peers.emplace_back(value);
-      ++i;
-    } else if (arg == "--vnodes" && value && parse_int_flag(value, 1, 1 << 16, &parsed)) {
-      router_opts.vnodes = parsed;
       ++i;
     } else {
       std::fprintf(stderr, "lmds_serve: bad flag or value: %s\n", arg.c_str());

@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/graph_store.hpp"
@@ -22,6 +23,7 @@
 #include "cluster/router.hpp"
 #include "graph/generators.hpp"
 #include "graph/hash.hpp"
+#include "graph/ops.hpp"
 #include "server/net.hpp"
 #include "server/server.hpp"
 #include "server/session.hpp"
@@ -487,6 +489,7 @@ class RoutedClusterTest : public ::testing::Test {
     RouterOptions ropts;
     ropts.peers = {"127.0.0.1:" + std::to_string(worker1_->port()),
                    "127.0.0.1:" + std::to_string(worker2_->port())};
+    peers_ = ropts.peers;
     router_ = std::make_unique<Router>(ropts, router_srv_->core());
     router_->install();
     router_srv_->bind_and_listen();
@@ -504,8 +507,46 @@ class RoutedClusterTest : public ::testing::Test {
     router_.reset();  // drops its pooled worker connections
   }
 
+  /// Puts grid(3, 4) and patches one of its non-edges in, through the router
+  /// and on `ref`. The edge is chosen so that the child's own ring owner is
+  /// not the parent's worker, where the router places the child. Returns the
+  /// child graph and its handle (empty if no edge qualifies).
+  std::pair<Graph, std::string> put_and_patch_off_ring(int fd, LineReader& reader,
+                                                       Session& ref) {
+    const Graph parent = graph::gen::grid(3, 4);
+    const std::string put = "{\"op\":\"put_graph\",\"graph\":" + graph_json(parent) + "}";
+    const std::string handle =
+        json_parse(raw_line_exchange(fd, reader, put)).find("handle")->as_string();
+    EXPECT_TRUE(json_parse(ref.handle_line(put)).find("ok")->as_bool());
+
+    // The workers' ports are ephemeral, so ring placement varies per run.
+    const HashRing ring(peers_);
+    const std::size_t parent_owner = ring.owner_index(graph::graph_hash(parent));
+    for (graph::Vertex u = 0; u < parent.num_vertices(); ++u) {
+      for (graph::Vertex v = u + 1; v < parent.num_vertices(); ++v) {
+        if (parent.has_edge(u, v)) continue;
+        graph::GraphPatch edit;
+        edit.add = {{u, v}};
+        Graph patched = graph::apply_patch(parent, edit).graph;
+        if (ring.owner_index(graph::graph_hash(patched)) == parent_owner) continue;
+        const std::string patch = "{\"op\":\"patch_graph\",\"handle\":\"" + handle +
+                                  "\",\"add\":[[" + std::to_string(u) + "," +
+                                  std::to_string(v) + "]]}";
+        const JsonValue routed = json_parse(raw_line_exchange(fd, reader, patch));
+        EXPECT_TRUE(routed.find("ok")->as_bool());
+        const std::string child = routed.find("handle")->as_string();
+        EXPECT_EQ(child, json_parse(ref.handle_line(patch)).find("handle")->as_string());
+        EXPECT_EQ(child, api::GraphStore::handle_for(graph::graph_hash(patched)));
+        return {std::move(patched), child};
+      }
+    }
+    ADD_FAILURE() << "every child of grid(3, 4) hashes to the parent's worker";
+    return {parent, ""};
+  }
+
   std::unique_ptr<Server> worker1_, worker2_, router_srv_, reference_;
   std::unique_ptr<Router> router_;
+  std::vector<std::string> peers_;
   std::vector<std::thread> threads_;
 };
 
@@ -618,6 +659,48 @@ TEST_F(RoutedClusterTest, PatchForwardsToParentOwnerAndChildStaysRouted) {
         raw_line_exchange(fd, reader, "{\"op\":\"drop_graph\",\"handle\":\"" + h + "\"}"));
     EXPECT_TRUE(dropped.find("ok")->as_bool()) << h;
   }
+  ::close(fd);
+}
+
+TEST_F(RoutedClusterTest, SolveAfterDroppingChildMatchesSingleServer) {
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  Session ref(reference_->core());
+  const std::string child = put_and_patch_off_ring(fd, reader, ref).second;
+  ASSERT_FALSE(child.empty());
+
+  // A dropped graph stays resolvable until evicted, so the router must keep
+  // sending the child's handle to the worker that holds it.
+  const std::string drop = "{\"op\":\"drop_graph\",\"handle\":\"" + child + "\"}";
+  EXPECT_EQ(raw_line_exchange(fd, reader, drop), ref.handle_line(drop));
+  const std::string solve =
+      "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[\"" + child + "\"]}";
+  const std::string routed_line = raw_line_exchange(fd, reader, solve);
+  const std::string single_line = ref.handle_line(solve);
+  const auto routed_pieces = split_raw_responses(routed_line);
+  const auto single_pieces = split_raw_responses(single_line);
+  ASSERT_TRUE(single_pieces.has_value()) << single_line;
+  ASSERT_TRUE(routed_pieces.has_value()) << routed_line;
+  EXPECT_EQ((*routed_pieces)[0], (*single_pieces)[0]);
+  ::close(fd);
+}
+
+TEST_F(RoutedClusterTest, PutOfPatchedChildMatchesSingleServer) {
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  Session ref(reference_->core());
+  const auto [patched, child] = put_and_patch_off_ring(fd, reader, ref);
+  ASSERT_FALSE(child.empty());
+
+  // The child's graph is already stored (on the parent's worker): the put
+  // must find it there and answer "new":false, not store a second copy on
+  // the child's ring owner.
+  const std::string put = "{\"op\":\"put_graph\",\"graph\":" + graph_json(patched) + "}";
+  const std::string single_line = ref.handle_line(put);
+  EXPECT_EQ(raw_line_exchange(fd, reader, put), single_line);
+  EXPECT_FALSE(json_parse(single_line).find("new")->as_bool());
   ::close(fd);
 }
 

@@ -294,6 +294,55 @@ TEST(Algorithm1, LocalMatchesCentralizedOnThetaAndCycle) {
   }
 }
 
+TEST(Algorithm1, LocalEqualsCentralizedFieldForField) {
+  // Both variants, random ids, twin removal on and off, 1 and 4 threads:
+  // every result field but the LOCAL run's traffic equals the centralized
+  // run's.
+  std::mt19937_64 rng(197);
+  ding::CactusConfig cc;
+  cc.pieces = 4;
+  cc.max_piece_size = 6;
+  cc.t = 5;
+  const std::vector<Graph> graphs = {
+      graph::gen::theta_chain(4, 3),
+      graph::gen::cycle(14),
+      graph::gen::clique_with_pendants(6),
+      graph::gen::random_maximal_outerplanar(14, rng),
+      graph::gen::random_tree(18, rng),
+      ding::random_cactus_of_structures(cc, rng)};
+  for (const Graph& g : graphs) {
+    const local::Network net = local::Network::with_random_ids(g, rng);
+    for (const bool twin_removal : {true, false}) {
+      Algorithm1Config cfg = small_radius_config(5, 3, 3);
+      cfg.twin_removal = twin_removal;
+      const Algorithm1Result mds = algorithm1(g, cfg);
+      const MvcAlgorithm1Result mvc = algorithm1_mvc(g, cfg);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(g.summary() + " twin_removal=" + std::to_string(twin_removal) +
+                     " threads=" + std::to_string(threads));
+        const Algorithm1Result mds_local = algorithm1_local(net, cfg, threads);
+        EXPECT_EQ(mds_local.dominating_set, mds.dominating_set);
+        EXPECT_EQ(mds_local.diag.twin_classes, mds.diag.twin_classes);
+        EXPECT_EQ(mds_local.diag.one_cuts, mds.diag.one_cuts);
+        EXPECT_EQ(mds_local.diag.interesting, mds.diag.interesting);
+        EXPECT_EQ(mds_local.diag.brute_forced, mds.diag.brute_forced);
+        EXPECT_EQ(mds_local.diag.residual_components, mds.diag.residual_components);
+        EXPECT_EQ(mds_local.diag.max_residual_diameter, mds.diag.max_residual_diameter);
+        EXPECT_EQ(mds_local.diag.rounds, mds.diag.rounds);
+
+        const MvcAlgorithm1Result mvc_local = algorithm1_mvc_local(net, cfg, threads);
+        EXPECT_EQ(mvc_local.vertex_cover, mvc.vertex_cover);
+        EXPECT_EQ(mvc_local.diag.one_cuts, mvc.diag.one_cuts);
+        EXPECT_EQ(mvc_local.diag.two_cut_vertices, mvc.diag.two_cut_vertices);
+        EXPECT_EQ(mvc_local.diag.brute_forced, mvc.diag.brute_forced);
+        EXPECT_EQ(mvc_local.diag.residual_components, mvc.diag.residual_components);
+        EXPECT_EQ(mvc_local.diag.max_residual_diameter, mvc.diag.max_residual_diameter);
+        EXPECT_EQ(mvc_local.diag.rounds, mvc.diag.rounds);
+      }
+    }
+  }
+}
+
 TEST(Algorithm1, TwinRemovalAblation) {
   // Without twin removal the output can only get larger on twin-heavy
   // graphs, but must still dominate.

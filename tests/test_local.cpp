@@ -190,25 +190,6 @@ TEST(Runner, DegreeRuleOnStar) {
   EXPECT_GT(result.traffic.messages, 0u);
 }
 
-TEST(Runner, FastAndSimulatedAgree) {
-  std::mt19937_64 rng(157);
-  const Graph g = graph::gen::random_connected(25, 10, rng);
-  const Network net = Network::with_random_ids(g, rng);
-  const auto decide = [](const BallView& view) {
-    // An arbitrary view-dependent rule: centre id is a local minimum among
-    // the ball.
-    for (NodeId id : view.ids) {
-      if (id < view.ids[static_cast<std::size_t>(view.centre)]) return false;
-    }
-    return true;
-  };
-  const RunResult slow = run_ball_algorithm(net, 2, decide);
-  const RunResult fast = run_ball_algorithm_fast(net, 2, decide);
-  EXPECT_EQ(slow.selected, fast.selected);
-  EXPECT_EQ(fast.traffic.messages, 0u);
-  EXPECT_EQ(slow.traffic.rounds, fast.traffic.rounds);
-}
-
 TEST(Runner, DecisionsDependOnlyOnView) {
   // Two networks that agree on a node's r-ball (including ids) must produce
   // the same decision at that node: a long path and a long cycle agree

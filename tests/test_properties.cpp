@@ -241,10 +241,10 @@ TEST(Properties, BallViewConsistencyUnderRelabeling) {
     return cuts::is_local_one_cut(view.graph, view.centre, 2);
   };
   const local::Network identity(g);
-  const auto base = local::run_ball_algorithm_fast(identity, 4, decide).selected;
+  const auto base = local::run_ball_algorithm(identity, 4, decide).selected;
   for (int trial = 0; trial < 4; ++trial) {
     const local::Network shuffled = local::Network::with_random_ids(g, rng);
-    EXPECT_EQ(local::run_ball_algorithm_fast(shuffled, 4, decide).selected, base);
+    EXPECT_EQ(local::run_ball_algorithm(shuffled, 4, decide).selected, base);
   }
 }
 
