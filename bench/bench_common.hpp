@@ -4,7 +4,10 @@
 // wall-clock timing, locale-proof JSON numbers, a declared-flags parser with
 // the built-in --check and --json FILE, regression gates, and the
 // BENCH_*.json writer whose runs[].graphs_per_sec scripts/bench_regression.py
-// ratchets (bench_paper writes no artifact).
+// ratchets (bench_paper writes no artifact). Every artifact also records the
+// process's wall and CPU time (user + sys) since the Harness was built, their
+// ratio and the host's core count, so a scaling figure can be read against
+// the CPU it actually got.
 //
 //   int iters = 40;  // the default
 //   bench::Harness h("serve_v2", argc, argv, {{"--iters", &iters}});
@@ -15,6 +18,8 @@
 
 #pragma once
 
+#include <sys/resource.h>
+
 #include <charconv>
 #include <chrono>
 #include <cstdarg>
@@ -24,6 +29,7 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -32,6 +38,14 @@ namespace lmds::bench {
 
 inline double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// CPU time (user + sys) this process has used so far.
+inline double cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) { return t.tv_sec + t.tv_usec / 1e6; };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 // Locale-independent fixed-point formatting for the JSON artifact: fprintf's
@@ -108,13 +122,23 @@ class Harness {
     failed_ = true;
   }
 
-  /// With --json FILE, writes {"bench": <name>, <fields>, "runs": [<runs>]}
-  /// to FILE; exits 1 when FILE cannot be opened, written or closed, so a
-  /// truncated artifact never passes for a measurement.
+  /// With --json FILE, writes {"bench": <name>, <fields>, "wall_s",
+  /// "cpu_s", "cpu_per_wall", "host_cores", "runs": [<runs>]} to FILE; the
+  /// times run from the Harness's construction. Exits 1 when FILE cannot be
+  /// opened, written or closed, so a truncated artifact never passes for a
+  /// measurement.
   void write_json(const Fields& fields, const std::vector<Fields>& runs) const {
     if (json_path_.empty()) return;
+    const double wall = seconds_since(wall_start_);
+    const double cpu = cpu_seconds() - cpu_start_;
+    Fields members = fields;
+    members.insert(members.end(),
+                   {{"wall_s", json_num(wall, 3)},
+                    {"cpu_s", json_num(cpu, 3)},
+                    {"cpu_per_wall", json_num(wall > 0 ? cpu / wall : 0, 3)},
+                    {"host_cores", std::to_string(std::thread::hardware_concurrency())}});
     std::string text = "{\n  \"bench\": " + json_str(name_);
-    for (const auto& [name, value] : fields) text += ",\n  " + json_str(name) + ": " + value;
+    for (const auto& [name, value] : members) text += ",\n  " + json_str(name) + ": " + value;
     text += ",\n  \"runs\": [";
     for (std::size_t i = 0; i < runs.size(); ++i) {
       text += (i ? ",\n    " : "\n    ") + json_object(runs[i]);
@@ -150,6 +174,8 @@ class Harness {
   }
 
   std::string name_;
+  std::chrono::steady_clock::time_point wall_start_ = std::chrono::steady_clock::now();
+  double cpu_start_ = cpu_seconds();
   bool check_ = false;
   std::string json_path_;
   bool failed_ = false;

@@ -1,9 +1,9 @@
-// Hot-path perf bench: CSR-native view extraction and the intra-graph
-// threading mode, against the reference (seed) implementations they must
-// match bit-for-bit (tests/test_hotpath.cpp holds the differential proof;
-// this bench holds the speed claim).
+// Hot-path perf bench: CSR-native view extraction, the local cut kernel and
+// the intra-graph threading mode, against the reference (seed)
+// implementations they must match bit-for-bit (tests/test_hotpath.cpp holds
+// the differential proof; this bench holds the speed claim).
 //
-// Three runs:
+// Four runs:
 //   * gather_flooded — flooded gather_views (radius 3) on a ~1k-vertex grid,
 //     fast vs reference, both over every vertex;
 //   * cut_views      — cut-view extraction on a --vertices grid (default
@@ -12,27 +12,38 @@
 //     running it at every vertex would take hours by design);
 //   * intra_solve    — one ksv solve of the same grid through BatchExecutor,
 //     intra_threads=1 vs intra_threads=hardware, cache bypassed, solutions
-//     compared differentially.
+//     compared differentially;
+//   * local_cuts     — Algorithm 1's step 2 for both variants
+//     (cuts::interesting_vertices, cuts::vertices_in_local_two_cuts) at
+//     r = 4 on a random maximal outerplanar graph of min(1200, --vertices)
+//     vertices, kernel vs the seed predicates (cuts::detail::*_reference);
+//     a set mismatch exits 1.
 //
 //   $ ./bench_perf [--vertices N] [--threads N] [--sample N] [--check] [--json FILE]
 //
-// --check exits 1 unless cut-view extraction is >= 3x the reference rate and
-// the intra-graph mode is >= 2x single-thread (the latter only judged when
-// at least 2 workers resolve — a 1-core runner cannot speed anything up).
-// --json writes runs[].graphs_per_sec for scripts/bench_regression.py and
-// the BENCH_* artifact trail.
+// --check exits 1 unless cut-view extraction is >= 3x the reference rate,
+// the intra-graph mode is >= 2x single-thread (only judged when at least 2
+// workers resolve — a 1-core runner cannot speed anything up), and the
+// local cut kernel is >= 5x the reference for each variant. --json writes
+// runs[].graphs_per_sec (views, solves or classified vertices per second)
+// for scripts/bench_regression.py and the BENCH_* artifact trail.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/executor.hpp"
 #include "api/registry.hpp"
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
+#include "cuts/interesting.hpp"
+#include "cuts/local_cuts.hpp"
 #include "graph/generators.hpp"
 #include "local/view.hpp"
+#include "support/cut_reference.hpp"
 #include "support/view_reference.hpp"
 
 using namespace lmds;
@@ -159,6 +170,51 @@ int main(int argc, char** argv) {
     add_run("intra_solve", 1.0 / par_secs, 1.0 / seq_secs, speedup);
     h.gate(workers < 2 || speedup >= 2.0,
            "intra-graph mode %.2fx single-thread with %d workers (need >= 2x)", speedup, workers);
+  }
+
+  // -------------------------------------------------------------------- 4.
+  // Algorithm 1's step 2, both variants: one local cut kernel per call vs
+  // the seed predicates' whole-graph BFS per pair. Both must pick the same
+  // sets.
+  {
+    using Step2 = std::vector<Vertex> (*)(const Graph&, int);
+    constexpr int kCutsRadius = 4;
+    const Graph g = graph::gen::random_maximal_outerplanar(std::min(1200, vertices), 2025);
+    const auto timed = [&](Step2 step2) {
+      const auto start = std::chrono::steady_clock::now();
+      std::vector<Vertex> set = step2(g, kCutsRadius);
+      return std::pair{bench::seconds_since(start), std::move(set)};
+    };
+    struct Variant {
+      const char* name;
+      Step2 fast;
+      Step2 reference;
+    };
+    const Variant variants[] = {
+        {"mds", cuts::interesting_vertices, cuts::detail::interesting_vertices_reference},
+        {"mvc", cuts::vertices_in_local_two_cuts,
+         cuts::detail::vertices_in_local_two_cuts_reference}};
+    double fast_total = 0;
+    double ref_total = 0;
+    for (const Variant& variant : variants) {
+      const auto [fast_secs, fast_set] = timed(variant.fast);
+      const auto [ref_secs, ref_set] = timed(variant.reference);
+      if (fast_set != ref_set) {
+        std::fprintf(stderr, "DIFFERENTIAL FAILURE: %s step 2 differs from the reference\n",
+                     variant.name);
+        return 1;
+      }
+      const double speedup = ref_secs / fast_secs;
+      std::printf("local_cuts %s  %6d vertices r=%d   fast %8.1f ms        ref %8.1f ms         %6.1fx\n",
+                  variant.name, g.num_vertices(), kCutsRadius, fast_secs * 1e3, ref_secs * 1e3,
+                  speedup);
+      h.gate(speedup >= 5.0, "local cut kernel %.2fx reference on %s step 2 (need >= 5x)",
+             speedup, variant.name);
+      fast_total += fast_secs;
+      ref_total += ref_secs;
+    }
+    add_run("local_cuts", g.num_vertices() / fast_total, g.num_vertices() / ref_total,
+            ref_total / fast_total);
   }
 
   h.write_json(

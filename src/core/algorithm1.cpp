@@ -38,10 +38,17 @@ std::vector<Vertex> sorted_union(std::vector<Vertex> a, std::span<const Vertex> 
   return a;
 }
 
+// The radius of the one view gather that serves steps 1-2, max(r1, 2·r2).
+// The registry's option ranges (api/builtin_solvers.cpp) keep 2·r2 and the
+// round count below INT_MAX.
+int view_radius(const Algorithm1Config& cfg) {
+  return std::max(cfg.effective_radius1(), 2 * cfg.effective_radius2());
+}
+
 // Steps 1-2. The centralized run (net == nullptr) calls the whole-graph
-// functions, which test each 2-cut pair once. The LOCAL run gathers one view
-// per node of net, whose topology is g, and applies the per-vertex rules to
-// the views.
+// functions, which run one cuts::LocalCutKernel over each unordered 2-cut
+// pair once. The LOCAL run gathers one view per node of net, whose topology
+// is g, and applies the per-vertex rules to the views, one kernel per view.
 CutSets cut_steps(const Graph& g, const local::Network* net, const Algorithm1Config& cfg,
                   Problem problem, int threads, local::TrafficStats& traffic) {
   const int r1 = cfg.effective_radius1();
@@ -55,7 +62,7 @@ CutSets cut_steps(const Graph& g, const local::Network* net, const Algorithm1Con
   // double balls of every candidate 2-cut partner are complete (see
   // cuts/local_cuts.hpp), but never needs to exceed the graph itself —
   // beyond the diameter the views are the whole graph already.
-  const int radius = std::min(std::max(r1, 2 * r2), g.num_vertices());
+  const int radius = std::min(view_radius(cfg), g.num_vertices());
   const auto views = local::gather_views(*net, radius, &traffic, threads);
   const auto select = [&](bool (*rule)(const Graph&, Vertex, int), int r) {
     return common::parallel_select(g.num_vertices(), threads, [&](Vertex v) {
@@ -92,8 +99,7 @@ std::vector<Vertex> residual_step(const Graph& g, std::span<const Vertex> remove
 // Model-level rounds after the twin reduction: the view gather for steps 1-2,
 // then the leader-based residual resolution.
 int cut_and_residual_rounds(const Algorithm1Config& cfg, int max_residual_diameter) {
-  const int view_radius = std::max(cfg.effective_radius1(), 2 * cfg.effective_radius2());
-  return (view_radius + 1) + (max_residual_diameter + 3);
+  return (view_radius(cfg) + 1) + (max_residual_diameter + 3);
 }
 
 Algorithm1Result run_mds(const Graph& input, const local::Network* net,

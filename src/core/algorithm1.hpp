@@ -10,10 +10,13 @@
 //      G⁻ − (X ∪ I ∪ U), where B is the set of still-undominated vertices.
 //
 // Radii: the paper's constants m3.2 = f(5)+2 = 43t+2 and m3.3 = f(11)+5 =
-// 73t+5 exceed the diameter of any graph one can simulate, at which point
-// local cuts coincide with global cuts. The config therefore exposes the
-// radii; radius <= 0 means "use the paper constant". Benches sweep the
-// radius to chart the ratio/rounds trade-off (bench_paper --row radius_sweep).
+// 73t+5 (131 and 224 at t = 3) exceed the diameter of most graphs one runs,
+// at which point local cuts coincide with global cuts; they differ only
+// beyond diameter 2·m3.3. Such graphs are affordable: C_1000 at t = 3's
+// radii takes about 2 s per variant, single thread in Release on a 4 vCPU
+// host. The config exposes the radii; radius <= 0 means "use the paper
+// constant". Benches sweep the radius to chart the ratio/rounds trade-off
+// (bench_paper --row radius_sweep).
 //
 // Round accounting (model-level, also measured by the simulator path):
 //   * twin reduction: 2 rounds;
@@ -32,7 +35,9 @@ namespace lmds::core {
 using graph::Graph;
 using graph::Vertex;
 
-/// Configuration of Algorithm 1.
+/// Configuration of Algorithm 1. Requires t >= 1 and radii <= 2^24, which
+/// keep every radius and round count within int; the registry refuses
+/// requests outside (api/builtin_solvers.cpp).
 struct Algorithm1Config {
   int t = 5;        ///< class parameter (K_{2,t}-minor-free input expected)
   int radius1 = 0;  ///< m3.2 override; <= 0 means paper constant f(5)+2

@@ -19,8 +19,8 @@ using graph::Vertex;
 std::vector<Vertex> articulation_points(const Graph& g);
 
 /// True iff removing v increases the number of connected components.
-/// O(n + m) — brute-force reference used in tests and by the local-cut code
-/// on small ball graphs.
+/// O(n + m) — brute-force reference used in tests and by the seed local-cut
+/// oracles (tests/support/cut_reference.hpp).
 bool is_cut_vertex(const Graph& g, Vertex v);
 
 /// The block-cut tree of a graph.

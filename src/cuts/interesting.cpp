@@ -1,10 +1,10 @@
 #include "cuts/interesting.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "cuts/local_cuts.hpp"
 #include "graph/bfs.hpp"
-#include "graph/ops.hpp"
 
 namespace lmds::cuts {
 
@@ -23,48 +23,73 @@ bool condition2(const Graph& h, Vertex v, Vertex u) {
   return std::count(has_nonneighbor.begin(), has_nonneighbor.end(), 1) >= 2;
 }
 
-// Conditions (1) and (2). (1) N_G[v] ⊄ N_G[u] is evaluated in h, which
-// agrees with g because h contains the full 1-balls of u and v.
+// Conditions (1) N[v] ⊄ N[u] and (2), both in h.
 bool interesting_conditions(const Graph& h, Vertex v, Vertex u) {
   return !h.closed_neighborhood_contained(v, u) && condition2(h, v, u);
+}
+
+// v is interesting with partner u, given the kernel's verdict on {u, v}:
+// the pair is a minimal 2-cut, (1) N[v] ⊄ N[u], and (2) holds. r >= 1 puts
+// N[u] and N[v] inside the ball, so (1) reads from g itself.
+bool certifies(const Graph& g, const PairCut& cut, Vertex v, Vertex u) {
+  return cut.minimal && cut.spread_u && !g.closed_neighborhood_contained(v, u);
 }
 
 }  // namespace
 
 bool certifies_interesting(const Graph& g, Vertex v, Vertex u, int r) {
   if (u == v) return false;
-  const int d = graph::distance(g, u, v);
-  if (d < 0 || d > r) return false;
-  const Vertex sources[] = {u, v};
-  const auto ball_vertices = graph::ball_of_set(g, sources, r);
-  const auto sub = graph::induced_subgraph(g, ball_vertices);
-  const Vertex su = sub.from_parent[static_cast<std::size_t>(u)];
-  const Vertex sv = sub.from_parent[static_cast<std::size_t>(v)];
-  if (!is_minimal_two_cut(sub.graph, su, sv)) return false;
-  // The 1-balls of u and v lie inside the r-ball of {u, v} (r >= 1), so
-  // closed neighbourhoods agree between g and the ball graph.
-  return interesting_conditions(sub.graph, sv, su);
+  if (!g.has_vertex(u) || !g.has_vertex(v)) throw std::invalid_argument("certifies_interesting: bad vertex");
+  if (r < 1) return false;
+  LocalCutKernel kernel;
+  return kernel.within(g, u, v, r) && certifies(g, kernel.pair(g, u, v, r), v, u);
 }
 
 bool is_interesting(const Graph& g, Vertex v, int r) {
-  for (Vertex u : graph::ball(g, v, r)) {
-    if (u == v) continue;
-    if (certifies_interesting(g, v, u, r)) return true;
+  if (!g.has_vertex(v)) throw std::invalid_argument("is_interesting: bad vertex");
+  if (r < 1) return false;
+  LocalCutKernel kernel;
+  for (Vertex u : kernel.candidates(g, v, r)) {
+    // Condition (1) first: it costs no traversal.
+    if (u == v || g.closed_neighborhood_contained(v, u)) continue;
+    if (certifies(g, kernel.pair(g, u, v, r), v, u)) return true;
   }
   return false;
 }
 
 bool in_local_two_cut(const Graph& g, Vertex v, int r) {
-  for (Vertex u : graph::ball(g, v, r)) {
-    if (u != v && is_local_two_cut(g, v, u, r)) return true;
+  if (r < 1) throw std::invalid_argument("local cuts: radius must be >= 1");
+  if (!g.has_vertex(v)) throw std::invalid_argument("in_local_two_cut: bad vertex");
+  LocalCutKernel kernel;
+  for (Vertex u : kernel.candidates(g, v, r)) {
+    if (u != v && kernel.pair(g, u, v, r).minimal) return true;
   }
   return false;
 }
 
 std::vector<Vertex> interesting_vertices(const Graph& g, int r) {
+  if (r < 1) return {};
+  LocalCutKernel kernel;
+  std::vector<char> selected(static_cast<std::size_t>(g.num_vertices()), 0);
+  const auto is_selected = [&](Vertex x) { return selected[static_cast<std::size_t>(x)] != 0; };
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    // Each unordered pair once (u > v, u ∈ N^r[v], so d(u, v) <= r); one
+    // pass decides both orientations. An end that is already selected, or
+    // whose condition (1) fails, needs nothing from the pair.
+    for (Vertex u : kernel.candidates(g, v, r)) {
+      if (u <= v) continue;
+      const bool want_v = !is_selected(v) && !g.closed_neighborhood_contained(v, u);
+      const bool want_u = !is_selected(u) && !g.closed_neighborhood_contained(u, v);
+      if (!want_v && !want_u) continue;
+      const PairCut cut = kernel.pair(g, u, v, r);
+      if (!cut.minimal) continue;
+      if (want_v && cut.spread_u) selected[static_cast<std::size_t>(v)] = 1;
+      if (want_u && cut.spread_v) selected[static_cast<std::size_t>(u)] = 1;
+    }
+  }
   std::vector<Vertex> result;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (is_interesting(g, v, r)) result.push_back(v);
+    if (is_selected(v)) result.push_back(v);
   }
   return result;
 }

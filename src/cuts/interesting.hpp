@@ -19,18 +19,23 @@
 namespace lmds::cuts {
 
 /// Checks conditions (1) and (2) for the specific r-local pair {u, v}
-/// (including that {u, v} actually is an r-local minimal 2-cut).
+/// (including that {u, v} actually is an r-local minimal 2-cut). False for
+/// u == v or r < 1; throws std::invalid_argument for a bad vertex.
 bool certifies_interesting(const Graph& g, Vertex v, Vertex u, int r);
 
-/// True iff some u makes v r-interesting.
+/// True iff some u makes v r-interesting; false for r < 1. Throws
+/// std::invalid_argument for a bad vertex.
 bool is_interesting(const Graph& g, Vertex v, int r);
 
 /// True iff v lies in some r-local minimal 2-cut {v, u}
 /// (cuts/local_cuts.hpp) — the vertex-cover variant's counterpart of
 /// is_interesting; vertices_in_local_two_cuts lists the same vertices.
+/// Throws std::invalid_argument for r < 1 or a bad vertex, like the other
+/// 2-cut functions.
 bool in_local_two_cut(const Graph& g, Vertex v, int r);
 
-/// Sorted list of all r-interesting vertices of g.
+/// Sorted list of all r-interesting vertices of g; empty for r < 1. Each
+/// pair at distance <= r costs one kernel pass (cuts/local_cuts.hpp).
 std::vector<Vertex> interesting_vertices(const Graph& g, int r);
 
 /// Global variant: {u, v} is a minimal 2-cut of g, N[v] ⊄ N[u], and at least

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "cuts/block_cut.hpp"
-#include "graph/bfs.hpp"
-#include "graph/ops.hpp"
-
 namespace lmds::cuts {
 
 namespace {
@@ -17,19 +13,125 @@ void require_radius(int r) {
 
 }  // namespace
 
+bool LocalCutKernel::is_one_cut(const Graph& g, Vertex v, int r) {
+  // N^r[v] is connected, so v is a cut vertex of G[N^r[v]] iff N^r[v] − v
+  // has >= 2 components.
+  if (g.degree(v) < 2) return false;
+  const Vertex sources[] = {v};
+  graph::mark_ball(g, sources, r, ball_);
+  return label_components(g, 1) >= 2;
+}
+
+const std::vector<Vertex>& LocalCutKernel::candidates(const Graph& g, Vertex v, int r) {
+  graph::ball_into(g, v, r, ball_, candidates_);
+  return candidates_;
+}
+
+bool LocalCutKernel::within(const Graph& g, Vertex u, Vertex v, int r) {
+  const Vertex sources[] = {v};
+  graph::mark_ball(g, sources, r, ball_);
+  return ball_.seen(u);
+}
+
+// Every ball vertex has a shortest path to a source that stays inside the
+// ball, so every component of the ball minus its sources holds an attached
+// vertex: one at distance 1, contiguous in the visit list after the
+// sources. Each attached vertex starts as its own class, one multi-source
+// sweep grows them all at once, and two classes merge where their waves
+// meet. A connected ball is answered as soon as one class is left, usually
+// near the sources; otherwise the sweep labels the whole ball.
+int LocalCutKernel::label_components(const Graph& g, std::size_t sources) {
+  const std::vector<Vertex>& ball = ball_.visited();
+  label_.begin(g.num_vertices());
+  for (std::size_t i = 0; i < sources; ++i) label_.mark(ball[i], -1);
+  parent_.clear();
+  for (std::size_t i = sources; i < ball.size() && ball_.dist(ball[i]) == 1; ++i) {
+    label_.mark(ball[i], static_cast<int>(parent_.size()));
+    parent_.push_back(static_cast<int>(parent_.size()));
+  }
+  int classes = static_cast<int>(parent_.size());
+  for (std::size_t head = sources; head < label_.visited().size() && classes > 1; ++head) {
+    const int cx = label_.dist(label_.visited()[head]);
+    for (Vertex w : g.neighbors(label_.visited()[head])) {
+      if (!ball_.seen(w)) continue;
+      if (!label_.seen(w)) {
+        label_.mark(w, cx);
+        continue;
+      }
+      const int cw = label_.dist(w);
+      if (cw < 0 || cw == cx) continue;
+      const int a = find(cx);
+      const int b = find(cw);
+      if (a == b) continue;
+      parent_[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+      --classes;
+    }
+  }
+  return classes;
+}
+
+int LocalCutKernel::find(int c) {
+  while (parent_[static_cast<std::size_t>(c)] != c) {
+    const int up = parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(c)])];
+    parent_[static_cast<std::size_t>(c)] = up;
+    c = up;
+  }
+  return c;
+}
+
+PairCut LocalCutKernel::pair(const Graph& g, Vertex u, Vertex v, int r) {
+  // A full component holds a neighbour of u and one of v outside the pair,
+  // so a minimal pair needs two of each; degrees answer the rest for free.
+  const int adjacent = g.has_edge(u, v) ? 1 : 0;
+  if (g.degree(u) - adjacent < 2 || g.degree(v) - adjacent < 2) return {};
+  const Vertex sources[] = {u, v};
+  graph::mark_ball(g, sources, r, ball_);
+  if (label_components(g, 2) < 2) return {};
+
+  // Two or more components: the sweep labelled the whole ball. r >= 1 puts
+  // N(u) and N(v) in the ball, so adjacency to u or v (and condition (2)'s
+  // "non-adjacent to u") reads from g itself.
+  const std::size_t classes = parent_.size();
+  size_.assign(classes, 0);
+  near_u_.assign(classes, 0);
+  near_v_.assign(classes, 0);
+  const auto component = [&](Vertex w) {
+    return static_cast<std::size_t>(find(label_.dist(w)));
+  };
+  for (std::size_t i = 2; i < label_.visited().size(); ++i) {
+    ++size_[component(label_.visited()[i])];
+  }
+  for (Vertex w : g.neighbors(u)) {
+    if (w != v) ++near_u_[component(w)];
+  }
+  for (Vertex w : g.neighbors(v)) {
+    if (w != u) ++near_v_[component(w)];
+  }
+  int full = 0;
+  int spread_u = 0;
+  int spread_v = 0;
+  // Counters sit on each component's root class; the other classes read 0.
+  for (std::size_t c = 0; c < classes; ++c) {
+    if (near_u_[c] > 0 && near_v_[c] > 0) ++full;
+    if (size_[c] > near_u_[c]) ++spread_u;
+    if (size_[c] > near_v_[c]) ++spread_v;
+  }
+  if (full < 2) return {};
+  return {true, spread_u >= 2, spread_v >= 2};
+}
+
 bool is_local_one_cut(const Graph& g, Vertex v, int r) {
   require_radius(r);
   if (!g.has_vertex(v)) throw std::invalid_argument("is_local_one_cut: bad vertex");
-  const auto ball_vertices = graph::ball(g, v, r);
-  const auto sub = graph::induced_subgraph(g, ball_vertices);
-  return is_cut_vertex(sub.graph, sub.from_parent[static_cast<std::size_t>(v)]);
+  return LocalCutKernel().is_one_cut(g, v, r);
 }
 
 std::vector<Vertex> local_one_cuts(const Graph& g, int r) {
   require_radius(r);
+  LocalCutKernel kernel;
   std::vector<Vertex> result;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (is_local_one_cut(g, v, r)) result.push_back(v);
+    if (kernel.is_one_cut(g, v, r)) result.push_back(v);
   }
   return result;
 }
@@ -38,38 +140,43 @@ bool is_local_two_cut(const Graph& g, Vertex u, Vertex v, int r) {
   require_radius(r);
   if (u == v) return false;
   if (!g.has_vertex(u) || !g.has_vertex(v)) throw std::invalid_argument("is_local_two_cut: bad vertex");
-  const int d = graph::distance(g, u, v);
-  if (d < 0 || d > r) return false;
-  const Vertex sources[] = {u, v};
-  const auto ball_vertices = graph::ball_of_set(g, sources, r);
-  const auto sub = graph::induced_subgraph(g, ball_vertices);
-  return is_minimal_two_cut(sub.graph, sub.from_parent[static_cast<std::size_t>(u)],
-                            sub.from_parent[static_cast<std::size_t>(v)]);
+  LocalCutKernel kernel;
+  return kernel.within(g, u, v, r) && kernel.pair(g, u, v, r).minimal;
 }
 
 std::vector<VertexPair> local_two_cuts(const Graph& g, int r) {
   require_radius(r);
+  LocalCutKernel kernel;
   std::vector<VertexPair> result;
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    // Candidates are the vertices within distance r of u (with larger index,
-    // to emit each pair once).
-    for (Vertex v : graph::ball(g, u, r)) {
-      if (v <= u) continue;
-      if (is_local_two_cut(g, u, v, r)) result.push_back({u, v});
+    // Partners come from N^r[u], so d(u, v) <= r holds; v > u emits each
+    // pair once, in lexicographic order because the ball is sorted.
+    for (Vertex v : kernel.candidates(g, u, r)) {
+      if (v > u && kernel.pair(g, u, v, r).minimal) result.push_back({u, v});
     }
   }
   return result;
 }
 
 std::vector<Vertex> vertices_in_local_two_cuts(const Graph& g, int r) {
+  require_radius(r);
+  LocalCutKernel kernel;
   std::vector<char> in(static_cast<std::size_t>(g.num_vertices()), 0);
-  for (const VertexPair p : local_two_cuts(g, r)) {
-    in[static_cast<std::size_t>(p.u)] = 1;
-    in[static_cast<std::size_t>(p.v)] = 1;
+  const auto is_in = [&](Vertex x) { return in[static_cast<std::size_t>(x)] != 0; };
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    // Each unordered pair once (u > v, u ∈ N^r[v], so d(u, v) <= r); a
+    // pair whose two ends are already in can add nothing.
+    for (Vertex u : kernel.candidates(g, v, r)) {
+      if (u <= v || (is_in(u) && is_in(v))) continue;
+      if (kernel.pair(g, u, v, r).minimal) {
+        in[static_cast<std::size_t>(u)] = 1;
+        in[static_cast<std::size_t>(v)] = 1;
+      }
+    }
   }
   std::vector<Vertex> result;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (in[static_cast<std::size_t>(v)]) result.push_back(v);
+    if (is_in(v)) result.push_back(v);
   }
   return result;
 }

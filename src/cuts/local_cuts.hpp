@@ -12,27 +12,84 @@
 // radius-(2r+1) view. The LOCAL runner (local/runner.hpp) uses exactly these
 // view radii, which is where the round counts reported by the benches come
 // from.
+//
+// Cost. Every predicate here and in cuts/interesting.hpp is a loop over one
+// LocalCutKernel: a pair costs one bounded BFS of its ball N^r[{u, v}] plus
+// at most one labelling of that ball, and N^r[{u, v}] ⊆ N^{2r}[v], so a
+// whole-graph function costs O(Σ_v |N^r[v]| · vol(N^{2r}[v])): linear in n
+// while the balls stay bounded, and never a traversal of the whole graph
+// per pair. The labelling stops once the ball minus the pair is known to be
+// connected, which settles most pairs near u and v.
 
 #include <vector>
 
 #include "cuts/two_cuts.hpp"
+#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace lmds::cuts {
 
+/// What one kernel pass learns about a candidate pair {u, v}: how the
+/// components of G[N^r[{u, v}]] − {u, v} attach to u and v.
+struct PairCut {
+  bool minimal = false;   ///< >= 2 components adjacent to both u and v
+  bool spread_u = false;  ///< >= 2 components hold a vertex non-adjacent to u
+  bool spread_v = false;  ///< >= 2 components hold a vertex non-adjacent to v
+};
+
+/// The r-local cut kernel. It owns two graph::BfsScratch arenas (one marks
+/// balls, one labels components), a union-find over label classes and the
+/// per-component counters; all grow to the largest graph seen and are
+/// reused by every call.
+///
+/// Like BfsScratch it is single-owner (docs/ARCHITECTURE.md "hot path"):
+/// one kernel per thread. Callers validate radii and vertices; every method
+/// requires r >= 1 and valid vertex ids.
+class LocalCutKernel {
+ public:
+  /// True iff v is an articulation point of G[N^r[v]].
+  bool is_one_cut(const Graph& g, Vertex v, int r);
+
+  /// Sorted N^r[v], the candidate partners of v (v included). Valid until
+  /// the next candidates() call.
+  const std::vector<Vertex>& candidates(const Graph& g, Vertex v, int r);
+
+  /// True iff d(u, v) <= r, by a BFS from v capped at radius r.
+  bool within(const Graph& g, Vertex u, Vertex v, int r);
+
+  /// Classifies the pair {u, v}; requires u != v and d(u, v) <= r. The
+  /// spread flags are computed only for a minimal pair (false otherwise).
+  PairCut pair(const Graph& g, Vertex u, Vertex v, int r);
+
+ private:
+  // Labels the components of the marked ball minus its first `sources`
+  // visited vertices; returns their number, or 1 as soon as it is 1.
+  int label_components(const Graph& g, std::size_t sources);
+  int find(int c);  // root of a label class (union-find, path halving)
+
+  graph::BfsScratch ball_;   // ball members; dist = distance to the sources
+  graph::BfsScratch label_;  // labelled vertices; dist = label class
+  std::vector<int> parent_;  // per label class: union-find parent
+  std::vector<Vertex> candidates_;
+  std::vector<int> size_;    // per component root: vertices,
+  std::vector<int> near_u_;  // ... of which neighbours of u,
+  std::vector<int> near_v_;  // ... of which neighbours of v
+};
+
 /// True iff {v} is an r-local (minimal) 1-cut: v is an articulation point of
-/// G[N^r[v]].
+/// G[N^r[v]]. Throws std::invalid_argument for r < 1 or a bad vertex.
 bool is_local_one_cut(const Graph& g, Vertex v, int r);
 
 /// Sorted list of all r-local 1-cut vertices of g.
 std::vector<Vertex> local_one_cuts(const Graph& g, int r);
 
 /// True iff {u, v} is an r-local minimal 2-cut: d_G(u, v) <= r and {u, v} is
-/// a minimal 2-cut of G[N^r[u] ∪ N^r[v]].
+/// a minimal 2-cut of G[N^r[u] ∪ N^r[v]]. Throws std::invalid_argument for
+/// r < 1 or a bad vertex (u == v answers false first).
 bool is_local_two_cut(const Graph& g, Vertex u, Vertex v, int r);
 
-/// All r-local minimal 2-cuts of g (u < v in each pair). Quadratic in ball
-/// sizes — meant for analysis benches and moderate instances.
+/// All r-local minimal 2-cuts of g (u < v in each pair), in lexicographic
+/// order. One kernel pass per pair at distance <= r.
 std::vector<VertexPair> local_two_cuts(const Graph& g, int r);
 
 /// Sorted list of vertices appearing in some r-local minimal 2-cut.

@@ -42,47 +42,36 @@ std::vector<int> bfs_kernel(const Graph& g, std::span<const Vertex> sources, int
   return dist;
 }
 
-// Radius-capped multi-source traversal into the caller's scratch; the shared
-// engine of ball_into / ball_of_set_into. Sources must be valid vertices.
-void ball_kernel_into(const Graph& g, std::span<const Vertex> sources, int r,
-                      BfsScratch& scratch, std::vector<Vertex>& out) {
+}  // namespace
+
+void mark_ball(const Graph& g, std::span<const Vertex> sources, int r, BfsScratch& scratch) {
   scratch.begin(g.num_vertices());
-  std::vector<Vertex>& current = scratch.current();
-  std::vector<Vertex>& next = scratch.next();
   for (Vertex s : sources) {
     if (!g.has_vertex(s)) throw std::invalid_argument("bfs: source out of range");
-    if (!scratch.seen(s)) {
-      scratch.mark(s, 0);
-      current.push_back(s);
+    if (!scratch.seen(s)) scratch.mark(s, 0);
+  }
+  // The visit list doubles as the queue. It is in BFS order, so expansion
+  // stops at the first vertex at distance r (never, for r < 0).
+  for (std::size_t head = 0; head < scratch.visited().size(); ++head) {
+    const Vertex x = scratch.visited()[head];
+    const int d = scratch.dist(x);
+    if (d == r) break;
+    for (Vertex w : g.neighbors(x)) {
+      if (!scratch.seen(w)) scratch.mark(w, d + 1);
     }
   }
-  // r < 0 means unbounded, matching the distance kernel's convention.
-  for (int d = 0; !current.empty() && (r < 0 || d < r); ++d) {
-    next.clear();
-    for (Vertex u : current) {
-      for (Vertex w : g.neighbors(u)) {
-        if (!scratch.seen(w)) {
-          scratch.mark(w, d + 1);
-          next.push_back(w);
-        }
-      }
-    }
-    std::swap(current, next);
-  }
-  out.assign(scratch.visited().begin(), scratch.visited().end());
-  std::sort(out.begin(), out.end());
 }
-
-}  // namespace
 
 void ball_into(const Graph& g, Vertex v, int r, BfsScratch& scratch, std::vector<Vertex>& out) {
   const Vertex sources[] = {v};
-  ball_kernel_into(g, sources, r, scratch, out);
+  ball_of_set_into(g, sources, r, scratch, out);
 }
 
 void ball_of_set_into(const Graph& g, std::span<const Vertex> sources, int r,
                       BfsScratch& scratch, std::vector<Vertex>& out) {
-  ball_kernel_into(g, sources, r, scratch, out);
+  mark_ball(g, sources, r, scratch);
+  out.assign(scratch.visited().begin(), scratch.visited().end());
+  std::sort(out.begin(), out.end());
 }
 
 std::vector<int> bfs_distances(const Graph& g, Vertex src) {
@@ -104,7 +93,7 @@ std::vector<Vertex> ball_of_set(const Graph& g, std::span<const Vertex> sources,
   // cost is proportional to the ball, not to n. Output stays sorted.
   BfsScratch scratch;
   std::vector<Vertex> out;
-  ball_kernel_into(g, sources, r, scratch, out);
+  ball_of_set_into(g, sources, r, scratch, out);
   return out;
 }
 

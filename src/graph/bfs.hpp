@@ -72,10 +72,16 @@ class BfsScratch {
   std::vector<Vertex> next_;
 };
 
+/// Marks the ball N^r[S] in the caller's scratch, with no output copy:
+/// afterwards scratch.seen(u)/scratch.dist(u) answer membership and distance
+/// queries for exactly the ball members, and scratch.visited() lists them in
+/// BFS order, until the next begin(). r < 0 means unbounded. The engine of
+/// ball_into, ball_of_set_into and the local cut kernel (cuts/local_cuts.hpp).
+void mark_ball(const Graph& g, std::span<const Vertex> sources, int r, BfsScratch& scratch);
+
 /// Sorted ball N^r[v] written into `out` (cleared first) using the caller's
-/// scratch — the allocation-free variant of ball(). After the call,
-/// scratch.seen(u)/scratch.dist(u) answer membership and distance queries
-/// for exactly the ball members, until the next begin().
+/// scratch — the allocation-free variant of ball(). Leaves the scratch
+/// marked as mark_ball() does.
 void ball_into(const Graph& g, Vertex v, int r, BfsScratch& scratch, std::vector<Vertex>& out);
 
 /// Sorted ball N^r[S] written into `out`; scratch marks as in ball_into.

@@ -17,6 +17,7 @@
 #include "core/theorem44.hpp"
 #include "ding/generators.hpp"
 #include "graph/generators.hpp"
+#include "graph/ops.hpp"
 #include "solve/exact_mds.hpp"
 #include "solve/exact_mvc.hpp"
 #include "solve/greedy.hpp"
@@ -264,6 +265,36 @@ TEST(Registry, RejectsBadRequests) {
   traffic_on_centralized.graph = &g;
   traffic_on_centralized.measure_traffic = true;
   EXPECT_THROW((void)reg.run("greedy", traffic_on_centralized), RequestError);
+
+  // Option values whose arithmetic would overflow int, or a class parameter
+  // t < 1, are the request's fault too: the view radius 2·r2, the paper
+  // radii (5r + 18)·t, KSV's cap k + 1 (reached on an isolated vertex).
+  const auto solve_with = [&](const std::string& solver, const Graph& graph, Options options) {
+    Request req;
+    req.graph = &graph;
+    req.options = std::move(options);
+    return reg.run(solver, req);
+  };
+  const Options bad_algorithm1[] = {
+      {{"radius2", 2'000'000'000}},
+      {{"radius1", (1 << 24) + 1}},
+      {{"t", 30'000'000}, {"radius1", 0}, {"radius2", 0}},
+      {{"t", -3}, {"radius1", 0}, {"radius2", 0}},
+      {{"t", 0}},  // explicit radii do not read t, but t < 1 is still refused
+  };
+  for (const std::string solver : {"algorithm1", "algorithm1-mvc"}) {
+    for (const Options& options : bad_algorithm1) {
+      EXPECT_THROW((void)solve_with(solver, g, options), RequestError) << solver;
+    }
+  }
+  const Graph isolated = graph::disjoint_union(graph::gen::path(3), graph::gen::path(1));
+  EXPECT_THROW((void)solve_with("ksv", isolated, {{"k", 2'147'483'647}}), RequestError);
+  EXPECT_THROW((void)solve_with("ksv", isolated, {{"k", -1}}), RequestError);
+  // The ends of each range are accepted.
+  EXPECT_TRUE(solve_with("algorithm1", g, {{"t", 1 << 16}, {"radius2", 1 << 24}}).valid);
+  EXPECT_TRUE(solve_with("algorithm1", g, {{"t", 1}, {"radius1", -7}}).valid);
+  EXPECT_TRUE(solve_with("ksv", isolated, {{"k", 1 << 20}}).valid);
+  EXPECT_TRUE(solve_with("ksv", isolated, {{"k", 0}}).valid);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Hot-path differential suite: the CSR-native view extraction and the
-// intra-graph threading mode must be BIT-IDENTICAL to the seed
-// implementations they replaced. The seed code survives in
+// Hot-path differential suite: the CSR-native view extraction, the local
+// cut kernel and the intra-graph threading mode must be BIT-IDENTICAL to the
+// seed implementations they replaced. The seed code survives in
 // local::detail::{gather_views_reference, cut_view_reference}
-// (tests/support/view_reference.hpp) precisely so this file can hold it against the rewrite on every generator, every
-// radius, and adversarial (shuffled) id assignments; the executor half
+// (tests/support/view_reference.hpp) and cuts::detail::*_reference
+// (tests/support/cut_reference.hpp) precisely so this file can hold it
+// against the rewrite on every generator, every radius, and adversarial
+// (shuffled) id assignments; the executor half
 // asserts every registered solver returns the same Response for every
 // intra_threads value, composed with cross-graph sharding and both
 // transports' batch-override decode.
@@ -18,10 +20,13 @@
 
 #include "api/executor.hpp"
 #include "api/registry.hpp"
+#include "cuts/interesting.hpp"
+#include "cuts/local_cuts.hpp"
 #include "ding/generators.hpp"
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/ops.hpp"
 #include "local/simulator.hpp"
 #include "local/view.hpp"
 #include "server/http.hpp"
@@ -29,6 +34,7 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/session.hpp"
+#include "support/cut_reference.hpp"
 #include "support/view_reference.hpp"
 
 namespace lmds {
@@ -140,6 +146,162 @@ TEST(HotPath, ScratchReuseAcrossGraphSizesIsClean) {
       expect_views_equal(local::cut_view_into(net, v, 2, scratch),
                          local::detail::cut_view_reference(net, v, 2),
                          "n=" + std::to_string(g.num_vertices()) + " v=" + std::to_string(v));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Local cut kernel: every r-local cut predicate against its seed version
+// (cuts::detail::*_reference, tests/support/cut_reference.hpp)
+
+// The families Algorithm 1 meets, small enough for the seed predicates'
+// whole-graph BFS per pair, plus each twin-reduced graph the MDS variant
+// feeds steps 1-2 when the reduction removes something.
+std::vector<Graph> cut_suite() {
+  std::mt19937_64 rng(20251018);
+  std::vector<Graph> gs;
+  gs.push_back(graph::gen::random_tree(24, rng));
+  gs.push_back(graph::gen::random_maximal_outerplanar(22, rng));
+  gs.push_back(graph::gen::random_maximal_outerplanar(30, rng));
+  gs.push_back(graph::gen::theta_chain(4, 3));
+  gs.push_back(graph::gen::theta_chain(3, 2));
+  ding::CactusConfig cc;
+  cc.pieces = 4;
+  cc.max_piece_size = 8;
+  gs.push_back(ding::random_cactus_of_structures(cc, rng));
+  gs.push_back(graph::gen::apollonian(16, rng));
+  gs.push_back(graph::gen::cycle(17));
+  gs.push_back(graph::gen::grid(2, 10));  // a ladder
+  gs.push_back(graph::gen::clique_with_pendants(5));
+  // Squares of trees: sibling leaves become true twins, so the reduction
+  // has work to do.
+  gs.push_back(graph::power(graph::gen::random_tree(24, rng), 2));
+  gs.push_back(graph::power(graph::gen::caterpillar(6, 2), 2));
+  // Disconnected, with two isolated vertices.
+  const Graph lone = graph::gen::path(1);
+  gs.push_back(graph::disjoint_union(
+      graph::disjoint_union(graph::gen::cycle(6), lone),
+      graph::disjoint_union(graph::gen::theta_chain(2, 2), lone)));
+  const std::size_t inputs = gs.size();
+  for (std::size_t i = 0; i < inputs; ++i) {
+    graph::TwinReduction reduction = graph::remove_true_twins(gs[i]);
+    if (reduction.num_classes < gs[i].num_vertices()) {
+      gs.push_back(std::move(reduction.reduced.graph));
+    }
+  }
+  return gs;
+}
+
+TEST(LocalCutKernel, EveryPredicateEqualsTheSeedOracle) {
+  namespace ref = cuts::detail;
+  for (const Graph& g : cut_suite()) {
+    const Vertex n = g.num_vertices();
+    for (int r = 1; r <= 6; ++r) {
+      const std::string where = g.summary() + " r=" + std::to_string(r);
+      EXPECT_EQ(cuts::local_one_cuts(g, r), ref::local_one_cuts_reference(g, r)) << where;
+      EXPECT_EQ(cuts::local_two_cuts(g, r), ref::local_two_cuts_reference(g, r)) << where;
+      EXPECT_EQ(cuts::vertices_in_local_two_cuts(g, r),
+                ref::vertices_in_local_two_cuts_reference(g, r))
+          << where;
+      EXPECT_EQ(cuts::interesting_vertices(g, r), ref::interesting_vertices_reference(g, r))
+          << where;
+      for (Vertex v = 0; v < n; ++v) {
+        const std::string at = where + " v=" + std::to_string(v);
+        ASSERT_EQ(cuts::is_local_one_cut(g, v, r), ref::is_local_one_cut_reference(g, v, r)) << at;
+        ASSERT_EQ(cuts::is_interesting(g, v, r), ref::is_interesting_reference(g, v, r)) << at;
+        ASSERT_EQ(cuts::in_local_two_cut(g, v, r), ref::in_local_two_cut_reference(g, v, r)) << at;
+        for (Vertex u = 0; u < n; ++u) {
+          ASSERT_EQ(cuts::is_local_two_cut(g, u, v, r), ref::is_local_two_cut_reference(g, u, v, r))
+              << at << " u=" << u;
+          ASSERT_EQ(cuts::certifies_interesting(g, v, u, r),
+                    ref::certifies_interesting_reference(g, v, u, r))
+              << at << " u=" << u;
+        }
+      }
+    }
+  }
+}
+
+TEST(LocalCutKernel, RadiusAndVertexEdgeCases) {
+  namespace ref = cuts::detail;
+  const Graph g = graph::gen::theta_chain(3, 3);
+  const Vertex n = g.num_vertices();
+  for (const int r : {0, -1}) {
+    // r < 1: nothing is interesting, and the cut functions refuse.
+    EXPECT_TRUE(cuts::interesting_vertices(g, r).empty());
+    EXPECT_TRUE(ref::interesting_vertices_reference(g, r).empty());
+    for (Vertex v = 0; v < n; ++v) {
+      EXPECT_FALSE(cuts::is_interesting(g, v, r));
+      EXPECT_FALSE(ref::is_interesting_reference(g, v, r));
+      EXPECT_FALSE(cuts::certifies_interesting(g, v, (v + 1) % n, r));
+      EXPECT_FALSE(ref::certifies_interesting_reference(g, v, (v + 1) % n, r));
+    }
+    EXPECT_THROW((void)cuts::is_local_one_cut(g, 0, r), std::invalid_argument);
+    EXPECT_THROW((void)cuts::local_one_cuts(g, r), std::invalid_argument);
+    EXPECT_THROW((void)cuts::is_local_two_cut(g, 0, 1, r), std::invalid_argument);
+    EXPECT_THROW((void)cuts::local_two_cuts(g, r), std::invalid_argument);
+    EXPECT_THROW((void)cuts::vertices_in_local_two_cuts(g, r), std::invalid_argument);
+    EXPECT_THROW((void)ref::is_local_one_cut_reference(g, 0, r), std::invalid_argument);
+    EXPECT_THROW((void)ref::local_one_cuts_reference(g, r), std::invalid_argument);
+    EXPECT_THROW((void)ref::is_local_two_cut_reference(g, 0, 1, r), std::invalid_argument);
+    EXPECT_THROW((void)ref::local_two_cuts_reference(g, r), std::invalid_argument);
+    EXPECT_THROW((void)ref::vertices_in_local_two_cuts_reference(g, r), std::invalid_argument);
+    // in_local_two_cut refuses r < 1 like the whole-graph MVC functions. The
+    // seed version reached its 2-cut test only through a partner in N^r[v]:
+    // at r = 0 it answered false, at r < 0 it threw.
+    EXPECT_THROW((void)cuts::in_local_two_cut(g, 0, r), std::invalid_argument);
+  }
+  EXPECT_FALSE(ref::in_local_two_cut_reference(g, 0, 0));
+  EXPECT_THROW((void)ref::in_local_two_cut_reference(g, 0, -1), std::invalid_argument);
+
+  for (const Vertex bad : {Vertex{-1}, n}) {
+    EXPECT_THROW((void)cuts::is_local_one_cut(g, bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)cuts::is_local_two_cut(g, 0, bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)cuts::is_local_two_cut(g, bad, 0, 2), std::invalid_argument);
+    EXPECT_THROW((void)cuts::in_local_two_cut(g, bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)cuts::is_interesting(g, bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)cuts::certifies_interesting(g, 0, bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)cuts::certifies_interesting(g, bad, 0, 2), std::invalid_argument);
+    EXPECT_THROW((void)ref::is_local_one_cut_reference(g, bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)ref::is_local_two_cut_reference(g, 0, bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)ref::in_local_two_cut_reference(g, bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)ref::is_interesting_reference(g, bad, 2), std::invalid_argument);
+    EXPECT_THROW((void)ref::certifies_interesting_reference(g, 0, bad, 2), std::invalid_argument);
+  }
+  // u == v answers false before any vertex check, as it did.
+  EXPECT_FALSE(cuts::is_local_two_cut(g, n, n, 2));
+  EXPECT_FALSE(ref::is_local_two_cut_reference(g, n, n, 2));
+}
+
+TEST(LocalCutKernel, ScratchReuseAcrossGraphSizesIsClean) {
+  // One kernel serving graphs that grow, then shrink: the epoch stamps of
+  // its two arenas must never leak a previous graph's marks or labels.
+  namespace ref = cuts::detail;
+  cuts::LocalCutKernel kernel;
+  const std::vector<Graph> gs = {graph::gen::cycle(8), graph::gen::random_maximal_outerplanar(40, 3),
+                                 graph::gen::theta_chain(5, 2), graph::gen::path(4),
+                                 graph::gen::grid(2, 6)};
+  for (const Graph& g : gs) {
+    for (const int r : {1, 3}) {
+      const std::string where = g.summary() + " r=" + std::to_string(r);
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        EXPECT_EQ(kernel.is_one_cut(g, v, r), ref::is_local_one_cut_reference(g, v, r)) << where;
+        for (Vertex u = 0; u < g.num_vertices(); ++u) {
+          const int d = graph::distance(g, u, v);
+          EXPECT_EQ(kernel.within(g, u, v, r), d >= 0 && d <= r) << where;
+        }
+        for (const Vertex u : kernel.candidates(g, v, r)) {
+          if (u == v) continue;
+          const cuts::PairCut cut = kernel.pair(g, u, v, r);
+          EXPECT_EQ(cut.minimal, ref::is_local_two_cut_reference(g, u, v, r)) << where;
+          EXPECT_EQ(cut.minimal && cut.spread_u && !g.closed_neighborhood_contained(v, u),
+                    ref::certifies_interesting_reference(g, v, u, r))
+              << where;
+          EXPECT_EQ(cut.minimal && cut.spread_v && !g.closed_neighborhood_contained(u, v),
+                    ref::certifies_interesting_reference(g, u, v, r))
+              << where;
+        }
+      }
     }
   }
 }

@@ -388,6 +388,17 @@ TEST(ServerCore, ErrorClassesAreDistinguished) {
        "bad_request"},
       {R"({"op":"solve","solver":"greedy","graphs":[{"edges":[]},{"edges":[]},{"edges":[]}]})",
        "bad_request"},
+      // Option values out of range: checked when the solve runs, so each
+      // case carries one graph. Before the range checks the first three
+      // overflowed int and answered ok, and t = -3 answered solver_failure.
+      {R"({"op":"solve","solver":"algorithm1","options":{"radius2":2000000000},"graphs":[{"edges":[[0,1],[1,2]]}]})",
+       "bad_request"},
+      {R"({"op":"solve","solver":"algorithm1","options":{"t":30000000,"radius1":0,"radius2":0},"graphs":[{"edges":[[0,1],[1,2]]}]})",
+       "bad_request"},
+      {R"({"op":"solve","solver":"ksv","options":{"k":2147483647},"graphs":[{"n":3,"edges":[[0,1]]}]})",
+       "bad_request"},
+      {R"({"op":"solve","solver":"algorithm1","options":{"t":-3,"radius1":0,"radius2":0},"graphs":[{"edges":[[0,1],[1,2]]}]})",
+       "bad_request"},
       {R"({"op":"save_cache"})", "bad_request"},  // no path
       // Confinement: clients name snapshots, never filesystem locations.
       {R"({"op":"save_cache","path":"/etc/passwd"})", "bad_request"},
