@@ -3,11 +3,14 @@
 // radii, interesting vertices, and the §5.3 interesting-2-cut forest — then
 // runs every solver the api::Registry knows on it, so the structural view
 // and the algorithmic outcomes sit side by side.
-// Reads an edge list from stdin, or demonstrates on a built-in instance.
+// Run on a terminal it demonstrates on a built-in instance; otherwise it
+// reads an edge list from stdin, so empty input dissects the empty graph.
 //
 //   $ ./cut_explorer < graph.txt
 //   $ ./cut_explorer            # built-in demo graph
+//   $ ./cut_explorer < /dev/null  # the empty graph
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <unistd.h>
@@ -66,7 +69,8 @@ int main() {
   }
 
   std::printf("\n== r-local cuts ==\n");
-  for (const int r : {1, 2, 3, g.num_vertices()}) {
+  // The last radius covers the whole graph; local cuts need r >= 1.
+  for (const int r : {1, 2, 3, std::max(1, g.num_vertices())}) {
     const auto ones = cuts::local_one_cuts(g, r);
     const auto interesting = cuts::interesting_vertices(g, r);
     std::printf("r = %-3d  local 1-cuts: %3zu   interesting vertices: %3zu\n", r, ones.size(),

@@ -3,7 +3,7 @@
 // its bespoke result struct into the uniform SolverOutput. Outputs are
 // bit-identical to the direct calls (asserted by tests/test_api.cpp).
 
-#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "api/registry.hpp"
@@ -29,35 +29,34 @@ const ParamValue& param(const SolveContext& ctx, std::string_view name) {
   return it->second;
 }
 
-// Option ranges. Within them no arithmetic on an option overflows int for
-// any graph that fits in memory: Algorithm 1's paper radii (5r + 18)·t, its
-// view radius max(r1, 2·r2) and its round count, and KSV's cap k + 1. A
+// KSV's threshold range: within it the cap k + 1 cannot overflow int. A
 // value outside is the request's fault: RequestError (bad_request), checked
-// when the solve runs, so it is never cached.
-constexpr int kMaxClassParameter = 1 << 16;  // t >= 1
-constexpr int kMaxRadius = 1 << 24;          // radius1, radius2 (<= 0: paper constant)
-constexpr int kMaxKsvThreshold = 1 << 20;    // k >= 0
+// when the solve runs, so it is never cached. Algorithm 1's ranges live with
+// its config (Algorithm1Config::check), mapped to RequestError the same way.
+constexpr int kMaxKsvThreshold = 1 << 20;  // k >= 0
 
 int int_in_range(const SolveContext& ctx, std::string_view name, int lo, int hi) {
   const int value = param(ctx, name).as_int();
   if (value < lo || value > hi) {
-    const std::string range = lo == std::numeric_limits<int>::min()
-                                  ? "at most " + std::to_string(hi)
-                                  : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    throw RequestError("parameter '" + std::string(name) + "' must be " + range + ", got " +
+    throw RequestError("parameter '" + std::string(name) + "' must be in [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) + "], got " +
                        std::to_string(value));
   }
   return value;
 }
 
 core::Algorithm1Config algorithm1_config(const SolveContext& ctx) {
-  constexpr int kNoFloor = std::numeric_limits<int>::min();  // <= 0 all mean the paper's
   core::Algorithm1Config cfg;
-  cfg.t = int_in_range(ctx, "t", 1, kMaxClassParameter);
-  cfg.radius1 = int_in_range(ctx, "radius1", kNoFloor, kMaxRadius);
-  cfg.radius2 = int_in_range(ctx, "radius2", kNoFloor, kMaxRadius);
+  cfg.t = param(ctx, "t").as_int();
+  cfg.radius1 = param(ctx, "radius1").as_int();
+  cfg.radius2 = param(ctx, "radius2").as_int();
   if (ctx.params.contains("twin_removal")) {
     cfg.twin_removal = param(ctx, "twin_removal").as_bool();
+  }
+  try {
+    cfg.check();
+  } catch (const std::invalid_argument& e) {
+    throw RequestError(e.what());
   }
   return cfg;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <iterator>
 
 #include "api/registry.hpp"
 #include "common/mutex.hpp"
@@ -85,8 +86,8 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
   // Resolved here (not deep in the solver) so diagnostics can report the
   // actual count; never folded into cache keys — responses are bit-identical
   // for every value.
-  const int intra_threads = common::resolve_thread_count(
-      over.intra_graph_threads.value_or(opts_.intra_graph_threads));
+  const int intra_threads =
+      common::resolve_thread_count(over.intra_graph_threads.value_or(1));
 
   const bool use_cache = cache_.enabled() && !over.bypass_cache;
 
@@ -177,15 +178,17 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
     // inside the support), induced_subgraph relabels order-preservingly, and
     // the contract allows ids to be used for order only — so running the
     // solver on H and lifting yields the vertex's exact full-solve decision.
-    // nullopt = fall back to a full re-solve (results identical either way).
-    auto incremental_solve = [&](const Graph& g,
-                                 const PatchLineage& lin) -> std::optional<Response> {
+    // Every set is a sorted vertex list, so the splice is a merge of the
+    // parent's clean picks with the sub-solve's dirty ones; `scratch` is the
+    // calling worker's. nullopt = fall back to a full re-solve (results
+    // identical either way).
+    auto incremental_solve = [&](const Graph& g, const PatchLineage& lin,
+                                 graph::BfsScratch& scratch) -> std::optional<Response> {
       const CacheKey parent_key{lin.parent_hash, std::string(solver), options_key,
                                 over.cache_namespace};
       const std::shared_ptr<const CachedResponse> parent = cache_.lookup(parent_key);
       if (!parent) return std::nullopt;
-      const Graph& pg = *lin.parent;
-      const auto pn = static_cast<graph::Vertex>(pg.num_vertices());
+      const auto pn = static_cast<graph::Vertex>(lin.parent->num_vertices());
       const auto cn = static_cast<graph::Vertex>(g.num_vertices());
 
       std::vector<graph::Vertex> child_eps;
@@ -197,36 +200,30 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
       }
       std::sort(child_eps.begin(), child_eps.end());
       child_eps.erase(std::unique(child_eps.begin(), child_eps.end()), child_eps.end());
-      std::vector<graph::Vertex> parent_eps;  // added edges may name new vertices
-      for (graph::Vertex v : child_eps) {
-        if (v < pn) parent_eps.push_back(v);
-      }
+      // Added edges may name new vertices, which the parent lacks.
+      const std::span<const graph::Vertex> parent_eps(
+          child_eps.begin(), std::lower_bound(child_eps.begin(), child_eps.end(), pn));
 
-      std::vector<char> dirty(static_cast<std::size_t>(cn), 0);
-      for (graph::Vertex v : graph::ball_of_set(pg, parent_eps, locality)) {
-        dirty[static_cast<std::size_t>(v)] = 1;
-      }
-      for (graph::Vertex v : graph::ball_of_set(g, child_eps, locality)) {
-        dirty[static_cast<std::size_t>(v)] = 1;
-      }
-      for (graph::Vertex v = pn; v < cn; ++v) dirty[static_cast<std::size_t>(v)] = 1;
-      std::vector<graph::Vertex> dirty_list;
-      for (graph::Vertex v = 0; v < cn; ++v) {
-        if (dirty[static_cast<std::size_t>(v)]) dirty_list.push_back(v);
-      }
+      // dirty = ball_parent(eps, r) ∪ ball_child(eps, r) ∪ the new vertices.
+      std::vector<graph::Vertex> parent_ball;
+      std::vector<graph::Vertex> child_ball;
+      graph::ball_of_set_into(*lin.parent, parent_eps, locality, scratch, parent_ball);
+      graph::ball_of_set_into(g, child_eps, locality, scratch, child_ball);
+      std::vector<graph::Vertex> dirty;
+      std::set_union(parent_ball.begin(), parent_ball.end(), child_ball.begin(), child_ball.end(),
+                     std::back_inserter(dirty));
+      dirty.erase(std::lower_bound(dirty.begin(), dirty.end(), pn), dirty.end());
+      for (graph::Vertex v = pn; v < cn; ++v) dirty.push_back(v);
 
-      std::vector<char> in_parent(static_cast<std::size_t>(pn), 0);
-      for (graph::Vertex v : parent->response.solution) {
-        in_parent[static_cast<std::size_t>(v)] = 1;
-      }
-      Response result = parent->response;  // solver/problem/diag carry over:
-      // every decomposable solver's diagnostics are solution-independent
-      // constants (its round count), and traffic/ratio are excluded above.
-      result.solution.clear();
-      std::vector<char> in_sub;
-      graph::Subgraph support;
-      if (!dirty_list.empty()) {
-        support = graph::induced_subgraph(g, graph::ball_of_set(g, dirty_list, locality));
+      const Response& base = parent->response;
+      std::vector<graph::Vertex> clean;
+      std::set_difference(base.solution.begin(), base.solution.end(), dirty.begin(), dirty.end(),
+                          std::back_inserter(clean));
+      std::vector<graph::Vertex> fresh;
+      if (!dirty.empty()) {
+        std::vector<graph::Vertex> support_ball;
+        graph::ball_of_set_into(g, dirty, locality, scratch, support_ball);
+        const graph::Subgraph support = graph::induced_subgraph(g, support_ball);
         // Memoized under the ball-signature sub-key: content hash of the
         // support subgraph + a "|ball=r<r>" marker no canonical_options()
         // string can collide with (its fields escape '|'). Identical dirty
@@ -237,31 +234,36 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
                                over.cache_namespace};
         std::shared_ptr<const CachedResponse> sub = cache_.lookup(sub_key);
         if (!sub) {
-          Response fresh = registry_.run_resolved(solver, support.graph, resolved, false,
-                                                  false, intra_threads);
-          cache_.insert(sub_key, fresh);
-          sub = std::make_shared<const CachedResponse>(std::move(fresh));
+          Response solved = registry_.run_resolved(solver, support.graph, resolved, false,
+                                                   false, intra_threads);
+          cache_.insert(sub_key, solved);
+          sub = std::make_shared<const CachedResponse>(std::move(solved));
         }
-        in_sub.assign(static_cast<std::size_t>(support.graph.num_vertices()), 0);
-        for (graph::Vertex v : sub->response.solution) in_sub[static_cast<std::size_t>(v)] = 1;
+        // The lift is monotone (to_parent is sorted), so it stays sorted.
+        const std::vector<graph::Vertex> lifted = support.lift(sub->response.solution);
+        std::set_intersection(lifted.begin(), lifted.end(), dirty.begin(), dirty.end(),
+                              std::back_inserter(fresh));
       }
-      for (graph::Vertex v = 0; v < cn; ++v) {
-        // A clean vertex is < pn by construction (new vertices are all dirty).
-        const bool member =
-            dirty[static_cast<std::size_t>(v)]
-                ? in_sub[static_cast<std::size_t>(
-                      support.from_parent[static_cast<std::size_t>(v)])] != 0
-                : in_parent[static_cast<std::size_t>(v)] != 0;
-        if (member) result.solution.push_back(v);
-      }
-      result.valid = spec->problem == Problem::Mvc
-                         ? solve::is_vertex_cover(g, result.solution)
-                         : solve::is_dominating_set(g, result.solution);
-      incr_dirty.fetch_add(dirty_list.size(), std::memory_order_relaxed);
-      return result;
+      std::vector<graph::Vertex> solution;
+      solution.reserve(clean.size() + fresh.size());
+      std::merge(clean.begin(), clean.end(), fresh.begin(), fresh.end(),
+                 std::back_inserter(solution));
+      const bool valid = spec->problem == Problem::Mvc ? solve::is_vertex_cover(g, solution)
+                                                       : solve::is_dominating_set(g, solution);
+      incr_dirty.fetch_add(dirty.size(), std::memory_order_relaxed);
+      // solver/problem/diag carry over: every decomposable solver's
+      // diagnostics are solution-independent constants (its round count),
+      // and traffic/ratio are excluded above.
+      return Response{.solver = base.solver,
+                      .problem = base.problem,
+                      .solution = std::move(solution),
+                      .valid = valid,
+                      .ratio = base.ratio,
+                      .ratio_measured = base.ratio_measured,
+                      .diag = base.diag};
     };
 
-    auto run_one = [&](std::size_t i) {
+    auto run_one = [&](std::size_t i, graph::BfsScratch& scratch) {
       const Graph& g = *graphs[i];
       CacheKey key;
       if (use_cache) {
@@ -275,7 +277,7 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
       if (const PatchLineage* lin =
               lineage_ok && i < lineages.size() ? lineages[i].get() : nullptr) {
         if (std::optional<Response> spliced =
-                locality >= 0 ? incremental_solve(g, *lin) : std::nullopt) {
+                locality >= 0 ? incremental_solve(g, *lin, scratch) : std::nullopt) {
           incr_solves.fetch_add(1, std::memory_order_relaxed);
           misses.fetch_add(1, std::memory_order_relaxed);
           if (cache_.insert(key, *spliced)) {
@@ -301,6 +303,7 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
     };
 
     auto worker = [&](int w) {
+      graph::BfsScratch scratch;  // the incremental path's, reused across shards
       while (!failed.load(std::memory_order_relaxed)) {
         const int shard = next_shard.fetch_add(1, std::memory_order_relaxed);
         if (shard >= shards) break;
@@ -309,7 +312,7 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
         const std::size_t end = std::min(begin + shard_size, count);
         for (std::size_t i = std::max(begin, prefix); i != end; ++i) {
           try {
-            run_one(i);
+            run_one(i, scratch);
           } catch (...) {
             common::MutexLock lock(error_mu);
             if (!first_error || i < error_index) {

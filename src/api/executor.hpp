@@ -53,12 +53,6 @@ struct BatchOptions {
   int shard_size = 4;
   /// LRU response-cache capacity in entries; 0 disables caching.
   std::size_t cache_capacity = 0;
-  /// Worker count for sharding EACH solve's per-vertex work (the second
-  /// threading mode: intra-graph). 1 = sequential solves; <= 0 picks
-  /// hardware_concurrency. Responses are bit-identical for every value, so
-  /// this never enters cache keys — composes freely with `threads`
-  /// (cross-graph) and with caching.
-  int intra_graph_threads = 1;
 };
 
 /// Per-request deviations from the executor's configured BatchOptions — the
@@ -68,8 +62,11 @@ struct BatchOptions {
 struct BatchOverrides {
   std::optional<int> threads;     ///< worker parallelism for this batch only
   std::optional<int> shard_size;  ///< shard granularity for this batch only
-  /// Intra-graph worker count for this batch only (see
-  /// BatchOptions::intra_graph_threads). Never part of any cache key.
+  /// Worker count for sharding EACH solve's per-vertex work (the second
+  /// threading mode: intra-graph). Unset or 1 = sequential solves; <= 0
+  /// picks hardware_concurrency. Responses are bit-identical for every
+  /// value, so this never enters cache keys — composes freely with
+  /// `threads` (cross-graph) and with caching.
   std::optional<int> intra_graph_threads;
   /// Compute every response fresh and leave the cache untouched (no lookups,
   /// no inserts) — for clients that must not observe or pollute shared state.
@@ -195,7 +192,6 @@ class BatchExecutor {
     h.solves_served = solves_served_.load(std::memory_order_relaxed);
     return h;
   }
-  void clear_cache() { cache_.clear(); }
   /// The executor's response cache — exposed so a serving front-end can
   /// snapshot it across restarts (ResponseCache::serialize/deserialize).
   ResponseCache& cache() { return cache_; }

@@ -34,11 +34,13 @@ int sum_b_domination(const Graph& g, const std::vector<std::vector<Vertex>>& set
 int charging_certificate(const Graph& g, const Cover& cover, int k) {
   int max_part_sum = 0;
   const int scale = 2 * k + 3;
+  graph::BfsScratch scratch;
+  std::vector<Vertex> target;
   for (const auto& part : cover.parts) {
     if (part.empty()) continue;
     int part_sum = 0;
     for (const auto& component : graph::r_components(g, part, scale)) {
-      const auto target = graph::ball_of_set(g, component, k);
+      graph::ball_of_set_into(g, component, k, scratch, target);
       part_sum += static_cast<int>(solve::exact_b_domination(g, target).size());
     }
     max_part_sum = std::max(max_part_sum, part_sum);

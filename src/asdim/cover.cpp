@@ -14,17 +14,21 @@ Cover bfs_band_cover(const Graph& g, int r) {
   cover.r = r;
   cover.parts.assign(2, {});
 
+  // Bands are counted from each component's smallest vertex. One BFS from
+  // all of them at once: components are disjoint, so every vertex gets its
+  // distance to its own component's root.
   const auto comps = graph::connected_components(g);
-  for (const auto& component : comps.groups()) {
-    if (component.empty()) continue;
-    const Vertex root = component.front();
-    const auto dist = graph::bfs_distances(g, root);
-    for (Vertex v : component) {
-      const int band = dist[static_cast<std::size_t>(v)] / r;
-      cover.parts[static_cast<std::size_t>(band % 2)].push_back(v);
+  std::vector<Vertex> roots;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (comps.component[static_cast<std::size_t>(v)] == static_cast<int>(roots.size())) {
+      roots.push_back(v);
     }
   }
-  for (auto& part : cover.parts) std::sort(part.begin(), part.end());
+  const auto dist = graph::bfs_distances_multi(g, roots);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const int band = dist[static_cast<std::size_t>(v)] / r;
+    cover.parts[static_cast<std::size_t>(band % 2)].push_back(v);
+  }
   return cover;
 }
 

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "common/parallel.hpp"
 #include "core/mvc.hpp"
@@ -39,8 +41,7 @@ std::vector<Vertex> sorted_union(std::vector<Vertex> a, std::span<const Vertex> 
 }
 
 // The radius of the one view gather that serves steps 1-2, max(r1, 2·r2).
-// The registry's option ranges (api/builtin_solvers.cpp) keep 2·r2 and the
-// round count below INT_MAX.
+// Algorithm1Config::check() keeps 2·r2 and the round count below INT_MAX.
 int view_radius(const Algorithm1Config& cfg) {
   return std::max(cfg.effective_radius1(), 2 * cfg.effective_radius2());
 }
@@ -104,6 +105,7 @@ int cut_and_residual_rounds(const Algorithm1Config& cfg, int max_residual_diamet
 
 Algorithm1Result run_mds(const Graph& input, const local::Network* net,
                          const Algorithm1Config& cfg, int threads) {
+  cfg.check();
   Algorithm1Result result;
   // Step 0, once per run: the true-twin reduction (2 rounds in the model).
   // The LOCAL run's reduced network keeps each representative's id.
@@ -165,6 +167,7 @@ Algorithm1Result run_mds(const Graph& input, const local::Network* net,
 
 MvcAlgorithm1Result run_mvc(const Graph& g, const local::Network* net,
                             const Algorithm1Config& cfg, int threads) {
+  cfg.check();
   MvcAlgorithm1Result result;
   CutSets cut = cut_steps(g, net, cfg, Problem::kMvc, threads, result.diag.traffic);
   const std::vector<Vertex> s0 = sorted_union(cut.one_cuts, cut.second);
@@ -194,6 +197,19 @@ MvcAlgorithm1Result run_mvc(const Graph& g, const local::Network* net,
 }
 
 }  // namespace
+
+void Algorithm1Config::check() const {
+  const auto refuse = [](const char* name, const std::string& range, int value) {
+    throw std::invalid_argument("parameter '" + std::string(name) + "' must be " + range +
+                                ", got " + std::to_string(value));
+  };
+  if (t < 1 || t > kMaxClassParameter) {
+    refuse("t", "in [1, " + std::to_string(kMaxClassParameter) + "]", t);
+  }
+  const std::string radius_range = "at most " + std::to_string(kMaxRadius);
+  if (radius1 > kMaxRadius) refuse("radius1", radius_range, radius1);
+  if (radius2 > kMaxRadius) refuse("radius2", radius_range, radius2);
+}
 
 Algorithm1Result algorithm1(const Graph& g, const Algorithm1Config& cfg) {
   return run_mds(g, nullptr, cfg, 1);

@@ -35,10 +35,14 @@ namespace lmds::core {
 using graph::Graph;
 using graph::Vertex;
 
-/// Configuration of Algorithm 1. Requires t >= 1 and radii <= 2^24, which
-/// keep every radius and round count within int; the registry refuses
-/// requests outside (api/builtin_solvers.cpp).
+/// Configuration of Algorithm 1.
 struct Algorithm1Config {
+  /// The ranges check() enforces. Within them no arithmetic on the config
+  /// overflows int for any graph that fits in memory: the paper radii
+  /// (5r + 18)·t, the view radius max(r1, 2·r2) and the round count.
+  static constexpr int kMaxClassParameter = 1 << 16;  ///< 1 <= t <= this
+  static constexpr int kMaxRadius = 1 << 24;          ///< radius1, radius2 <= this
+
   int t = 5;        ///< class parameter (K_{2,t}-minor-free input expected)
   int radius1 = 0;  ///< m3.2 override; <= 0 means paper constant f(5)+2
   int radius2 = 0;  ///< m3.3 override; <= 0 means paper constant f(11)+5
@@ -50,6 +54,12 @@ struct Algorithm1Config {
   int effective_radius2() const {
     return radius2 > 0 ? radius2 : PaperConstants{t}.m33();
   }
+
+  /// Throws std::invalid_argument unless t and both radii are in range
+  /// (t is checked even when both radii are explicit). Every Algorithm 1
+  /// entry point runs it first; the registry maps a violation to
+  /// api::RequestError.
+  void check() const;
 };
 
 /// Everything the analysis benches need about one run.

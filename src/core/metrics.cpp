@@ -47,19 +47,8 @@ RatioReport measure_mds_ratio(const Graph& g, std::span<const Vertex> solution) 
     return make_report(size, solve::tree_mds_size(g), true);
   }
   try {
-    std::vector<Vertex> all(static_cast<std::size_t>(g.num_vertices()));
-    for (Vertex v = 0; v < g.num_vertices(); ++v) all[static_cast<std::size_t>(v)] = v;
-    // exact_set_domination with an explicit budget via minimum_set_cover's
-    // default is wrapped by exact_mds; replicate with the bench budget.
-    std::vector<std::vector<int>> sets;
-    sets.reserve(all.size());
-    for (Vertex c : all) {
-      std::vector<int> covered;
-      for (Vertex w : g.closed_neighborhood(c)) covered.push_back(w);
-      sets.push_back(std::move(covered));
-    }
-    const auto cover = solve::minimum_set_cover(sets, g.num_vertices(), kBenchSolverBudget);
-    return make_report(size, static_cast<int>(cover.size()), true);
+    return make_report(size, static_cast<int>(solve::exact_mds(g, kBenchSolverBudget).size()),
+                       true);
   } catch (const std::runtime_error&) {
     return make_report(size, solve::mds_lower_bound(g), false);
   }

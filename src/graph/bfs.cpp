@@ -5,61 +5,8 @@
 
 namespace lmds::graph {
 
-namespace {
-
-// Shared BFS kernel: distances from all sources, optional radius cap
-// (radius < 0 means unbounded), optional vertex mask (mask[v] == false means
-// v is treated as deleted; mask may be empty meaning "all alive").
-// Level-synchronous frontier vectors instead of a std::queue: no per-push
-// heap traffic, and each level is a contiguous scan. Distances are identical
-// to the queue version — BFS levels do not depend on intra-level order.
-std::vector<int> bfs_kernel(const Graph& g, std::span<const Vertex> sources, int radius,
-                            std::span<const char> mask) {
-  std::vector<int> dist(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<Vertex> current;
-  std::vector<Vertex> next;
-  for (Vertex s : sources) {
-    if (!g.has_vertex(s)) throw std::invalid_argument("bfs: source out of range");
-    if (!mask.empty() && !mask[static_cast<std::size_t>(s)]) continue;
-    if (dist[static_cast<std::size_t>(s)] == -1) {
-      dist[static_cast<std::size_t>(s)] = 0;
-      current.push_back(s);
-    }
-  }
-  for (int d = 0; !current.empty() && (radius < 0 || d < radius); ++d) {
-    next.clear();
-    for (Vertex u : current) {
-      for (Vertex w : g.neighbors(u)) {
-        if (!mask.empty() && !mask[static_cast<std::size_t>(w)]) continue;
-        if (dist[static_cast<std::size_t>(w)] == -1) {
-          dist[static_cast<std::size_t>(w)] = d + 1;
-          next.push_back(w);
-        }
-      }
-    }
-    std::swap(current, next);
-  }
-  return dist;
-}
-
-}  // namespace
-
 void mark_ball(const Graph& g, std::span<const Vertex> sources, int r, BfsScratch& scratch) {
-  scratch.begin(g.num_vertices());
-  for (Vertex s : sources) {
-    if (!g.has_vertex(s)) throw std::invalid_argument("bfs: source out of range");
-    if (!scratch.seen(s)) scratch.mark(s, 0);
-  }
-  // The visit list doubles as the queue. It is in BFS order, so expansion
-  // stops at the first vertex at distance r (never, for r < 0).
-  for (std::size_t head = 0; head < scratch.visited().size(); ++head) {
-    const Vertex x = scratch.visited()[head];
-    const int d = scratch.dist(x);
-    if (d == r) break;
-    for (Vertex w : g.neighbors(x)) {
-      if (!scratch.seen(w)) scratch.mark(w, d + 1);
-    }
-  }
+  mark_ball_if(g, sources, r, scratch, [](std::size_t, Vertex) { return true; });
 }
 
 void ball_into(const Graph& g, Vertex v, int r, BfsScratch& scratch, std::vector<Vertex>& out) {
@@ -76,11 +23,15 @@ void ball_of_set_into(const Graph& g, std::span<const Vertex> sources, int r,
 
 std::vector<int> bfs_distances(const Graph& g, Vertex src) {
   const Vertex sources[] = {src};
-  return bfs_kernel(g, sources, -1, {});
+  return bfs_distances_multi(g, sources);
 }
 
 std::vector<int> bfs_distances_multi(const Graph& g, std::span<const Vertex> sources) {
-  return bfs_kernel(g, sources, -1, {});
+  BfsScratch scratch;
+  mark_ball(g, sources, -1, scratch);
+  std::vector<int> dist(static_cast<std::size_t>(g.num_vertices()), -1);
+  for (Vertex v : scratch.visited()) dist[static_cast<std::size_t>(v)] = scratch.dist(v);
+  return dist;
 }
 
 std::vector<Vertex> ball(const Graph& g, Vertex v, int r) {
@@ -89,8 +40,6 @@ std::vector<Vertex> ball(const Graph& g, Vertex v, int r) {
 }
 
 std::vector<Vertex> ball_of_set(const Graph& g, std::span<const Vertex> sources, int r) {
-  // Visit-list collection instead of the old all-vertices distance scan: the
-  // cost is proportional to the ball, not to n. Output stays sorted.
   BfsScratch scratch;
   std::vector<Vertex> out;
   ball_of_set_into(g, sources, r, scratch, out);
@@ -110,40 +59,25 @@ Components connected_components(const Graph& g) { return components_without(g, {
 
 Components components_without(const Graph& g, std::span<const Vertex> removed) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
-  // Alive mask as bitset words: the mask fits in cache even for 100k-vertex
-  // graphs, so the inner-loop membership test stays one shift+and.
-  std::vector<std::uint64_t> alive((n + 63) / 64, ~std::uint64_t{0});
+  Components result;
+  // -2 marks a removed vertex until the end; -1 is "alive, not yet reached".
+  result.component.assign(n, -1);
   for (Vertex v : removed) {
     if (!g.has_vertex(v)) throw std::invalid_argument("components_without: vertex out of range");
-    alive[static_cast<std::size_t>(v) / 64] &=
-        ~(std::uint64_t{1} << (static_cast<std::size_t>(v) % 64));
+    result.component[static_cast<std::size_t>(v)] = -2;
   }
-  const auto is_alive = [&](Vertex v) {
-    return (alive[static_cast<std::size_t>(v) / 64] >> (static_cast<std::size_t>(v) % 64)) & 1;
+  const auto alive = [&](std::size_t, Vertex w) {
+    return result.component[static_cast<std::size_t>(w)] != -2;
   };
-  Components result;
-  result.component.assign(n, -1);
-  std::vector<Vertex> current;
-  std::vector<Vertex> next;
+  BfsScratch scratch;
   for (Vertex s = 0; s < g.num_vertices(); ++s) {
-    if (!is_alive(s) || result.component[static_cast<std::size_t>(s)] != -1) continue;
-    const int id = result.count++;
-    result.component[static_cast<std::size_t>(s)] = id;
-    current.assign(1, s);
-    while (!current.empty()) {
-      next.clear();
-      for (Vertex u : current) {
-        for (Vertex w : g.neighbors(u)) {
-          if (!is_alive(w)) continue;
-          if (result.component[static_cast<std::size_t>(w)] == -1) {
-            result.component[static_cast<std::size_t>(w)] = id;
-            next.push_back(w);
-          }
-        }
-      }
-      std::swap(current, next);
-    }
+    if (result.component[static_cast<std::size_t>(s)] != -1) continue;
+    const Vertex sources[] = {s};
+    mark_ball_if(g, sources, -1, scratch, alive);
+    for (Vertex v : scratch.visited()) result.component[static_cast<std::size_t>(v)] = result.count;
+    ++result.count;
   }
+  for (int& c : result.component) c = std::max(c, -1);
   return result;
 }
 
@@ -152,20 +86,30 @@ bool is_connected(const Graph& g) {
   return connected_components(g).count == 1;
 }
 
+namespace {
+
+// Eccentricity of v by one traversal in the caller's scratch; -1 when it
+// misses a vertex of g. The visit list is in BFS order, so its last entry
+// is the farthest.
+int eccentricity_in(const Graph& g, Vertex v, BfsScratch& scratch) {
+  const Vertex sources[] = {v};
+  mark_ball(g, sources, -1, scratch);
+  if (scratch.visited().size() != static_cast<std::size_t>(g.num_vertices())) return -1;
+  return scratch.dist(scratch.visited().back());
+}
+
+}  // namespace
+
 int eccentricity(const Graph& g, Vertex v) {
-  const auto dist = bfs_distances(g, v);
-  int ecc = 0;
-  for (int d : dist) {
-    if (d == -1) return -1;
-    ecc = std::max(ecc, d);
-  }
-  return ecc;
+  BfsScratch scratch;
+  return eccentricity_in(g, v, scratch);
 }
 
 int diameter(const Graph& g) {
+  BfsScratch scratch;
   int diam = 0;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const int ecc = eccentricity(g, v);
+    const int ecc = eccentricity_in(g, v, scratch);
     if (ecc == -1) return -1;
     diam = std::max(diam, ecc);
   }
@@ -173,21 +117,28 @@ int diameter(const Graph& g) {
 }
 
 int weak_diameter(const Graph& g, std::span<const Vertex> s) {
+  for (Vertex u : s) {
+    if (!g.has_vertex(u)) throw std::invalid_argument("weak_diameter: vertex out of range");
+  }
+  BfsScratch scratch;
   int result = 0;
   for (Vertex v : s) {
-    const auto dist = bfs_distances(g, v);
+    const Vertex sources[] = {v};
+    mark_ball(g, sources, -1, scratch);
     for (Vertex u : s) {
-      const int d = dist[static_cast<std::size_t>(u)];
-      if (d == -1) return -1;
-      result = std::max(result, d);
+      if (!scratch.seen(u)) return -1;
+      result = std::max(result, scratch.dist(u));
     }
   }
   return result;
 }
 
 int distance(const Graph& g, Vertex u, Vertex v) {
-  const auto dist = bfs_distances(g, u);
-  return dist[static_cast<std::size_t>(v)];
+  if (!g.has_vertex(v)) throw std::invalid_argument("distance: vertex out of range");
+  BfsScratch scratch;
+  const Vertex sources[] = {u};
+  mark_ball(g, sources, -1, scratch);
+  return scratch.seen(v) ? scratch.dist(v) : -1;
 }
 
 }  // namespace lmds::graph

@@ -4,15 +4,20 @@
 // primitives the LOCAL-model view gathering and the local-cut machinery are
 // expressed with.
 //
-// Two API tiers. The plain free functions allocate their outputs — right for
-// one-off queries. The BfsScratch + *_into variants are the hot-path tier:
-// one scratch arena holds the n-sized distance/visited buffers and frontier
-// vectors, epoch-stamped so consecutive traversals reuse them without an
-// O(n) clear — a per-solve allocation, not a per-vertex one.
+// One engine. mark_ball (and mark_ball_if, its form with a per-slot
+// traversal predicate) is the only BFS over a graph's own edges: every
+// function below runs it, and so do the view extraction, the local cut
+// kernel and the executor's incremental re-solve. It writes into a
+// BfsScratch arena that holds the n-sized distance/visited buffers,
+// epoch-stamped so consecutive traversals reuse them without an O(n) clear.
+// A loop that needs many balls owns one scratch — a per-solve allocation,
+// not a per-vertex one; the plain free functions allocate one per call and
+// suit one-off queries.
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -42,8 +47,6 @@ class BfsScratch {
       epoch_ = 1;
     }
     visited_.clear();
-    current_.clear();
-    next_.clear();
   }
 
   bool seen(Vertex v) const { return stamp_[static_cast<std::size_t>(v)] == epoch_; }
@@ -59,25 +62,51 @@ class BfsScratch {
   /// Vertices visited since begin(), in visit order.
   const std::vector<Vertex>& visited() const { return visited_; }
 
-  /// Frontier vectors for level-synchronous expansion (callers swap them).
-  std::vector<Vertex>& current() { return current_; }
-  std::vector<Vertex>& next() { return next_; }
-
  private:
   std::vector<int> dist_;
   std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_ = 0;
   std::vector<Vertex> visited_;
-  std::vector<Vertex> current_;
-  std::vector<Vertex> next_;
 };
 
 /// Marks the ball N^r[S] in the caller's scratch, with no output copy:
 /// afterwards scratch.seen(u)/scratch.dist(u) answer membership and distance
 /// queries for exactly the ball members, and scratch.visited() lists them in
-/// BFS order, until the next begin(). r < 0 means unbounded. The engine of
-/// ball_into, ball_of_set_into and the local cut kernel (cuts/local_cuts.hpp).
+/// BFS order, until the next begin(). r < 0 means unbounded. Throws
+/// std::invalid_argument for a source out of range.
 void mark_ball(const Graph& g, std::span<const Vertex> sources, int r, BfsScratch& scratch);
+
+/// mark_ball over the slots `pass` admits: the edge from a marked x to its
+/// j-th neighbour w is traversed only if pass(g.adjacency_offset(x) + j, w)
+/// holds (the flat CSR slot index, as in Graph::adjacency_offset). Sources
+/// are marked unconditionally. dist is the distance in the admitted
+/// subgraph. `pass` is taken by value: a local copy lets the compiler keep
+/// its captures in registers across the marks' stores.
+template <typename Pass>
+void mark_ball_if(const Graph& g, std::span<const Vertex> sources, int r, BfsScratch& scratch,
+                  Pass pass) {
+  scratch.begin(g.num_vertices());
+  for (Vertex s : sources) {
+    if (!g.has_vertex(s)) throw std::invalid_argument("bfs: source out of range");
+    if (!scratch.seen(s)) scratch.mark(s, 0);
+  }
+  // The visit list doubles as the queue: it is in BFS order, so level d is
+  // the range [lo, hi) appended while expanding level d - 1. Expansion stops
+  // after level r - 1 (never, for r < 0) or when a level is empty.
+  std::size_t lo = 0;
+  for (int d = 0; d != r && lo < scratch.visited().size(); ++d) {
+    const std::size_t hi = scratch.visited().size();
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Vertex x = scratch.visited()[i];
+      const auto nb = g.neighbors(x);
+      const std::size_t base = g.adjacency_offset(x);
+      for (std::size_t j = 0; j < nb.size(); ++j) {
+        if (!scratch.seen(nb[j]) && pass(base + j, nb[j])) scratch.mark(nb[j], d + 1);
+      }
+    }
+    lo = hi;
+  }
+}
 
 /// Sorted ball N^r[v] written into `out` (cleared first) using the caller's
 /// scratch — the allocation-free variant of ball(). Leaves the scratch
@@ -113,14 +142,15 @@ struct Components {
 Components connected_components(const Graph& g);
 
 /// Connected components of g with the given vertices deleted. Removed
-/// vertices get component id -1.
+/// vertices get component id -1; ids follow each component's smallest
+/// vertex.
 Components components_without(const Graph& g, std::span<const Vertex> removed);
 
 /// True iff g is connected (the empty graph counts as connected).
 bool is_connected(const Graph& g);
 
-/// Eccentricity of v (max distance to any reachable vertex); -1 if g has
-/// unreachable vertices from v.
+/// Eccentricity of v (max distance to any vertex); -1 if some vertex is
+/// unreachable from v.
 int eccentricity(const Graph& g, Vertex v);
 
 /// Diameter; -1 if disconnected. O(n·m) — intended for tests and benches on
@@ -130,9 +160,11 @@ int diameter(const Graph& g);
 /// Weak diameter of the set S: max over u,v in S of d_G(u, v), where
 /// distances are measured in the *whole* graph g. Returns -1 if some pair is
 /// disconnected in g. This is the notion used by asymptotic dimension (§3).
+/// Throws std::invalid_argument for a vertex of S out of range.
 int weak_diameter(const Graph& g, std::span<const Vertex> s);
 
-/// Distance between two vertices (-1 if disconnected).
+/// Distance between two vertices (-1 if disconnected). Throws
+/// std::invalid_argument for a vertex out of range.
 int distance(const Graph& g, Vertex u, Vertex v);
 
 }  // namespace lmds::graph

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
-#include <queue>
 #include <stdexcept>
 #include <string>
 
@@ -241,10 +240,13 @@ Graph contract_partition(const Graph& g, const std::vector<std::vector<Vertex>>&
 Graph power(const Graph& g, int r) {
   if (r < 1) throw std::invalid_argument("power: r must be >= 1");
   std::vector<std::vector<Vertex>> adjacency(static_cast<std::size_t>(g.num_vertices()));
+  BfsScratch scratch;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    for (Vertex w : ball(g, v, r)) {
-      if (w != v) adjacency[static_cast<std::size_t>(v)].push_back(w);
-    }
+    const Vertex sources[] = {v};
+    mark_ball(g, sources, r, scratch);
+    // The visit list starts with v itself; Graph's constructor sorts rows.
+    adjacency[static_cast<std::size_t>(v)].assign(scratch.visited().begin() + 1,
+                                                  scratch.visited().end());
   }
   return Graph(adjacency);
 }
@@ -259,34 +261,31 @@ Graph disjoint_union(const Graph& a, const Graph& b) {
 
 std::vector<std::vector<Vertex>> r_components(const Graph& g, std::span<const Vertex> s, int r) {
   if (r < 1) throw std::invalid_argument("r_components: r must be >= 1");
-  std::vector<char> in_s(static_cast<std::size_t>(g.num_vertices()), 0);
+  // comp[v]: -2 outside S, -1 in S and not yet reached, else v's component.
+  std::vector<int> comp(static_cast<std::size_t>(g.num_vertices()), -2);
   for (Vertex v : s) {
     if (!g.has_vertex(v)) throw std::invalid_argument("r_components: vertex out of range");
-    in_s[static_cast<std::size_t>(v)] = 1;
+    comp[static_cast<std::size_t>(v)] = -1;
   }
-  std::vector<int> comp(static_cast<std::size_t>(g.num_vertices()), -1);
   std::vector<std::vector<Vertex>> result;
+  BfsScratch scratch;
   for (Vertex start : s) {
     if (comp[static_cast<std::size_t>(start)] != -1) continue;
     const int id = static_cast<int>(result.size());
-    result.emplace_back();
-    std::queue<Vertex> queue;
-    queue.push(start);
+    std::vector<Vertex>& members = result.emplace_back(1, start);
     comp[static_cast<std::size_t>(start)] = id;
-    while (!queue.empty()) {
-      const Vertex u = queue.front();
-      queue.pop();
-      result.back().push_back(u);
-      // All S-vertices within distance r of u join the same r-component.
-      for (Vertex w : ball(g, u, r)) {
-        if (w == u || !in_s[static_cast<std::size_t>(w)]) continue;
-        if (comp[static_cast<std::size_t>(w)] == -1) {
-          comp[static_cast<std::size_t>(w)] = id;
-          queue.push(w);
-        }
+    // The member list is the queue: all S-vertices within distance r of a
+    // member join the same r-component.
+    for (std::size_t head = 0; head < members.size(); ++head) {
+      const Vertex sources[] = {members[head]};
+      mark_ball(g, sources, r, scratch);
+      for (Vertex w : scratch.visited()) {
+        if (comp[static_cast<std::size_t>(w)] != -1) continue;
+        comp[static_cast<std::size_t>(w)] = id;
+        members.push_back(w);
       }
     }
-    std::sort(result.back().begin(), result.back().end());
+    std::sort(members.begin(), members.end());
   }
   return result;
 }

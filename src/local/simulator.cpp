@@ -85,7 +85,6 @@ void FloodingState::step(TrafficStats& stats) {
   // An edge record is two 48-bit ids ~ 12 bytes.
   stats.bytes += bits_sent * 12;
   stats.rounds += 1;
-  ++rounds_done_;
 }
 
 void FloodingState::run(int rounds, TrafficStats& stats) {

@@ -83,9 +83,6 @@ class FloodingState {
   /// Runs `rounds` rounds.
   void run(int rounds, TrafficStats& stats);
 
-  /// Number of completed rounds.
-  int rounds_done() const { return rounds_done_; }
-
   /// True iff node v has heard of edge index e. Inline — this is the test
   /// the CSR-native view extraction runs once per traversed adjacency slot.
   bool knows_edge(Vertex v, int e) const {
@@ -103,7 +100,6 @@ class FloodingState {
   std::vector<std::uint64_t> knowledge_;  // num_nodes x words_per_node bitset
   std::vector<std::uint64_t> next_;       // step()'s write buffer, swapped in
   std::vector<std::uint64_t> popcounts_;  // per-sender row popcounts, reused
-  int rounds_done_ = 0;
 
   std::uint64_t* row(Vertex v) {
     return knowledge_.data() + static_cast<std::size_t>(v) * static_cast<std::size_t>(words_per_node_);

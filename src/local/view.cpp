@@ -71,37 +71,23 @@ std::vector<int> edge_ids_per_slot(const Graph& g) {
 namespace {
 
 // The CSR-native extraction core. Radius-capped BFS from `centre` over the
-// topology CSR — when `knowledge` is given, an edge is traversable only if
-// the centre has heard of it (slot_ids maps CSR slots to flooding edge
-// indices) — then the sorted ball is relabelled monotonically straight into
-// the view's CSR arrays. Monotone relabelling keeps every row sorted, so
-// the trusted constructor's invariants hold by construction, and the result
-// is bit-identical to the seed's induced_subgraph-based extraction.
+// topology CSR — when `knowledge` is given, a slot is traversable only if
+// the centre has heard of its edge (slot_ids maps CSR slots to flooding edge
+// indices), which keeps a view to delivered edges only — then the sorted
+// ball is relabelled monotonically straight into the view's CSR arrays.
+// Monotone relabelling keeps every row sorted, so the trusted constructor's
+// invariants hold by construction, and the result is bit-identical to the
+// seed's induced_subgraph-based extraction.
 BallView extract_view(const Network& net, Vertex centre, int radius,
                       const FloodingState* knowledge, std::span<const int> slot_ids,
                       ViewScratch& s) {
   const Graph& g = net.topology();
   graph::BfsScratch& bfs = s.bfs;
-  bfs.begin(g.num_vertices());
-  std::vector<Vertex>& current = bfs.current();
-  std::vector<Vertex>& next = bfs.next();
-  bfs.mark(centre, 0);
-  current.push_back(centre);
-  for (int d = 0; !current.empty() && d < radius; ++d) {
-    next.clear();
-    for (Vertex u : current) {
-      const auto nb = g.neighbors(u);
-      const std::size_t base = g.adjacency_offset(u);
-      for (std::size_t j = 0; j < nb.size(); ++j) {
-        const Vertex w = nb[j];
-        if (bfs.seen(w)) continue;
-        if (knowledge != nullptr && !knowledge->knows_edge(centre, slot_ids[base + j])) continue;
-        bfs.mark(w, d + 1);
-        next.push_back(w);
-      }
-    }
-    std::swap(current, next);
-  }
+  const auto known = [&](std::size_t slot, Vertex) {
+    return knowledge == nullptr || knowledge->knows_edge(centre, slot_ids[slot]);
+  };
+  const Vertex sources[] = {centre};
+  graph::mark_ball_if(g, sources, radius, bfs, known);
 
   s.ball.assign(bfs.visited().begin(), bfs.visited().end());
   std::sort(s.ball.begin(), s.ball.end());
@@ -123,9 +109,7 @@ BallView extract_view(const Network& net, Vertex centre, int radius,
     const std::size_t base = g.adjacency_offset(u);
     std::size_t deg = 0;
     for (std::size_t j = 0; j < nb.size(); ++j) {
-      if (!bfs.seen(nb[j])) continue;
-      if (knowledge != nullptr && !knowledge->knows_edge(centre, slot_ids[base + j])) continue;
-      ++deg;
+      if (bfs.seen(nb[j]) && known(base + j, nb[j])) ++deg;
     }
     offsets[i + 1] = offsets[i] + deg;
   }
@@ -136,10 +120,9 @@ BallView extract_view(const Network& net, Vertex centre, int radius,
     const std::size_t base = g.adjacency_offset(u);
     Vertex* out = neighbors.data() + offsets[i];
     for (std::size_t j = 0; j < nb.size(); ++j) {
-      const Vertex w = nb[j];
-      if (!bfs.seen(w)) continue;
-      if (knowledge != nullptr && !knowledge->knows_edge(centre, slot_ids[base + j])) continue;
-      *out++ = s.local_of[static_cast<std::size_t>(w)];
+      if (bfs.seen(nb[j]) && known(base + j, nb[j])) {
+        *out++ = s.local_of[static_cast<std::size_t>(nb[j])];
+      }
     }
   }
 

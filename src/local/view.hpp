@@ -6,13 +6,15 @@
 // anything the protocol did not deliver.
 //
 // Extraction is CSR-native (the per-solve hot path): each view is cut
-// directly out of the topology CSR restricted to the centre's flooding
-// knowledge bitset — a radius-capped BFS over known edges into a reusable
-// ViewScratch arena, then a monotone relabelling straight into the view's
-// CSR arrays. No per-vertex GraphBuilder, no full-graph BFS, no n-sized
-// allocation per centre. The seed implementations survive outside the
-// library, in tests/support/view_reference.hpp, as the differential
-// baselines (tests/test_hotpath.cpp, bench_perf).
+// directly out of the topology CSR — one graph::mark_ball_if from the
+// centre, capped at the radius, into a reusable ViewScratch arena; its slot
+// predicate admits only edges the centre's flooding knowledge holds, which
+// keeps a view to delivered edges. A monotone relabelling then writes the
+// ball straight into the view's CSR arrays. No per-vertex GraphBuilder, no
+// full-graph BFS, no n-sized allocation per centre. The seed
+// implementations survive outside the library, in
+// tests/support/view_reference.hpp, as the differential baselines
+// (tests/test_hotpath.cpp, bench_perf).
 
 #include <vector>
 

@@ -10,10 +10,13 @@ std::vector<Vertex> two_packing(const Graph& g) {
   // blocked[v] == 1 when v is within distance 2 of an already packed vertex.
   std::vector<char> blocked(static_cast<std::size_t>(g.num_vertices()), 0);
   std::vector<Vertex> packed;
+  graph::BfsScratch scratch;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     if (blocked[static_cast<std::size_t>(v)]) continue;
     packed.push_back(v);
-    for (Vertex w : graph::ball(g, v, 2)) blocked[static_cast<std::size_t>(w)] = 1;
+    const Vertex sources[] = {v};
+    graph::mark_ball(g, sources, 2, scratch);
+    for (Vertex w : scratch.visited()) blocked[static_cast<std::size_t>(w)] = 1;
   }
   return packed;
 }

@@ -158,7 +158,8 @@ std::vector<int> minimum_set_cover(const std::vector<std::vector<int>>& sets, in
 }
 
 std::vector<Vertex> exact_set_domination(const Graph& g, std::span<const Vertex> targets,
-                                         std::span<const Vertex> candidates) {
+                                         std::span<const Vertex> candidates,
+                                         std::uint64_t max_nodes) {
   // Map targets to dense element ids.
   std::vector<int> element(static_cast<std::size_t>(g.num_vertices()), -1);
   int universe = 0;
@@ -182,7 +183,7 @@ std::vector<Vertex> exact_set_domination(const Graph& g, std::span<const Vertex>
     sets.push_back(std::move(covered));
     set_vertex.push_back(c);
   }
-  const auto picked = minimum_set_cover(sets, universe);
+  const auto picked = minimum_set_cover(sets, universe, max_nodes);
   std::vector<Vertex> result;
   result.reserve(picked.size());
   for (int s : picked) result.push_back(set_vertex[static_cast<std::size_t>(s)]);
@@ -204,10 +205,10 @@ std::vector<Vertex> exact_b_domination(const Graph& g, std::span<const Vertex> b
   return exact_set_domination(g, b, candidates);
 }
 
-std::vector<Vertex> exact_mds(const Graph& g) {
+std::vector<Vertex> exact_mds(const Graph& g, std::uint64_t max_nodes) {
   std::vector<Vertex> all(static_cast<std::size_t>(g.num_vertices()));
   for (Vertex v = 0; v < g.num_vertices(); ++v) all[static_cast<std::size_t>(v)] = v;
-  return exact_set_domination(g, all, all);
+  return exact_set_domination(g, all, all, max_nodes);
 }
 
 int mds_size(const Graph& g) { return static_cast<int>(exact_mds(g).size()); }

@@ -24,15 +24,19 @@ namespace lmds::solve {
 using graph::Graph;
 using graph::Vertex;
 
+/// Default branch-and-bound node budget of the searches below.
+inline constexpr std::uint64_t kDefaultMaxNodes = 50'000'000;
+
 /// Generic exact minimum set cover. `sets[i]` lists the elements of
 /// 0..universe-1 covered by set i. Returns indices of a minimum family whose
 /// union is the whole universe. Throws std::runtime_error if no cover exists
 /// or if the search exceeds `max_nodes` branch-and-bound nodes.
 std::vector<int> minimum_set_cover(const std::vector<std::vector<int>>& sets, int universe,
-                                   std::uint64_t max_nodes = 50'000'000);
+                                   std::uint64_t max_nodes = kDefaultMaxNodes);
 
-/// Exact minimum dominating set of g.
-std::vector<Vertex> exact_mds(const Graph& g);
+/// Exact minimum dominating set of g. Throws std::runtime_error if the
+/// search exceeds `max_nodes` nodes.
+std::vector<Vertex> exact_mds(const Graph& g, std::uint64_t max_nodes = kDefaultMaxNodes);
 
 /// |exact_mds(g)| — convenience, the MDS(G) of the paper.
 int mds_size(const Graph& g);
@@ -42,8 +46,10 @@ int mds_size(const Graph& g);
 std::vector<Vertex> exact_b_domination(const Graph& g, std::span<const Vertex> b);
 
 /// Exact minimum S ⊆ candidates dominating all of targets. Throws
-/// std::runtime_error when the instance is infeasible.
+/// std::runtime_error when the instance is infeasible or the search exceeds
+/// `max_nodes` nodes.
 std::vector<Vertex> exact_set_domination(const Graph& g, std::span<const Vertex> targets,
-                                         std::span<const Vertex> candidates);
+                                         std::span<const Vertex> candidates,
+                                         std::uint64_t max_nodes = kDefaultMaxNodes);
 
 }  // namespace lmds::solve

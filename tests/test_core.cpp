@@ -405,6 +405,36 @@ TEST(Algorithm1, RoundAccountingFormula) {
   EXPECT_EQ(no_twin.diag.rounds, (8 + 1) + (no_twin.diag.max_residual_diameter + 3));
 }
 
+TEST(Algorithm1, ConfigRangeCheckedOnEveryEntryPoint) {
+  // Outside the ranges the paper radius 73t + 5 or the view radius 2·r2
+  // overflows int; the registry adapter used to be the only check.
+  const Graph g = graph::gen::path(5);
+  const local::Network net(g);
+  const Algorithm1Config bad[] = {
+      {.t = 30'000'000, .radius1 = 0, .radius2 = 0},
+      {.t = 0, .radius1 = 3, .radius2 = 3},
+      {.t = -3},
+      {.radius1 = Algorithm1Config::kMaxRadius + 1},
+      {.radius2 = 2'000'000'000},
+  };
+  for (const Algorithm1Config& cfg : bad) {
+    EXPECT_THROW((void)algorithm1(g, cfg), std::invalid_argument) << cfg.t;
+    EXPECT_THROW((void)algorithm1_local(net, cfg), std::invalid_argument) << cfg.t;
+    EXPECT_THROW((void)algorithm1_mvc(g, cfg), std::invalid_argument) << cfg.t;
+    EXPECT_THROW((void)algorithm1_mvc_local(net, cfg), std::invalid_argument) << cfg.t;
+  }
+  Algorithm2Config too_far;  // f(5) + 2 = kMaxRadius + 1
+  too_far.f = [](int r) { return r * (Algorithm1Config::kMaxRadius / 5); };
+  EXPECT_THROW((void)algorithm2(g, too_far), std::invalid_argument);
+  EXPECT_THROW((void)algorithm2_local(net, too_far), std::invalid_argument);
+  // The ends of each range are accepted.
+  const Algorithm1Config edge{.t = Algorithm1Config::kMaxClassParameter,
+                              .radius1 = 4,
+                              .radius2 = Algorithm1Config::kMaxRadius};
+  EXPECT_TRUE(solve::is_dominating_set(g, algorithm1(g, edge).dominating_set));
+  EXPECT_TRUE(solve::is_vertex_cover(g, algorithm1_mvc(g, {.t = 1, .radius1 = -7}).vertex_cover));
+}
+
 // ---------------------------------------------------------------------------
 // Algorithm 1 MVC variant
 

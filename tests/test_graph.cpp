@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
@@ -175,6 +179,207 @@ TEST(Bfs, IsConnected) {
   EXPECT_TRUE(is_connected(gen::cycle(4)));
   EXPECT_TRUE(is_connected(Graph{}));
   EXPECT_FALSE(is_connected(disjoint_union(gen::path(2), gen::path(2))));
+}
+
+TEST(Bfs, OutOfRangeVerticesThrow) {
+  const Graph g = gen::path(5);
+  EXPECT_THROW((void)distance(g, 0, 5), std::invalid_argument);
+  EXPECT_THROW((void)distance(g, 0, -1), std::invalid_argument);
+  EXPECT_THROW((void)distance(g, 5, 0), std::invalid_argument);
+  const std::vector<Vertex> bad_member{0, 9};
+  EXPECT_THROW((void)weak_diameter(g, bad_member), std::invalid_argument);
+  const std::vector<Vertex> bad_first{-1, 2};
+  EXPECT_THROW((void)weak_diameter(g, bad_first), std::invalid_argument);
+  EXPECT_THROW((void)bfs_distances(g, 5), std::invalid_argument);
+  EXPECT_THROW((void)eccentricity(g, -1), std::invalid_argument);
+  EXPECT_THROW((void)ball(g, 5, 1), std::invalid_argument);
+  const std::vector<Vertex> bad_removed{5};
+  EXPECT_THROW((void)components_without(g, bad_removed), std::invalid_argument);
+}
+
+// Floyd–Warshall over an explicit edge list: the BFS engine's oracle, with
+// no traversal in it. kInf marks unreachable pairs.
+constexpr int kInf = 1 << 20;
+using Matrix = std::vector<std::vector<int>>;
+
+Matrix all_pairs(int n, const std::vector<Edge>& edges) {
+  const auto sn = static_cast<std::size_t>(n);
+  Matrix d(sn, std::vector<int>(sn, kInf));
+  for (std::size_t v = 0; v < sn; ++v) d[v][v] = 0;
+  for (const Edge& e : edges) {
+    d[static_cast<std::size_t>(e.u)][static_cast<std::size_t>(e.v)] = 1;
+    d[static_cast<std::size_t>(e.v)][static_cast<std::size_t>(e.u)] = 1;
+  }
+  for (std::size_t k = 0; k < sn; ++k) {
+    for (std::size_t i = 0; i < sn; ++i) {
+      for (std::size_t j = 0; j < sn; ++j) d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
+    }
+  }
+  return d;
+}
+
+// The oracle's distance from the nearest of `sources`, -1 if unreachable.
+int oracle_dist(const Matrix& d, std::span<const Vertex> sources, Vertex v) {
+  int best = kInf;
+  for (Vertex s : sources) {
+    best = std::min(best, d[static_cast<std::size_t>(s)][static_cast<std::size_t>(v)]);
+  }
+  return best == kInf ? -1 : best;
+}
+
+std::vector<Vertex> random_subset(int n, double p, std::mt19937_64& rng) {
+  std::bernoulli_distribution pick(p);
+  std::vector<Vertex> out;
+  for (Vertex v = 0; v < n; ++v) {
+    if (pick(rng)) out.push_back(v);
+  }
+  return out;
+}
+
+// G(n, p) plus two isolated vertices: disconnected at small p.
+Graph random_graph(int n, double p, std::mt19937_64& rng) {
+  GraphBuilder b(n + 2);
+  std::bernoulli_distribution edge(p);
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v = u + 1; v < n; ++v) {
+      if (edge(rng)) b.add_edge(u, v);
+    }
+  }
+  return b.build();
+}
+
+TEST(BfsEngine, MatchesFloydWarshallOracle) {
+  std::mt19937_64 rng(20260418);
+  std::vector<Graph> graphs{Graph{}, gen::path(1), gen::cycle(9),
+                            disjoint_union(gen::random_tree(14, 5), gen::path(3))};
+  for (const int n : {4, 12, 25, 40}) {
+    for (const double p : {0.04, 0.1, 0.25}) graphs.push_back(random_graph(n, p, rng));
+  }
+  BfsScratch scratch;  // one arena across every graph size, as hot loops use it
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(g.summary());
+    const int n = g.num_vertices();
+    const std::vector<Edge> edges = g.edges();
+    const Matrix d = all_pairs(n, edges);
+
+    // Distances, eccentricities, pairwise distance.
+    int diam = 0;
+    for (Vertex s = 0; s < n; ++s) {
+      const Vertex one[] = {s};
+      const auto dist = bfs_distances(g, s);
+      int ecc = 0;
+      for (Vertex v = 0; v < n; ++v) {
+        const int want = oracle_dist(d, one, v);
+        ASSERT_EQ(dist[static_cast<std::size_t>(v)], want) << s << "->" << v;
+        EXPECT_EQ(distance(g, s, v), want);
+        ecc = want == -1 || ecc == -1 ? -1 : std::max(ecc, want);
+      }
+      EXPECT_EQ(eccentricity(g, s), ecc) << s;
+      diam = ecc == -1 || diam == -1 ? -1 : std::max(diam, ecc);
+    }
+    EXPECT_EQ(diameter(g), diam);
+
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::vector<Vertex> set = random_subset(n, 0.15, rng);
+      const auto multi = bfs_distances_multi(g, set);
+      for (Vertex v = 0; v < n; ++v) {
+        ASSERT_EQ(multi[static_cast<std::size_t>(v)], oracle_dist(d, set, v)) << v;
+      }
+
+      // Balls, single-source and multi-source, unbounded (r = -1) or not.
+      for (int r = -1; r <= 4; ++r) {
+        std::vector<Vertex> want_set;
+        for (Vertex v = 0; v < n; ++v) {
+          const int dv = oracle_dist(d, set, v);
+          if (dv != -1 && (r < 0 || dv <= r)) want_set.push_back(v);
+        }
+        EXPECT_EQ(ball_of_set(g, set, r), want_set) << "r=" << r;
+        if (!set.empty()) {
+          const Vertex v = set.front();
+          const Vertex one[] = {v};
+          std::vector<Vertex> want_one;
+          for (Vertex u = 0; u < n; ++u) {
+            const int du = oracle_dist(d, one, u);
+            if (du != -1 && (r < 0 || du <= r)) want_one.push_back(u);
+          }
+          EXPECT_EQ(ball(g, v, r), want_one) << "v=" << v << " r=" << r;
+        }
+      }
+
+      // Weak diameter: distances in the whole graph.
+      int weak = 0;
+      for (Vertex u : set) {
+        for (Vertex v : set) {
+          const Vertex one[] = {u};
+          const int duv = oracle_dist(d, one, v);
+          weak = duv == -1 || weak == -1 ? -1 : std::max(weak, duv);
+        }
+      }
+      EXPECT_EQ(weak_diameter(g, set), weak);
+
+      // Components without a random removed set: same component iff joined
+      // in the oracle over the surviving edges, ids by smallest vertex.
+      const std::vector<Vertex> removed = random_subset(n, 0.25, rng);
+      std::vector<char> gone(static_cast<std::size_t>(n), 0);
+      for (Vertex v : removed) gone[static_cast<std::size_t>(v)] = 1;
+      std::vector<Edge> kept;
+      for (const Edge& e : edges) {
+        if (!gone[static_cast<std::size_t>(e.u)] && !gone[static_cast<std::size_t>(e.v)]) {
+          kept.push_back(e);
+        }
+      }
+      const Matrix dk = all_pairs(n, kept);
+      const Components comps = components_without(g, removed);
+      int next_id = 0;
+      for (Vertex v = 0; v < n; ++v) {
+        const int c = comps.component[static_cast<std::size_t>(v)];
+        if (gone[static_cast<std::size_t>(v)]) {
+          EXPECT_EQ(c, -1) << v;
+          continue;
+        }
+        ASSERT_GE(c, 0) << v;
+        if (c == next_id) ++next_id;
+        EXPECT_LT(c, next_id) << "ids follow the smallest vertex: " << v;
+        for (Vertex u = 0; u < v; ++u) {
+          if (gone[static_cast<std::size_t>(u)]) continue;
+          const bool joined = dk[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)] < kInf;
+          EXPECT_EQ(comps.component[static_cast<std::size_t>(u)] == c, joined) << u << "," << v;
+        }
+      }
+      EXPECT_EQ(comps.count, next_id);
+
+      // The filtered traversal: a random set of blocked edges, tested per
+      // CSR slot (both slots of an edge), against the oracle without them.
+      std::vector<Edge> open_edges;
+      std::vector<char> blocked_slot(edges.size() * 2, 0);
+      std::bernoulli_distribution block(0.3);
+      for (const Edge& e : edges) {
+        if (!block(rng)) {
+          open_edges.push_back(e);
+          continue;
+        }
+        for (const auto& [x, y] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
+          const auto nb = g.neighbors(x);
+          const auto j = static_cast<std::size_t>(std::lower_bound(nb.begin(), nb.end(), y) -
+                                                  nb.begin());
+          blocked_slot[g.adjacency_offset(x) + j] = 1;
+        }
+      }
+      const Matrix dopen = all_pairs(n, open_edges);
+      for (int r = -1; r <= 4; ++r) {
+        mark_ball_if(g, set, r, scratch,
+                     [&](std::size_t slot, Vertex) { return blocked_slot[slot] == 0; });
+        for (Vertex v = 0; v < n; ++v) {
+          const int dv = oracle_dist(dopen, set, v);
+          const bool inside = dv != -1 && (r < 0 || dv <= r);
+          ASSERT_EQ(scratch.seen(v), inside) << "r=" << r << " v=" << v;
+          if (inside) {
+            EXPECT_EQ(scratch.dist(v), dv) << "r=" << r << " v=" << v;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
