@@ -1,10 +1,10 @@
 // Shared plumbing of the benches: the five CI benches (bench_serve_v2,
 // bench_patch_throughput, bench_perf, bench_cluster, bench_batch_throughput)
 // and bench_paper, the paper's claims as one gated run table. It provides
-// wall-clock timing, locale-proof JSON numbers, a declared-flags parser with
-// the built-in --check and --json FILE, regression gates, and the
-// BENCH_*.json writer whose runs[].graphs_per_sec scripts/bench_regression.py
-// ratchets (bench_paper writes no artifact). Every artifact also records the
+// wall-clock and CPU timing, a median, locale-proof JSON numbers, a
+// declared-flags parser with the built-in --check and --json FILE,
+// regression gates, and the BENCH_*.json writer whose runs[].graphs_per_sec
+// scripts/bench_regression.py ratchets (bench_paper writes no artifact). Every artifact also records the
 // process's wall and CPU time (user + sys) since the Harness was built, their
 // ratio and the host's core count, so a scaling figure can be read against
 // the CPU it actually got.
@@ -20,9 +20,11 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdarg>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +40,12 @@ namespace lmds::bench {
 
 inline double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// The median of `xs` (the upper one of an even count); xs is non-empty.
+inline double median(std::vector<double> xs) {
+  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2), xs.end());
+  return xs[xs.size() / 2];
 }
 
 /// CPU time (user + sys) this process has used so far.

@@ -124,12 +124,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  const double warm_t1_us = median(t1_us);
-  const double warm_t4_us = median(t4_us);
+  const double warm_t1_us = bench::median(t1_us);
+  const double warm_t4_us = bench::median(t4_us);
   const double warm_ratio = warm_t4_us / warm_t1_us;
 
   std::printf("Serve v2 — %d-vertex grid (%d edges), %d warm solves per path\n\n",

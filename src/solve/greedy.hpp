@@ -14,7 +14,9 @@ using graph::Graph;
 using graph::Vertex;
 
 /// Greedy dominating set: repeatedly add the vertex covering the most
-/// still-undominated vertices. (1 + ln n)-approximate.
+/// still-undominated vertices, the lowest id among ties.
+/// (1 + ln n)-approximate. O((n + m) log n): gains are kept exact, and each
+/// pick comes off a lazy max-heap.
 std::vector<Vertex> greedy_mds(const Graph& g);
 
 /// Greedy vertex cover: both endpoints of a maximal matching. 2-approximate.

@@ -1,9 +1,11 @@
 // Hot-path differential suite: the CSR-native view extraction, the local
-// cut kernel and the intra-graph threading mode must be BIT-IDENTICAL to the
-// seed implementations they replaced. The seed code survives in
+// cut kernel, the two server baselines (greedy, KSV's gamma test) and the
+// intra-graph threading mode must be BIT-IDENTICAL to the seed
+// implementations they replaced. The seed code survives in
 // local::detail::{gather_views_reference, cut_view_reference}
-// (tests/support/view_reference.hpp) and cuts::detail::*_reference
-// (tests/support/cut_reference.hpp) precisely so this file can hold it
+// (tests/support/view_reference.hpp), cuts::detail::*_reference
+// (tests/support/cut_reference.hpp) and the *_reference baselines
+// (tests/support/baseline_reference.hpp) precisely so this file can hold it
 // against the rewrite on every generator, every radius, and adversarial
 // (shuffled) id assignments; the executor half
 // asserts every registered solver returns the same Response for every
@@ -20,10 +22,12 @@
 
 #include "api/executor.hpp"
 #include "api/registry.hpp"
+#include "core/baselines.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
 #include "ding/generators.hpp"
 #include "graph/bfs.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ops.hpp"
@@ -34,6 +38,8 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/session.hpp"
+#include "solve/greedy.hpp"
+#include "support/baseline_reference.hpp"
 #include "support/cut_reference.hpp"
 #include "support/view_reference.hpp"
 
@@ -301,6 +307,148 @@ TEST(LocalCutKernel, ScratchReuseAcrossGraphSizesIsClean) {
                     ref::certifies_interesting_reference(g, u, v, r))
               << where;
         }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Baselines: the lazy-heap greedy and the ball-local gamma test against the
+// seed code (solve::detail / core::detail *_reference,
+// tests/support/baseline_reference.hpp)
+
+// The five soak families at several sizes, grids, and the shapes where the
+// empty cases and the tie-breaks live.
+std::vector<Graph> baseline_suite() {
+  std::mt19937_64 rng(20261018);
+  std::vector<Graph> gs;
+  for (const int n : {4, 9, 24, 60, 150}) {
+    gs.push_back(graph::gen::random_tree(n, rng));
+    gs.push_back(graph::gen::random_maximal_outerplanar(n, rng));
+    gs.push_back(graph::gen::apollonian(n, rng));
+  }
+  for (const int links : {1, 3, 8}) {
+    for (const int parallel : {2, 4}) gs.push_back(graph::gen::theta_chain(links, parallel));
+  }
+  for (const int pieces : {2, 6, 14}) {
+    ding::CactusConfig cc;
+    cc.pieces = pieces;
+    cc.max_piece_size = 8;
+    gs.push_back(ding::random_cactus_of_structures(cc, rng));
+  }
+  gs.push_back(graph::gen::grid(1, 7));
+  gs.push_back(graph::gen::grid(5, 5));
+  gs.push_back(graph::gen::grid(12, 17));
+  gs.push_back(Graph());
+  // Isolated vertices and K2 components, alone and next to a cycle.
+  const Graph lone = graph::gen::path(1);
+  const Graph k2 = graph::gen::path(2);
+  gs.push_back(lone);
+  gs.push_back(k2);
+  gs.push_back(graph::disjoint_union(graph::disjoint_union(lone, k2),
+                                     graph::disjoint_union(graph::gen::cycle(5),
+                                                           graph::disjoint_union(k2, lone))));
+  return gs;
+}
+
+// A seeded random graph of up to 40 vertices, any density, isolated
+// vertices allowed.
+Graph random_small_graph(std::mt19937_64& rng) {
+  const int n = static_cast<int>(rng() % 41);
+  const double p = static_cast<double>(rng() % 1000) / 1000.0 * 0.5;
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  graph::GraphBuilder b(n);
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v = u + 1; v < n; ++v) {
+      if (coin(rng) < p) b.add_edge(u, v);
+    }
+  }
+  return b.build();
+}
+
+// Vertices with more than 64 neighbours: a star and a wheel whose hubs need
+// more covers than any small cap, K_{2,70} whose hubs have gamma 2, and K_66
+// where every vertex has gamma 1.
+std::vector<Graph> hub_suite() {
+  return {graph::gen::star(90), graph::gen::wheel(80), graph::gen::complete_bipartite(2, 70),
+          graph::gen::complete(66),
+          graph::disjoint_union(graph::gen::complete_bipartite(3, 67), graph::gen::path(1))};
+}
+
+TEST(BaselineOracle, GreedyEqualsTheSeed) {
+  namespace ref = solve::detail;
+  for (const Graph& g : baseline_suite()) {
+    EXPECT_EQ(solve::greedy_mds(g), ref::greedy_mds_reference(g)) << g.summary();
+  }
+  for (const Graph& g : hub_suite()) {
+    EXPECT_EQ(solve::greedy_mds(g), ref::greedy_mds_reference(g)) << g.summary();
+  }
+  std::mt19937_64 rng(4242);
+  for (int i = 0; i < 1000; ++i) {
+    const Graph g = random_small_graph(rng);
+    ASSERT_EQ(solve::greedy_mds(g), ref::greedy_mds_reference(g)) << "random graph " << i;
+  }
+}
+
+TEST(BaselineOracle, GammaEqualsTheSeedAtEveryVertex) {
+  namespace ref = core::detail;
+  std::vector<Graph> gs = baseline_suite();
+  for (Graph& g : hub_suite()) gs.push_back(std::move(g));
+  std::mt19937_64 rng(777);
+  for (int i = 0; i < 200; ++i) gs.push_back(random_small_graph(rng));
+  core::GammaWorkspace workspace;
+  for (const Graph& g : gs) {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      for (int cap = 0; cap <= 5; ++cap) {
+        const int want = ref::gamma_reference(g, v, cap);
+        ASSERT_EQ(workspace.gamma(g, v, cap), want)
+            << g.summary() << " v=" << v << " cap=" << cap;
+        ASSERT_EQ(core::gamma(g, v, cap), want) << g.summary() << " v=" << v << " cap=" << cap;
+      }
+    }
+  }
+  // Uncapped: every exact value, up to the degree bound.
+  for (const Graph& g : hub_suite()) {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const int cap = g.num_vertices();
+      EXPECT_EQ(workspace.gamma(g, v, cap), ref::gamma_reference(g, v, cap))
+          << g.summary() << " v=" << v;
+    }
+  }
+  EXPECT_THROW((void)core::gamma(graph::gen::path(3), 3, 2), std::invalid_argument);
+  EXPECT_THROW((void)core::gamma(graph::gen::path(3), -1, 2), std::invalid_argument);
+}
+
+TEST(BaselineOracle, KsvEqualsTheSeedAtEveryThreadCount) {
+  namespace ref = core::detail;
+  std::vector<Graph> gs = baseline_suite();
+  for (Graph& g : hub_suite()) gs.push_back(std::move(g));
+  std::mt19937_64 rng(99);
+  for (int i = 0; i < 100; ++i) gs.push_back(random_small_graph(rng));
+  for (const Graph& g : gs) {
+    for (const int k : {0, 1, 2, 3, 5}) {
+      const auto want = ref::ksv_style_reference(g, k);
+      for (const int threads : {1, 2, 4}) {
+        ASSERT_EQ(core::ksv_style(g, k, threads), want)
+            << g.summary() << " k=" << k << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(BaselineOracle, GammaWorkspaceReuseAcrossGraphSizesIsClean) {
+  // One workspace on a large graph, then a small one, then the large one
+  // again: neither its slot stamps nor its search buffers may leak.
+  namespace ref = core::detail;
+  const Graph large = graph::disjoint_union(graph::gen::random_maximal_outerplanar(400, 5),
+                                            graph::gen::complete_bipartite(2, 70));
+  const Graph small = graph::gen::theta_chain(2, 3);
+  core::GammaWorkspace workspace;
+  for (const Graph* g : {&large, &small, &large}) {
+    for (Vertex v = 0; v < g->num_vertices(); ++v) {
+      for (const int cap : {1, 3, 5}) {
+        ASSERT_EQ(workspace.gamma(*g, v, cap), ref::gamma_reference(*g, v, cap))
+            << g->summary() << " v=" << v << " cap=" << cap;
       }
     }
   }
