@@ -119,6 +119,16 @@ struct SolverSpec {
   /// -1 = not decomposable (global coordination, diagnostics or optimality),
   /// and patched graphs fall back to a full re-solve.
   int locality_radius = -1;
+  /// The per-vertex rule of a solver whose answer is one independent
+  /// decision per vertex; nullptr for every other solver. Contract: the
+  /// solver's answer on g is exactly the ascending {v : rule(g, v)}, and
+  /// rule(g, v) reads only ball(v, locality_radius), using vertex ids for
+  /// order only (so a rule requires locality_radius >= 0; Registry::add
+  /// enforces it). It is called concurrently and must not keep state. The
+  /// executor's incremental re-solve runs it at the dirty vertices of the
+  /// patched graph itself: no support subgraph, no sub-solve memo.
+  using VertexRule = bool (*)(const Graph& g, Vertex v);
+  VertexRule rule = nullptr;
 
   bool supports(Mode m) const;
   /// Default of a declared parameter; throws std::invalid_argument if the

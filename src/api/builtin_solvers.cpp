@@ -165,7 +165,8 @@ void register_builtin_solvers(Registry& reg) {
            .params = {},
            // v joins unless a neighbour true-twins or strictly contains it;
            // both tests read N[u] for u in N[v], i.e. ball(v, 2).
-           .locality_radius = 2},
+           .locality_radius = 2,
+           .rule = core::theorem44_mds_joins},
           [](const SolveContext& ctx) {
             auto result =
                 ctx.local
@@ -181,7 +182,8 @@ void register_builtin_solvers(Registry& reg) {
            .params = {},
            // deg(v) >= 2 joins; an isolated edge elects its smaller endpoint,
            // which needs the neighbour's degree — ball(v, 2).
-           .locality_radius = 2},
+           .locality_radius = 2,
+           .rule = core::theorem44_mvc_joins},
           [](const SolveContext& ctx) {
             auto result =
                 ctx.local
@@ -233,7 +235,8 @@ void register_builtin_solvers(Registry& reg) {
            .modes = {Mode::Centralized},
            .summary = "all vertices: 0 rounds, t-approx on K_{1,t}-minor-free graphs",
            .params = {},
-           .locality_radius = 0},
+           .locality_radius = 0,
+           .rule = core::take_all_joins},
           [](const SolveContext& ctx) { return plain(core::take_all(ctx.graph), 0); });
 
   reg.add({.name = "tree-rule",
@@ -243,7 +246,8 @@ void register_builtin_solvers(Registry& reg) {
            .params = {},
            // Same shape as theorem44-mvc's rule: the pendant fixup reads the
            // neighbour's degree — ball(v, 2).
-           .locality_radius = 2},
+           .locality_radius = 2,
+           .rule = core::tree_degree_rule_joins},
           [](const SolveContext& ctx) {
             return plain(core::tree_degree_rule(ctx.graph, ctx.intra_threads), 2);
           });

@@ -15,6 +15,38 @@
 
 namespace lmds::api {
 
+namespace {
+
+// Validity of a spliced answer whose parent answer was valid. Only the
+// decisions at `dirty` changed, and every edited edge has dirty endpoints,
+// so a vertex outside N[dirty] keeps its closed neighbourhood and every
+// decision in it, and an edge with no dirty endpoint keeps both of its
+// decisions: checking domination on N[dirty], or cover on the edges at
+// dirty vertices, is the full check. The members of `solution` are marked
+// in the worker's scratch, which costs O(|solution|) stores and no
+// allocation.
+bool valid_around(const Graph& g, Problem problem, std::span<const graph::Vertex> solution,
+                  std::span<const graph::Vertex> dirty, graph::BfsScratch& scratch) {
+  scratch.begin(g.num_vertices());
+  for (graph::Vertex s : solution) scratch.mark(s, 0);
+  const auto in = [&](graph::Vertex x) { return scratch.seen(x); };
+  const auto dominated = [&](graph::Vertex x) {
+    const auto nb = g.neighbors(x);
+    return in(x) || std::any_of(nb.begin(), nb.end(), in);
+  };
+  for (graph::Vertex v : dirty) {
+    const auto nb = g.neighbors(v);
+    if (problem == Problem::Mvc) {
+      if (!in(v) && !std::all_of(nb.begin(), nb.end(), in)) return false;
+    } else if (!dominated(v) || !std::all_of(nb.begin(), nb.end(), dominated)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 BatchExecutor::BatchExecutor(BatchOptions opts) : BatchExecutor(opts, Registry::instance()) {}
 
 BatchExecutor::BatchExecutor(BatchOptions opts, const Registry& registry)
@@ -173,15 +205,17 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
     // (in parent AND child — a deleted edge can shorten paths only in the
     // parent, an added one only in the child) has the exact same induced
     // radius-r ball in both graphs, so its parent decision stands verbatim.
-    // Every other ("dirty") vertex is re-decided on H = child[ball(dirty, r)]:
-    // for dirty v, ball_H(v, r) == ball_child(v, r) (all shortest paths stay
-    // inside the support), induced_subgraph relabels order-preservingly, and
-    // the contract allows ids to be used for order only — so running the
-    // solver on H and lifting yields the vertex's exact full-solve decision.
-    // Every set is a sorted vertex list, so the splice is a merge of the
-    // parent's clean picks with the sub-solve's dirty ones; `scratch` is the
-    // calling worker's. nullopt = fall back to a full re-solve (results
-    // identical either way).
+    // Every other ("dirty") vertex is re-decided. A solver with a per-vertex
+    // rule (SolverSpec::rule) runs it on the child at each dirty vertex: the
+    // rule is the full solve's own decision. Any other solver runs on
+    // H = child[ball(dirty, r)]: for dirty v, ball_H(v, r) == ball_child(v, r)
+    // (all shortest paths stay inside the support), induced_subgraph
+    // relabels order-preservingly, and the contract allows ids to be used for
+    // order only — so running the solver on H and lifting yields the vertex's
+    // exact full-solve decision. Every set is a sorted vertex list, so the
+    // splice is a merge of the parent's clean picks with the dirty ones;
+    // `scratch` is the calling worker's. nullopt = fall back to a full
+    // re-solve (results identical either way).
     auto incremental_solve = [&](const Graph& g, const PatchLineage& lin,
                                  graph::BfsScratch& scratch) -> std::optional<Response> {
       const CacheKey parent_key{lin.parent_hash, std::string(solver), options_key,
@@ -220,7 +254,11 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
       std::set_difference(base.solution.begin(), base.solution.end(), dirty.begin(), dirty.end(),
                           std::back_inserter(clean));
       std::vector<graph::Vertex> fresh;
-      if (!dirty.empty()) {
+      if (spec->rule) {
+        for (graph::Vertex v : dirty) {
+          if (spec->rule(g, v)) fresh.push_back(v);
+        }
+      } else if (!dirty.empty()) {
         std::vector<graph::Vertex> support_ball;
         graph::ball_of_set_into(g, dirty, locality, scratch, support_ball);
         const graph::Subgraph support = graph::induced_subgraph(g, support_ball);
@@ -248,8 +286,14 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
       solution.reserve(clean.size() + fresh.size());
       std::merge(clean.begin(), clean.end(), fresh.begin(), fresh.end(),
                  std::back_inserter(solution));
-      const bool valid = spec->problem == Problem::Mvc ? solve::is_vertex_cover(g, solution)
-                                                       : solve::is_dominating_set(g, solution);
+      // An invalid parent answer may hide its fault anywhere: check it all.
+      bool valid = false;
+      if (base.valid) {
+        valid = valid_around(g, spec->problem, solution, dirty, scratch);
+      } else {
+        valid = spec->problem == Problem::Mvc ? solve::is_vertex_cover(g, solution)
+                                              : solve::is_dominating_set(g, solution);
+      }
       incr_dirty.fetch_add(dirty.size(), std::memory_order_relaxed);
       // solver/problem/diag carry over: every decomposable solver's
       // diagnostics are solution-independent constants (its round count),

@@ -152,10 +152,13 @@ class BatchExecutor {
   /// GraphStore::PatchLineage (nullptr for non-derived graphs). On a cache
   /// miss for a derived graph whose solver declares a locality_radius, the
   /// executor answers incrementally: it BFS-bounds the set of vertices whose
-  /// radius-r ball touches an edited edge, re-runs the solver only on the
-  /// induced support subgraph (memoized under a ball-signature cache
-  /// sub-key, so the entry survives edits outside its ball), and splices
-  /// those decisions into the parent's cached response. Falls back to a full
+  /// radius-r ball touches an edited edge, re-decides only those — through
+  /// the solver's per-vertex rule (SolverSpec::rule) on the graph itself, or,
+  /// for a solver without one, by re-running it on the induced support
+  /// subgraph (memoized under a ball-signature cache sub-key, so the entry
+  /// survives edits outside its ball) — and splices those decisions into the
+  /// parent's cached response. Validity is re-checked on N[dirty] when the
+  /// parent's answer was valid, on the whole graph otherwise. Falls back to a full
   /// re-solve — bit-identical results either way — when the parent response
   /// is not cached, the solver is not decomposable, the cache is
   /// bypassed/disabled, or the request measures traffic or ratio.

@@ -55,7 +55,7 @@ class Registry {
   static Registry& instance();
 
   /// Registers a solver. Throws std::invalid_argument on an empty or
-  /// duplicate name.
+  /// duplicate name, or a rule without a locality_radius.
   void add(SolverSpec spec, SolveFn fn);
 
   /// Spec lookup; nullptr when `name` is not registered.

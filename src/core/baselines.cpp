@@ -14,21 +14,25 @@ std::size_t at(int i) { return static_cast<std::size_t>(i); }
 
 }  // namespace
 
+bool take_all_joins(const Graph& /*g*/, Vertex /*v*/) { return true; }
+
 std::vector<Vertex> take_all(const Graph& g) {
-  std::vector<Vertex> all(static_cast<std::size_t>(g.num_vertices()));
-  for (Vertex v = 0; v < g.num_vertices(); ++v) all[static_cast<std::size_t>(v)] = v;
-  return all;
+  return common::parallel_select(g.num_vertices(), 1,
+                                 [&](Vertex v) { return take_all_joins(g, v); });
+}
+
+bool tree_degree_rule_joins(const Graph& g, Vertex v) {
+  const int deg = g.degree(v);
+  if (deg >= 2 || deg == 0) return true;
+  // Pendant: joins only when its single neighbour is also pendant (a K2
+  // component) and v carries the smaller id.
+  const Vertex u = g.neighbors(v)[0];
+  return g.degree(u) == 1 && v < u;
 }
 
 std::vector<Vertex> tree_degree_rule(const Graph& g, int threads) {
-  return common::parallel_select(g.num_vertices(), threads, [&](Vertex v) {
-    const int deg = g.degree(v);
-    if (deg >= 2 || deg == 0) return true;
-    // Pendant: joins only when its single neighbour is also pendant (a K2
-    // component) and v carries the smaller id.
-    const Vertex u = g.neighbors(v)[0];
-    return g.degree(u) == 1 && v < u;
-  });
+  return common::parallel_select(g.num_vertices(), threads,
+                                 [&](Vertex v) { return tree_degree_rule_joins(g, v); });
 }
 
 int GammaWorkspace::gamma(const Graph& g, Vertex v, int cap) {

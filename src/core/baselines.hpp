@@ -25,15 +25,26 @@ namespace lmds::core {
 using graph::Graph;
 using graph::Vertex;
 
-/// All vertices. 0 rounds; t-approximate on K_{1,t}-minor-free graphs.
+/// The take-all rule at one vertex: always true (the registry's `take-all`
+/// rule, api::SolverSpec::rule).
+bool take_all_joins(const Graph& g, Vertex v);
+
+/// All vertices, the ascending {v : take_all_joins(g, v)}. 0 rounds;
+/// t-approximate on K_{1,t}-minor-free graphs.
 std::vector<Vertex> take_all(const Graph& g);
+
+/// The tree rule at one vertex: degree >= 2 or 0 joins, a pendant joins iff
+/// its neighbour is pendant too and it has the smaller id. Reads ball(v, 2)
+/// in O(1) (the registry's `tree-rule` rule).
+bool tree_degree_rule_joins(const Graph& g, Vertex v);
 
 /// Folklore tree rule: vertices of degree >= 2; a vertex of a component of
 /// one or two vertices joins iff it has the smaller id. 2 rounds (the
 /// degree is learned in round one, the pendant fixup in round two);
-/// 3-approximate on trees with >= 3 vertices. `threads` shards the
-/// per-vertex rule (<= 0 picks hardware_concurrency); output is
-/// bit-identical for any thread count.
+/// 3-approximate on trees with >= 3 vertices. The ascending
+/// {v : tree_degree_rule_joins(g, v)}; `threads` shards the per-vertex rule
+/// (<= 0 picks hardware_concurrency); output is bit-identical for any
+/// thread count.
 std::vector<Vertex> tree_degree_rule(const Graph& g, int threads = 1);
 
 /// KSV-style rule with domination threshold k:

@@ -1,5 +1,7 @@
 #include "core/theorem44.hpp"
 
+#include <functional>
+
 #include "common/parallel.hpp"
 #include "core/constants.hpp"
 
@@ -7,57 +9,60 @@ namespace lmds::core {
 
 namespace {
 
-// N[a] ⊊ N[b] in the given graph (strict containment).
-bool strictly_contained(const Graph& g, Vertex a, Vertex b) {
-  return g.closed_neighborhood_contained(a, b) && !g.closed_neighborhood_contained(b, a);
-}
-
-// The Theorem 4.4 MDS rule evaluated for vertex v of graph g with the given
-// identifiers: minimum-id twin representative, and no strictly larger closed
-// neighbourhood anywhere. Any u with N[v] ⊆ N[u] is adjacent to v, so
-// scanning N(v) is exhaustive.
-bool mds_rule(const Graph& g, Vertex v, const std::vector<local::NodeId>& ids) {
+// The Theorem 4.4 MDS rule at vertex v of g, with `before(u, v)` true iff
+// u's identifier is smaller than v's: v joins unless a neighbour u has
+// N[v] ⊆ N[u] and either a larger closed neighbourhood (N[v] ⊊ N[u],
+// gamma(v) == 1 in G^-) or an equal one and a smaller id (v is not its true-
+// twin class's representative). |N[v]| = |N[u]| with N[v] ⊆ N[u] is
+// equality, so one containment test per neighbour decides both cases. Any u
+// with N[v] ⊆ N[u] is adjacent to v, so scanning N(v) is exhaustive.
+template <typename Before>
+bool mds_rule(const Graph& g, Vertex v, const Before& before) {
+  const int deg = g.degree(v);
   for (Vertex u : g.neighbors(v)) {
-    if (g.true_twins(v, u) &&
-        ids[static_cast<std::size_t>(u)] < ids[static_cast<std::size_t>(v)]) {
-      return false;  // not the class representative
-    }
-    if (strictly_contained(g, v, u)) return false;  // gamma(v) == 1 in G^-
+    if (!g.closed_neighborhood_contained(v, u)) continue;
+    if (g.degree(u) > deg || before(u, v)) return false;
   }
   return true;
 }
 
 // The Theorem 4.4 MVC rule for vertex v.
-bool mvc_rule(const Graph& g, Vertex v, const std::vector<local::NodeId>& ids) {
+template <typename Before>
+bool mvc_rule(const Graph& g, Vertex v, const Before& before) {
   const int deg = g.degree(v);
   if (deg >= 2) return true;
   if (deg == 0) return false;
   const Vertex u = g.neighbors(v)[0];
   // Isolated edge: the smaller id endpoint joins.
-  return g.degree(u) == 1 && ids[static_cast<std::size_t>(v)] < ids[static_cast<std::size_t>(u)];
+  return g.degree(u) == 1 && before(v, u);
 }
 
-std::vector<local::NodeId> identity_ids(int n) {
-  std::vector<local::NodeId> ids(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) ids[static_cast<std::size_t>(v)] = static_cast<local::NodeId>(v);
-  return ids;
+// Identifier order of a view: its local indices follow the topology, its ids
+// are the network's.
+auto view_order(const local::BallView& view) {
+  return [&view](Vertex a, Vertex b) {
+    return view.ids[static_cast<std::size_t>(a)] < view.ids[static_cast<std::size_t>(b)];
+  };
 }
 
 }  // namespace
 
+bool theorem44_mds_joins(const Graph& g, Vertex v) { return mds_rule(g, v, std::less<>{}); }
+
+bool theorem44_mvc_joins(const Graph& g, Vertex v) { return mvc_rule(g, v, std::less<>{}); }
+
 bool theorem44_mds_decision(const local::BallView& view) {
-  return mds_rule(view.graph, view.centre, view.ids);
+  return mds_rule(view.graph, view.centre, view_order(view));
 }
 
 bool theorem44_mvc_decision(const local::BallView& view) {
-  return mvc_rule(view.graph, view.centre, view.ids);
+  return mvc_rule(view.graph, view.centre, view_order(view));
 }
 
 Theorem44Result theorem44_mds(const Graph& g, int threads) {
   Theorem44Result result;
-  const auto ids = identity_ids(g.num_vertices());
   result.solution = common::parallel_select(g.num_vertices(), threads,
-                                            [&](Vertex v) { return mds_rule(g, v, ids); });
+                                            [&](Vertex v) { return theorem44_mds_joins(g, v); });
   result.traffic.rounds = PaperConstants::kTheorem44Rounds;
   return result;
 }
@@ -72,9 +77,8 @@ Theorem44Result theorem44_mds_local(const local::Network& net, int threads) {
 
 Theorem44Result theorem44_mvc(const Graph& g, int threads) {
   Theorem44Result result;
-  const auto ids = identity_ids(g.num_vertices());
   result.solution = common::parallel_select(g.num_vertices(), threads,
-                                            [&](Vertex v) { return mvc_rule(g, v, ids); });
+                                            [&](Vertex v) { return theorem44_mvc_joins(g, v); });
   result.traffic.rounds = PaperConstants::kTheorem44Rounds;
   return result;
 }

@@ -30,10 +30,19 @@ struct Theorem44Result {
   local::TrafficStats traffic;   ///< rounds = 3 (radius-2 views)
 };
 
-/// Centralized evaluation of the 3-round MDS rule (identical output to the
-/// LOCAL execution; see theorem44_mds_local). `threads` shards the
-/// per-vertex rule across a fork-join pool (<= 0 picks
-/// hardware_concurrency); the output is bit-identical for any thread count.
+/// The MDS rule at one vertex, with vertex indices as identifiers: v joins
+/// unless a neighbour u has N[v] ⊊ N[u], or N[v] = N[u] and u < v. It reads
+/// only ball(v, 2) and compares indices for order only (the registry's
+/// `theorem44` rule, api::SolverSpec::rule). Cost: one
+/// Graph::closed_neighborhood_contained test per neighbour, each neighbour
+/// of smaller degree refused by its degree prefilter.
+bool theorem44_mds_joins(const Graph& g, Vertex v);
+
+/// Centralized evaluation of the 3-round MDS rule: the ascending
+/// {v : theorem44_mds_joins(g, v)} (identical output to the LOCAL
+/// execution; see theorem44_mds_local). `threads` shards the per-vertex rule
+/// across a fork-join pool (<= 0 picks hardware_concurrency); the output is
+/// bit-identical for any thread count.
 Theorem44Result theorem44_mds(const Graph& g, int threads = 1);
 
 /// LOCAL execution through the message-passing simulator.
@@ -43,7 +52,13 @@ Theorem44Result theorem44_mds_local(const local::Network& net, int threads = 1);
 /// composing with other runners). Expects a radius-2 view.
 bool theorem44_mds_decision(const local::BallView& view);
 
-/// Centralized evaluation of the 3-round MVC rule.
+/// The MVC rule at one vertex, with vertex indices as identifiers: degree
+/// >= 2 joins, and of an isolated edge the smaller endpoint. Reads ball(v, 2)
+/// in O(1) (the registry's `theorem44-mvc` rule).
+bool theorem44_mvc_joins(const Graph& g, Vertex v);
+
+/// Centralized evaluation of the 3-round MVC rule: the ascending
+/// {v : theorem44_mvc_joins(g, v)}.
 Theorem44Result theorem44_mvc(const Graph& g, int threads = 1);
 
 /// LOCAL execution of the MVC rule.

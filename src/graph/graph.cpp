@@ -71,13 +71,33 @@ std::vector<Vertex> Graph::closed_neighborhood(Vertex v) const {
 
 bool Graph::closed_neighborhood_contained(Vertex a, Vertex b) const {
   if (a == b) return true;
-  // N[a] ⊆ N[b] requires a ∈ N[b], i.e. a and b adjacent.
-  if (!has_edge(a, b)) return false;
-  for (Vertex w : neighbors(a)) {
-    if (w == b) continue;
-    if (!has_edge(w, b)) return false;
+  if (!has_vertex(a) || !has_vertex(b)) return false;
+  // |N[a]| <= |N[b]| is necessary.
+  const auto na = neighbors(a);
+  const auto nb = neighbors(b);
+  if (na.size() > nb.size()) return false;
+  // One merge walk: every w ∈ N(a) \ {b} must be in N(b), and b must be in
+  // N(a) (a ∈ N[b] is adjacency). Both rows are sorted, so the cursor into
+  // N(b) only moves forward; a row much longer than N(a) is searched instead
+  // of stepped through, so a low-degree vertex against a hub does not pay
+  // for the hub's whole row.
+  const bool search = nb.size() > 16 * na.size();
+  bool adjacent = false;
+  auto it = nb.begin();
+  for (Vertex w : na) {
+    if (w == b) {
+      adjacent = true;
+      continue;
+    }
+    if (search) {
+      it = std::lower_bound(it, nb.end(), w);
+    } else {
+      while (it != nb.end() && *it < w) ++it;
+    }
+    if (it == nb.end() || *it != w) return false;
+    ++it;
   }
-  return true;
+  return adjacent;
 }
 
 bool Graph::true_twins(Vertex a, Vertex b) const {

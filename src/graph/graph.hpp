@@ -90,6 +90,10 @@ class Graph {
 
   /// True iff N[a] ⊆ N[b] (closed-neighbourhood containment; the test used by
   /// the D2 rule of Theorem 4.4 and the "interesting vertex" definition).
+  /// False when deg a > deg b, after two degree reads; otherwise one merge
+  /// walk of the two sorted rows, O(deg a + deg b), or O(deg a · log deg b)
+  /// when N(b) is more than 16 times longer. An id out of range answers
+  /// false unless a == b.
   bool closed_neighborhood_contained(Vertex a, Vertex b) const;
 
   /// True iff N[a] == N[b], i.e. a and b are true twins (or a == b).

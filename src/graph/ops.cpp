@@ -5,6 +5,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
@@ -86,56 +87,67 @@ PatchedGraph apply_patch(const Graph& parent, const GraphPatch& patch) {
     n = patch.n;
   }
 
-  // Per-endpoint edit deltas; vertices absent from both maps keep their
-  // parent adjacency span byte-for-byte.
-  std::map<Vertex, std::vector<Vertex>> add_at;
-  std::map<Vertex, std::vector<Vertex>> del_at;
-  for (const Edge& e : result.added) {
-    add_at[e.u].push_back(e.v);
-    add_at[e.v].push_back(e.u);
+  // Each edit once per endpoint as (row, other end), sorted: a run of one
+  // row is a touched row, and every row between two runs is the parent's.
+  std::vector<std::pair<Vertex, Vertex>> edits;
+  edits.reserve(2 * (result.added.size() + result.removed.size()));
+  for (const auto* list : {&result.added, &result.removed}) {
+    for (const Edge& e : *list) {
+      edits.emplace_back(e.u, e.v);
+      edits.emplace_back(e.v, e.u);
+    }
   }
-  for (const Edge& e : result.removed) {
-    del_at[e.u].push_back(e.v);
-    del_at[e.v].push_back(e.u);
-  }
+  std::sort(edits.begin(), edits.end());
 
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (Vertex v = 0; v < n; ++v) {
-    std::size_t deg = v < parent_n ? static_cast<std::size_t>(parent.degree(v)) : 0;
-    if (const auto it = add_at.find(v); it != add_at.end()) deg += it->second.size();
-    if (const auto it = del_at.find(v); it != del_at.end()) deg -= it->second.size();
-    offsets[static_cast<std::size_t>(v) + 1] = offsets[static_cast<std::size_t>(v)] + deg;
-  }
-  std::vector<Vertex> neighbors(offsets.back());
-  for (Vertex v = 0; v < n; ++v) {
-    Vertex* out = neighbors.data() + offsets[static_cast<std::size_t>(v)];
+  const std::vector<std::size_t>& old_offsets = parent.offsets_;
+  const std::vector<Vertex>& old_neighbors = parent.neighbors_;
+  std::vector<std::size_t> offsets;
+  offsets.reserve(static_cast<std::size_t>(n) + 1);
+  std::vector<Vertex> neighbors;
+  neighbors.reserve(old_neighbors.size() + 2 * result.added.size() - 2 * result.removed.size());
+  // Untouched rows [a, b): the parent's rows are one block copy and their
+  // offsets the parent's shifted by a constant; rows past the parent are
+  // empty.
+  const auto copy_rows = [&](Vertex a, Vertex b) {
+    const Vertex split = std::max(a, std::min(b, static_cast<Vertex>(parent_n)));
+    if (a < split) {
+      const std::size_t from = old_offsets[static_cast<std::size_t>(a)];
+      const std::size_t to = old_offsets[static_cast<std::size_t>(split)];
+      const std::size_t base = neighbors.size();
+      const auto first =
+          offsets.insert(offsets.end(), old_offsets.begin() + a, old_offsets.begin() + split);
+      std::for_each(first, offsets.end(), [from, base](std::size_t& o) { o = o - from + base; });
+      neighbors.insert(neighbors.end(), old_neighbors.begin() + static_cast<std::ptrdiff_t>(from),
+                       old_neighbors.begin() + static_cast<std::ptrdiff_t>(to));
+    }
+    offsets.resize(static_cast<std::size_t>(b), neighbors.size());
+  };
+  Vertex next = 0;  // first row not yet written
+  for (auto run = edits.begin(); run != edits.end();) {
+    const Vertex v = run->first;
+    const auto run_end = std::find_if(run, edits.end(), [v](const auto& e) { return e.first != v; });
+    copy_rows(next, v);
+    // Rebuild this one row: the parent's row and the run, both sorted, merge.
+    // The validation above guarantees that an added end is absent from the
+    // row and a deleted one present, so an equal pair is a deletion.
+    offsets.push_back(neighbors.size());
     const std::span<const Vertex> old =
         v < parent_n ? parent.neighbors(v) : std::span<const Vertex>{};
-    const auto add_it = add_at.find(v);
-    const auto del_it = del_at.find(v);
-    if (add_it == add_at.end() && del_it == del_at.end()) {
-      out = std::copy(old.begin(), old.end(), out);
-      continue;
-    }
-    // Rebuild this one list: merge (old \ dels) with the sorted adds.
-    std::vector<Vertex>* adds = add_it != add_at.end() ? &add_it->second : nullptr;
-    if (adds) std::sort(adds->begin(), adds->end());
-    std::vector<char> drop;
-    if (del_it != del_at.end()) {
-      drop.assign(old.size(), 0);
-      for (Vertex w : del_it->second) {
-        const auto pos = std::lower_bound(old.begin(), old.end(), w);
-        drop[static_cast<std::size_t>(pos - old.begin())] = 1;
+    auto edit = run;
+    for (Vertex w : old) {
+      for (; edit != run_end && edit->second < w; ++edit) neighbors.push_back(edit->second);
+      if (edit != run_end && edit->second == w) {
+        ++edit;
+        continue;
       }
+      neighbors.push_back(w);
     }
-    std::size_t ai = 0;
-    for (std::size_t i = 0; i < old.size(); ++i) {
-      if (!drop.empty() && drop[i]) continue;
-      while (adds && ai < adds->size() && (*adds)[ai] < old[i]) *out++ = (*adds)[ai++];
-      *out++ = old[i];
-    }
-    while (adds && ai < adds->size()) *out++ = (*adds)[ai++];
+    for (; edit != run_end; ++edit) neighbors.push_back(edit->second);
+    next = v + 1;
+    run = run_end;
   }
+  copy_rows(next, n);
+  offsets.push_back(neighbors.size());
   result.graph = Graph(std::move(offsets), std::move(neighbors));
   return result;
 }

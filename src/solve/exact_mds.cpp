@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace lmds::solve {
 
@@ -38,30 +39,42 @@ class SetCoverSolver {
 
  private:
   // Greedy cover used as the initial upper bound (the universe is coverable,
-  // so greedy always terminates).
-  std::vector<int> greedy() {
-    std::vector<char> covered(static_cast<std::size_t>(universe_), 0);
+  // so greedy always terminates). Each pick is the lowest-index set of
+  // maximum gain, its uncovered elements counted with multiplicity. Gains
+  // stay exact — an element turning covered lowers the gain of every set
+  // holding it — and picks come off a lazy max-heap keyed (gain, -index): a
+  // popped entry whose gain is current is the pick, a stale one goes back
+  // with its current gain or is dropped at 0. O(Σ|sets| · log |sets|).
+  std::vector<int> greedy() const {
+    const auto at = [](int i) { return static_cast<std::size_t>(i); };
+    std::vector<int> gain(sets_.size());
+    std::vector<std::pair<int, int>> heap;  // (gain, -set index)
+    for (int s = 0; s < static_cast<int>(sets_.size()); ++s) {
+      gain[at(s)] = static_cast<int>(sets_[at(s)].size());
+      if (gain[at(s)] > 0) heap.emplace_back(gain[at(s)], -s);
+    }
+    std::make_heap(heap.begin(), heap.end());
+    std::vector<char> covered(at(universe_), 0);
     int remaining = universe_;
     std::vector<int> result;
     while (remaining > 0) {
-      int best_set = -1;
-      int best_gain = 0;
-      for (int s = 0; s < static_cast<int>(sets_.size()); ++s) {
-        int gain = 0;
-        for (int e : sets_[static_cast<std::size_t>(s)]) {
-          if (!covered[static_cast<std::size_t>(e)]) ++gain;
+      std::pop_heap(heap.begin(), heap.end());
+      const auto [stored, key] = heap.back();
+      heap.pop_back();
+      const int s = -key;
+      if (gain[at(s)] != stored) {
+        if (gain[at(s)] > 0) {
+          heap.emplace_back(gain[at(s)], key);
+          std::push_heap(heap.begin(), heap.end());
         }
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_set = s;
-        }
+        continue;
       }
-      result.push_back(best_set);
-      for (int e : sets_[static_cast<std::size_t>(best_set)]) {
-        if (!covered[static_cast<std::size_t>(e)]) {
-          covered[static_cast<std::size_t>(e)] = 1;
-          --remaining;
-        }
+      result.push_back(s);
+      for (int e : sets_[at(s)]) {
+        if (covered[at(e)]) continue;
+        covered[at(e)] = 1;
+        --remaining;
+        for (int t : covering_[at(e)]) --gain[at(t)];
       }
     }
     return result;

@@ -6,6 +6,7 @@
 #include "cuts/block_cut.hpp"
 #include "graph/bfs.hpp"
 #include "graph/ops.hpp"
+#include "support/rule_reference.hpp"
 
 namespace lmds::cuts::detail {
 
@@ -31,7 +32,8 @@ bool condition2(const Graph& h, Vertex v, Vertex u) {
 // Conditions (1) and (2). (1) N_G[v] ⊄ N_G[u] is evaluated in h, which
 // agrees with g because h contains the full 1-balls of u and v.
 bool interesting_conditions(const Graph& h, Vertex v, Vertex u) {
-  return !h.closed_neighborhood_contained(v, u) && condition2(h, v, u);
+  return !graph::detail::closed_neighborhood_contained_reference(h, v, u) &&
+         condition2(h, v, u);
 }
 
 }  // namespace

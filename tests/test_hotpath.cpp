@@ -1,11 +1,13 @@
 // Hot-path differential suite: the CSR-native view extraction, the local
-// cut kernel, the two server baselines (greedy, KSV's gamma test) and the
-// intra-graph threading mode must be BIT-IDENTICAL to the seed
-// implementations they replaced. The seed code survives in
+// cut kernel, the two server baselines (greedy, KSV's gamma test), the exact
+// set cover's greedy bound, closed-neighbourhood containment, Theorem 4.4's
+// MDS rule and the intra-graph threading mode must be BIT-IDENTICAL to the
+// seed implementations they replaced. The seed code survives in
 // local::detail::{gather_views_reference, cut_view_reference}
 // (tests/support/view_reference.hpp), cuts::detail::*_reference
-// (tests/support/cut_reference.hpp) and the *_reference baselines
-// (tests/support/baseline_reference.hpp) precisely so this file can hold it
+// (tests/support/cut_reference.hpp), the *_reference baselines and set cover
+// (tests/support/baseline_reference.hpp) and the containment and rule
+// references (tests/support/rule_reference.hpp) precisely so this file can hold it
 // against the rewrite on every generator, every radius, and adversarial
 // (shuffled) id assignments; the executor half
 // asserts every registered solver returns the same Response for every
@@ -22,7 +24,9 @@
 
 #include "api/executor.hpp"
 #include "api/registry.hpp"
+#include "common/parallel.hpp"
 #include "core/baselines.hpp"
+#include "core/theorem44.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
 #include "ding/generators.hpp"
@@ -38,9 +42,11 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/session.hpp"
+#include "solve/exact_mds.hpp"
 #include "solve/greedy.hpp"
 #include "support/baseline_reference.hpp"
 #include "support/cut_reference.hpp"
+#include "support/rule_reference.hpp"
 #include "support/view_reference.hpp"
 
 namespace lmds {
@@ -451,6 +457,214 @@ TEST(BaselineOracle, GammaWorkspaceReuseAcrossGraphSizesIsClean) {
             << g->summary() << " v=" << v << " cap=" << cap;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Closed-neighbourhood containment, Theorem 4.4's rule and every registered
+// per-vertex rule against the seed code (graph::detail / core::detail
+// *_reference, tests/support/rule_reference.hpp)
+
+// K_n minus the edge {0, 1}: N[0] and N[1] are each N[2] minus one vertex,
+// and 2..n-1 are pairwise true twins.
+Graph complete_minus_edge(int n) {
+  graph::GraphBuilder b(n);
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v = u + 1; v < n; ++v) {
+      if (u != 0 || v != 1) b.add_edge(u, v);
+    }
+  }
+  return b.build();
+}
+
+// The baseline suite (the five soak families at sizes 4-150, grids, isolated
+// vertices and K2s) plus the shapes where containment and twins live: K_n
+// and K_n minus one edge, stars with more than 64 leaves, several disjoint
+// K2s next to isolated vertices, and squares of trees, whose sibling leaves
+// are true twins.
+std::vector<Graph> rule_suite() {
+  std::vector<Graph> gs = baseline_suite();
+  for (const int n : {1, 2, 3, 6, 70}) {
+    gs.push_back(graph::gen::complete(n));
+    if (n >= 2) gs.push_back(complete_minus_edge(n));
+  }
+  gs.push_back(graph::gen::star(66));
+  gs.push_back(graph::gen::star(300));
+  Graph pairs = graph::gen::path(1);
+  for (int i = 0; i < 4; ++i) {
+    pairs = graph::disjoint_union(pairs, graph::disjoint_union(graph::gen::path(2),
+                                                               graph::gen::path(1)));
+  }
+  gs.push_back(pairs);
+  std::mt19937_64 rng(20261019);
+  gs.push_back(graph::power(graph::gen::random_tree(40, rng), 2));
+  gs.push_back(graph::power(graph::gen::caterpillar(6, 3), 2));
+  return gs;
+}
+
+void expect_containment_matches(const Graph& g, std::mt19937_64& rng) {
+  namespace ref = graph::detail;
+  const Vertex n = g.num_vertices();
+  const auto check = [&](Vertex a, Vertex b) {
+    ASSERT_EQ(g.closed_neighborhood_contained(a, b),
+              ref::closed_neighborhood_contained_reference(g, a, b))
+        << g.summary() << " a=" << a << " b=" << b;
+    ASSERT_EQ(g.true_twins(a, b), ref::true_twins_reference(g, a, b))
+        << g.summary() << " a=" << a << " b=" << b;
+  };
+  // Every ordered pair at distance <= 1.
+  for (Vertex a = 0; a < n; ++a) {
+    check(a, a);
+    for (Vertex b : g.neighbors(a)) check(a, b);
+  }
+  // Random pairs, nearly all at distance >= 2 on the larger graphs.
+  for (int i = 0; n > 0 && i < 64; ++i) {
+    check(static_cast<Vertex>(rng() % static_cast<std::uint64_t>(n)),
+          static_cast<Vertex>(rng() % static_cast<std::uint64_t>(n)));
+  }
+  // Ids out of range, against each other and against real vertices.
+  for (const Vertex bad : {Vertex{-1}, n, n + 7}) {
+    for (const Vertex other : {Vertex{0}, n - 1, Vertex{-1}, n, bad}) {
+      check(bad, other);
+      check(other, bad);
+    }
+  }
+}
+
+TEST(RuleOracle, ContainmentEqualsTheSeed) {
+  std::mt19937_64 rng(4343);
+  for (const Graph& g : rule_suite()) expect_containment_matches(g, rng);
+  std::mt19937_64 graphs(4444);
+  for (int i = 0; i < 1000; ++i) expect_containment_matches(random_small_graph(graphs), rng);
+}
+
+void expect_theorem44_matches(const Graph& g, std::mt19937_64& rng) {
+  namespace ref = core::detail;
+  const std::vector<Vertex> want = ref::theorem44_mds_reference(g);
+  ASSERT_EQ(core::theorem44_mds(g).solution, want) << g.summary();
+  ASSERT_EQ(core::theorem44_mds(g, 3).solution, want) << g.summary();
+  // The LOCAL decision reads the view's ids, shuffled here, not its indices.
+  const local::Network net = local::Network::with_random_ids(g, rng);
+  std::vector<Vertex> local_want;
+  const std::vector<local::BallView> views = local::cut_views(net, 2);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const local::BallView& view = views[static_cast<std::size_t>(v)];
+    const bool joins = ref::theorem44_mds_decision_reference(view);
+    ASSERT_EQ(core::theorem44_mds_decision(view), joins) << g.summary() << " v=" << v;
+    if (joins) local_want.push_back(v);
+  }
+  ASSERT_EQ(core::theorem44_mds_local(net).solution, local_want) << g.summary();
+}
+
+TEST(RuleOracle, Theorem44EqualsTheSeedCentralizedAndLocal) {
+  std::mt19937_64 rng(4545);
+  for (const Graph& g : rule_suite()) expect_theorem44_matches(g, rng);
+  std::mt19937_64 graphs(4646);
+  for (int i = 0; i < 1000; ++i) expect_theorem44_matches(random_small_graph(graphs), rng);
+}
+
+TEST(RuleOracle, RuleSolversAnswerTheirSelect) {
+  const api::Registry& reg = api::Registry::instance();
+  std::vector<Graph> gs = rule_suite();
+  std::mt19937_64 rng(4747);
+  for (int i = 0; i < 200; ++i) gs.push_back(random_small_graph(rng));
+  std::vector<std::string> with_rule;
+  for (const api::SolverSpec* spec : reg.specs()) {
+    if (!spec->rule) continue;
+    with_rule.push_back(spec->name);
+    EXPECT_GE(spec->locality_radius, 0) << spec->name;
+    for (const Graph& g : gs) {
+      api::Request req;
+      req.graph = &g;
+      const std::vector<Vertex> select = common::parallel_select(
+          g.num_vertices(), 1, [&](Vertex v) { return spec->rule(g, v); });
+      ASSERT_EQ(reg.run(spec->name, req).solution, select) << spec->name << " " << g.summary();
+    }
+  }
+  EXPECT_EQ(with_rule,
+            (std::vector<std::string>{"take-all", "theorem44", "theorem44-mvc", "tree-rule"}));
+}
+
+TEST(RuleOracle, RegistryRefusesARuleWithoutALocalityRadius) {
+  api::Registry reg;
+  const auto solve = [](const api::SolveContext&) { return api::SolverOutput{}; };
+  api::SolverSpec spec{.name = "no-radius",
+                       .problem = api::Problem::Mds,
+                       .modes = {api::Mode::Centralized},
+                       .summary = "a rule with no locality radius",
+                       .params = {},
+                       .locality_radius = -1,
+                       .rule = core::take_all_joins};
+  EXPECT_THROW(reg.add(spec, solve), std::invalid_argument);
+  spec.locality_radius = 0;
+  EXPECT_NO_THROW(reg.add(spec, solve));
+}
+
+// ---------------------------------------------------------------------------
+// minimum_set_cover's lazy-heap greedy bound against the seed solver
+// (solve::detail::minimum_set_cover_reference)
+
+// The set system of exact_mds: set v is N[v].
+std::vector<std::vector<int>> domination_sets(const Graph& g) {
+  std::vector<std::vector<int>> sets;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const std::vector<Vertex> closed = g.closed_neighborhood(v);
+    sets.emplace_back(closed.begin(), closed.end());
+  }
+  return sets;
+}
+
+void expect_set_cover_matches(const std::vector<std::vector<int>>& sets, int universe,
+                              const std::string& where) {
+  ASSERT_EQ(solve::minimum_set_cover(sets, universe, solve::kDefaultMaxNodes),
+            solve::detail::minimum_set_cover_reference(sets, universe, solve::kDefaultMaxNodes))
+      << where;
+}
+
+TEST(SetCoverOracle, MinimumSetCoverEqualsTheSeed) {
+  // tests/test_solvers.cpp's explicit systems, a duplicate element and the
+  // infeasible one.
+  const std::vector<std::pair<std::vector<std::vector<int>>, int>> systems = {
+      {{}, 0},
+      {{{0, 1, 2}}, 3},
+      {{{0}, {1}, {2}, {0, 1, 2}}, 3},
+      {{{0, 1}, {2, 3}, {1, 2}}, 4},
+      {{{0, 1}, {2, 3}, {4, 5}, {0, 2, 4}, {1, 3, 5}}, 6},
+      {{{0, 0, 1}, {1, 2}, {2, 0}}, 3}};
+  for (std::size_t i = 0; i < systems.size(); ++i) {
+    expect_set_cover_matches(systems[i].first, systems[i].second, "system " + std::to_string(i));
+  }
+  EXPECT_THROW((void)solve::minimum_set_cover({{0}}, 2), std::runtime_error);
+  EXPECT_THROW((void)solve::detail::minimum_set_cover_reference({{0}}, 2, 10), std::runtime_error);
+
+  // tests/test_solvers.cpp's exact-MDS graphs.
+  std::vector<Graph> gs;
+  for (int n = 1; n <= 12; ++n) gs.push_back(graph::gen::path(n));
+  for (int n = 3; n <= 12; ++n) gs.push_back(graph::gen::cycle(n));
+  gs.push_back(graph::gen::star(20));
+  gs.push_back(graph::gen::complete(8));
+  gs.push_back(graph::gen::clique_with_pendants(8));
+  std::mt19937_64 connected(5);
+  for (int i = 0; i < 10; ++i) gs.push_back(graph::gen::random_connected(30, 15, connected));
+  std::mt19937_64 trees(17);
+  for (int i = 0; i < 15; ++i) gs.push_back(graph::gen::random_tree(40, trees));
+  gs.push_back(graph::gen::grid(4, 4));
+  gs.push_back(graph::gen::theta_chain(6, 4));
+  // k disjoint P3's: the packing bound meets the greedy bound at the root,
+  // so the greedy picks are the answer.
+  for (const int k : {1, 7, 100, 1000}) {
+    Graph p3s;
+    for (int i = 0; i < k; ++i) p3s = graph::disjoint_union(p3s, graph::gen::path(3));
+    gs.push_back(std::move(p3s));
+  }
+  for (const Graph& g : gs) {
+    expect_set_cover_matches(domination_sets(g), g.num_vertices(), g.summary());
+  }
+  std::mt19937_64 rng(4848);
+  for (int i = 0; i < 1000; ++i) {
+    const Graph g = random_small_graph(rng);
+    expect_set_cover_matches(domination_sets(g), g.num_vertices(),
+                             "random graph " + std::to_string(i));
   }
 }
 

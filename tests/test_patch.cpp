@@ -8,15 +8,19 @@
 // solver and every workload family, a solve against a patched handle must be
 // field-for-field identical to a fresh full solve of the patched graph —
 // solvers with a locality radius through the incremental splice, everything
-// else through the (counted) full fallback.
+// else through the (counted) full fallback. IncrementalValidity holds the
+// splice's local validity re-check to the full check on answers that can be
+// invalid, on both the rule path and the support-subgraph path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/executor.hpp"
@@ -62,16 +66,16 @@ TEST(ApplyPatch, AddsDeletesAndGrows) {
   EXPECT_EQ(out.removed, (std::vector<Edge>{{1, 2}}));
 }
 
-TEST(ApplyPatch, MatchesFromScratchRebuild) {
-  // The row-splicing construction must equal the naive "edit an adjacency
-  // list, rebuild" reference on a graph with touched and untouched rows.
-  const Graph parent = graph::gen::grid(5, 5);
-  GraphPatch p;
-  p.add = {{0, 7}, {13, 21}};
-  p.del = {{0, 1}, {12, 13}};
-  const Graph patched = graph::apply_patch(parent, p).graph;
+GraphPatch edits(std::vector<Edge> add, std::vector<Edge> del, int n = -1) {
+  return {.add = std::move(add), .del = std::move(del), .n = n};
+}
 
-  std::vector<std::vector<graph::Vertex>> adj(static_cast<std::size_t>(parent.num_vertices()));
+// The naive reference: edit an adjacency list, rebuild through the
+// validating constructor.
+Graph rebuild(const Graph& parent, const GraphPatch& p) {
+  int n = std::max(parent.num_vertices(), p.n);
+  for (const Edge& e : p.add) n = std::max(n, std::max(e.u, e.v) + 1);
+  std::vector<std::vector<graph::Vertex>> adj(static_cast<std::size_t>(n));
   for (const Edge& e : parent.edges()) {
     adj[static_cast<std::size_t>(e.u)].push_back(e.v);
     adj[static_cast<std::size_t>(e.v)].push_back(e.u);
@@ -84,8 +88,57 @@ TEST(ApplyPatch, MatchesFromScratchRebuild) {
     std::erase(adj[static_cast<std::size_t>(e.u)], e.v);
     std::erase(adj[static_cast<std::size_t>(e.v)], e.u);
   }
-  EXPECT_EQ(patched, Graph(adj));
-  EXPECT_EQ(graph::graph_hash(patched), graph::graph_hash(Graph(adj)));
+  return Graph(adj);
+}
+
+TEST(ApplyPatch, MatchesFromScratchRebuild) {
+  // The row-range construction (block copies of untouched rows, a merge per
+  // touched row) must equal the naive rebuild, hash included.
+  struct Case {
+    std::string name;
+    Graph parent;
+    GraphPatch patch;
+  };
+  std::vector<Case> cases = {
+      {"grid", graph::gen::grid(5, 5), edits({{0, 7}, {13, 21}}, {{0, 1}, {12, 13}})},
+      {"new vertices", graph::gen::path(6), edits({{5, 8}, {9, 7}, {0, 10}}, {{2, 3}})},
+      {"n above every endpoint", graph::gen::path(6), edits({{0, 5}}, {}, 12)},
+      {"n above new vertices", graph::gen::cycle(5), edits({{1, 6}}, {{0, 4}}, 9)},
+      {"adds and deletes at one vertex", graph::gen::grid(5, 5),
+       edits({{12, 0}, {12, 24}, {12, 3}}, {{12, 13}, {7, 12}, {11, 12}})},
+      {"first and last vertex", graph::gen::grid(4, 4),
+       edits({{0, 15}, {0, 10}}, {{0, 1}, {14, 15}})},
+      {"adjacent touched rows", graph::gen::path(10),
+       edits({{3, 5}, {4, 6}, {2, 7}}, {{4, 5}, {5, 6}})},
+      {"every row touched", graph::gen::cycle(6), edits({{0, 2}, {1, 3}, {4, 0}, {5, 3}}, {})},
+      {"empty patch", graph::gen::grid(3, 3), {}},
+      {"empty patch on the empty graph", Graph(), {}},
+      {"growth of the empty graph", Graph(), edits({{1, 3}}, {}, 5)},
+  };
+  for (std::uint64_t family = 0; family < soak::kFamilies; ++family) {
+    soak::GraphCase c = soak::make_case(/*run_seed=*/11, family);
+    const GraphPatch p = soak::make_patch(c.graph, soak::mix_seed(11, family), 12);
+    cases.push_back({c.family, std::move(c.graph), p});
+  }
+  // Seeded random graphs with random edits, some naming new vertices.
+  std::mt19937_64 rng(2026);
+  for (int i = 0; i < 200; ++i) {
+    const int n = 1 + static_cast<int>(rng() % 30);
+    Graph parent = graph::gen::random_connected(n, static_cast<int>(rng() % 10), rng);
+    GraphPatch p = soak::make_patch(parent, rng(), static_cast<int>(rng() % 8));
+    if (rng() % 3 == 0) {
+      const auto old_end = static_cast<graph::Vertex>(rng() % static_cast<std::uint64_t>(n));
+      p.add.push_back({old_end, static_cast<graph::Vertex>(n + rng() % 3)});
+    }
+    if (rng() % 4 == 0) p.n = n + 4;
+    cases.push_back({"random " + std::to_string(i), std::move(parent), std::move(p)});
+  }
+  for (const Case& c : cases) {
+    const Graph patched = graph::apply_patch(c.parent, c.patch).graph;
+    const Graph want = rebuild(c.parent, c.patch);
+    EXPECT_EQ(patched, want) << c.name;
+    EXPECT_EQ(graph::graph_hash(patched), graph::graph_hash(want)) << c.name;
+  }
 }
 
 TEST(ApplyPatch, RejectsInconsistentEdits) {
@@ -199,10 +252,11 @@ struct PatchedFixture {
 };
 
 // Solves parent (priming the cache), then child with lineage attached, and
-// checks the child response equals a fresh full solve — field for field,
-// diagnostics included. Returns the child batch's diagnostics.
+// checks the child response equals a fresh full solve by `reg` — field for
+// field, diagnostics included. Returns the child batch's diagnostics.
 api::BatchDiagnostics check_differential(api::BatchExecutor& ex, const PatchedFixture& fx,
-                                         const std::string& solver, const api::Request& req) {
+                                         const std::string& solver, const api::Request& req,
+                                         const api::Registry& reg = api::Registry::instance()) {
   const api::BatchOverrides over;
   const Graph* pg = fx.parent.get();
   (void)ex.run_batch(solver, std::span<const Graph* const>(&pg, 1), req, over);
@@ -216,7 +270,7 @@ api::BatchDiagnostics check_differential(api::BatchExecutor& ex, const PatchedFi
 
   api::Request full = req;
   full.graph = cg;
-  const api::Response want = api::Registry::instance().run(solver, full);
+  const api::Response want = reg.run(solver, full);
   EXPECT_EQ(got.at(0), want) << solver << ": incremental result diverged from full solve";
   return diag;
 }
@@ -259,6 +313,112 @@ TEST(IncrementalDifferential, VertexGrowthIsReDecided) {
   EXPECT_GE(diag.incremental_dirty, 4u);  // 8, 9 and the ball around {5,8}
 }
 
+// Two radius-1 rules whose answers need not dominate or cover, so a
+// splice's validity is really in question. "deg v >= 2" can change only at
+// an edited endpoint; "v lies on a triangle" also one hop away from it.
+bool degree_two_joins(const Graph& g, graph::Vertex v) { return g.degree(v) >= 2; }
+
+bool triangle_joins(const Graph& g, graph::Vertex v) {
+  const auto nb = g.neighbors(v);
+  for (std::size_t i = 0; i < nb.size(); ++i) {
+    for (std::size_t j = i + 1; j < nb.size(); ++j) {
+      if (g.has_edge(nb[i], nb[j])) return true;
+    }
+  }
+  return false;
+}
+
+// A test-local registry with each rule as an MDS and an MVC solver, each
+// twice: with its rule (the executor's rule path) and without (the support
+// path, same locality radius). Named "<rule>-<problem>-<path>".
+api::Registry validity_registry() {
+  api::Registry reg;
+  const std::pair<std::string, api::SolverSpec::VertexRule> rules[] = {
+      {"degree-two", degree_two_joins}, {"triangle", triangle_joins}};
+  for (const auto& [rule_name, rule] : rules) {
+    const auto solve = [rule](const api::SolveContext& ctx) {
+      api::SolverOutput out;
+      for (graph::Vertex v = 0; v < ctx.graph.num_vertices(); ++v) {
+        if (rule(ctx.graph, v)) out.solution.push_back(v);
+      }
+      return out;
+    };
+    for (const api::Problem problem : {api::Problem::Mds, api::Problem::Mvc}) {
+      for (const bool with_rule : {true, false}) {
+        reg.add({.name = rule_name + "-" + std::string(api::to_string(problem)) +
+                         (with_rule ? "-rule" : "-support"),
+                 .problem = problem,
+                 .modes = {api::Mode::Centralized},
+                 .summary = rule_name,
+                 .params = {},
+                 .locality_radius = 1,
+                 .rule = with_rule ? rule : nullptr},
+                solve);
+      }
+    }
+  }
+  return reg;
+}
+
+TEST(IncrementalValidity, ValidityEqualsTheFullCheckOnBothPaths) {
+  // Each case names the parent's and the child's validity under its rule;
+  // the child must equal a full solve field for field on both paths, and be
+  // answered incrementally.
+  struct Case {
+    const char* name;
+    std::string solver;  // "<rule>-<problem>"
+    Graph parent;
+    GraphPatch patch;
+    bool parent_valid;
+    bool child_valid;
+  };
+  const Graph lone = graph::gen::path(1);
+  const Graph k2 = graph::gen::path(2);
+  // Triangles {0,1,2}, {0,4,5} and {1,6,7}, and 3 pendant at 2.
+  const Graph triangles =
+      Graph({{1, 2, 4, 5}, {0, 2, 6, 7}, {0, 1, 3}, {2}, {0, 5}, {0, 4}, {1, 7}, {1, 6}});
+  const std::vector<Case> cases = {
+      // A valid parent whose child answer is invalid: the N[dirty] check
+      // must see it. Deleting {0, 1} isolates 0, and 1 drops out of the set.
+      {"isolated endpoint", "degree-two-mds", graph::gen::path(5), edits({}, {{0, 1}}), true,
+       false},
+      // Deleting {0, 1} takes 2 off its only triangle, and 3, two hops from
+      // the edit and not itself dirty, loses its only dominator.
+      {"undominated next to dirty", "triangle-mds", triangles, edits({}, {{0, 1}}), true, false},
+      // An invalid parent (vertex 8 is isolated and undominated) whose
+      // fault lies outside N[dirty]: only the full check sees it.
+      {"fault far away", "degree-two-mds", graph::disjoint_union(graph::gen::path(8), lone),
+       edits({{0, 2}}, {}), false, false},
+      {"invalid parent repaired", "degree-two-mds",
+       graph::disjoint_union(graph::gen::path(3), lone), edits({{2, 3}}, {}), false, true},
+      {"valid stays valid", "degree-two-mds", graph::gen::cycle(9), edits({{0, 4}}, {{6, 7}}),
+       true, true},
+      // Deleting {1, 2} leaves the edge {0, 1} with two pendant ends.
+      {"uncovered edge", "degree-two-mvc", graph::gen::path(5), edits({}, {{1, 2}}), true, false},
+      {"uncovered edge far away", "degree-two-mvc",
+       graph::disjoint_union(graph::gen::path(8), k2), edits({{0, 2}}, {}), false, false},
+      {"uncovered edge repaired", "degree-two-mvc",
+       graph::disjoint_union(graph::gen::path(4), k2), edits({{3, 4}}, {}), false, true},
+      {"new isolated edge", "degree-two-mvc", graph::gen::cycle(6), edits({{6, 7}}, {}), true,
+       false},
+  };
+  const api::Registry reg = validity_registry();
+  for (const Case& c : cases) {
+    for (const std::string& solver : {c.solver + "-rule", c.solver + "-support"}) {
+      const std::string where = std::string(c.name) + " / " + solver;
+      PatchedFixture fx(c.parent, c.patch);
+      api::BatchExecutor ex({.threads = 1, .shard_size = 4, .cache_capacity = 64}, reg);
+      api::Request req;
+      req.graph = fx.parent.get();
+      ASSERT_EQ(reg.run(solver, req).valid, c.parent_valid) << where;
+      const api::BatchDiagnostics diag = check_differential(ex, fx, solver, api::Request{}, reg);
+      EXPECT_EQ(diag.incremental_solves, 1u) << where;
+      req.graph = fx.child.get();
+      EXPECT_EQ(reg.run(solver, req).valid, c.child_valid) << where;
+    }
+  }
+}
+
 TEST(IncrementalDifferential, ChainedPatchesStayIncremental) {
   // grandparent -> parent -> child: each hop carries its own lineage, so the
   // second solve splices from the first's cached response, and so on.
@@ -295,13 +455,15 @@ TEST(IncrementalDifferential, BallSignatureSubSolveIsShared) {
   // Two patches applying "the same" edit far apart on a long path produce
   // isomorphic, identically-relabelled support subgraphs — the second child
   // solve must reuse the first's memoized sub-solve (ball-signature key)
-  // instead of running the solver again.
+  // instead of running the solver again. ksv has no per-vertex rule, so it
+  // re-decides on the support subgraph; its radius-6 supports of the edits
+  // at {20, 22} and {60, 62} both lie inside the path.
   api::GraphStore store(16);
   const auto parent = store.put(graph::gen::path(100));
   GraphPatch pa;
-  pa.add = {{10, 12}};
+  pa.add = {{20, 22}};
   GraphPatch pb;
-  pb.add = {{50, 52}};
+  pb.add = {{60, 62}};
   const auto ca = store.patch(parent.handle, pa);
   const auto cb = store.patch(parent.handle, pb);
 
@@ -311,19 +473,19 @@ TEST(IncrementalDifferential, BallSignatureSubSolveIsShared) {
   const api::BatchOverrides over;
   const std::shared_ptr<const Graph> pg = store.get(parent.handle);
   const Graph* ptr = pg.get();
-  (void)ex.run_batch("theorem44", std::span<const Graph* const>(&ptr, 1), req, over);
+  (void)ex.run_batch("ksv", std::span<const Graph* const>(&ptr, 1), req, over);
 
   const auto solve_child = [&](const std::string& handle) {
     const std::shared_ptr<const Graph> g = store.get(handle);
     const Graph* cp = g.get();
     std::vector<std::shared_ptr<const api::PatchLineage>> lineages = {store.lineage(handle)};
     api::BatchDiagnostics diag;
-    const auto got = ex.run_batch("theorem44", std::span<const Graph* const>(&cp, 1), req,
+    const auto got = ex.run_batch("ksv", std::span<const Graph* const>(&cp, 1), req,
                                   over, &diag, {}, {lineages.data(), 1});
     EXPECT_EQ(diag.incremental_solves, 1u);
     api::Request full = req;
     full.graph = cp;
-    EXPECT_EQ(got.at(0), api::Registry::instance().run("theorem44", full));
+    EXPECT_EQ(got.at(0), api::Registry::instance().run("ksv", full));
   };
 
   solve_child(ca.put.handle);
