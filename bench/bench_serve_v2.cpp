@@ -7,6 +7,12 @@
 // response cache, so the measured difference is pure request-path overhead
 // (parsing and decoding a ~200KB edge list vs resolving a 17-byte handle).
 //
+// The inline row is timed alternately with the same grid spelled with ", "
+// separators, which the decoder's canonical [u,v] fast path does not take,
+// so the two rows show what the fast path is worth; both spellings must
+// answer the same bytes. Per-graph ingest (json_parse plus decode_graph of
+// the one slot) is timed for each spelling the same way.
+//
 // A second row times the warm 8-handle batch: 8 outerplanar graphs of
 // 300-1000 vertices, all cached, sent with "batch":{"threads":1} and with
 // {"threads":4} (shard size 4, the server default, so 2 shards). An all-hit
@@ -16,8 +22,9 @@
 //
 // --check exits 1 unless solve-by-handle is at least 2x the inline-edge
 // throughput — the regression gate CI runs (acceptance criterion of the
-// protocol-v2 redesign) — and unless the median warm 8-handle request at 4
-// threads takes at most 1.25x the 1-thread one. --json writes the
+// protocol-v2 redesign) — unless the canonical inline row is at least 1.5x
+// the spaced one (the fast path engages), and unless the median warm
+// 8-handle request at 4 threads takes at most 1.25x the 1-thread one. --json writes the
 // measurements for the BENCH_* artifact trail; its runs[].graphs_per_sec is
 // the inline path (one graph per request), the figure
 // scripts/bench_regression.py ratchets; the warm row is top-level fields.
@@ -31,6 +38,7 @@
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "server/json.hpp"
+#include "server/protocol.hpp"
 #include "server/server.hpp"
 
 using namespace lmds;
@@ -55,8 +63,16 @@ int main(int argc, char** argv) {
   server::Server server(opts);
 
   const std::string graph_json = server::encode_graph_json(g);
-  const std::string inline_line =
-      "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[" + graph_json + "]}";
+  std::string spaced_json;  // the same graph, every ',' spelled ", "
+  for (const char c : graph_json) {
+    spaced_json += c;
+    if (c == ',') spaced_json += ' ';
+  }
+  const auto solve_line = [](const std::string& graph) {
+    return "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[" + graph + "]}";
+  };
+  const std::string inline_line = solve_line(graph_json);
+  const std::string spaced_line = solve_line(spaced_json);
 
   // Upload once; solve by handle from then on.
   const server::JsonValue put =
@@ -69,15 +85,19 @@ int main(int argc, char** argv) {
   const std::string handle_line =
       "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[\"" + handle + "\"]}";
 
-  // Warm the response cache through both spellings (same cache key), then
+  // Warm the response cache through every spelling (same cache key), then
   // measure: every timed request is a cache hit, so the difference is the
   // request path itself.
   (void)server.handle_line(inline_line);
   (void)server.handle_line(handle_line);
+  if (server.handle_line(spaced_line) != server.handle_line(inline_line)) {
+    std::fprintf(stderr, "the spaced and canonical spellings answered different bytes\n");
+    return 1;
+  }
 
-  const auto time_line = [&](const std::string& line) {
+  const auto time_line = [&](const std::string& line, int count) {
     const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
+    for (int i = 0; i < count; ++i) {
       const std::string response = server.handle_line(line);
       if (response.find("\"ok\":true") == std::string::npos) {
         std::fprintf(stderr, "solve failed: %s\n", response.substr(0, 200).c_str());
@@ -87,11 +107,45 @@ int main(int argc, char** argv) {
     return bench::seconds_since(start);
   };
 
-  const double inline_secs = time_line(inline_line);
-  const double handle_secs = time_line(handle_line);
+  // The two inline spellings alternate in rounds, so host drift hits both.
+  const int rounds = std::min(iters, 8);
+  double inline_secs = 0;
+  double spaced_secs = 0;
+  for (int r = 0; r < rounds; ++r) {
+    const int count = iters / rounds + (r < iters % rounds ? 1 : 0);
+    inline_secs += time_line(inline_line, count);
+    spaced_secs += time_line(spaced_line, count);
+  }
+  const double handle_secs = time_line(handle_line, iters);
   const double inline_rate = iters / inline_secs;
+  const double spaced_rate = iters / spaced_secs;
   const double handle_rate = iters / handle_secs;
   const double speedup = handle_rate / inline_rate;
+  const double fast_path_speedup = inline_rate / spaced_rate;
+
+  // Per-graph ingest: json_parse of the line plus decode_graph_hashed of its
+  // one slot — the work every hop (router or worker) does per inline graph.
+  const server::ServerLimits limits;
+  const auto ingest_us = [&](const std::string& line) {
+    const auto start = std::chrono::steady_clock::now();
+    const server::JsonValue root = server::json_parse(line);
+    const server::DecodedGraph decoded =
+        server::decode_graph_hashed(root.find("graphs")->as_array()[0], limits);
+    const double us = 1e6 * bench::seconds_since(start);
+    if (decoded.graph != g) {
+      std::fprintf(stderr, "an inline spelling decoded to a different graph\n");
+      std::exit(1);
+    }
+    return us;
+  };
+  std::vector<double> canonical_ingest;
+  std::vector<double> spaced_ingest;
+  for (int i = 0; i < iters; ++i) {
+    canonical_ingest.push_back(ingest_us(inline_line));
+    spaced_ingest.push_back(ingest_us(spaced_line));
+  }
+  const double canonical_ingest_us = bench::median(canonical_ingest);
+  const double spaced_ingest_us = bench::median(spaced_ingest);
 
   // The warm 8-handle row: put and solve each graph once, then time single
   // requests, alternating the two thread counts so host drift hits both.
@@ -134,10 +188,15 @@ int main(int argc, char** argv) {
   std::printf("%s\n", std::string(64, '-').c_str());
   std::printf("%-22s %10.4f %14.1f %14zu\n", "inline edge list (v1)", inline_secs, inline_rate,
               inline_line.size());
+  std::printf("%-22s %10.4f %14.1f %14zu\n", "inline, \", \" spelled", spaced_secs, spaced_rate,
+              spaced_line.size());
   std::printf("%-22s %10.4f %14.1f %14zu\n", "graph handle (v2)", handle_secs, handle_rate,
               handle_line.size());
   std::printf("\nsolve-by-handle speedup: %.1fx (wire bytes shrink %zux)\n", speedup,
               inline_line.size() / handle_line.size());
+  std::printf("canonical / spaced inline: %.2fx; per-graph ingest (median) %.1f us canonical, "
+              "%.1f us spaced\n",
+              fast_path_speedup, canonical_ingest_us, spaced_ingest_us);
   std::printf("\nwarm 8-handle batch (outerplanar, 300-1000 vertices), median of %d requests\n",
               warm_iters);
   std::printf("%-22s %10s\n", "batch threads", "us/req");
@@ -151,6 +210,10 @@ int main(int argc, char** argv) {
                 {"inline_req_per_sec", bench::json_num(inline_rate, 2)},
                 {"handle_req_per_sec", bench::json_num(handle_rate, 2)},
                 {"handle_speedup", bench::json_num(speedup, 3)},
+                {"inline_spaced_req_per_sec", bench::json_num(spaced_rate, 2)},
+                {"canonical_over_spaced", bench::json_num(fast_path_speedup, 3)},
+                {"ingest_canonical_us", bench::json_num(canonical_ingest_us, 2)},
+                {"ingest_spaced_us", bench::json_num(spaced_ingest_us, 2)},
                 {"warm8_t1_us", bench::json_num(warm_t1_us, 2)},
                 {"warm8_t4_us", bench::json_num(warm_t4_us, 2)},
                 {"warm8_t4_over_t1", bench::json_num(warm_ratio, 3)}},
@@ -158,6 +221,9 @@ int main(int argc, char** argv) {
                  {"graphs_per_sec", bench::json_num(inline_rate, 2)}}});
   h.gate(speedup >= 2.0, "solve-by-handle is only %.2fx inline throughput (need >= 2x)",
          speedup);
+  h.gate(fast_path_speedup >= 1.5,
+         "canonical inline requests are only %.2fx the spaced spelling (need >= 1.5x)",
+         fast_path_speedup);
   h.gate(warm_ratio <= 1.25,
          "a warm 8-handle batch at 4 threads takes %.2fx the 1-thread time (need <= 1.25x)",
          warm_ratio);

@@ -194,6 +194,11 @@ bool GraphStore::store_locked(graph::Graph&& g, std::uint64_t hash,
 
 GraphStore::PutResult GraphStore::put(graph::Graph g, SessionId session, std::string_view ns) {
   const std::uint64_t hash = graph::graph_hash(g);
+  return put_hashed(std::move(g), hash, session, ns);
+}
+
+GraphStore::PutResult GraphStore::put_hashed(graph::Graph g, std::uint64_t hash,
+                                             SessionId session, std::string_view ns) {
   PutResult out = put_result(hash, g);
   common::MutexLock lock(mu_);
   out.inserted = store_locked(std::move(g), hash, session, ns, nullptr);
@@ -201,10 +206,10 @@ GraphStore::PutResult GraphStore::put(graph::Graph g, SessionId session, std::st
   return out;
 }
 
-GraphStore::PutResult GraphStore::put_replica(graph::Graph g, std::string_view ns) {
+GraphStore::PutResult GraphStore::put_replica(graph::Graph g, std::uint64_t hash,
+                                              std::string_view ns) {
   // Already present is the common replication case (handles are globally
   // stable). Nobody owns a replica, so it is stored or promoted unpinned.
-  const std::uint64_t hash = graph::graph_hash(g);
   PutResult out = put_result(hash, g);
   common::MutexLock lock(mu_);
   out.inserted = store_locked(std::move(g), hash, std::nullopt, ns, nullptr);

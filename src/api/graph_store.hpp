@@ -144,11 +144,19 @@ class GraphStore {
   PutResult put(graph::Graph g, SessionId session = kSharedSession,
                 std::string_view ns = {}) LMDS_EXCLUDES(mu_);
 
+  /// put() for a caller that already holds the graph's fingerprint (the
+  /// wire decoder folds it into the CSR build), so the store does not walk
+  /// the graph again. `hash` must be graph::graph_hash(g).
+  PutResult put_hashed(graph::Graph g, std::uint64_t hash, SessionId session = kSharedSession,
+                       std::string_view ns = {}) LMDS_EXCLUDES(mu_);
+
   /// Stores a graph *unpinned* (resolvable, evictable, owned by nobody) —
   /// how replicate_in installs a peer's graphs without holding them hostage
   /// to capacity. An existing entry is promoted to most-recent instead.
   /// Throws GraphStoreFull like put().
-  PutResult put_replica(graph::Graph g, std::string_view ns = {}) LMDS_EXCLUDES(mu_);
+  /// `hash` must be graph::graph_hash(g), as for put_hashed().
+  PutResult put_replica(graph::Graph g, std::uint64_t hash, std::string_view ns = {})
+      LMDS_EXCLUDES(mu_);
 
   /// Resolves a handle; nullptr when unknown (never stored, dropped *and*
   /// evicted, or malformed). Promotes an unpinned entry to most recent and

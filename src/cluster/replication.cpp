@@ -113,9 +113,9 @@ ReplicationResult apply_replication(const server::JsonValue& root,
                                   "replicate \"graphs\" must be an array");
     }
     for (const server::JsonValue& g : graphs->as_array()) {
-      graph::Graph decoded = server::decode_graph(g, limits);  // throws BadRequest
+      server::DecodedGraph decoded = server::decode_graph_hashed(g, limits);  // throws BadRequest
       try {
-        if (store.put_replica(std::move(decoded)).inserted) {
+        if (store.put_replica(std::move(decoded.graph), decoded.hash).inserted) {
           ++result.installed;
         } else {
           ++result.present;

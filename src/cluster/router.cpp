@@ -75,24 +75,24 @@ struct SubBatch {
   std::vector<std::size_t> slots;
   std::uint64_t rep_hash = 0;  ///< first slot's fingerprint (failover order)
   bool has_handle = false;     ///< store-bound: cannot fail over
-  std::string line;            ///< the sub-request line
+  std::string line;            ///< the sub-request line, newline included
 };
 
-/// A request line for a worker: `head` (pre-encoded members, "op" first)
-/// followed by every member of `root` not named in `replaced`. json_dump
-/// re-emits Raw graph slots verbatim, so no graph is re-encoded.
-std::string forward_line(const JsonValue& root, std::string_view head,
-                         std::initializer_list<std::string_view> replaced) {
-  std::string line = "{";
-  line += head;
+/// Finishes a request line for a worker: `line` holds '{' and the
+/// pre-encoded members ("op" first); appends every member of `root` not
+/// named in `replaced`, the closing brace and the newline. json_dump_to
+/// re-emits Raw graph slots verbatim, so no graph is re-encoded or copied
+/// twice.
+std::string finish_line(std::string line, const JsonValue& root,
+                        std::initializer_list<std::string_view> replaced) {
   for (const auto& [key, value] : root.as_object()) {
     if (std::find(replaced.begin(), replaced.end(), key) != replaced.end()) continue;
     line += ',';
     server::json_append_string(line, key);
     line += ':';
-    line += server::json_dump(value);
+    server::json_dump_to(line, value);
   }
-  line += '}';
+  line += "}\n";
   return line;
 }
 
@@ -189,7 +189,7 @@ std::string Router::exchange(std::size_t peer, ClientPtr& client, const std::str
   }
   forwards_[peer]->fetch_add(1, std::memory_order_relaxed);
   std::optional<std::string> response;
-  if (client->send_raw(line + "\n")) response = client->read_raw_line();
+  if (client->send_raw(line)) response = client->read_raw_line();
   if (!response) {
     // A reset control connection is re-dialed by the next verb, which starts
     // a fresh worker-side session and releases the old one's pins (the
@@ -329,22 +329,23 @@ std::optional<std::string> Router::route_solve(server::Session& session,
   // canonicalizes member order but keeps every value's type (a 5.0 stays a
   // double, so the worker rejects it exactly where a single server would).
   for (SubBatch& sub : subs) {
-    std::string head = "\"op\":\"solve\",\"graphs\":[";
+    std::size_t bytes = 64 + ns.size();
+    for (const std::size_t slot : sub.slots) {
+      if (slots[slot].type() == JsonValue::Type::Raw) bytes += slots[slot].raw_text().size() + 1;
+    }
+    std::string line;
+    line.reserve(bytes);
+    line += "{\"op\":\"solve\",\"graphs\":[";
     for (std::size_t i = 0; i < sub.slots.size(); ++i) {
-      if (i) head += ',';
-      const JsonValue& slot = slots[sub.slots[i]];
-      if (slot.type() == JsonValue::Type::Raw) {
-        head += slot.raw_text();
-      } else {
-        head += server::json_dump(slot);
-      }
+      if (i) line += ',';
+      server::json_dump_to(line, slots[sub.slots[i]]);
     }
-    head += ']';
+    line += ']';
     if (!ns.empty()) {
-      head += ",\"namespace\":";
-      server::json_append_string(head, ns);
+      line += ",\"namespace\":";
+      server::json_append_string(line, ns);
     }
-    sub.line = forward_line(root, head, {"op", "graphs", "namespace"});
+    sub.line = finish_line(std::move(line), root, {"op", "graphs", "namespace"});
   }
 
   // Fan out: one worker per sub-batch (bounded by the ring size), sub-batch
@@ -414,7 +415,7 @@ std::optional<std::string> Router::route_put(const JsonValue& root) {
   // stored on a non-owner would be unreachable to routing.
   const std::size_t peer = locate_handle(api::GraphStore::handle_for(hash), hash);
   return forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-                 forward_line(root, "\"op\":\"put_graph\"", {"op"}));
+                 finish_line("{\"op\":\"put_graph\"", root, {"op"}));
 }
 
 std::optional<std::string> Router::route_patch(server::Session& session,
@@ -430,7 +431,7 @@ std::optional<std::string> Router::route_patch(server::Session& session,
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
   const std::string response =
       forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-              forward_line(root, "\"op\":\"patch_graph\"", {"op"}));
+              finish_line("{\"op\":\"patch_graph\"", root, {"op"}));
   try {
     const JsonValue parsed = server::json_parse(response);
     const JsonValue* ok = parsed.find("ok");
@@ -453,7 +454,7 @@ std::optional<std::string> Router::route_drop(const JsonValue& root) {
   // worker until evicted, as on a single server (kMaxLocations bounds the map).
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
   return forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-                 forward_line(root, "\"op\":\"drop_graph\"", {"op"}));
+                 finish_line("{\"op\":\"drop_graph\"", root, {"op"}));
 }
 
 std::string Router::route_stats(server::Session& session, const JsonValue& root) {

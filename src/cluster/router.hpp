@@ -95,10 +95,11 @@ class Router {
   ClientPtr acquire(std::size_t peer) LMDS_EXCLUDES(pool_mu_);
   void release(std::size_t peer, ClientPtr client) LMDS_EXCLUDES(pool_mu_);
 
-  /// One request line against `peer` over `client`, dialing it first when
-  /// null. Returns the verbatim response line (raw text — never
-  /// reparsed-and-reencoded). On connect/IO failure resets `client` (its
-  /// stream state is unknown) and throws std::runtime_error.
+  /// One request line (newline included, sent as is) against `peer` over
+  /// `client`, dialing it first when null. Returns the verbatim response
+  /// line (raw text — never reparsed-and-reencoded). On connect/IO failure
+  /// resets `client` (its stream state is unknown) and throws
+  /// std::runtime_error.
   std::string exchange(std::size_t peer, ClientPtr& client, const std::string& line);
 
   /// Full failure policy (busy backoff + optional ring failover) around

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -62,9 +63,11 @@ const JsonValue::Object& JsonValue::as_object() const {
   return std::get<Object>(v_);
 }
 
-const std::string& JsonValue::raw_text() const {
+const std::string& JsonValue::raw_text() const { return graph_slot().text; }
+
+const GraphSlot& JsonValue::graph_slot() const {
   if (type() != Type::Raw) type_error(type(), "raw");
-  return std::get<RawText>(v_).bytes;
+  return *std::get<std::shared_ptr<const GraphSlot>>(v_);
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -83,15 +86,17 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-/// What a validate-only parse returns in place of a value.
+/// What a validate-only parse returns for a string in place of its value.
 struct Skipped {};
 
 }  // namespace
 
 // One recursive-descent grammar, instantiated twice: Build = true
-// materialises JsonValues, Build = false only validates (graph slots). Both
-// run every branch in the same order, so on any input they fail with the
-// same message at the same byte.
+// materialises JsonValues, Build = false only validates (graph slots) and
+// returns each value's JsonScalar. Both run every branch in the same order,
+// so on any input they fail with the same message at the same byte. Graph
+// slots add collection on top of the validate-only grammar, never new
+// branches: a slot fails where the full parse would.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -105,7 +110,7 @@ class JsonParser {
 
  private:
   template <bool Build>
-  using Value = std::conditional_t<Build, JsonValue, Skipped>;
+  using Value = std::conditional_t<Build, JsonValue, JsonScalar>;
   template <bool Build>
   using String = std::conditional_t<Build, std::string, Skipped>;
 
@@ -142,8 +147,11 @@ class JsonParser {
   static Value<Build> make(T&& v) {
     if constexpr (Build) {
       return JsonValue(std::forward<T>(v));
+    } else if constexpr (std::is_same_v<std::decay_t<T>, std::int64_t>) {
+      return {JsonValue::Type::Int, v};
     } else {
-      return Skipped{};
+      // Validate-only containers stay empty, so this JsonValue costs nothing.
+      return {JsonValue(std::forward<T>(v)).type()};
     }
   }
 
@@ -160,7 +168,8 @@ class JsonParser {
         if constexpr (Build) {
           return JsonValue(parse_string<true>());
         } else {
-          return parse_string<false>();
+          parse_string<false>();
+          return {JsonValue::Type::String};
         }
       case 't':
         if (consume_literal("true")) return make<Build>(true);
@@ -175,32 +184,60 @@ class JsonParser {
     }
   }
 
-  /// A graph slot: an object is validated without being materialised and
-  /// kept as its bytes; anything else parses as usual (a handle string, or
-  /// a value decode_graph will reject).
-  JsonValue parse_slot(int depth) {
-    skip_ws();
-    if (eof() || peek() != '{') return parse_value<true>(depth);
-    const std::size_t start = pos_;
-    parse_value<false>(depth);
-    return JsonValue(JsonValue::RawText{std::string(text_.substr(start, pos_ - start))});
-  }
-
-  template <bool Build>
-  Value<Build> parse_object(int depth) {
+  /// The one object loop, at its '{': each key (decoded when Keys), then
+  /// `member(key)` parses the member's value.
+  template <bool Keys, typename Member>
+  void parse_members(Member&& member) {
     expect('{');
-    [[maybe_unused]] JsonValue::Object obj;
     skip_ws();
     if (!eof() && peek() == '}') {
       ++pos_;
-      return make<Build>(std::move(obj));
+      return;
     }
     while (true) {
       skip_ws();
       if (eof() || peek() != '"') fail("expected object key string");
-      String<Build> key = parse_string<Build>();
+      String<Keys> key = parse_string<Keys>();
       skip_ws();
       expect(':');
+      member(std::move(key));
+      skip_ws();
+      if (eof()) fail("unterminated object");
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect('}');
+      return;
+    }
+  }
+
+  /// The one array loop, at its '[': `element()` parses each element.
+  template <typename Element>
+  void parse_elements(Element&& element) {
+    expect('[');
+    skip_ws();
+    if (!eof() && peek() == ']') {
+      ++pos_;
+      return;
+    }
+    while (true) {
+      element();
+      skip_ws();
+      if (eof()) fail("unterminated array");
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      expect(']');
+      return;
+    }
+  }
+
+  template <bool Build>
+  Value<Build> parse_object(int depth) {
+    [[maybe_unused]] JsonValue::Object obj;
+    parse_members<Build>([&]([[maybe_unused]] String<Build> key) {
       if constexpr (Build) {
         // Only the root object (depth 0) holds graph slots.
         JsonValue value;
@@ -217,41 +254,123 @@ class JsonParser {
       } else {
         parse_value<false>(depth + 1);
       }
-      skip_ws();
-      if (eof()) fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return make<Build>(std::move(obj));
-    }
+    });
+    return make<Build>(std::move(obj));
   }
 
   /// `slots`: the elements are graph slots (the top-level "graphs" array).
   template <bool Build>
   Value<Build> parse_array(int depth, bool slots) {
-    expect('[');
     [[maybe_unused]] JsonValue::Array arr;
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return make<Build>(std::move(arr));
-    }
-    while (true) {
+    parse_elements([&] {
       if constexpr (Build) {
         arr.push_back(slots ? parse_slot(depth + 1) : parse_value<true>(depth + 1));
       } else {
         parse_value<false>(depth + 1);
       }
-      skip_ws();
-      if (eof()) fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+    });
+    return make<Build>(std::move(arr));
+  }
+
+  // -------------------------------------------------------------------------
+  // Graph slots: the validate-only grammar, collecting as it goes
+
+  /// A graph slot: an object is validated and collected, never
+  /// materialised; anything else parses as usual (a handle string, or a
+  /// value decode_graph will reject). Slots sit at depth <= 2, so the
+  /// depth checks skipped on the way to an element cannot fire.
+  JsonValue parse_slot(int depth) {
+    skip_ws();
+    if (eof() || peek() != '{') return parse_value<true>(depth);
+    auto slot = std::make_shared<GraphSlot>();
+    const std::size_t start = pos_;
+    parse_members<true>([&](const std::string& key) {
+      if (key == "edges") {
+        collect_edges(depth + 1, *slot);
+      } else if (key == "n") {
+        slot->n = parse_value<false>(depth + 1);
+      } else {
+        parse_value<false>(depth + 1);
       }
-      expect(']');
-      return make<Build>(std::move(arr));
+    });
+    slot->text.assign(text_.substr(start, pos_ - start));
+    return JsonValue(std::shared_ptr<const GraphSlot>(std::move(slot)));
+  }
+
+  /// The value of an "edges" member; a later "edges" member replaces it.
+  void collect_edges(int depth, GraphSlot& slot) {
+    slot.has_edges = true;
+    slot.edges.clear();
+    slot.bad.reset();
+    skip_ws();
+    slot.edges_is_array = !eof() && peek() == '[';
+    if (!slot.edges_is_array) {
+      parse_value<false>(depth);
+      return;
+    }
+    parse_elements([&] {
+      if (slot.bad) {
+        parse_value<false>(depth + 1);
+      } else if (!canonical_edge(slot)) {
+        collect_edge(depth + 1, slot);
+      }
+    });
+  }
+
+  /// The canonical element [digits,digits] at pos_: appended, and true.
+  /// Anything else leaves pos_ alone for the general grammar, which accepts
+  /// every canonical element as two Ints and ends at the same byte.
+  bool canonical_edge(GraphSlot& slot) {
+    const char* p = text_.data() + pos_;
+    const char* const end = text_.data() + text_.size();
+    std::int32_t u = 0;
+    std::int32_t w = 0;
+    if (p == end || *p++ != '[' || !digits(p, end, u) || p == end || *p++ != ',' ||
+        !digits(p, end, w) || p == end || *p++ != ']') {
+      return false;
+    }
+    slot.edges.push_back({u, w});
+    pos_ = static_cast<std::size_t>(p - text_.data());
+    return true;
+  }
+
+  /// 1-9 decimal digits at p (leading zeros allowed, as from_chars allows
+  /// them); a tenth digit fails the caller's next delimiter check.
+  static bool digits(const char*& p, const char* end, std::int32_t& out) {
+    const char* const first = p;
+    std::int32_t value = 0;
+    while (p != end && p - first < 9 && *p >= '0' && *p <= '9') value = value * 10 + (*p++ - '0');
+    out = value;
+    return p != first;
+  }
+
+  /// The general element grammar: any value; a pair of Ints in
+  /// [0, INT_MAX] is an edge, anything else the slot's bad element.
+  void collect_edge(int depth, GraphSlot& slot) {
+    skip_ws();
+    if (eof() || peek() != '[') {
+      parse_value<false>(depth);
+      slot.bad = GraphSlot::BadEdge{};
+      return;
+    }
+    JsonScalar ends[2];
+    std::size_t count = 0;
+    parse_elements([&] {
+      const JsonScalar end = parse_value<false>(depth + 1);
+      if (count < 2) ends[count] = end;
+      ++count;
+    });
+    const auto is_vertex = [](const JsonScalar& s) {
+      return s.type == JsonValue::Type::Int && s.value >= 0 &&
+             s.value <= std::numeric_limits<std::int32_t>::max();
+    };
+    if (count != 2) {
+      slot.bad = GraphSlot::BadEdge{};
+    } else if (is_vertex(ends[0]) && is_vertex(ends[1])) {
+      slot.edges.push_back(
+          {static_cast<std::int32_t>(ends[0].value), static_cast<std::int32_t>(ends[1].value)});
+    } else {
+      slot.bad = GraphSlot::BadEdge{true, ends[0], ends[1]};
     }
   }
 
@@ -358,11 +477,6 @@ class JsonParser {
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
     }
     const std::string_view lit = text_.substr(start, pos_ - start);
-    if constexpr (!Build) {
-      // 1..18 digits always fit int64: nothing left to check.
-      const std::size_t digits = lit.size() - (lit.starts_with('-') ? 1 : 0);
-      if (integral && digits >= 1 && digits <= 18) return Skipped{};
-    }
     if (integral) {
       std::int64_t value = 0;
       const auto [ptr, ec] = std::from_chars(lit.data(), lit.data() + lit.size(), value);
@@ -482,5 +596,7 @@ std::string json_dump(const JsonValue& v) {
   dump_value(out, v);
   return out;
 }
+
+void json_dump_to(std::string& out, const JsonValue& v) { dump_value(out, v); }
 
 }  // namespace lmds::server

@@ -15,13 +15,20 @@
 // carries, and building a DOM of it (one node per integer) only to walk it
 // once is the request path's dominant cost. So json_parse keeps the objects
 // in the two request positions that hold graphs — the top-level "graph"
-// member and the elements of the top-level "graphs" array — as Raw values:
-// their source bytes, validated by the same parser (same errors, same byte
-// offsets) but never materialised. decode_graph (protocol.hpp) reads them
-// in one streaming pass; json_dump re-emits them verbatim.
+// member and the elements of the top-level "graphs" array — as Raw values.
+// Slots are collected, not only validated: the same parser (same errors,
+// same byte offsets) that checks a slot's bytes also gathers its "n" and
+// its "edges" elements into a GraphSlot, trying the canonical element
+// [digits,digits] (1-9 digits, no sign, no whitespace; what
+// encode_graph_json writes) in a tight loop before the general element
+// grammar. decode_graph (protocol.hpp) then builds the graph from the
+// GraphSlot without reading the bytes again; json_dump re-emits the bytes
+// verbatim.
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -40,13 +47,16 @@ namespace detail {
 class JsonParser;
 }  // namespace detail
 
+struct GraphSlot;
+
 class JsonValue {
  public:
   using Array = std::vector<JsonValue>;
   using Object = std::map<std::string, JsonValue, std::less<>>;
 
-  /// Raw: a graph-slot object kept as its validated source bytes (only
-  /// json_parse / json_parse_graph create one; see the header comment).
+  /// Raw: a graph-slot object kept as its validated source bytes and what
+  /// was collected from them (only json_parse / json_parse_graph create
+  /// one; see the header comment).
   enum class Type { Null, Bool, Int, Double, String, Array, Object, Raw };
 
   JsonValue() = default;  // null
@@ -71,6 +81,8 @@ class JsonValue {
   const Object& as_object() const;
   /// The source bytes of a Raw value: one complete, valid JSON object.
   const std::string& raw_text() const;
+  /// What json_parse collected from a Raw value's bytes.
+  const GraphSlot& graph_slot() const;
 
   /// Object member lookup; nullptr when this is not an object or the key is
   /// absent — the protocol's "optional field" idiom.
@@ -78,13 +90,44 @@ class JsonValue {
 
  private:
   friend class detail::JsonParser;
-  struct RawText {
-    std::string bytes;
-  };
-  explicit JsonValue(RawText raw) : v_(std::move(raw)) {}
+  explicit JsonValue(std::shared_ptr<const GraphSlot> slot) : v_(std::move(slot)) {}
 
-  std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object, RawText>
+  std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object,
+               std::shared_ptr<const GraphSlot>>
       v_;  // index order must match Type
+};
+
+/// A value as the edge-list decoder's int checks see it: its type and, for
+/// an Int, its value.
+struct JsonScalar {
+  JsonValue::Type type = JsonValue::Type::Null;
+  std::int64_t value = 0;
+};
+
+/// A graph slot as json_parse collected it: its bytes, plus the members
+/// decode_graph reads. Escaped member names count as their decoded names
+/// and the last of duplicate members wins, as in an eager parse. No limit
+/// is applied here; the decoder replays those checks.
+struct GraphSlot {
+  /// An "edges" element both of whose ends are ints in [0, INT_MAX].
+  struct Edge {
+    std::int32_t u;
+    std::int32_t w;
+  };
+  /// The first "edges" element that is not such an edge: `pair` is false
+  /// when it is not a two-element array, else `u` and `w` are its ends.
+  struct BadEdge {
+    bool pair = false;
+    JsonScalar u;
+    JsonScalar w;
+  };
+
+  std::string text;             ///< the slot's source bytes, verbatim
+  std::optional<JsonScalar> n;  ///< the "n" member
+  bool has_edges = false;       ///< an "edges" member is present
+  bool edges_is_array = false;  ///< ... and it is an array
+  std::vector<Edge> edges;      ///< its elements in order, up to `bad`
+  std::optional<BadEdge> bad;   ///< elements after it are validated only
 };
 
 std::string_view to_string(JsonValue::Type t);
@@ -93,7 +136,8 @@ std::string_view to_string(JsonValue::Type t);
 /// whitespace allowed, trailing garbage is an error). Nesting deeper than 64
 /// levels is rejected. Throws JsonError with a byte offset in the message.
 /// Objects in graph slots (top-level "graph", elements of top-level
-/// "graphs") come back Raw; the errors are those of a full parse.
+/// "graphs") come back Raw, collected; the errors are those of a full
+/// parse, and no decode error is raised here.
 JsonValue json_parse(std::string_view text);
 
 /// json_parse for a document that is itself a graph slot (the body of HTTP
@@ -119,5 +163,8 @@ void json_append_double(std::string& out, double v);
 /// contractual), and it splices the graph slots of the requests it
 /// forwards as raw bytes.
 std::string json_dump(const JsonValue& v);
+
+/// Appends json_dump(v) to `out`.
+void json_dump_to(std::string& out, const JsonValue& v);
 
 }  // namespace lmds::server

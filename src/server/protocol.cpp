@@ -27,14 +27,8 @@ namespace {
   throw ProtocolError(ErrorCode::BadRequest, what);
 }
 
-/// A JSON value as the int checks see it: its type and, for Int, its value.
-struct Scalar {
-  JsonValue::Type type = JsonValue::Type::Null;
-  std::int64_t value = 0;
-};
-
 /// Why `s` is not an int-range int, prefixed with `what`; nothing if it is.
-std::optional<std::string> int_error(const Scalar& s, std::string_view what) {
+std::optional<std::string> int_error(const JsonScalar& s, std::string_view what) {
   if (s.type != JsonValue::Type::Int) {
     return std::string(what) + ": expected int, got " + std::string(to_string(s.type));
   }
@@ -45,7 +39,7 @@ std::optional<std::string> int_error(const Scalar& s, std::string_view what) {
 }
 
 int int_field(const JsonValue& v, std::string_view what) {
-  const Scalar s{v.type(), v.type() == JsonValue::Type::Int ? v.as_int() : 0};
+  const JsonScalar s{v.type(), v.type() == JsonValue::Type::Int ? v.as_int() : 0};
   if (std::optional<std::string> error = int_error(s, what)) bad_request(*error);
   return static_cast<int>(s.value);
 }
@@ -53,345 +47,103 @@ int int_field(const JsonValue& v, std::string_view what) {
 // ---------------------------------------------------------------------------
 // Edge-list decoding
 
-/// decode_graph's edge checks and CSR build, fed by the raw-text scan. Edges
-/// arrive in array order. "n" may follow "edges" in the object, so the one
-/// check that needs it (endpoint < n) waits for finish(), which replays
-/// decode_graph's precedence: "n" first, then each edge in order with all of
-/// its checks.
-class EdgeListDecoder {
- public:
-  explicit EdgeListDecoder(const ServerLimits& limits) : limits_(limits) {}
-
-  /// Forgets every edge: a later duplicate "edges" member wins.
-  void reset() {
-    edges_.clear();
-    fault_.reset();
-    max_endpoint_ = -1;
+/// Counting sort of `edges` into CSR rows, then each row sorted,
+/// deduplicated and compacted in place — and hashed as it is finished, so
+/// graph_hash costs no second walk.
+DecodedGraph build_csr(const std::vector<GraphSlot::Edge>& edges, int n) {
+  const auto count = static_cast<std::size_t>(n);
+  std::vector<std::size_t> offsets(count + 1, 0);
+  for (const GraphSlot::Edge& e : edges) {
+    ++offsets[static_cast<std::size_t>(e.u) + 1];
+    ++offsets[static_cast<std::size_t>(e.w) + 1];
   }
-
-  /// True once an edge failed a check; the caller stops feeding edges.
-  bool failed() const { return fault_.has_value(); }
-
-  /// The next element of "edges" is not a [u, v] pair.
-  void bad_pair() { fault_ = Fault{"each edge must be a [u, v] pair"}; }
-
-  /// The next element of "edges" is the pair [u, w].
-  void add(const Scalar& u, const Scalar& w) {
-    for (const Scalar* end : {&u, &w}) {
-      if (std::optional<std::string> error = int_error(*end, "edge endpoint")) {
-        fault_ = Fault{*std::move(error)};
-        return;
-      }
-    }
-    const auto a = static_cast<graph::Vertex>(u.value);
-    const auto b = static_cast<graph::Vertex>(w.value);
-    if (a < 0 || b < 0) {
-      fault_ = Fault{"edge endpoints must be >= 0"};
-      return;
-    }
-    const graph::Vertex hi = std::max(a, b);
-    if (hi >= limits_.max_graph_vertices) {
-      fault_ = Fault{"graph too large: endpoint " + std::to_string(hi) + " exceeds limit " +
-                         std::to_string(limits_.max_graph_vertices),
-                     hi};
-      return;
-    }
-    if (a == b) {
-      fault_ = Fault{"self-loop at vertex " + std::to_string(a), hi};
-      return;
-    }
-    edges_.push_back({a, b});
-    max_endpoint_ = std::max(max_endpoint_, hi);
-  }
-
-  DecodedGraph finish(const std::optional<Scalar>& n) const {
-    int declared_n = -1;
-    if (n) {
-      if (std::optional<std::string> error = int_error(*n, "graph \"n\"")) bad_request(*error);
-      declared_n = static_cast<int>(n->value);
-      if (declared_n < 0) bad_request("graph \"n\" must be >= 0");
-      if (declared_n > limits_.max_graph_vertices) {
-        bad_request("graph too large: n=" + std::to_string(declared_n) + " exceeds limit " +
-                    std::to_string(limits_.max_graph_vertices));
-      }
-      const auto outside_n = [&](graph::Vertex hi) {
-        bad_request("edge endpoint " + std::to_string(hi) + " outside [0, n=" +
-                    std::to_string(declared_n) + ")");
-      };
-      for (const Pair& e : edges_) {
-        if (std::max(e.u, e.w) >= declared_n) outside_n(std::max(e.u, e.w));
-      }
-      if (fault_ && fault_->hi >= declared_n) outside_n(fault_->hi);
-    }
-    if (fault_) bad_request(fault_->message);
-    return build(declared_n >= 0 ? declared_n : max_endpoint_ + 1);
-  }
-
- private:
-  struct Pair {
-    graph::Vertex u;
-    graph::Vertex w;
-  };
-  /// The failed edge. `hi` is its larger endpoint when the failed check
-  /// comes after "endpoint < n" (so a smaller n reports that instead), and
-  /// -1 when it comes before.
-  struct Fault {
-    std::string message;
-    graph::Vertex hi = -1;
-  };
-
-  /// Counting sort into CSR rows, then each row sorted, deduplicated and
-  /// compacted in place — and hashed as it is finished, so graph_hash costs
-  /// no second walk.
-  DecodedGraph build(int n) const {
-    const auto count = static_cast<std::size_t>(n);
-    std::vector<std::size_t> offsets(count + 1, 0);
-    for (const Pair& e : edges_) {
-      ++offsets[static_cast<std::size_t>(e.u) + 1];
-      ++offsets[static_cast<std::size_t>(e.w) + 1];
-    }
-    for (std::size_t v = 0; v < count; ++v) offsets[v + 1] += offsets[v];
-    std::vector<graph::Vertex> neighbors(offsets[count]);
-    {
-      std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
-      for (const Pair& e : edges_) {
-        neighbors[fill[static_cast<std::size_t>(e.u)]++] = e.w;
-        neighbors[fill[static_cast<std::size_t>(e.w)]++] = e.u;
-      }
-    }
-    graph::GraphHasher hasher(n);
-    std::size_t out = 0;
-    for (std::size_t v = 0; v < count; ++v) {
-      const auto begin = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-      const auto end = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-      // An edge list in lexicographic order (encode_graph_json's) fills
-      // every row already sorted.
-      if (!std::is_sorted(begin, end)) std::sort(begin, end);
-      const auto last = std::unique(begin, end);
-      const auto row = neighbors.begin() + static_cast<std::ptrdiff_t>(out);
-      if (row != begin) std::copy(begin, last, row);
-      const auto degree = static_cast<std::size_t>(last - begin);
-      hasher.add_row({neighbors.data() + out, degree});
-      offsets[v] = out;
-      out += degree;
-    }
-    offsets[count] = out;
-    neighbors.resize(out);
-    return {graph::detail::TrustedCsr::build(std::move(offsets), std::move(neighbors)),
-            hasher.value()};
-  }
-
-  const ServerLimits& limits_;
-  std::vector<Pair> edges_;  ///< the edges before the first failed one
-  std::optional<Fault> fault_;
-  graph::Vertex max_endpoint_ = -1;
-};
-
-/// Reads a Raw graph slot. json_parse has validated these bytes, so the
-/// scanner follows the structure without re-checking the grammar (every
-/// read is still bounds-checked).
-class SlotScanner {
- public:
-  explicit SlotScanner(std::string_view text) : text_(text) {}
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void advance() { ++pos_; }  ///< past one structural character
-
-  void skip_ws() {
-    while (pos_ < text_.size() && is_ws(text_[pos_])) ++pos_;
-  }
-
-  /// A member name, decoded when it holds escapes (json_parse's own string
-  /// decoder, for the rare name that needs it).
-  std::string member_name() {
-    const std::string_view literal = string_literal();
-    if (literal.find('\\') == std::string_view::npos) {
-      return std::string(literal.substr(1, literal.size() - 2));
-    }
-    return json_parse(literal).as_string();
-  }
-
-  void skip_value() {
-    const char c = peek();
-    if (c == '"') {
-      (void)string_literal();
-      return;
-    }
-    if (c != '{' && c != '[') {  // number or literal
-      while (pos_ < text_.size() && !is_ws(text_[pos_]) && text_[pos_] != ',' &&
-             text_[pos_] != ']' && text_[pos_] != '}') {
-        ++pos_;
-      }
-      return;
-    }
-    int depth = 0;
-    while (pos_ < text_.size()) {
-      const char d = text_[pos_];
-      if (d == '"') {
-        (void)string_literal();
-        continue;
-      }
-      ++pos_;
-      if (d == '{' || d == '[') {
-        ++depth;
-      } else if ((d == '}' || d == ']') && --depth == 0) {
-        return;
-      }
+  for (std::size_t v = 0; v < count; ++v) offsets[v + 1] += offsets[v];
+  std::vector<graph::Vertex> neighbors(offsets[count]);
+  {
+    std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
+    for (const GraphSlot::Edge& e : edges) {
+      neighbors[fill[static_cast<std::size_t>(e.u)]++] = e.w;
+      neighbors[fill[static_cast<std::size_t>(e.w)]++] = e.u;
     }
   }
-
-  /// The next value as the int checks see it (containers and strings are
-  /// skipped, only their type matters).
-  Scalar scalar() {
-    switch (peek()) {
-      case '{': skip_value(); return {JsonValue::Type::Object};
-      case '[': skip_value(); return {JsonValue::Type::Array};
-      case '"': skip_value(); return {JsonValue::Type::String};
-      case 't':
-      case 'f': skip_value(); return {JsonValue::Type::Bool};
-      case 'n': skip_value(); return {JsonValue::Type::Null};
-      default: return number();
-    }
+  graph::GraphHasher hasher(n);
+  std::size_t out = 0;
+  for (std::size_t v = 0; v < count; ++v) {
+    const auto begin = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
+    const auto end = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
+    // An edge list in lexicographic order (encode_graph_json's) fills
+    // every row already sorted.
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
+    const auto last = std::unique(begin, end);
+    const auto row = neighbors.begin() + static_cast<std::ptrdiff_t>(out);
+    if (row != begin) std::copy(begin, last, row);
+    const auto degree = static_cast<std::size_t>(last - begin);
+    hasher.add_row({neighbors.data() + out, degree});
+    offsets[v] = out;
+    out += degree;
   }
-
- private:
-  static bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
-
-  /// At a '"': the string literal, quotes included.
-  std::string_view string_literal() {
-    const std::size_t start = pos_++;
-    while (pos_ < text_.size() && text_[pos_] != '"') pos_ += text_[pos_] == '\\' ? 2 : 1;
-    ++pos_;
-    return text_.substr(start, pos_ - start);
-  }
-
-  /// A number literal typed as json_parse types it: Int when it has no '.',
-  /// 'e' or 'E' and fits int64, Double otherwise.
-  Scalar number() {
-    const bool negative = peek() == '-';
-    if (negative) ++pos_;
-    std::uint64_t magnitude = 0;
-    std::size_t significant = 0;  // digits after leading zeros
-    for (; pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9'; ++pos_) {
-      const auto digit = static_cast<std::uint64_t>(text_[pos_] - '0');
-      if (significant > 0 || digit != 0) ++significant;
-      // Past 19 significant digits the value no longer matters: it is out
-      // of int64 range either way, and 19 digits cannot wrap a uint64.
-      if (significant <= 19) magnitude = magnitude * 10 + digit;
-    }
-    const char c = peek();
-    if (c == '.' || c == 'e' || c == 'E') {
-      skip_value();
-      return {JsonValue::Type::Double};
-    }
-    const std::uint64_t limit = (std::uint64_t{1} << 63) - (negative ? 0 : 1);
-    if (significant > 19 || magnitude > limit) return {JsonValue::Type::Double};
-    return {JsonValue::Type::Int,
-            static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude)};
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-/// One element of "edges" at a '['.
-void scan_pair(SlotScanner& in, EdgeListDecoder& edges) {
-  in.advance();
-  Scalar ends[2];
-  std::size_t count = 0;
-  in.skip_ws();
-  if (in.peek() != ']') {
-    while (true) {
-      in.skip_ws();
-      const Scalar s = in.scalar();
-      if (count < 2) ends[count] = s;
-      ++count;
-      in.skip_ws();
-      if (in.peek() != ',') break;
-      in.advance();
-    }
-  }
-  in.advance();  // ']'
-  if (count == 2) {
-    edges.add(ends[0], ends[1]);
-  } else {
-    edges.bad_pair();
-  }
+  offsets[count] = out;
+  neighbors.resize(out);
+  return {graph::detail::TrustedCsr::build(std::move(offsets), std::move(neighbors)),
+          hasher.value()};
 }
 
-/// The "edges" array at its '['; after the first failed element the rest
-/// is skipped.
-void scan_edges(SlotScanner& in, EdgeListDecoder& edges) {
-  in.advance();
-  in.skip_ws();
-  if (in.peek() == ']') {
-    in.advance();
-    return;
+/// The message of a slot's bad element: the checks json_parse could make
+/// without the limits, in the order decode_graph makes them.
+std::string bad_edge_message(const GraphSlot::BadEdge& bad) {
+  if (!bad.pair) return "each edge must be a [u, v] pair";
+  for (const JsonScalar* end : {&bad.u, &bad.w}) {
+    if (std::optional<std::string> error = int_error(*end, "edge endpoint")) return *error;
   }
-  while (true) {
-    in.skip_ws();
-    if (!edges.failed() && in.peek() == '[') {
-      scan_pair(in, edges);
-    } else {
-      if (!edges.failed()) edges.bad_pair();
-      in.skip_value();
-    }
-    in.skip_ws();
-    if (in.peek() != ',') break;
-    in.advance();
-  }
-  in.advance();  // ']'
+  return "edge endpoints must be >= 0";
 }
 
-DecodedGraph decode_raw_graph(std::string_view text, const ServerLimits& limits) {
-  SlotScanner in(text);
-  EdgeListDecoder edges(limits);
-  bool have_edges = false;
-  bool edges_is_array = false;
-  std::optional<Scalar> n;
-  in.skip_ws();
-  in.advance();  // '{'
-  in.skip_ws();
-  if (in.peek() != '}') {
-    while (true) {
-      in.skip_ws();
-      const std::string name = in.member_name();
-      in.skip_ws();
-      in.advance();  // ':'
-      in.skip_ws();
-      if (name == "edges") {
-        have_edges = true;
-        edges.reset();
-        edges_is_array = in.peek() == '[';
-        if (edges_is_array) {
-          scan_edges(in, edges);
-        } else {
-          in.skip_value();
-        }
-      } else if (name == "n") {
-        n = in.scalar();
-      } else {
-        in.skip_value();
-      }
-      in.skip_ws();
-      if (in.peek() != ',') break;
-      in.advance();
+/// decode_graph on what json_parse collected. Every edge json_parse kept
+/// passed the limit-free checks, so this replays the rest in decode_graph's
+/// precedence: "n" first, then edge by edge its endpoint < n, limit and
+/// self-loop checks, then the bad element, if any.
+DecodedGraph decode_slot(const GraphSlot& slot, const ServerLimits& limits) {
+  if (!slot.has_edges) bad_request("graph has no \"edges\" array");
+  if (!slot.edges_is_array) bad_request("\"edges\" must be an array");
+  int declared_n = -1;
+  if (slot.n) {
+    if (std::optional<std::string> error = int_error(*slot.n, "graph \"n\"")) {
+      bad_request(*error);
+    }
+    declared_n = static_cast<int>(slot.n->value);
+    if (declared_n < 0) bad_request("graph \"n\" must be >= 0");
+    if (declared_n > limits.max_graph_vertices) {
+      bad_request("graph too large: n=" + std::to_string(declared_n) + " exceeds limit " +
+                  std::to_string(limits.max_graph_vertices));
     }
   }
-  if (!have_edges) bad_request("graph has no \"edges\" array");
-  if (!edges_is_array) bad_request("\"edges\" must be an array");
-  return edges.finish(n);
+  graph::Vertex max_endpoint = -1;
+  for (const GraphSlot::Edge& e : slot.edges) {
+    const graph::Vertex hi = std::max(e.u, e.w);
+    if (declared_n >= 0 && hi >= declared_n) {
+      bad_request("edge endpoint " + std::to_string(hi) + " outside [0, n=" +
+                  std::to_string(declared_n) + ")");
+    }
+    if (hi >= limits.max_graph_vertices) {
+      bad_request("graph too large: endpoint " + std::to_string(hi) + " exceeds limit " +
+                  std::to_string(limits.max_graph_vertices));
+    }
+    if (e.u == e.w) bad_request("self-loop at vertex " + std::to_string(e.u));
+    max_endpoint = std::max(max_endpoint, hi);
+  }
+  if (slot.bad) bad_request(bad_edge_message(*slot.bad));
+  return build_csr(slot.edges, declared_n >= 0 ? declared_n : max_endpoint + 1);
 }
 
 }  // namespace
 
 DecodedGraph decode_graph_hashed(const JsonValue& v, const ServerLimits& limits) {
-  if (v.type() == JsonValue::Type::Raw) return decode_raw_graph(v.raw_text(), limits);
+  if (v.type() == JsonValue::Type::Raw) return decode_slot(v.graph_slot(), limits);
   if (v.type() != JsonValue::Type::Object) bad_request("graph must be an object");
   // An object built in memory rather than parsed from a graph slot. json_dump
   // keeps every scalar's JSON type (a Double always dumps with '.' or an
-  // exponent), so scanning the dump gives the outcome a walk of v would.
-  return decode_raw_graph(json_dump(v), limits);
+  // exponent), so collecting the dump gives the outcome a walk of v would.
+  return decode_slot(json_parse_graph(json_dump(v)).graph_slot(), limits);
 }
 
 graph::Graph decode_graph(const JsonValue& v, const ServerLimits& limits) {

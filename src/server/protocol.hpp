@@ -176,10 +176,12 @@ struct DecodedGraph {
 /// [u, v] pair, an endpoint not an int or out of int range, negative, at or
 /// beyond n, beyond the limit, a self-loop.
 ///
-/// A Raw value (json_parse's graph slots) is decoded in one streaming pass
-/// over its bytes into a flat edge array, then into the CSR by counting
-/// sort, with graph_hash folded into the build. An in-memory object (built
-/// by code, not parsed from a slot) is json_dump'ed and scanned the same way.
+/// A Raw value (json_parse's graph slots) is not read again: json_parse
+/// collected its "n" and its edges while validating it (GraphSlot), so
+/// this replays the limit, self-loop and "n" checks over the collected
+/// edges in the order above, builds the CSR by counting sort and folds
+/// graph_hash into the build. An in-memory object (built by code, not
+/// parsed from a slot) is json_dump'ed and collected by json_parse_graph.
 DecodedGraph decode_graph_hashed(const JsonValue& v, const ServerLimits& limits);
 
 /// decode_graph_hashed without the hash.

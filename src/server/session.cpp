@@ -233,10 +233,10 @@ std::string Session::do_put_graph(const JsonValue& root) {
   if (!graph) {
     throw ProtocolError(ErrorCode::BadRequest, "put_graph needs a \"graph\" object");
   }
-  graph::Graph g = decode_graph(*graph, core_.options().limits);
+  DecodedGraph decoded = decode_graph_hashed(*graph, core_.options().limits);
   api::GraphStore::PutResult put;
   try {
-    put = core_.store().put(std::move(g), session_id_, ns_);
+    put = core_.store().put_hashed(std::move(decoded.graph), decoded.hash, session_id_, ns_);
   } catch (const api::GraphStoreFull& e) {
     // Retryable once a client drops a graph — busy, not malformed.
     return encode_error(ErrorCode::ServerBusy, e.what());

@@ -24,6 +24,7 @@
 #include "graph/generators.hpp"
 #include "graph/hash.hpp"
 #include "graph/ops.hpp"
+#include "server/http.hpp"
 #include "server/net.hpp"
 #include "server/server.hpp"
 #include "server/session.hpp"
@@ -206,7 +207,8 @@ TEST(PinLeases, ReplicaInsertSweepsExpiredLeases) {
   api::GraphStore store(opts);
   (void)store.put(graph::gen::path(3), /*session=*/7);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(store.put_replica(graph::gen::cycle(4)).inserted);
+  const Graph c4 = graph::gen::cycle(4);
+  EXPECT_TRUE(store.put_replica(c4, graph::graph_hash(c4)).inserted);
   EXPECT_EQ(store.stats().lease_expiries, 1u);
   EXPECT_EQ(store.stats().size, 1u);
 }
@@ -617,6 +619,86 @@ TEST_F(RoutedClusterTest, MixedBatchBitIdenticalOnBothTransports) {
     total_forwards += static_cast<std::uint64_t>(count.as_int());
   }
   EXPECT_GE(total_forwards, 4u);  // 2 puts + at least 2 solve sub-batches
+  ::close(fd);
+}
+
+// Inline slots reach json_parse's canonical fast path or its general
+// element grammar depending on their spelling; routed or not, and on either
+// transport, every spelling must answer what a single server answers.
+TEST_F(RoutedClusterTest, InlineSpellingsAndFaultsMatchSingleServerOnBothTransports) {
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  const int http_fd = server::tcp_connect("127.0.0.1", router_srv_->http_port());
+  ASSERT_GE(http_fd, 0);
+  LineReader http_reader(http_fd);
+  Session ref(reference_->core());
+  const auto ref_http = [&](const std::string& body) {
+    server::HttpRequest request;
+    request.method = "POST";
+    request.target = "/v2/solve";
+    request.body = body;
+    const std::string response = server::handle_http_request(request, ref);
+    return response.substr(response.find("\r\n\r\n") + 4);
+  };
+
+  const std::string solve = R"({"op":"solve","solver":"theorem44","graphs":[)";
+  const std::string canonical = graph_json(graph::gen::grid(3, 4));
+  // No newline: it would end the line-protocol request.
+  const std::string spaced = "{ \"n\" : 9 , \"edges\" : [ [0, 1], [1,2] ,\t[2,3],\t[3, 8] ] }";
+  const std::string escaped =
+      R"({"\u006e":7,"meta":{"a":"]\""},"ed\u0067es":[[0,1],[1,2],[2,6]],"edges\u0000":5})";
+  for (const std::string& line :
+       {solve + canonical + "," + spaced + "," + escaped + "]}",
+        solve + escaped + "," + canonical + "," + spaced + "]}"}) {
+    // The pieces are views into these lines, so the lines must outlive them.
+    const std::string single = ref.handle_line(line);
+    const std::string routed = raw_line_exchange(fd, reader, line);
+    const std::string http = raw_http_exchange(http_fd, http_reader, "POST", "/v2/solve", line);
+    const auto single_pieces = split_raw_responses(single);
+    ASSERT_TRUE(single_pieces.has_value()) << single;
+    ASSERT_EQ(single_pieces->size(), 3u);
+    for (const std::string* answer : {&routed, &http}) {
+      const auto pieces = split_raw_responses(*answer);
+      ASSERT_TRUE(pieces.has_value()) << *answer;
+      EXPECT_EQ(*pieces, *single_pieces) << line;
+    }
+  }
+
+  // Two well-formed graphs owned by different workers, so the batches below
+  // split into two sub-batches.
+  const HashRing ring(peers_);
+  std::vector<std::string> owned(2);
+  for (int k = 3; k < 64 && (owned[0].empty() || owned[1].empty()); ++k) {
+    const Graph g = graph::gen::cycle(k);
+    std::string& slot = owned[ring.owner_index(graph::graph_hash(g))];
+    if (slot.empty()) slot = graph_json(g);
+  }
+  ASSERT_FALSE(owned[0].empty() || owned[1].empty());
+  const std::string a = owned[0];
+  const std::string b = owned[1];
+  const std::string b_broken = b.substr(0, b.size() - 1) + ",}";  // a syntax error
+  for (const std::string& line : {
+           // A decode fault next to slots owned by both workers.
+           solve + a + R"(,{"edges":[[0,0]]},)" + b + "]}",
+           solve + a + "," + b + R"(,{"edges":[[0,1],[1]]})" + "]}",
+           // Decode faults in both sub-batches: the first slot's is reported.
+           solve + a + R"(,{"n":2,"edges":[[0,5]]},)" + b + R"(,{"edges":[[1,1]]}]})",
+           // A decode fault, then a syntax error in the other sub-batch.
+           solve + a + R"(,{"edges":[[0,0]]},)" + b_broken + "]}",
+           solve + R"({"edges":[[0,"1"]]},)" + a + "," + b_broken + "]}",
+           // A syntax error, then a decode fault.
+           solve + b_broken + "," + a + R"(,{"edges":[[0,0]]}]})",
+           // A syntax error after "graphs", outside every slot.
+           solve + a + R"(,{"edges":[[2,2]]},)" + b + R"(],"options":{"t":}})",
+       }) {
+    const std::string single = ref.handle_line(line);
+    ASSERT_TRUE(single.starts_with(R"({"ok":false,"code":"bad_request")")) << single;
+    EXPECT_EQ(raw_line_exchange(fd, reader, line), single) << line;
+    EXPECT_EQ(raw_http_exchange(http_fd, http_reader, "POST", "/v2/solve", line), ref_http(line))
+        << line;
+  }
+  ::close(http_fd);
   ::close(fd);
 }
 

@@ -1,11 +1,14 @@
-// Edge-list decoder suite. decode_graph reads Raw graph slots in one
-// streaming pass and in-memory objects by scanning their json_dump; both
-// must agree with the DOM decoder they replaced (decode_graph_reference,
-// kept in tests/support) on every input: the same Graph and graph_hash, or
-// the same ProtocolError code and message. A table pins the edge cases; seeded byte
-// mutations of solve / put_graph / replicate_in lines then hold raw-slot
-// json_parse to an eager parse of the same bytes (same JsonError text,
-// offset included) and every slot to the oracle.
+// Edge-list decoder suite. json_parse collects Raw graph slots while it
+// validates them (a canonical [u,v] fast path, else the general element
+// grammar) and decode_graph builds from what it collected; in-memory
+// objects go through their json_dump. Both must agree with the DOM decoder
+// they replaced (decode_graph_reference, kept in tests/support) on every
+// input: the same Graph and graph_hash, or the same ProtocolError code and
+// message. Tables pin the edge cases and the fast path's boundaries; seeded
+// byte mutations of solve / put_graph / replicate_in lines then hold
+// raw-slot json_parse to an eager parse of the same bytes (same JsonError
+// text, offset included) and every slot to the oracle, and a syntax error
+// placed after a decode fault must win as it does in the eager parse.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include "graph/hash.hpp"
 #include "server/json.hpp"
 #include "server/protocol.hpp"
+#include "server/server.hpp"
 #include "support/decode_reference.hpp"
 
 namespace lmds::server {
@@ -179,6 +183,116 @@ TEST(DecodeGraph, AgreesWithTheOracleOnEveryEdgeCase) {
       {R"({"edges":[[0,1]],"junk":)" + nested(65) + "}", &wide},
       {R"({"edges":[[0,)" + nested(62) + "]]}", &wide},
       {R"({"edges":[[0,)" + nested(63) + "]]}", &wide},
+  };
+  for (const Case& c : cases) expect_agreement(c.text, *c.limits);
+}
+
+// json_parse collects an "edges" element through a tight loop when it is
+// the canonical [digits,digits] (1-9 digits, no sign, no whitespace) and
+// through the general element grammar otherwise; both must give the
+// oracle's outcome, on either side of every boundary between the two.
+TEST(DecodeGraph, FastPathBoundariesAgreeWithTheOracle) {
+  ServerLimits small;
+  small.max_graph_vertices = 10;
+  const ServerLimits wide;
+  struct Case {
+    std::string text;
+    const ServerLimits* limits;
+  };
+  const std::vector<Case> cases = {
+      // 9 digits take the fast path, 10 the general grammar.
+      {R"({"edges":[[0,999999999]]})", &wide},
+      {R"({"edges":[[999999999,0]]})", &wide},
+      {R"({"edges":[[0,1000000000]]})", &wide},
+      {R"({"edges":[[1000000000,0]]})", &wide},
+      {R"({"n":3,"edges":[[0,999999999]]})", &wide},
+      {R"({"n":3,"edges":[[1000000000,0]]})", &wide},
+      {R"({"edges":[[0,1],[999999999,999999999]]})", &wide},
+      // 2^31 - 1 is an int, 2^31 is not.
+      {R"({"edges":[[0,2147483647]]})", &wide},
+      {R"({"edges":[[2147483647,0]]})", &wide},
+      {R"({"edges":[[2147483647,2147483647]]})", &wide},
+      {R"({"edges":[[0,2147483648]]})", &wide},
+      {R"({"edges":[[2147483648,0]]})", &wide},
+      {R"({"n":2,"edges":[[0,2147483648]]})", &wide},
+      {R"({"n":2147483647,"edges":[]})", &wide},
+      {R"({"n":2147483648,"edges":[]})", &wide},
+      // Leading zeros, up to and past nine digits.
+      {R"({"edges":[[00,01],[0001,2]]})", &wide},
+      {R"({"edges":[[000000009,1]]})", &wide},
+      {R"({"edges":[[0000000009,1]]})", &wide},
+      {R"({"n":010,"edges":[[9,0]]})", &wide},
+      // Signs, fractions and exponents leave the fast path.
+      {R"({"edges":[[-0,1],[1,2]]})", &wide},
+      {R"({"edges":[[1,-0]]})", &wide},
+      {R"({"edges":[[-1,2]]})", &wide},
+      {R"({"edges":[[1,-2]]})", &wide},
+      {R"({"edges":[[1.0,2]]})", &wide},
+      {R"({"edges":[[1,2.0]]})", &wide},
+      {R"({"edges":[[1e0,2]]})", &wide},
+      {R"({"edges":[[1,2e0]]})", &wide},
+      {R"({"edges":[[1,2E+0]]})", &wide},
+      {R"({"edges":[[0,1],[1,2.5],[2,2]]})", &wide},
+      // Whitespace, CR and tab inside and between elements.
+      {R"({"edges":[ [0,1],[1,2]]})", &wide},
+      {R"({"edges":[[0,1] ,[1,2]]})", &wide},
+      {R"({"edges":[[0,1], [1,2]]})", &wide},
+      {"{\"edges\":[[0,1],\t[1,2]]}", &wide},
+      {R"({"edges":[[ 0,1]]})", &wide},
+      {R"({"edges":[[0 ,1]]})", &wide},
+      {R"({"edges":[[0, 1]]})", &wide},
+      {R"({"edges":[[0,1 ]]})", &wide},
+      {"{\"edges\":[[0,\r1],[1,\t2]]}", &wide},
+      {"{\"edges\":[[0,1]\r\n]}", &wide},
+      {"{\"edges\":[[0,1],[1,2]\t]}", &wide},
+      // Escaped "edges" and "n".
+      {R"({"\u0065dges":[[0,1],[1,2]]})", &wide},
+      {R"({"edges":[[0,1]],"\u0065dges":[[5,5]]})", &wide},
+      {R"({"\u0065dges":[[0,1]],"edges":[[1,2]],"\u006e":2})", &wide},
+      {R"({"ed\"ges":[[0,1]]})", &wide},
+      // Duplicate "edges": the last one, fast or not, is the graph.
+      {R"({"edges":[[0,1],[1,1]],"edges":[[1,2]]})", &wide},
+      {R"({"edges":[[1,2]],"edges":[[0, 1],[2,2]]})", &wide},
+      {R"({"edges":[[0,1],[1,2]],"edges":[]})", &wide},
+      {R"({"edges":[[0],[1,2]],"edges":[[1,2],[2,3]]})", &wide},
+      // "n" after "edges".
+      {R"({"edges":[[0,1],[1,2]],"n":2})", &wide},
+      {R"({"edges":[[0,1],[1,2]],"n":5,"n":3})", &wide},
+      {R"({"edges":[[0,1],[1,2]],"n":"3"})", &wide},
+      // A canonical prefix, then one element that is not canonical.
+      {R"({"edges":[[0,1],[1,2],[2, 3]]})", &wide},
+      {R"({"edges":[[0,1],[1,2],[2,3.5]]})", &wide},
+      {R"({"edges":[[0,1],[1,2],[2]]})", &wide},
+      {R"({"edges":[[0,1],[1,2],"x",[3,3]]})", &wide},
+      {R"({"edges":[[0,1],[1,2],[2,3],[3,-4]]})", &wide},
+      {R"({"edges":[[0,1],[1,2],[2,1000000000]]})", &wide},
+      {R"({"edges":[[0,1],[1,2],[2,3,4]]})", &wide},
+      {R"({"edges":[[0, 1],[1,2],[2,3]]})", &wide},
+      // Empty "edges".
+      {R"({"edges":[ ]})", &wide},
+      {"{\"edges\":[\r\n\t]}", &wide},
+      {R"({"n":3,"edges":[]})", &wide},
+      // Endpoints at max_graph_vertices - 1 and at the limit.
+      {R"({"edges":[[9,0]]})", &small},
+      {R"({"edges":[[0,9],[9,10]]})", &small},
+      {R"({"edges":[[10,0]]})", &small},
+      {R"({"edges":[[10,10]]})", &small},
+      {R"({"n":10,"edges":[[9,8]]})", &small},
+      {R"({"edges":[[0,9]],"n":9})", &small},
+      {R"({"edges":[[0, 10]]})", &small},
+      // Syntax errors next to canonical elements: the grammar's error.
+      {R"({"edges":[[0,1],[1,2]})", &wide},
+      {R"({"edges":[[0,1],[1,2],]})", &wide},
+      {R"({"edges":[[0,1][1,2]]})", &wide},
+      {R"({"edges":[[0,1,],[1,2]]})", &wide},
+      {R"({"edges":[[0,1],[1,2]])", &wide},
+      {R"({"edges":[[0,1],[1,2)", &wide},
+      {R"({"edges":[[0,1],[1,2]]}x)", &wide},
+      {R"({"edges":[[01a,2]]})", &wide},
+      {R"({"edges":[[0,+1]]})", &wide},
+      {R"({"edges":[[0,-]]})", &wide},
+      {R"({"edges":[[0,1]x]})", &wide},
+      {R"({"edges":[[0,1],[0,1)", &wide},
   };
   for (const Case& c : cases) expect_agreement(c.text, *c.limits);
 }
@@ -357,6 +471,123 @@ TEST(DecodeGraph, SeededMutationsAgreeWithEagerParseAndOracle) {
     }
   }
   EXPECT_GT(both_parsed, 200);  // the mutations must not only break the syntax
+}
+
+// A JSON syntax error anywhere in a line wins over a decode fault that
+// comes before it: json_parse raises no decode error while it collects a
+// slot, so decode faults surface only once the whole line has parsed.
+TEST(DecodeGraph, SyntaxErrorAfterADecodeFaultWins) {
+  struct Case {
+    std::string before;  ///< up to and including the decode fault
+    std::string bad;     ///< the rest of the line, with a syntax error
+    std::string good;    ///< the rest of the line, well-formed
+  };
+  const std::string solve = R"({"op":"solve","solver":"greedy","graphs":[)";
+  const std::vector<Case> cases = {
+      // The same slot.
+      {solve + R"({"edges":[[0,0]])", R"(,"n":}]})", R"(,"n":2}]})"},
+      {solve + R"({"edges":[[0],[1,2])", R"(x]}]})", R"(]}]})"},
+      {solve + R"({"n":-1,"edges":[[0,1])", R"(],"x":[1,}]})", R"(],"x":[1]}]})"},
+      // A later slot.
+      {solve + R"({"edges":[[0,0]]})", R"(,{"edges":[[0,1]x}]})", R"(,{"edges":[[0,1]]}]})"},
+      {solve + R"({"edges":[["a",1]]})", R"(,"g0000000000000001",{"edges":[[0,1],]}]})",
+       R"(,"g0000000000000001",{"edges":[[0,1]]}]})"},
+      // A member after "graphs" that is not a slot.
+      {solve + R"({"edges":[[0,0]]}])", R"(,"options":{"t":}})", R"(,"options":{"t":3}})"},
+      {solve + R"({"edges":5}])", R"(,"measure_ratio":tru})", R"(,"measure_ratio":true})"},
+      {R"({"op":"put_graph","graph":{"edges":[[0,1.5]]})", R"(,"x":[}})", R"(,"x":[]})"},
+  };
+  Server server{ServerOptions{}};
+  for (const Case& c : cases) {
+    const std::string good = c.before + c.good;
+    const std::string bad = c.before + c.bad;
+    // Well-formed, the line answers its decode fault.
+    const std::string fault = server.handle_line(good);
+    EXPECT_TRUE(fault.starts_with(R"({"ok":false,"code":"bad_request")")) << good << " -> " << fault;
+    EXPECT_EQ(fault.find("invalid JSON"), std::string::npos) << good << " -> " << fault;
+    // With the later syntax error, the line answers the eager parse's error.
+    std::string eager_error;
+    try {
+      (void)json_parse(renamed(bad));
+    } catch (const JsonError& e) {
+      eager_error = e.what();
+    }
+    ASSERT_FALSE(eager_error.empty()) << bad;
+    EXPECT_THROW((void)json_parse(bad), JsonError) << bad;
+    EXPECT_EQ(server.handle_line(bad),
+              encode_error(ErrorCode::BadRequest, "invalid JSON: " + eager_error))
+        << bad;
+  }
+}
+
+/// `line` with 1-3 seeded byte edits, all at or after byte `from`.
+std::string mutate_after(const std::string& line, std::size_t from, std::mt19937_64& rng) {
+  return line.substr(0, from) + mutate(line.substr(from), rng);
+}
+
+TEST(DecodeGraph, SeededSyntaxErrorsAfterADecodeFaultAgree) {
+  ServerLimits limits;
+  limits.max_graph_vertices = 64;
+  // Each base holds a decode fault; mutations land only after it — in the
+  // same slot, a later slot or a later non-slot member.
+  struct Base {
+    std::string line;
+    std::string fault;  ///< the faulty element; mutations start after it
+  };
+  const std::string later = R"(,"g0000000000000001",{"edges":[[0,1],[2,1]],"n":4}])";
+  const std::vector<Base> bases = {
+      {R"({"op":"solve","solver":"greedy","graphs":[{"edges":[[0,1],[1,1],[2,3]],"n":5})" + later +
+           R"(,"options":{"k":[1,2,{"a":"b"}]},"measure_ratio":false})",
+       "[1,1]"},
+      {R"({"op":"solve","solver":"greedy","graphs":[{"n":4,"edges":[[0,"1"],[1,2]]})" + later +
+           R"(,"batch":{"threads":1}})",
+       R"([0,"1"])"},
+      {R"({"op":"solve","solver":"greedy","graphs":[{"edges":[[0,1],[1,99]]})" + later + "}",
+       "[1,99]"},
+      {R"({"op":"put_graph","graph":{"edges":[[0,1],[2]],"meta":{"a":[1,2]}},"ns":"x"})", "[2]"},
+  };
+  std::mt19937_64 rng(0xfa17);
+  int both_parsed = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const Base& base = bases[static_cast<std::size_t>(iter) % bases.size()];
+    const std::size_t from = base.line.find(base.fault) + base.fault.size();
+    const std::string line = mutate_after(base.line, from, rng);
+    std::string raw_error;
+    std::string eager_error;
+    JsonValue raw;
+    JsonValue eager;
+    try {
+      raw = json_parse(line);
+    } catch (const JsonError& e) {
+      raw_error = e.what();
+    }
+    try {
+      eager = json_parse(renamed(line));
+    } catch (const JsonError& e) {
+      eager_error = e.what();
+    }
+    ASSERT_EQ(raw_error, eager_error) << line;
+    if (!raw_error.empty()) continue;
+    if (line.find(quoted("grapz")) != std::string::npos ||
+        line.find(quoted("graphz")) != std::string::npos) {
+      continue;
+    }
+    ++both_parsed;
+    for (const auto& [key, alias] : kAliases) {
+      const JsonValue* slot = raw.find(key);
+      const JsonValue* dom = eager.find(alias);
+      if (!slot || !dom) continue;
+      if (key == "graph") {
+        expect_slot_agreement(*slot, *dom, limits, line);
+      } else if (slot->type() == JsonValue::Type::Array) {
+        ASSERT_EQ(slot->as_array().size(), dom->as_array().size()) << line;
+        for (std::size_t i = 0; i < slot->as_array().size(); ++i) {
+          expect_slot_agreement(slot->as_array()[i], dom->as_array()[i], limits, line);
+        }
+      }
+    }
+  }
+  EXPECT_GT(both_parsed, 100);
 }
 
 }  // namespace
