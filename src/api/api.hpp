@@ -12,6 +12,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -102,6 +103,8 @@ struct ParamSpec {
   ParamValue::Type type() const { return default_value.type(); }
 };
 
+struct SolveContext;  // registry.hpp
+
 /// Static description of a registered solver.
 struct SolverSpec {
   std::string name;     ///< registry key, e.g. "algorithm1"
@@ -110,25 +113,21 @@ struct SolverSpec {
   std::string summary;  ///< one line for --help / docs
   std::vector<ParamSpec> params;
   /// LOCAL decomposability radius: if >= 0, a vertex's membership in the
-  /// solution is a pure function of its radius-`locality_radius` ball as an
-  /// *induced labelled subgraph* — vertex ids may be compared for order
-  /// (tie-breaks) but never used as values, so any order-preserving
-  /// relabelling of the ball yields the same decision. This is the license
-  /// for the executor's ball-granular incremental re-solve after an edge
-  /// patch: only vertices whose ball touches an edited edge can change.
-  /// -1 = not decomposable (global coordination, diagnostics or optimality),
-  /// and patched graphs fall back to a full re-solve.
+  /// solution is a function of its radius-`locality_radius` ball alone (the
+  /// subgraph it induces, vertex ids included). This is the license for the
+  /// executor's incremental re-solve after an edge patch: only vertices
+  /// whose ball touches an edited edge can change. -1 = not decomposable
+  /// (global coordination, diagnostics or optimality), and patched graphs
+  /// fall back to a full re-solve.
   int locality_radius = -1;
-  /// The per-vertex rule of a solver whose answer is one independent
-  /// decision per vertex; nullptr for every other solver. Contract: the
-  /// solver's answer on g is exactly the ascending {v : rule(g, v)}, and
-  /// rule(g, v) reads only ball(v, locality_radius), using vertex ids for
-  /// order only (so a rule requires locality_radius >= 0; Registry::add
-  /// enforces it). It is called concurrently and must not keep state. The
-  /// executor's incremental re-solve runs it at the dirty vertices of the
-  /// patched graph itself: no support subgraph, no sub-solve memo.
-  using VertexRule = bool (*)(const Graph& g, Vertex v);
-  VertexRule rule = nullptr;
+  /// Set iff locality_radius >= 0 (Registry::add enforces both ways):
+  /// decide(ctx, targets) returns the ascending members of the sorted,
+  /// distinct `targets` in the solver's answer on ctx.graph, reading only
+  /// ball(targets, locality_radius), the same for any ctx.intra_threads.
+  /// Called concurrently; keeps no state. The executor's incremental
+  /// re-solve calls it once, with the dirty vertices of the patched graph.
+  std::vector<Vertex> (*decide)(const SolveContext& ctx, std::span<const Vertex> targets) =
+      nullptr;
 
   bool supports(Mode m) const;
   /// Default of a declared parameter; throws std::invalid_argument if the

@@ -29,20 +29,16 @@ const ParamValue& param(const SolveContext& ctx, std::string_view name) {
   return it->second;
 }
 
-// KSV's threshold range: within it the cap k + 1 cannot overflow int. A
-// value outside is the request's fault: RequestError (bad_request), checked
-// when the solve runs, so it is never cached. Algorithm 1's ranges live with
-// its config (Algorithm1Config::check), mapped to RequestError the same way.
-constexpr int kMaxKsvThreshold = 1 << 20;  // k >= 0
-
-int int_in_range(const SolveContext& ctx, std::string_view name, int lo, int hi) {
-  const int value = param(ctx, name).as_int();
-  if (value < lo || value > hi) {
-    throw RequestError("parameter '" + std::string(name) + "' must be in [" +
-                       std::to_string(lo) + ", " + std::to_string(hi) + "], got " +
-                       std::to_string(value));
+// KSV's threshold k, in [0, 2^20] so that the cap k + 1 cannot overflow
+// int. A value outside is the request's fault: RequestError (bad_request),
+// checked when the solve runs, so it is never cached. Algorithm 1's ranges
+// live with its config (Algorithm1Config::check), mapped the same way.
+int ksv_threshold(const SolveContext& ctx) {
+  const int k = param(ctx, "k").as_int();
+  if (k < 0 || k > (1 << 20)) {
+    throw RequestError("parameter 'k' must be in [0, 1048576], got " + std::to_string(k));
   }
-  return value;
+  return k;
 }
 
 core::Algorithm1Config algorithm1_config(const SolveContext& ctx) {
@@ -166,7 +162,7 @@ void register_builtin_solvers(Registry& reg) {
            // v joins unless a neighbour true-twins or strictly contains it;
            // both tests read N[u] for u in N[v], i.e. ball(v, 2).
            .locality_radius = 2,
-           .rule = core::theorem44_mds_joins},
+           .decide = decide_each<core::theorem44_mds_joins>},
           [](const SolveContext& ctx) {
             auto result =
                 ctx.local
@@ -183,7 +179,7 @@ void register_builtin_solvers(Registry& reg) {
            // deg(v) >= 2 joins; an isolated edge elects its smaller endpoint,
            // which needs the neighbour's degree — ball(v, 2).
            .locality_radius = 2,
-           .rule = core::theorem44_mvc_joins},
+           .decide = decide_each<core::theorem44_mvc_joins>},
           [](const SolveContext& ctx) {
             auto result =
                 ctx.local
@@ -222,12 +218,14 @@ void register_builtin_solvers(Registry& reg) {
            .params = {{"k", 3, "domination threshold (k = 2*grad+1 in [18])"}},
            // gamma(y) reads ball(y, 2); v's "dominated" flag needs gamma of
            // ball(v, 3), so its nomination is f(ball(v, 5)); membership of b
-           // needs the nominations of N[b] — ball(b, 6). The greedy-fixup
-           // tie-break compares candidate ids for order only.
-           .locality_radius = 6},
+           // needs the nominations of N[b] — ball(b, 6).
+           .locality_radius = 6,
+           .decide =
+               [](const SolveContext& ctx, std::span<const Vertex> targets) {
+                 return core::ksv(ctx.graph, ksv_threshold(ctx), targets, ctx.intra_threads);
+               }},
           [](const SolveContext& ctx) {
-            const int k = int_in_range(ctx, "k", 0, kMaxKsvThreshold);
-            return plain(core::ksv_style(ctx.graph, k, ctx.intra_threads), 4);
+            return plain(core::ksv_style(ctx.graph, ksv_threshold(ctx), ctx.intra_threads), 4);
           });
 
   reg.add({.name = "take-all",
@@ -236,7 +234,7 @@ void register_builtin_solvers(Registry& reg) {
            .summary = "all vertices: 0 rounds, t-approx on K_{1,t}-minor-free graphs",
            .params = {},
            .locality_radius = 0,
-           .rule = core::take_all_joins},
+           .decide = decide_each<core::take_all_joins>},
           [](const SolveContext& ctx) { return plain(core::take_all(ctx.graph), 0); });
 
   reg.add({.name = "tree-rule",
@@ -247,7 +245,7 @@ void register_builtin_solvers(Registry& reg) {
            // Same shape as theorem44-mvc's rule: the pendant fixup reads the
            // neighbour's degree — ball(v, 2).
            .locality_radius = 2,
-           .rule = core::tree_degree_rule_joins},
+           .decide = decide_each<core::tree_degree_rule_joins>},
           [](const SolveContext& ctx) {
             return plain(core::tree_degree_rule(ctx.graph, ctx.intra_threads), 2);
           });

@@ -10,7 +10,6 @@
 #include "common/parallel.hpp"
 #include "graph/bfs.hpp"
 #include "graph/hash.hpp"
-#include "graph/ops.hpp"
 #include "solve/validate.hpp"
 
 namespace lmds::api {
@@ -148,8 +147,7 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
   // Incremental eligibility, per batch: the splice base is the parent's
   // *cached* response, so the cache must be live; traffic/ratio are global
   // measurements a per-vertex splice cannot patch, so they force a full run.
-  const SolverSpec* spec = registry_.find(solver);
-  const int locality = spec ? spec->locality_radius : -1;
+  const SolverSpec& spec = registry_.at(solver);
   const bool lineage_ok =
       !lineages.empty() && use_cache && !req.measure_traffic && !req.measure_ratio;
   if (count > 0) {
@@ -205,95 +203,49 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
     // (in parent AND child — a deleted edge can shorten paths only in the
     // parent, an added one only in the child) has the exact same induced
     // radius-r ball in both graphs, so its parent decision stands verbatim.
-    // Every other ("dirty") vertex is re-decided. A solver with a per-vertex
-    // rule (SolverSpec::rule) runs it on the child at each dirty vertex: the
-    // rule is the full solve's own decision. Any other solver runs on
-    // H = child[ball(dirty, r)]: for dirty v, ball_H(v, r) == ball_child(v, r)
-    // (all shortest paths stay inside the support), induced_subgraph
-    // relabels order-preservingly, and the contract allows ids to be used for
-    // order only — so running the solver on H and lifting yields the vertex's
-    // exact full-solve decision. Every set is a sorted vertex list, so the
-    // splice is a merge of the parent's clean picks with the dirty ones;
-    // `scratch` is the calling worker's. nullopt = fall back to a full
-    // re-solve (results identical either way).
+    // One SolverSpec::decide call on the child re-decides every other
+    // ("dirty") vertex, and the splice merges the sorted lists of clean and
+    // dirty picks. `scratch` is the calling worker's. nullopt = fall back to
+    // a full re-solve (results identical either way).
     auto incremental_solve = [&](const Graph& g, const PatchLineage& lin,
                                  graph::BfsScratch& scratch) -> std::optional<Response> {
       const CacheKey parent_key{lin.parent_hash, std::string(solver), options_key,
                                 over.cache_namespace};
       const std::shared_ptr<const CachedResponse> parent = cache_.lookup(parent_key);
       if (!parent) return std::nullopt;
-      const auto pn = static_cast<graph::Vertex>(lin.parent->num_vertices());
-      const auto cn = static_cast<graph::Vertex>(g.num_vertices());
+      const graph::Vertex pn = lin.parent->num_vertices();
 
-      std::vector<graph::Vertex> child_eps;
+      // dirty = ball_child(eps, r) ∪ ball_parent(eps, r) ∪ the new vertices,
+      // for the edited endpoints eps. Added edges may name new vertices,
+      // which the parent lacks.
+      std::vector<graph::Vertex> eps;
       for (const auto* edits : {&lin.added, &lin.removed}) {
-        for (const graph::Edge& e : *edits) {
-          child_eps.push_back(e.u);
-          child_eps.push_back(e.v);
-        }
+        for (const graph::Edge& e : *edits) eps.insert(eps.end(), {e.u, e.v});
       }
-      std::sort(child_eps.begin(), child_eps.end());
-      child_eps.erase(std::unique(child_eps.begin(), child_eps.end()), child_eps.end());
-      // Added edges may name new vertices, which the parent lacks.
-      const std::span<const graph::Vertex> parent_eps(
-          child_eps.begin(), std::lower_bound(child_eps.begin(), child_eps.end(), pn));
-
-      // dirty = ball_parent(eps, r) ∪ ball_child(eps, r) ∪ the new vertices.
-      std::vector<graph::Vertex> parent_ball;
-      std::vector<graph::Vertex> child_ball;
-      graph::ball_of_set_into(*lin.parent, parent_eps, locality, scratch, parent_ball);
-      graph::ball_of_set_into(g, child_eps, locality, scratch, child_ball);
-      std::vector<graph::Vertex> dirty;
-      std::set_union(parent_ball.begin(), parent_ball.end(), child_ball.begin(), child_ball.end(),
-                     std::back_inserter(dirty));
-      dirty.erase(std::lower_bound(dirty.begin(), dirty.end(), pn), dirty.end());
-      for (graph::Vertex v = pn; v < cn; ++v) dirty.push_back(v);
+      graph::mark_ball(g, eps, spec.locality_radius, scratch);
+      std::vector<graph::Vertex> dirty(scratch.visited().begin(), scratch.visited().end());
+      std::erase_if(eps, [&](graph::Vertex v) { return v >= pn; });
+      graph::mark_ball(*lin.parent, eps, spec.locality_radius, scratch);
+      dirty.insert(dirty.end(), scratch.visited().begin(), scratch.visited().end());
+      for (graph::Vertex v = pn; v < g.num_vertices(); ++v) dirty.push_back(v);
+      std::sort(dirty.begin(), dirty.end());
+      dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 
       const Response& base = parent->response;
       std::vector<graph::Vertex> clean;
       std::set_difference(base.solution.begin(), base.solution.end(), dirty.begin(), dirty.end(),
                           std::back_inserter(clean));
-      std::vector<graph::Vertex> fresh;
-      if (spec->rule) {
-        for (graph::Vertex v : dirty) {
-          if (spec->rule(g, v)) fresh.push_back(v);
-        }
-      } else if (!dirty.empty()) {
-        std::vector<graph::Vertex> support_ball;
-        graph::ball_of_set_into(g, dirty, locality, scratch, support_ball);
-        const graph::Subgraph support = graph::induced_subgraph(g, support_ball);
-        // Memoized under the ball-signature sub-key: content hash of the
-        // support subgraph + a "|ball=r<r>" marker no canonical_options()
-        // string can collide with (its fields escape '|'). Identical dirty
-        // regions — e.g. the same edit replayed elsewhere in the graph —
-        // share the entry, so sub-solves survive edits outside their ball.
-        const CacheKey sub_key{graph::graph_hash(support.graph), std::string(solver),
-                               options_key + "|ball=r" + std::to_string(locality),
-                               over.cache_namespace};
-        std::shared_ptr<const CachedResponse> sub = cache_.lookup(sub_key);
-        if (!sub) {
-          Response solved = registry_.run_resolved(solver, support.graph, resolved, false,
-                                                   false, intra_threads);
-          cache_.insert(sub_key, solved);
-          sub = std::make_shared<const CachedResponse>(std::move(solved));
-        }
-        // The lift is monotone (to_parent is sorted), so it stays sorted.
-        const std::vector<graph::Vertex> lifted = support.lift(sub->response.solution);
-        std::set_intersection(lifted.begin(), lifted.end(), dirty.begin(), dirty.end(),
-                              std::back_inserter(fresh));
-      }
+      const std::vector<graph::Vertex> fresh =
+          spec.decide(SolveContext{g, resolved, false, intra_threads}, dirty);
       std::vector<graph::Vertex> solution;
       solution.reserve(clean.size() + fresh.size());
       std::merge(clean.begin(), clean.end(), fresh.begin(), fresh.end(),
                  std::back_inserter(solution));
       // An invalid parent answer may hide its fault anywhere: check it all.
-      bool valid = false;
-      if (base.valid) {
-        valid = valid_around(g, spec->problem, solution, dirty, scratch);
-      } else {
-        valid = spec->problem == Problem::Mvc ? solve::is_vertex_cover(g, solution)
-                                              : solve::is_dominating_set(g, solution);
-      }
+      const bool valid =
+          base.valid ? valid_around(g, spec.problem, solution, dirty, scratch)
+                     : (spec.problem == Problem::Mvc ? solve::is_vertex_cover(g, solution)
+                                                     : solve::is_dominating_set(g, solution));
       incr_dirty.fetch_add(dirty.size(), std::memory_order_relaxed);
       // solver/problem/diag carry over: every decomposable solver's
       // diagnostics are solution-independent constants (its round count),
@@ -321,7 +273,7 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
       if (const PatchLineage* lin =
               lineage_ok && i < lineages.size() ? lineages[i].get() : nullptr) {
         if (std::optional<Response> spliced =
-                locality >= 0 ? incremental_solve(g, *lin, scratch) : std::nullopt) {
+                spec.decide ? incremental_solve(g, *lin, scratch) : std::nullopt) {
           incr_solves.fetch_add(1, std::memory_order_relaxed);
           misses.fetch_add(1, std::memory_order_relaxed);
           if (cache_.insert(key, *spliced)) {

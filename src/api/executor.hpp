@@ -93,9 +93,9 @@ struct BatchDiagnostics {
   std::uint64_t cache_evictions = 0;
   // Ball-granular incremental re-solve (patched-graph batches only; see the
   // `lineages` span of run_batch). These count whole responses / vertices,
-  // not cache accesses: an incremental solve's parent and sub-solve lookups
-  // hit the executor's lifetime CacheStats but not cache_hits above, which
-  // stays "top-level key accesses" so existing dashboards keep their meaning.
+  // not cache accesses: an incremental solve's parent lookup hits the
+  // executor's lifetime CacheStats but not cache_hits above, which stays
+  // "top-level key accesses"; its own insert counts one miss in both.
   std::uint64_t incremental_solves = 0;     ///< responses spliced from a parent's cached response
   std::uint64_t incremental_fallbacks = 0;  ///< lineage present but a full re-solve was taken
   std::uint64_t incremental_dirty = 0;      ///< vertices re-decided across incremental solves
@@ -152,16 +152,14 @@ class BatchExecutor {
   /// GraphStore::PatchLineage (nullptr for non-derived graphs). On a cache
   /// miss for a derived graph whose solver declares a locality_radius, the
   /// executor answers incrementally: it BFS-bounds the set of vertices whose
-  /// radius-r ball touches an edited edge, re-decides only those — through
-  /// the solver's per-vertex rule (SolverSpec::rule) on the graph itself, or,
-  /// for a solver without one, by re-running it on the induced support
-  /// subgraph (memoized under a ball-signature cache sub-key, so the entry
-  /// survives edits outside its ball) — and splices those decisions into the
-  /// parent's cached response. Validity is re-checked on N[dirty] when the
-  /// parent's answer was valid, on the whole graph otherwise. Falls back to a full
-  /// re-solve — bit-identical results either way — when the parent response
-  /// is not cached, the solver is not decomposable, the cache is
-  /// bypassed/disabled, or the request measures traffic or ratio.
+  /// radius-r ball touches an edited edge, re-decides only those with one
+  /// SolverSpec::decide call on the patched graph, and splices those
+  /// decisions into the parent's cached response. Validity is re-checked on
+  /// N[dirty] when the parent's answer was valid, on the whole graph
+  /// otherwise. Falls back to a full re-solve — bit-identical results either
+  /// way — when the parent response is not cached, the solver is not
+  /// decomposable, the cache is bypassed/disabled, or the request measures
+  /// traffic or ratio.
   std::vector<Response> run_batch(std::string_view solver,
                                   std::span<const Graph* const> graphs, const Request& req,
                                   const BatchOverrides& over,

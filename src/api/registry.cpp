@@ -111,8 +111,9 @@ Registry& Registry::instance() {
 void Registry::add(SolverSpec spec, SolveFn fn) {
   if (spec.name.empty()) throw std::invalid_argument("solver name must be non-empty");
   if (!fn) throw std::invalid_argument("solver '" + spec.name + "' has no solve function");
-  if (spec.rule && spec.locality_radius < 0) {
-    throw std::invalid_argument("solver '" + spec.name + "' has a rule but no locality_radius");
+  if ((spec.locality_radius >= 0) != (spec.decide != nullptr)) {
+    throw std::invalid_argument("solver '" + spec.name +
+                                "' needs a decide exactly when its locality_radius is >= 0");
   }
   const auto pos = std::lower_bound(
       entries_.begin(), entries_.end(), spec.name,

@@ -14,7 +14,9 @@
 // uncached — the reference the parallel BatchExecutor (executor.hpp) is
 // tested against. Sharded, cached batches go through a BatchExecutor.
 
+#include <algorithm>
 #include <functional>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -49,13 +51,25 @@ struct SolverOutput {
 /// Adapter from the uniform surface to one concrete algorithm.
 using SolveFn = std::function<SolverOutput(const SolveContext&)>;
 
+/// SolverSpec::decide of a solver whose answer is one independent decision
+/// per vertex, Joins(g, v): the targets it admits, in order. A decision
+/// costs about one neighbourhood scan, so it runs on the calling thread.
+template <bool (*Joins)(const Graph&, Vertex)>
+std::vector<Vertex> decide_each(const SolveContext& ctx, std::span<const Vertex> targets) {
+  std::vector<Vertex> picked;
+  std::copy_if(targets.begin(), targets.end(), std::back_inserter(picked),
+               [&](Vertex v) { return Joins(ctx.graph, v); });
+  return picked;
+}
+
 class Registry {
  public:
   /// The process-wide registry with every built-in solver registered.
   static Registry& instance();
 
   /// Registers a solver. Throws std::invalid_argument on an empty or
-  /// duplicate name, or a rule without a locality_radius.
+  /// duplicate name, a locality_radius >= 0 without a decide, or a decide
+  /// without one.
   void add(SolverSpec spec, SolveFn fn);
 
   /// Spec lookup; nullptr when `name` is not registered.

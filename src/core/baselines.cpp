@@ -1,6 +1,8 @@
 #include "core/baselines.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
@@ -37,6 +39,7 @@ std::vector<Vertex> tree_degree_rule(const Graph& g, int threads) {
 
 int GammaWorkspace::gamma(const Graph& g, Vertex v, int cap) {
   if (!g.has_vertex(v)) throw std::invalid_argument("gamma: vertex out of range");
+  if (cap == std::numeric_limits<int>::max()) throw std::invalid_argument("gamma: cap is INT_MAX");
   // Every cover has >= 1 member (v needs a neighbour) and all of N(v) is
   // one, so only sizes 1..min(cap, deg v) need a search; an isolated vertex
   // has none and answers cap + 1.
@@ -183,20 +186,36 @@ int gamma(const Graph& g, Vertex v, int cap) {
   return workspace.gamma(g, v, cap);
 }
 
-std::vector<Vertex> ksv_style(const Graph& g, int k, int threads) {
+std::vector<Vertex> ksv(const Graph& g, int k, std::span<const Vertex> targets, int threads) {
+  // One BFS lists the vertices in level order, so those within distance d of
+  // the targets are a prefix of its visit list. Each pass writes its own
+  // slots over the prefix the next one reads: membership of a target reads
+  // the nominations of N[target] (level <= 1), a nomination reads
+  // "dominated" two hops out (<= 3), and "dominated" reads X one hop further
+  // (<= 4). The gamma searches are nearly all of the work.
+  graph::BfsScratch ball;
+  graph::mark_ball(g, targets, 4, ball);
+  const std::vector<Vertex>& order = ball.visited();
+  const auto within = [&](int d) {
+    return static_cast<int>(std::partition_point(order.begin(), order.end(),
+                                                 [&](Vertex v) { return ball.dist(v) <= d; }) -
+                            order.begin());
+  };
   const int n = g.num_vertices();
-  // Four passes over the vertices, each writing only its own slots: X, the
-  // vertices X dominates, the nominations, and the answer collected in id
-  // order. The gamma searches are nearly all of the work.
+
   std::vector<char> in_x(at(n), 0);
-  common::parallel_for(n, threads, [&](int begin, int end) {
+  common::parallel_for(within(4), threads, [&](int begin, int end) {
     GammaWorkspace workspace;
-    for (Vertex v = begin; v < end; ++v) in_x[at(v)] = workspace.gamma(g, v, k) > k ? 1 : 0;
+    for (int i = begin; i < end; ++i) {
+      const Vertex v = order[at(i)];
+      in_x[at(v)] = workspace.gamma(g, v, k) > k ? 1 : 0;
+    }
   });
 
   std::vector<char> dominated(at(n), 0);
-  common::parallel_for(n, threads, [&](int begin, int end) {
-    for (Vertex v = begin; v < end; ++v) {
+  common::parallel_for(within(3), threads, [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      const Vertex v = order[at(i)];
       const auto nb = g.neighbors(v);
       dominated[at(v)] =
           in_x[at(v)] || std::any_of(nb.begin(), nb.end(), [&](Vertex w) { return in_x[at(w)]; });
@@ -207,8 +226,9 @@ std::vector<Vertex> ksv_style(const Graph& g, int k, int threads) {
   // closed neighbourhood covering the most undominated vertices (ties to the
   // smaller id) — one more round in the model.
   std::vector<Vertex> nominee(at(n), graph::kNoVertex);
-  common::parallel_for(n, threads, [&](int begin, int end) {
-    for (Vertex v = begin; v < end; ++v) {
+  common::parallel_for(within(1), threads, [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      const Vertex v = order[at(i)];
       if (dominated[at(v)]) continue;
       Vertex best = v;
       int best_cover = -1;
@@ -229,11 +249,20 @@ std::vector<Vertex> ksv_style(const Graph& g, int k, int threads) {
   });
 
   // b joins if it is in X or some member of N[b] nominated it.
-  return common::parallel_select(n, threads, [&](Vertex b) {
+  std::vector<Vertex> members = common::parallel_select(within(0), threads, [&](int i) {
+    const Vertex b = order[at(i)];
     const auto nb = g.neighbors(b);
     return in_x[at(b)] || nominee[at(b)] == b ||
            std::any_of(nb.begin(), nb.end(), [&](Vertex v) { return nominee[at(v)] == b; });
   });
+  for (Vertex& b : members) b = order[at(b)];
+  return members;
+}
+
+std::vector<Vertex> ksv_style(const Graph& g, int k, int threads) {
+  std::vector<Vertex> all(at(g.num_vertices()));
+  std::iota(all.begin(), all.end(), 0);
+  return ksv(g, k, all, threads);
 }
 
 }  // namespace lmds::core

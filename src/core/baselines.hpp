@@ -6,7 +6,7 @@
 //  * tree_degree_rule    — 2 rounds, 3-approx on trees (footnote 3: all
 //                          vertices of degree >= 2, with small-component
 //                          fixups);
-//  * ksv_style           — an O(1)-round adaptation of Kublenz–Siebertz–
+//  * ksv                 — an O(1)-round adaptation of Kublenz–Siebertz–
 //                          Vigny [18] for classes of bounded expansion:
 //                          take every vertex whose closed neighbourhood
 //                          cannot be dominated by <= k other vertices, then
@@ -14,6 +14,7 @@
 //                          K_t / K_{s,t} rows of Table 1 (see
 //                          docs/REPRODUCTION.md, note 6).
 
+#include <span>
 #include <vector>
 
 #include "graph/bfs.hpp"
@@ -26,7 +27,7 @@ using graph::Graph;
 using graph::Vertex;
 
 /// The take-all rule at one vertex: always true (the registry's `take-all`
-/// rule, api::SolverSpec::rule).
+/// decide, through api::decide_each).
 bool take_all_joins(const Graph& g, Vertex v);
 
 /// All vertices, the ascending {v : take_all_joins(g, v)}. 0 rounds;
@@ -35,7 +36,7 @@ std::vector<Vertex> take_all(const Graph& g);
 
 /// The tree rule at one vertex: degree >= 2 or 0 joins, a pendant joins iff
 /// its neighbour is pendant too and it has the smaller id. Reads ball(v, 2)
-/// in O(1) (the registry's `tree-rule` rule).
+/// in O(1) (the registry's `tree-rule` decide).
 bool tree_degree_rule_joins(const Graph& g, Vertex v);
 
 /// Folklore tree rule: vertices of degree >= 2; a vertex of a component of
@@ -52,10 +53,16 @@ std::vector<Vertex> tree_degree_rule(const Graph& g, int threads = 1);
 ///   then every vertex undominated by X adds the neighbour (or itself)
 ///   covering the most undominated vertices (min id tie-break).
 /// Constant rounds; constant ratio on classes of bounded expansion with
-/// suitable k (k = 2∇1+1 in [18]). Cost: one gamma search per vertex (see
-/// GammaWorkspace) plus O(Σ_v deg(v)^2) for the fixup. `threads` shards
-/// every per-vertex pass into slot arrays, with one workspace per chunk;
-/// output is bit-identical for any thread count.
+/// suitable k (k = 2∇1+1 in [18]). Returns the ascending members of the
+/// sorted, distinct `targets` in the answer on g, reading only
+/// ball(targets, 6). Cost: one gamma search per vertex within distance 4
+/// of the targets (see GammaWorkspace) plus O(Σ deg(v)^2) for the fixup.
+/// `threads` shards every pass, with one workspace per chunk; output is
+/// bit-identical for any thread count.
+std::vector<Vertex> ksv(const Graph& g, int k, std::span<const Vertex> targets,
+                        int threads = 1);
+
+/// The whole KSV answer: ksv() with every vertex a target.
 std::vector<Vertex> ksv_style(const Graph& g, int k, int threads = 1);
 
 /// The reusable state of the gamma test. A call reads only N^2[v]: one
@@ -74,7 +81,7 @@ std::vector<Vertex> ksv_style(const Graph& g, int k, int threads = 1);
 class GammaWorkspace {
  public:
   /// gamma(v) capped at `cap`, as gamma() below. Throws
-  /// std::invalid_argument for a vertex out of range.
+  /// std::invalid_argument for a vertex out of range or cap == INT_MAX.
   int gamma(const Graph& g, Vertex v, int cap);
 
  private:
@@ -112,7 +119,8 @@ class GammaWorkspace {
 /// gamma(v) of §5.5: the minimum number of vertices other than v needed to
 /// dominate N[v]; returns a value > cap (specifically cap+1) when more than
 /// `cap` are needed. Isolated vertices return cap+1 (nothing else can cover
-/// them). A one-off query: it allocates a GammaWorkspace.
+/// them), so cap == INT_MAX throws std::invalid_argument. A one-off query:
+/// it allocates a GammaWorkspace.
 int gamma(const Graph& g, Vertex v, int cap);
 
 }  // namespace lmds::core

@@ -33,7 +33,7 @@ struct Theorem44Result {
 /// The MDS rule at one vertex, with vertex indices as identifiers: v joins
 /// unless a neighbour u has N[v] ⊊ N[u], or N[v] = N[u] and u < v. It reads
 /// only ball(v, 2) and compares indices for order only (the registry's
-/// `theorem44` rule, api::SolverSpec::rule). Cost: one
+/// `theorem44` decide, through api::decide_each). Cost: one
 /// Graph::closed_neighborhood_contained test per neighbour, each neighbour
 /// of smaller degree refused by its degree prefilter.
 bool theorem44_mds_joins(const Graph& g, Vertex v);
@@ -54,7 +54,7 @@ bool theorem44_mds_decision(const local::BallView& view);
 
 /// The MVC rule at one vertex, with vertex indices as identifiers: degree
 /// >= 2 joins, and of an isolated edge the smaller endpoint. Reads ball(v, 2)
-/// in O(1) (the registry's `theorem44-mvc` rule).
+/// in O(1) (the registry's `theorem44-mvc` decide).
 bool theorem44_mvc_joins(const Graph& g, Vertex v);
 
 /// Centralized evaluation of the 3-round MVC rule: the ascending

@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
@@ -24,7 +26,6 @@
 
 #include "api/executor.hpp"
 #include "api/registry.hpp"
-#include "common/parallel.hpp"
 #include "core/baselines.hpp"
 #include "core/theorem44.hpp"
 #include "cuts/interesting.hpp"
@@ -423,6 +424,11 @@ TEST(BaselineOracle, GammaEqualsTheSeedAtEveryVertex) {
   }
   EXPECT_THROW((void)core::gamma(graph::gen::path(3), 3, 2), std::invalid_argument);
   EXPECT_THROW((void)core::gamma(graph::gen::path(3), -1, 2), std::invalid_argument);
+  // An isolated vertex answers cap + 1, which INT_MAX cannot hold.
+  constexpr int kUncapped = std::numeric_limits<int>::max();
+  EXPECT_THROW((void)core::gamma(graph::gen::path(1), 0, kUncapped), std::invalid_argument);
+  EXPECT_THROW((void)workspace.gamma(graph::gen::path(1), 0, kUncapped), std::invalid_argument);
+  EXPECT_THROW((void)core::ksv_style(graph::gen::path(1), kUncapped), std::invalid_argument);
 }
 
 TEST(BaselineOracle, KsvEqualsTheSeedAtEveryThreadCount) {
@@ -461,9 +467,10 @@ TEST(BaselineOracle, GammaWorkspaceReuseAcrossGraphSizesIsClean) {
 }
 
 // ---------------------------------------------------------------------------
-// Closed-neighbourhood containment, Theorem 4.4's rule and every registered
-// per-vertex rule against the seed code (graph::detail / core::detail
-// *_reference, tests/support/rule_reference.hpp)
+// Closed-neighbourhood containment and Theorem 4.4's rule against the seed
+// code (graph::detail / core::detail *_reference,
+// tests/support/rule_reference.hpp), and every registered decide against
+// its solver's full answer
 
 // K_n minus the edge {0, 1}: N[0] and N[1] are each N[2] minus one vertex,
 // and 2..n-1 are pairwise true twins.
@@ -563,40 +570,84 @@ TEST(RuleOracle, Theorem44EqualsTheSeedCentralizedAndLocal) {
   for (int i = 0; i < 1000; ++i) expect_theorem44_matches(random_small_graph(graphs), rng);
 }
 
-TEST(RuleOracle, RuleSolversAnswerTheirSelect) {
+// Target sets of g: none, every vertex, balls of radius 1-3, and sparse and
+// dense random subsets. Each is sorted and distinct.
+std::vector<std::vector<Vertex>> target_sets(const Graph& g, std::mt19937_64& rng) {
+  const int n = g.num_vertices();
+  std::vector<std::vector<Vertex>> sets(2);
+  for (Vertex v = 0; v < n; ++v) sets[1].push_back(v);
+  if (n == 0) return sets;
+  const auto any = [&] { return static_cast<Vertex>(rng() % static_cast<std::uint64_t>(n)); };
+  for (int r = 1; r <= 3; ++r) {
+    for (int i = 0; i < 2; ++i) sets.push_back(graph::ball(g, any(), r));
+  }
+  for (const std::uint64_t in_of_eight : {1, 4}) {
+    std::vector<Vertex> subset;
+    for (Vertex v = 0; v < n; ++v) {
+      if (rng() % 8 < in_of_eight) subset.push_back(v);
+    }
+    sets.push_back(std::move(subset));
+  }
+  return sets;
+}
+
+TEST(DecideOracle, DecideIsTheFullAnswerOnEveryTargetSet) {
+  // decide(g, S) must equal the full answer ∩ S, at 1 and at 4 intra-graph
+  // threads, for every registered solver with a decide. ksv's full solve is
+  // its decide over every vertex, so its full answer is the seed code's: a
+  // fault the two share still shows.
   const api::Registry& reg = api::Registry::instance();
+  const int ksv_k = reg.at("ksv").param_default("k").as_int();
   std::vector<Graph> gs = rule_suite();
   std::mt19937_64 rng(4747);
   for (int i = 0; i < 200; ++i) gs.push_back(random_small_graph(rng));
-  std::vector<std::string> with_rule;
+  std::vector<std::string> with_decide;
   for (const api::SolverSpec* spec : reg.specs()) {
-    if (!spec->rule) continue;
-    with_rule.push_back(spec->name);
-    EXPECT_GE(spec->locality_radius, 0) << spec->name;
+    if (!spec->decide) continue;
+    with_decide.push_back(spec->name);
+    const api::Options params = reg.resolve_options(spec->name, api::Request{});
     for (const Graph& g : gs) {
       api::Request req;
       req.graph = &g;
-      const std::vector<Vertex> select = common::parallel_select(
-          g.num_vertices(), 1, [&](Vertex v) { return spec->rule(g, v); });
-      ASSERT_EQ(reg.run(spec->name, req).solution, select) << spec->name << " " << g.summary();
+      const std::vector<Vertex> answer = spec->name == "ksv"
+                                             ? core::detail::ksv_style_reference(g, ksv_k)
+                                             : reg.run(spec->name, req).solution;
+      const auto expect_decide = [&](const std::vector<Vertex>& targets, int threads) {
+        std::vector<Vertex> want;
+        std::set_intersection(answer.begin(), answer.end(), targets.begin(), targets.end(),
+                              std::back_inserter(want));
+        EXPECT_EQ(spec->decide({g, params, false, threads}, targets), want)
+            << spec->name << " " << g.summary() << " |targets|=" << targets.size()
+            << " threads=" << threads;
+      };
+      for (const std::vector<Vertex>& targets : target_sets(g, rng)) {
+        for (const int threads : {1, 4}) expect_decide(targets, threads);
+      }
+      // Every single vertex, from which ksv's level prefixes reach
+      // furthest; at one thread, so the n decides stay cheap.
+      for (Vertex v = 0; v < g.num_vertices(); ++v) expect_decide({v}, 1);
+      if (HasFailure()) return;
     }
   }
-  EXPECT_EQ(with_rule,
-            (std::vector<std::string>{"take-all", "theorem44", "theorem44-mvc", "tree-rule"}));
+  EXPECT_EQ(with_decide, (std::vector<std::string>{"ksv", "take-all", "theorem44",
+                                                   "theorem44-mvc", "tree-rule"}));
 }
 
-TEST(RuleOracle, RegistryRefusesARuleWithoutALocalityRadius) {
+TEST(DecideOracle, RegistryPairsADecideWithALocalityRadius) {
   api::Registry reg;
   const auto solve = [](const api::SolveContext&) { return api::SolverOutput{}; };
-  api::SolverSpec spec{.name = "no-radius",
+  api::SolverSpec spec{.name = "take-all-again",
                        .problem = api::Problem::Mds,
                        .modes = {api::Mode::Centralized},
-                       .summary = "a rule with no locality radius",
+                       .summary = "a decide with no locality radius",
                        .params = {},
                        .locality_radius = -1,
-                       .rule = core::take_all_joins};
+                       .decide = api::decide_each<core::take_all_joins>};
   EXPECT_THROW(reg.add(spec, solve), std::invalid_argument);
   spec.locality_radius = 0;
+  spec.decide = nullptr;
+  EXPECT_THROW(reg.add(spec, solve), std::invalid_argument);
+  spec.decide = api::decide_each<core::take_all_joins>;
   EXPECT_NO_THROW(reg.add(spec, solve));
 }
 

@@ -10,7 +10,7 @@
 // solvers with a locality radius through the incremental splice, everything
 // else through the (counted) full fallback. IncrementalValidity holds the
 // splice's local validity re-check to the full check on answers that can be
-// invalid, on both the rule path and the support-subgraph path.
+// invalid.
 
 #include <gtest/gtest.h>
 
@@ -251,13 +251,14 @@ struct PatchedFixture {
   }
 };
 
-// Solves parent (priming the cache), then child with lineage attached, and
-// checks the child response equals a fresh full solve by `reg` — field for
-// field, diagnostics included. Returns the child batch's diagnostics.
+// Solves parent (priming the cache), then child with lineage attached, both
+// under `over`, and checks the child response equals a fresh full solve by
+// `reg` — field for field, diagnostics included. Returns the child batch's
+// diagnostics.
 api::BatchDiagnostics check_differential(api::BatchExecutor& ex, const PatchedFixture& fx,
                                          const std::string& solver, const api::Request& req,
+                                         const api::BatchOverrides& over = {},
                                          const api::Registry& reg = api::Registry::instance()) {
-  const api::BatchOverrides over;
   const Graph* pg = fx.parent.get();
   (void)ex.run_batch(solver, std::span<const Graph* const>(&pg, 1), req, over);
 
@@ -328,42 +329,40 @@ bool triangle_joins(const Graph& g, graph::Vertex v) {
   return false;
 }
 
-// A test-local registry with each rule as an MDS and an MVC solver, each
-// twice: with its rule (the executor's rule path) and without (the support
-// path, same locality radius). Named "<rule>-<problem>-<path>".
+// A test-local registry with each rule as an MDS and an MVC solver, named
+// "<rule>-<problem>".
+template <bool (*Joins)(const Graph&, graph::Vertex)>
+void add_rule_solvers(api::Registry& reg, const std::string& rule_name) {
+  const auto solve = [](const api::SolveContext& ctx) {
+    api::SolverOutput out;
+    for (graph::Vertex v = 0; v < ctx.graph.num_vertices(); ++v) {
+      if (Joins(ctx.graph, v)) out.solution.push_back(v);
+    }
+    return out;
+  };
+  for (const api::Problem problem : {api::Problem::Mds, api::Problem::Mvc}) {
+    reg.add({.name = rule_name + "-" + std::string(api::to_string(problem)),
+             .problem = problem,
+             .modes = {api::Mode::Centralized},
+             .summary = rule_name,
+             .params = {},
+             .locality_radius = 1,
+             .decide = api::decide_each<Joins>},
+            solve);
+  }
+}
+
 api::Registry validity_registry() {
   api::Registry reg;
-  const std::pair<std::string, api::SolverSpec::VertexRule> rules[] = {
-      {"degree-two", degree_two_joins}, {"triangle", triangle_joins}};
-  for (const auto& [rule_name, rule] : rules) {
-    const auto solve = [rule](const api::SolveContext& ctx) {
-      api::SolverOutput out;
-      for (graph::Vertex v = 0; v < ctx.graph.num_vertices(); ++v) {
-        if (rule(ctx.graph, v)) out.solution.push_back(v);
-      }
-      return out;
-    };
-    for (const api::Problem problem : {api::Problem::Mds, api::Problem::Mvc}) {
-      for (const bool with_rule : {true, false}) {
-        reg.add({.name = rule_name + "-" + std::string(api::to_string(problem)) +
-                         (with_rule ? "-rule" : "-support"),
-                 .problem = problem,
-                 .modes = {api::Mode::Centralized},
-                 .summary = rule_name,
-                 .params = {},
-                 .locality_radius = 1,
-                 .rule = with_rule ? rule : nullptr},
-                solve);
-      }
-    }
-  }
+  add_rule_solvers<degree_two_joins>(reg, "degree-two");
+  add_rule_solvers<triangle_joins>(reg, "triangle");
   return reg;
 }
 
-TEST(IncrementalValidity, ValidityEqualsTheFullCheckOnBothPaths) {
+TEST(IncrementalValidity, ValidityEqualsTheFullCheck) {
   // Each case names the parent's and the child's validity under its rule;
-  // the child must equal a full solve field for field on both paths, and be
-  // answered incrementally.
+  // the child must equal a full solve field for field, and be answered
+  // incrementally.
   struct Case {
     const char* name;
     std::string solver;  // "<rule>-<problem>"
@@ -404,18 +403,16 @@ TEST(IncrementalValidity, ValidityEqualsTheFullCheckOnBothPaths) {
   };
   const api::Registry reg = validity_registry();
   for (const Case& c : cases) {
-    for (const std::string& solver : {c.solver + "-rule", c.solver + "-support"}) {
-      const std::string where = std::string(c.name) + " / " + solver;
-      PatchedFixture fx(c.parent, c.patch);
-      api::BatchExecutor ex({.threads = 1, .shard_size = 4, .cache_capacity = 64}, reg);
-      api::Request req;
-      req.graph = fx.parent.get();
-      ASSERT_EQ(reg.run(solver, req).valid, c.parent_valid) << where;
-      const api::BatchDiagnostics diag = check_differential(ex, fx, solver, api::Request{}, reg);
-      EXPECT_EQ(diag.incremental_solves, 1u) << where;
-      req.graph = fx.child.get();
-      EXPECT_EQ(reg.run(solver, req).valid, c.child_valid) << where;
-    }
+    PatchedFixture fx(c.parent, c.patch);
+    api::BatchExecutor ex({.threads = 1, .shard_size = 4, .cache_capacity = 64}, reg);
+    api::Request req;
+    req.graph = fx.parent.get();
+    ASSERT_EQ(reg.run(c.solver, req).valid, c.parent_valid) << c.name;
+    const api::BatchDiagnostics diag =
+        check_differential(ex, fx, c.solver, api::Request{}, {}, reg);
+    EXPECT_EQ(diag.incremental_solves, 1u) << c.name;
+    req.graph = fx.child.get();
+    EXPECT_EQ(reg.run(c.solver, req).valid, c.child_valid) << c.name;
   }
 }
 
@@ -451,51 +448,59 @@ TEST(IncrementalDifferential, ChainedPatchesStayIncremental) {
   }
 }
 
-TEST(IncrementalDifferential, BallSignatureSubSolveIsShared) {
-  // Two patches applying "the same" edit far apart on a long path produce
-  // isomorphic, identically-relabelled support subgraphs — the second child
-  // solve must reuse the first's memoized sub-solve (ball-signature key)
-  // instead of running the solver again. ksv has no per-vertex rule, so it
-  // re-decides on the support subgraph; its radius-6 supports of the edits
-  // at {20, 22} and {60, 62} both lie inside the path.
-  api::GraphStore store(16);
-  const auto parent = store.put(graph::gen::path(100));
-  GraphPatch pa;
-  pa.add = {{20, 22}};
-  GraphPatch pb;
-  pb.add = {{60, 62}};
-  const auto ca = store.patch(parent.handle, pa);
-  const auto cb = store.patch(parent.handle, pb);
+TEST(IncrementalDifferential, IntraGraphThreadsMatchFullSolve) {
+  // ksv's re-decide shards its passes over intra_graph_threads; at 1 and at
+  // 4, every local solver must splice a full solve's answer.
+  const api::Registry& reg = api::Registry::instance();
+  int local_solvers = 0;
+  for (const api::SolverSpec* spec : reg.specs()) {
+    if (spec->locality_radius < 0) continue;
+    ++local_solvers;
+    for (std::uint64_t family = 0; family < soak::kFamilies; ++family) {
+      const soak::GraphCase c = soak::make_case(/*run_seed=*/13, family);
+      const GraphPatch p = soak::make_patch(c.graph, soak::mix_seed(13, family), 6);
+      if (p.add.empty() && p.del.empty()) continue;
+      PatchedFixture fx(c.graph, p);
+      for (const int intra : {1, 4}) {
+        api::BatchExecutor ex({.threads = 1, .shard_size = 4, .cache_capacity = 64}, reg);
+        api::BatchOverrides over;
+        over.intra_graph_threads = intra;
+        const api::BatchDiagnostics diag =
+            check_differential(ex, fx, spec->name, api::Request{}, over);
+        EXPECT_EQ(diag.incremental_solves, 1u)
+            << spec->name << " family " << c.family << " intra " << intra;
+        EXPECT_EQ(diag.intra_threads, intra) << spec->name;
+      }
+    }
+  }
+  EXPECT_EQ(local_solvers, 5);
+}
 
+TEST(IncrementalDifferential, KsvChildAddsOneCacheEntryAndOneMiss) {
+  // An incremental solve reads the parent's answer and inserts the child's,
+  // and nothing else: one hit, one miss and one new entry.
+  GraphPatch p;
+  p.add = {{20, 22}};
+  PatchedFixture fx(graph::gen::path(100), p);
   api::BatchExecutor ex({.threads = 1, .shard_size = 4, .cache_capacity = 64},
                         api::Registry::instance());
   const api::Request req;
   const api::BatchOverrides over;
-  const std::shared_ptr<const Graph> pg = store.get(parent.handle);
-  const Graph* ptr = pg.get();
-  (void)ex.run_batch("ksv", std::span<const Graph* const>(&ptr, 1), req, over);
+  const Graph* pg = fx.parent.get();
+  (void)ex.run_batch("ksv", std::span<const Graph* const>(&pg, 1), req, over);
 
-  const auto solve_child = [&](const std::string& handle) {
-    const std::shared_ptr<const Graph> g = store.get(handle);
-    const Graph* cp = g.get();
-    std::vector<std::shared_ptr<const api::PatchLineage>> lineages = {store.lineage(handle)};
-    api::BatchDiagnostics diag;
-    const auto got = ex.run_batch("ksv", std::span<const Graph* const>(&cp, 1), req,
-                                  over, &diag, {}, {lineages.data(), 1});
-    EXPECT_EQ(diag.incremental_solves, 1u);
-    api::Request full = req;
-    full.graph = cp;
-    EXPECT_EQ(got.at(0), api::Registry::instance().run("ksv", full));
-  };
-
-  solve_child(ca.put.handle);
   const api::CacheStats before = ex.cache_stats();
-  solve_child(cb.put.handle);
+  const Graph* cg = fx.child.get();
+  std::vector<std::shared_ptr<const api::PatchLineage>> lineages = {fx.lineage};
+  api::BatchDiagnostics diag;
+  (void)ex.run_batch("ksv", std::span<const Graph* const>(&cg, 1), req, over, &diag, {},
+                     {lineages.data(), 1});
   const api::CacheStats after = ex.cache_stats();
-  // Child B: top-level key misses, then parent response + memoized sub-solve
-  // both hit — no solver run needed beyond the splice.
+  EXPECT_EQ(diag.incremental_solves, 1u);
+  EXPECT_EQ(diag.cache_misses, 1u);
   EXPECT_EQ(after.misses - before.misses, 1u);
-  EXPECT_EQ(after.hits - before.hits, 2u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.size - before.size, 1u);
 }
 
 TEST(IncrementalDifferential, RatioAndTrafficRequestsSkipTheIncrementalPath) {
