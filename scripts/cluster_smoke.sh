@@ -7,7 +7,10 @@
 # warm worker 1 directly with the demo batch, push-replicate worker 1 ->
 # worker 2 (replicate_out with "peer"), and require the replayed demo batch
 # on worker 2 to answer from the replicated cache (--expect-hits on the
-# FIRST pass: worker 2 never solved those graphs itself).
+# FIRST pass: worker 2 never solved those graphs itself). The router runs
+# with --max-batch-graphs 6 (the serve_client flows send at most 6 graphs
+# per batch) and must refuse a 7-graph batch itself, as a single server
+# would, although each worker would accept its share.
 #
 # Usage: scripts/cluster_smoke.sh BUILD_DIR [WORK_DIR]
 #
@@ -46,7 +49,7 @@ W2_PORT=$(cat w2_port.txt)
 "$BUILD_DIR/lmds_serve" --port 0 --port-file router_port.txt \
   --http-port 0 --http-port-file router_http_port.txt \
   --router --peer "127.0.0.1:$W1_PORT" --peer "127.0.0.1:$W2_PORT" \
-  --no-snapshot-verbs &
+  --max-batch-graphs 6 --no-snapshot-verbs &
 ROUTER_PID=$!
 wait_for_file router_port.txt
 wait_for_file router_http_port.txt
@@ -59,6 +62,13 @@ wait_for_file router_http_port.txt
   --handles --patch --expect-hits --stats
 "$BUILD_DIR/serve_client" --port "$(cat router_http_port.txt)" --http \
   --handles --patch --expect-hits
+
+# The router's own batch limit: 7 inline graphs are one over it, although
+# the workers' default limit would accept them.
+GRAPHS=$(printf '{"n":%d,"edges":[[0,1]]},' 2 3 4 5 6 7 8)
+"$BUILD_DIR/serve_client" --port "$(cat router_port.txt)" \
+  --send "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[${GRAPHS%,}]}" \
+  | grep -q "send -> ok=false"
 
 # Replication: warm worker 1's response cache with the demo batch, push the
 # store + cache to worker 2, and replay the demo batch against worker 2 —

@@ -124,8 +124,8 @@ struct SolverSpec {
   /// decide(ctx, targets) returns the ascending members of the sorted,
   /// distinct `targets` in the solver's answer on ctx.graph, reading only
   /// ball(targets, locality_radius), the same for any ctx.intra_threads.
-  /// Called concurrently; keeps no state. The executor's incremental
-  /// re-solve calls it once, with the dirty vertices of the patched graph.
+  /// Called concurrently; keeps no state; runs on the calling thread. The
+  /// executor's incremental re-solve calls it once, with the dirty vertices.
   std::vector<Vertex> (*decide)(const SolveContext& ctx, std::span<const Vertex> targets) =
       nullptr;
 

@@ -222,7 +222,7 @@ void register_builtin_solvers(Registry& reg) {
            .locality_radius = 6,
            .decide =
                [](const SolveContext& ctx, std::span<const Vertex> targets) {
-                 return core::ksv(ctx.graph, ksv_threshold(ctx), targets, ctx.intra_threads);
+                 return core::ksv(ctx.graph, ksv_threshold(ctx), targets, /*threads=*/1);
                }},
           [](const SolveContext& ctx) {
             return plain(core::ksv_style(ctx.graph, ksv_threshold(ctx), ctx.intra_threads), 4);

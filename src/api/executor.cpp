@@ -200,9 +200,10 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
     // Ball-granular incremental re-solve of a patched graph `g` against its
     // lineage. Correctness rests on the locality contract (SolverSpec::
     // locality_radius): a vertex at distance > r from every edited endpoint
-    // (in parent AND child — a deleted edge can shorten paths only in the
-    // parent, an added one only in the child) has the exact same induced
-    // radius-r ball in both graphs, so its parent decision stands verbatim.
+    // has the exact same induced radius-r ball in both graphs, so its parent
+    // decision stands verbatim. A BFS from the endpoints measures the same
+    // distances in both graphs: every edited edge (a new vertex's included)
+    // joins two sources, and a multi-source BFS never uses such an edge.
     // One SolverSpec::decide call on the child re-decides every other
     // ("dirty") vertex, and the splice merges the sorted lists of clean and
     // dirty picks. `scratch` is the calling worker's. nullopt = fall back to
@@ -215,18 +216,13 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
       if (!parent) return std::nullopt;
       const graph::Vertex pn = lin.parent->num_vertices();
 
-      // dirty = ball_child(eps, r) ∪ ball_parent(eps, r) ∪ the new vertices,
-      // for the edited endpoints eps. Added edges may name new vertices,
-      // which the parent lacks.
+      // dirty = ball(eps, r) ∪ the new vertices, for the edited endpoints eps.
       std::vector<graph::Vertex> eps;
       for (const auto* edits : {&lin.added, &lin.removed}) {
         for (const graph::Edge& e : *edits) eps.insert(eps.end(), {e.u, e.v});
       }
       graph::mark_ball(g, eps, spec.locality_radius, scratch);
       std::vector<graph::Vertex> dirty(scratch.visited().begin(), scratch.visited().end());
-      std::erase_if(eps, [&](graph::Vertex v) { return v >= pn; });
-      graph::mark_ball(*lin.parent, eps, spec.locality_radius, scratch);
-      dirty.insert(dirty.end(), scratch.visited().begin(), scratch.visited().end());
       for (graph::Vertex v = pn; v < g.num_vertices(); ++v) dirty.push_back(v);
       std::sort(dirty.begin(), dirty.end());
       dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "api/graph_store.hpp"
 #include "common/parallel.hpp"
@@ -34,39 +35,19 @@ std::pair<std::string, int> parse_peer(const std::string& peer) {
   return *std::move(parsed);
 }
 
-std::uint64_t diag_counter(const JsonValue& diag, const char* name) {
-  const JsonValue* v = diag.find(name);
-  if (!v || v->type() != JsonValue::Type::Int) return 0;
-  const std::int64_t n = v->as_int();
-  return n > 0 ? static_cast<std::uint64_t>(n) : 0;
-}
-
-/// Folds one worker sub-response's "diag" object into the routed batch's
-/// merged diagnostics: concurrency highs are maxed, work counters summed.
-/// `tail` is what follows the sub-response's "responses" array
-/// (`,"namespace":..,"diag":{..}}`, from split_raw_responses), so only
-/// those few members are parsed, never the solutions.
-void merge_diag(api::BatchDiagnostics& out, std::string_view tail) {
-  if (!tail.starts_with(',')) return;
-  JsonValue members;
-  try {
-    members = server::json_parse("{" + std::string(tail.substr(1)));
-  } catch (const server::JsonError&) {
-    return;  // split_raw_responses accepted the line, so this cannot happen
-  }
-  const JsonValue* diag = members.find("diag");
-  if (!diag || diag->type() != JsonValue::Type::Object) return;
-  out.threads = std::max<int>(out.threads, static_cast<int>(diag_counter(*diag, "threads")));
-  out.intra_threads =
-      std::max<int>(out.intra_threads, static_cast<int>(diag_counter(*diag, "intra_threads")));
-  out.shards += static_cast<int>(diag_counter(*diag, "shards"));
-  out.stolen_shards += diag_counter(*diag, "stolen_shards");
-  out.cache_hits += diag_counter(*diag, "cache_hits");
-  out.cache_misses += diag_counter(*diag, "cache_misses");
-  out.cache_evictions += diag_counter(*diag, "cache_evictions");
-  out.incremental_solves += diag_counter(*diag, "incremental_solves");
-  out.incremental_fallbacks += diag_counter(*diag, "incremental_fallbacks");
-  out.incremental_dirty += diag_counter(*diag, "incremental_dirty");
+/// Folds one worker sub-batch's diagnostics into the routed batch's:
+/// concurrency highs are maxed, work counters summed.
+void merge_diag(api::BatchDiagnostics& out, const api::BatchDiagnostics& in) {
+  out.threads = std::max(out.threads, in.threads);
+  out.intra_threads = std::max(out.intra_threads, in.intra_threads);
+  out.shards += in.shards;
+  out.stolen_shards += in.stolen_shards;
+  out.cache_hits += in.cache_hits;
+  out.cache_misses += in.cache_misses;
+  out.cache_evictions += in.cache_evictions;
+  out.incremental_solves += in.incremental_solves;
+  out.incremental_fallbacks += in.incremental_fallbacks;
+  out.incremental_dirty += in.incremental_dirty;
 }
 
 /// One sub-batch: the slots of the client batch owned by one peer.
@@ -100,10 +81,9 @@ std::string finish_line(std::string line, const JsonValue& root,
 
 std::optional<std::vector<std::string_view>> split_raw_responses(std::string_view line,
                                                                 std::string_view* tail) {
-  constexpr std::string_view kPrefix = "{\"ok\":true,\"op\":\"solve\",\"responses\":[";
-  if (!line.starts_with(kPrefix)) return std::nullopt;
+  if (!line.starts_with(server::kSolveHead)) return std::nullopt;
   std::vector<std::string_view> out;
-  std::size_t i = kPrefix.size();
+  std::size_t i = server::kSolveHead.size();
   if (i < line.size() && line[i] == ']') {  // empty batch
     if (tail) *tail = line.substr(i + 1);
     return out;
@@ -244,7 +224,7 @@ std::optional<std::string> Router::route(server::Session& session, std::string_v
   if (root.type() != JsonValue::Type::Object) return std::nullopt;
   if (verb == "solve") return route_solve(session, root);
   if (verb == "put_graph") return route_put(root);
-  if (verb == "patch_graph") return route_patch(session, root);
+  if (verb == "patch_graph") return route_patch(root);
   if (verb == "drop_graph") return route_drop(root);
   if (verb == "stats") return route_stats(session, root);
   return std::nullopt;  // solvers/open_session/replicate_*/... stay local
@@ -272,43 +252,28 @@ void Router::record_location(const std::string& handle, std::size_t peer) {
 
 std::optional<std::string> Router::route_solve(server::Session& session,
                                                const JsonValue& root) {
-  const server::ServerLimits& limits = core_.options().limits;
-  const JsonValue* graphs = root.find("graphs");
-  if (!graphs || graphs->type() != JsonValue::Type::Array || graphs->as_array().empty()) {
-    return std::nullopt;  // local dispatch produces the right bad_request
+  // The decoder Session::do_solve runs. A request it refuses falls through
+  // to local dispatch, which runs it again and writes the same error line.
+  server::SolveRequest req;
+  try {
+    req = server::decode_solve(root, core_.registry(), core_.options().limits);
+  } catch (const server::ProtocolError&) {
+    return std::nullopt;
   }
-  const JsonValue* ns_member = root.find("namespace");
-  if (ns_member && ns_member->type() != JsonValue::Type::String) return std::nullopt;
-  const std::string ns = ns_member ? ns_member->as_string() : session.ns();
+  if (req.graphs.empty()) return std::nullopt;  // local dispatch answers it
+  const std::string ns = req.ns.value_or(session.ns());
 
-  // Partition the slots by owning peer. Any shape trouble — a malformed
-  // handle, an undecodable inline graph — falls through to local dispatch,
-  // which produces the exact error line a single server would.
-  const JsonValue::Array& slots = graphs->as_array();
+  // Partition the slots by owning peer: a handle through the location map,
+  // an inline graph by its fingerprint, which gives repeated inline graphs
+  // cache affinity (the same graph always lands on the same warm worker).
+  // The slots' bytes themselves are forwarded untouched.
+  const JsonValue::Array& slots = root.find("graphs")->as_array();
   std::vector<SubBatch> subs;
   std::vector<std::size_t> sub_of_peer(ring_.size(), SIZE_MAX);
   for (std::size_t slot = 0; slot < slots.size(); ++slot) {
-    std::uint64_t hash = 0;
-    bool is_handle = false;
-    if (slots[slot].type() == JsonValue::Type::String) {
-      const std::optional<std::uint64_t> parsed =
-          api::GraphStore::parse_handle(slots[slot].as_string());
-      if (!parsed) return std::nullopt;
-      hash = *parsed;
-      is_handle = true;
-    } else {
-      try {
-        // The fingerprint IS the routing key, and it is what gives repeated
-        // inline graphs cache affinity (the same graph always lands on the
-        // same warm worker). The decoder yields it from the CSR build; the
-        // slot's bytes themselves are forwarded untouched.
-        hash = server::decode_graph_hashed(slots[slot], limits).hash;
-      } catch (const server::ProtocolError&) {
-        return std::nullopt;
-      }
-    }
-    const std::size_t peer =
-        is_handle ? locate_handle(slots[slot].as_string(), hash) : ring_.owner_index(hash);
+    const std::uint64_t hash = req.hashes[slot];
+    const std::string* handle = std::get_if<std::string>(&req.graphs[slot]);
+    const std::size_t peer = handle ? locate_handle(*handle, hash) : ring_.owner_index(hash);
     if (sub_of_peer[peer] == SIZE_MAX) {
       sub_of_peer[peer] = subs.size();
       SubBatch sub;
@@ -318,16 +283,18 @@ std::optional<std::string> Router::route_solve(server::Session& session,
     }
     SubBatch& sub = subs[sub_of_peer[peer]];
     sub.slots.push_back(slot);
-    sub.has_handle = sub.has_handle || is_handle;
+    sub.has_handle = sub.has_handle || handle != nullptr;
   }
+  req.graphs.clear();  // placed: the workers decode their own copies
 
   // Build each peer's sub-request: a graphs array of the peer's slots,
   // spliced from the client's bytes (Raw slots are the source text; handles
   // are re-quoted), the namespace pinned explicitly (pooled connections are
   // namespace-less), then every other member of the client's request —
   // solver, options, measure flags, batch overrides — json_dump'ed, which
-  // canonicalizes member order but keeps every value's type (a 5.0 stays a
-  // double, so the worker rejects it exactly where a single server would).
+  // canonicalizes member order but keeps every value's type (an option's 5.0
+  // stays a double, so the worker rejects it exactly where a single server
+  // would).
   for (SubBatch& sub : subs) {
     std::size_t bytes = 64 + ns.size();
     for (const std::size_t slot : sub.slots) {
@@ -370,14 +337,15 @@ std::optional<std::string> Router::route_solve(server::Session& session,
   // EARLIEST slot, the one a single server would have hit first.
   std::vector<std::string_view> ordered(slots.size());
   api::BatchDiagnostics diag;
-  diag.threads = 0;  // maxed from sub-responses below
   std::size_t error_sub = SIZE_MAX;
   std::size_t error_slot = slots.size();
   for (std::size_t i = 0; i < subs.size(); ++i) {
     std::string_view tail;
     const std::optional<std::vector<std::string_view>> pieces =
         split_raw_responses(raw[i], &tail);
-    if (!pieces || pieces->size() != subs[i].slots.size()) {
+    const std::optional<api::BatchDiagnostics> sub_diag =
+        pieces ? server::solve_diag_of(tail, ns) : std::nullopt;
+    if (!sub_diag || pieces->size() != subs[i].slots.size()) {
       if (subs[i].slots.front() < error_slot) {
         error_slot = subs[i].slots.front();
         error_sub = i;
@@ -385,7 +353,7 @@ std::optional<std::string> Router::route_solve(server::Session& session,
       continue;
     }
     for (std::size_t j = 0; j < pieces->size(); ++j) ordered[subs[i].slots[j]] = (*pieces)[j];
-    merge_diag(diag, tail);
+    merge_diag(diag, *sub_diag);
   }
   if (error_sub != SIZE_MAX) {
     const std::string& line = raw[error_sub];
@@ -394,7 +362,6 @@ std::optional<std::string> Router::route_solve(server::Session& session,
         ErrorCode::IoError, "peer " + opts_.peers[subs[error_sub].peer] +
                                 " returned an unusable solve response for this batch");
   }
-  if (diag.threads == 0) diag.threads = 1;
   core_.count_graphs(slots.size());
   return server::encode_solve_result_raw(ordered, diag, ns);
 }
@@ -418,9 +385,7 @@ std::optional<std::string> Router::route_put(const JsonValue& root) {
                  finish_line("{\"op\":\"put_graph\"", root, {"op"}));
 }
 
-std::optional<std::string> Router::route_patch(server::Session& session,
-                                               const JsonValue& root) {
-  (void)session;
+std::optional<std::string> Router::route_patch(const JsonValue& root) {
   const JsonValue* handle = root.find("handle");
   if (!handle || handle->type() != JsonValue::Type::String) return std::nullopt;
   const std::optional<std::uint64_t> hash = api::GraphStore::parse_handle(handle->as_string());
@@ -429,18 +394,10 @@ std::optional<std::string> Router::route_patch(server::Session& session,
   // structurally shares). The child's content hash need not land on the same
   // ring segment, so its true location goes into the location map.
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
-  const std::string response =
-      forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-              finish_line("{\"op\":\"patch_graph\"", root, {"op"}));
-  try {
-    const JsonValue parsed = server::json_parse(response);
-    const JsonValue* ok = parsed.find("ok");
-    const JsonValue* child = parsed.find("handle");
-    if (ok && ok->type() == JsonValue::Type::Bool && ok->as_bool() && child &&
-        child->type() == JsonValue::Type::String) {
-      record_location(child->as_string(), peer);
-    }
-  } catch (const server::JsonError&) {
+  std::string response = forward({peer}, /*can_fail_over=*/false, /*control=*/true,
+                                 finish_line("{\"op\":\"patch_graph\"", root, {"op"}));
+  if (const auto child = server::stored_graph_of(response)) {
+    record_location(child->put.handle, peer);
   }
   return response;
 }

@@ -7,10 +7,13 @@
 //   put_graph    -> decode (the fingerprint comes out of the CSR build),
 //                   forward to the ring owner with the graph's bytes as sent
 //   patch_graph  -> forward to the parent handle's owner; remember where the
-//                   derived child lives (its content hash need not land on
-//                   the same ring segment as its parent's)
+//                   derived child lives (server::stored_graph_of reads it
+//                   from the reply; its content hash need not land on the
+//                   same ring segment as its parent's)
 //   drop_graph   -> forward to the handle's owner
-//   solve        -> partition the graphs array by owner (handles via the
+//   solve        -> decode the request with server::decode_solve (one it
+//                   refuses is answered locally, as a single server would),
+//                   partition the graphs array by owner (handles via the
 //                   location map then the ring, inline graphs by their
 //                   fingerprint so repeat traffic hits the same warm
 //                   worker), build each sub-request by splicing its slots'
@@ -18,7 +21,8 @@
 //                   splice the workers' response objects back together IN
 //                   SLOT ORDER as raw text — bit-identical to what one
 //                   server would emit (re-encoding parsed JSON would reorder
-//                   keys). Sub-batch diagnostics merge numerically.
+//                   keys). Sub-batch diagnostics (server::solve_diag_of)
+//                   merge numerically.
 //   stats        -> the local line plus a "router" member (peer count and
 //                   per-peer forward counters)
 //
@@ -118,8 +122,7 @@ class Router {
   std::optional<std::string> route_solve(server::Session& session,
                                          const server::JsonValue& root);
   std::optional<std::string> route_put(const server::JsonValue& root);
-  std::optional<std::string> route_patch(server::Session& session,
-                                         const server::JsonValue& root);
+  std::optional<std::string> route_patch(const server::JsonValue& root);
   std::optional<std::string> route_drop(const server::JsonValue& root);
   std::string route_stats(server::Session& session, const server::JsonValue& root);
 

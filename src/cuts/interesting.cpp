@@ -11,14 +11,19 @@ namespace lmds::cuts {
 namespace {
 
 // Condition (2) in a host graph h where {u, v} is a minimal 2-cut: at least
-// two components of h − {u, v} hold a vertex non-adjacent to u.
+// two components of h − {u, v} that the pair touches hold a vertex
+// non-adjacent to u. A component holds a neighbour of u or of v iff it is
+// reachable from the pair in h, i.e. lies in the pair's own component.
 bool condition2(const Graph& h, Vertex v, Vertex u) {
   const Vertex removed[] = {u, v};
   const auto comps = graph::components_without(h, removed);
+  const std::vector<int> reach = graph::bfs_distances_multi(h, removed);
   std::vector<char> has_nonneighbor(static_cast<std::size_t>(comps.count), 0);
   for (Vertex w = 0; w < h.num_vertices(); ++w) {
     const int c = comps.component[static_cast<std::size_t>(w)];
-    if (c >= 0 && !h.has_edge(w, u)) has_nonneighbor[static_cast<std::size_t>(c)] = 1;
+    if (c >= 0 && reach[static_cast<std::size_t>(w)] >= 0 && !h.has_edge(w, u)) {
+      has_nonneighbor[static_cast<std::size_t>(c)] = 1;
+    }
   }
   return std::count(has_nonneighbor.begin(), has_nonneighbor.end(), 1) >= 2;
 }

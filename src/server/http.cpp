@@ -53,12 +53,14 @@ std::string make_response(int status, std::string_view body, bool keep_alive) {
   return out;
 }
 
-/// Maps a protocol response body onto an HTTP status, reading only its
-/// prefix: success bodies start with {"ok":true, error bodies with their
-/// code. Put and patch successes end with their "new" member, so a newly
-/// stored graph is a created resource.
+/// Maps a protocol response body onto an HTTP status by its bytes: success
+/// bodies start with {"ok":true, error bodies with their code. A newly
+/// stored graph (stored_graph_of) is a created resource.
 int status_of(std::string_view body) {
-  if (body.starts_with("{\"ok\":true")) return body.ends_with(",\"new\":true}") ? 201 : 200;
+  if (body.starts_with("{\"ok\":true")) {
+    const std::optional<api::GraphStore::PatchResult> stored = stored_graph_of(body);
+    return stored && stored->put.inserted ? 201 : 200;
+  }
   const std::optional<ErrorCode> code = error_code_of(body);
   if (code == ErrorCode::BadRequest) return 400;
   if (code == ErrorCode::UnknownSolver || code == ErrorCode::UnknownHandle) return 404;

@@ -23,7 +23,8 @@
 // The router consistent-hashes graph handles across the peers, fans solve
 // batches out, and reassembles the responses bit-identical to a single
 // server. --max-namespace-bytes / --max-namespace-inflight bound one
-// tenant's store footprint and concurrency on any server (worker or not).
+// tenant's store footprint and concurrency where its puts and solves run
+// (a router forwards routed traffic without consulting them).
 //
 // Exit codes: 0 clean shutdown; 1 startup failure (bad flags, bind error).
 

@@ -135,6 +135,16 @@ DecodedGraph decode_slot(const GraphSlot& slot, const ServerLimits& limits) {
   return build_csr(slot.edges, declared_n >= 0 ? declared_n : max_endpoint + 1);
 }
 
+/// Appends `edges` as the wire's [[u,v],...] array: graphs and patches alike.
+void append_edges(std::string& out, const std::vector<graph::Edge>& edges) {
+  out += '[';
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (i) out += ',';
+    out += '[' + std::to_string(edges[i].u) + ',' + std::to_string(edges[i].v) + ']';
+  }
+  out += ']';
+}
+
 }  // namespace
 
 DecodedGraph decode_graph_hashed(const JsonValue& v, const ServerLimits& limits) {
@@ -318,28 +328,13 @@ SolveRequest decode_solve(const JsonValue& root, const api::Registry& registry,
 }
 
 std::string encode_graph_json(const graph::Graph& g) {
-  std::string out = "{\"n\":" + std::to_string(g.num_vertices()) + ",\"edges\":[";
-  bool first = true;
-  for (const auto& [u, v] : g.edges()) {
-    if (!first) out += ',';
-    first = false;
-    out += '[' + std::to_string(u) + ',' + std::to_string(v) + ']';
-  }
-  out += "]}";
+  std::string out = "{\"n\":" + std::to_string(g.num_vertices()) + ",\"edges\":";
+  append_edges(out, g.edges());
+  out += '}';
   return out;
 }
 
 std::string encode_patch_members(const graph::GraphPatch& patch) {
-  const auto append_edges = [](std::string& out, const std::vector<graph::Edge>& edges) {
-    out += '[';
-    bool first = true;
-    for (const auto& [u, v] : edges) {
-      if (!first) out += ',';
-      first = false;
-      out += '[' + std::to_string(u) + ',' + std::to_string(v) + ']';
-    }
-    out += ']';
-  };
   std::string out = "\"add\":";
   append_edges(out, patch.add);
   out += ",\"del\":";
@@ -434,9 +429,42 @@ void append_solve_tail(std::string& out, const api::BatchDiagnostics& diag,
   out += "}}";
 }
 
-constexpr std::string_view kSolveHead = "{\"ok\":true,\"op\":\"solve\",\"responses\":[";
+/// The int after the first `name` (a member's spelling up to its value, e.g.
+/// `"n":`) in `s`; `out` keeps its value when `name` is absent. The reply
+/// readers read leniently with it, then accept only the bytes their encoder
+/// writes for what they read.
+template <typename Int>
+void read_member(std::string_view s, std::string_view name, Int& out) {
+  const std::size_t at = s.find(name);
+  if (at != std::string_view::npos) {
+    (void)std::from_chars(s.data() + at + name.size(), s.data() + s.size(), out);
+  }
+}
 
 }  // namespace
+
+std::optional<api::BatchDiagnostics> solve_diag_of(std::string_view tail, std::string_view ns) {
+  // "diag" is the last member, and the namespace before it may spell
+  // anything, so the members are read after the last "diag".
+  const std::size_t at = tail.rfind("\"diag\":{");
+  if (at == std::string_view::npos) return std::nullopt;
+  const std::string_view members = tail.substr(at);
+  api::BatchDiagnostics d;
+  read_member(members, "\"threads\":", d.threads);
+  read_member(members, "\"intra_threads\":", d.intra_threads);
+  read_member(members, "\"shards\":", d.shards);
+  read_member(members, "\"stolen_shards\":", d.stolen_shards);
+  read_member(members, "\"cache_hits\":", d.cache_hits);
+  read_member(members, "\"cache_misses\":", d.cache_misses);
+  read_member(members, "\"cache_evictions\":", d.cache_evictions);
+  read_member(members, "\"incremental_solves\":", d.incremental_solves);
+  read_member(members, "\"incremental_fallbacks\":", d.incremental_fallbacks);
+  read_member(members, "\"incremental_dirty\":", d.incremental_dirty);
+  std::string written;
+  append_solve_tail(written, d, ns);
+  if (std::string_view(written).substr(1) != tail) return std::nullopt;  // past its ']'
+  return d;
+}
 
 void encode_response_element(std::string& out, const api::Response& r) {
   // Room for the whole element: the fixed members and the optional traffic
@@ -631,6 +659,39 @@ std::string encode_ok(std::string_view op, std::string_view extra_members) {
     out += extra_members;
   }
   out += '}';
+  return out;
+}
+
+std::string encode_stored_graph(const api::GraphStore::PutResult& put, std::string_view parent) {
+  std::string extra = "\"handle\":";
+  json_append_string(extra, put.handle);
+  if (!parent.empty()) {
+    extra += ",\"parent\":";
+    json_append_string(extra, parent);
+  }
+  extra += ",\"n\":" + std::to_string(put.vertices) + ",\"m\":" + std::to_string(put.edges) +
+           (put.inserted ? ",\"new\":true" : ",\"new\":false");
+  return encode_ok(parent.empty() ? "put_graph" : "patch_graph", extra);
+}
+
+std::optional<api::GraphStore::PatchResult> stored_graph_of(std::string_view line) {
+  const bool patch = line.starts_with("{\"ok\":true,\"op\":\"patch_graph\",");
+  if (!patch && !line.starts_with("{\"ok\":true,\"op\":\"put_graph\",")) return std::nullopt;
+  const auto handle = [&](std::string_view name) {
+    const std::size_t at = line.find(name);
+    const std::size_t start = at == std::string_view::npos ? line.size() : at + name.size();
+    return std::string(line.substr(start, line.find('"', start) - start));
+  };
+  api::GraphStore::PatchResult out;
+  out.put.handle = handle("\"handle\":\"");
+  if (patch) out.parent = handle("\"parent\":\"");
+  const std::optional<std::uint64_t> hash = api::GraphStore::parse_handle(out.put.handle);
+  if (!hash) return std::nullopt;
+  out.put.hash = *hash;
+  read_member(line, ",\"n\":", out.put.vertices);
+  read_member(line, ",\"m\":", out.put.edges);
+  out.put.inserted = line.ends_with(",\"new\":true}");
+  if (encode_stored_graph(out.put, out.parent) != line) return std::nullopt;
   return out;
 }
 

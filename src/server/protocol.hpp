@@ -263,6 +263,26 @@ std::string encode_solve_result_raw(std::span<const std::string_view> raw_respon
                                     const api::BatchDiagnostics& diag,
                                     std::string_view ns = {});
 
+/// The head of every solve success line, up to its "responses" array's '['.
+inline constexpr std::string_view kSolveHead = "{\"ok\":true,\"op\":\"solve\",\"responses\":[";
+
+/// The inverse of a solve line's tail: the diagnostics, optional members
+/// included, from the bytes after the "responses" array's closing ']'
+/// (cluster::split_raw_responses' `tail`). std::nullopt unless those bytes
+/// are what the encoders above write for namespace `ns`.
+std::optional<api::BatchDiagnostics> solve_diag_of(std::string_view tail, std::string_view ns);
+
+/// The put_graph success line for `put`, or with a non-empty `parent` the
+/// patch_graph one: {"ok":true,"op":..,"handle":..,"parent":..,"n":..,
+/// "m":..,"new":..} ("parent" only for a patch).
+std::string encode_stored_graph(const api::GraphStore::PutResult& put,
+                                std::string_view parent = {});
+
+/// The inverse of encode_stored_graph: what a put_graph or patch_graph
+/// success line reports (`parent` empty for a put, `put.hash` from the
+/// handle). std::nullopt for any line encode_stored_graph does not write.
+std::optional<api::GraphStore::PatchResult> stored_graph_of(std::string_view line);
+
 /// The solvers success line: every registered SolverSpec with params.
 std::string encode_solvers(const api::Registry& registry);
 

@@ -241,11 +241,7 @@ std::string Session::do_put_graph(const JsonValue& root) {
     // Retryable once a client drops a graph — busy, not malformed.
     return encode_error(ErrorCode::ServerBusy, e.what());
   }
-  std::string extra = "\"handle\":";
-  json_append_string(extra, put.handle);
-  extra += ",\"n\":" + std::to_string(put.vertices) + ",\"m\":" + std::to_string(put.edges) +
-           ",\"new\":" + (put.inserted ? std::string("true") : std::string("false"));
-  return encode_ok("put_graph", extra);
+  return encode_stored_graph(put);
 }
 
 std::string Session::do_patch_graph(const JsonValue& root) {
@@ -280,14 +276,7 @@ std::string Session::do_patch_graph(const JsonValue& root) {
     // duplicate edits, deletes of absent edges, adds of present ones...
     throw ProtocolError(ErrorCode::BadRequest, e.what());
   }
-  std::string extra = "\"handle\":";
-  json_append_string(extra, result.put.handle);
-  extra += ",\"parent\":";
-  json_append_string(extra, result.parent);
-  extra += ",\"n\":" + std::to_string(result.put.vertices) +
-           ",\"m\":" + std::to_string(result.put.edges) +
-           ",\"new\":" + (result.put.inserted ? std::string("true") : std::string("false"));
-  return encode_ok("patch_graph", extra);
+  return encode_stored_graph(result.put, result.parent);
 }
 
 std::string Session::do_drop_graph(const JsonValue& root) {

@@ -546,6 +546,20 @@ class RoutedClusterTest : public ::testing::Test {
     return {parent, ""};
   }
 
+  /// Two inline cycles whose ring owners are different workers, so a batch
+  /// of both splits into two sub-batches.
+  std::pair<std::string, std::string> graphs_owned_by_both_workers() const {
+    const HashRing ring(peers_);
+    std::vector<std::string> owned(2);
+    for (int k = 3; k < 64 && (owned[0].empty() || owned[1].empty()); ++k) {
+      const Graph g = graph::gen::cycle(k);
+      std::string& slot = owned[ring.owner_index(graph::graph_hash(g))];
+      if (slot.empty()) slot = graph_json(g);
+    }
+    EXPECT_FALSE(owned[0].empty() || owned[1].empty());
+    return {owned[0], owned[1]};
+  }
+
   std::unique_ptr<Server> worker1_, worker2_, router_srv_, reference_;
   std::unique_ptr<Router> router_;
   std::vector<std::string> peers_;
@@ -783,6 +797,96 @@ TEST_F(RoutedClusterTest, PutOfPatchedChildMatchesSingleServer) {
   const std::string single_line = ref.handle_line(put);
   EXPECT_EQ(raw_line_exchange(fd, reader, put), single_line);
   EXPECT_FALSE(json_parse(single_line).find("new")->as_bool());
+  ::close(fd);
+}
+
+// The router decodes a solve with the decoder a single server runs, so it
+// refuses what a single server refuses, even a batch whose share on each
+// worker would be legal: here one slot over max_batch_graphs, split across
+// both workers.
+TEST_F(RoutedClusterTest, OverLimitBatchMatchesSingleServerOnBothTransports) {
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  const int http_fd = server::tcp_connect("127.0.0.1", router_srv_->http_port());
+  ASSERT_GE(http_fd, 0);
+  LineReader http_reader(http_fd);
+  Session ref(reference_->core());
+  ASSERT_EQ(router_srv_->core().options().limits.max_batch_graphs,
+            reference_->core().options().limits.max_batch_graphs);
+
+  const auto [a, b] = graphs_owned_by_both_workers();
+  const std::size_t slots = reference_->core().options().limits.max_batch_graphs + 1;
+  std::string request = R"({"op":"solve","solver":"greedy","graphs":[)";
+  for (std::size_t i = 0; i < slots; ++i) {
+    if (i) request += ',';
+    request += i % 2 ? b : a;
+  }
+  request += "]}";
+  const std::string single = ref.handle_line(request);
+  ASSERT_TRUE(single.starts_with(R"({"ok":false,"code":"bad_request")")) << single;
+  EXPECT_EQ(raw_line_exchange(fd, reader, request), single);
+  // An error body over HTTP is the line itself.
+  EXPECT_EQ(raw_http_exchange(http_fd, http_reader, "POST", "/v2/solve", request), single);
+  ::close(http_fd);
+  ::close(fd);
+}
+
+// The router reads each worker's diag tail for the namespace it sent, so a
+// namespaced batch split across both workers must come back answered, with
+// the namespace echoed, whether the request names it or open_session did.
+TEST_F(RoutedClusterTest, NamespacedSplitBatchMatchesSingleServer) {
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  Session ref(reference_->core());
+  const auto [a, b] = graphs_owned_by_both_workers();
+  const std::string graphs = "\"graphs\":[" + a + "," + b + "]}";
+  const std::string named = R"({"op":"solve","solver":"greedy","namespace":"t-\"q\"",)" + graphs;
+  const std::string open = R"({"op":"open_session","namespace":"t\\b"})";
+  const std::string unnamed = R"({"op":"solve","solver":"greedy",)" + graphs;
+  EXPECT_EQ(raw_line_exchange(fd, reader, open), ref.handle_line(open));
+
+  for (const auto& [line, ns] : {std::pair{named, std::string("t-\"q\"")},
+                                 std::pair{unnamed, std::string("t\\b")}}) {
+    const std::string single = ref.handle_line(line);
+    const std::string routed = raw_line_exchange(fd, reader, line);
+    std::string_view tail;
+    const auto single_pieces = split_raw_responses(single);
+    const auto routed_pieces = split_raw_responses(routed, &tail);
+    ASSERT_TRUE(single_pieces.has_value()) << single;
+    ASSERT_TRUE(routed_pieces.has_value()) << routed;
+    EXPECT_EQ(*routed_pieces, *single_pieces) << line;
+    EXPECT_TRUE(server::solve_diag_of(tail, ns).has_value()) << routed;
+  }
+  ::close(fd);
+}
+
+// A routed solve of a patched child runs incrementally on the worker that
+// holds it, and its whole line, diag included, is the single server's.
+TEST_F(RoutedClusterTest, PatchedChildSolveMatchesSingleServerDiag) {
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  Session ref(reference_->core());
+  const std::string child = put_and_patch_off_ring(fd, reader, ref).second;
+  ASSERT_FALSE(child.empty());
+  const std::string parent =
+      api::GraphStore::handle_for(graph::graph_hash(graph::gen::grid(3, 4)));
+
+  std::string single;
+  for (const std::string& handle : {parent, child}) {
+    const std::string solve =
+        "{\"op\":\"solve\",\"solver\":\"theorem44\",\"graphs\":[\"" + handle + "\"]}";
+    single = ref.handle_line(solve);
+    EXPECT_EQ(raw_line_exchange(fd, reader, solve), single) << handle;
+  }
+  std::string_view tail;
+  ASSERT_TRUE(split_raw_responses(single, &tail).has_value()) << single;
+  const std::optional<api::BatchDiagnostics> diag = server::solve_diag_of(tail, "");
+  ASSERT_TRUE(diag.has_value()) << single;
+  EXPECT_EQ(diag->incremental_solves, 1u);
+  EXPECT_GT(diag->incremental_dirty, 0u);
   ::close(fd);
 }
 

@@ -292,6 +292,32 @@ TEST(Interesting, LocalMatchesGlobalAtLargeRadius) {
   }
 }
 
+// Only the components of G − {u, v} that the pair touches count for
+// condition (2): a component elsewhere in G changes no global predicate.
+TEST(Interesting, GlobalPredicatesIgnoreOtherComponents) {
+  // The 5-cycle 0-2-1-4-3-0, alone and next to an isolated vertex 5.
+  const Graph c5({{2, 3}, {2, 4}, {0, 1}, {0, 4}, {1, 3}});
+  const Graph with_isolated({{2, 3}, {2, 4}, {0, 1}, {0, 4}, {1, 3}, {}});
+  for (const Graph* g : {&c5, &with_isolated}) {
+    EXPECT_TRUE(globally_interesting_vertices(*g).empty()) << g->num_vertices();
+    EXPECT_EQ(globally_interesting_vertices(*g), interesting_vertices(*g, g->num_vertices()));
+    for (Vertex v = 0; v < g->num_vertices(); ++v) {
+      EXPECT_FALSE(is_almost_interesting(*g, v)) << g->num_vertices() << " v=" << v;
+    }
+  }
+}
+
+TEST(Interesting, LocalMatchesGlobalAtLargeRadiusOnDisjointUnions) {
+  std::mt19937_64 rng(89);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Graph g = graph::disjoint_union(
+        graph::disjoint_union(graph::gen::random_connected(18, 6, rng),
+                              graph::gen::random_connected(12, 4, rng)),
+        graph::gen::path(1));
+    EXPECT_EQ(interesting_vertices(g, g.num_vertices()), globally_interesting_vertices(g));
+  }
+}
+
 TEST(Interesting, LongCycleLocalVsGlobal) {
   // Locally (small radius) a long cycle has no minimal 2-cuts at all, hence
   // no interesting vertices; globally every vertex is interesting through

@@ -26,6 +26,7 @@
 #include "api/executor.hpp"
 #include "api/graph_store.hpp"
 #include "api/registry.hpp"
+#include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/hash.hpp"
@@ -449,8 +450,8 @@ TEST(IncrementalDifferential, ChainedPatchesStayIncremental) {
 }
 
 TEST(IncrementalDifferential, IntraGraphThreadsMatchFullSolve) {
-  // ksv's re-decide shards its passes over intra_graph_threads; at 1 and at
-  // 4, every local solver must splice a full solve's answer.
+  // The executor hands intra_graph_threads to every solve; at 1 and at 4,
+  // every local solver must splice a full solve's answer.
   const api::Registry& reg = api::Registry::instance();
   int local_solvers = 0;
   for (const api::SolverSpec* spec : reg.specs()) {
@@ -537,6 +538,71 @@ TEST(IncrementalDifferential, CacheBypassFallsBackToFullSolve) {
   api::Request full = req;
   full.graph = cg;
   EXPECT_EQ(got.at(0), api::Registry::instance().run("theorem44", full));
+}
+
+// The wire's incremental_dirty is the dirty set the locality contract
+// names: the radius-r balls around the edited endpoints in the parent and
+// in the child, plus the new vertices. Each family's graph gets a pendant
+// vertex, so it has a bridge to delete; the same patch adds an edge to a
+// new vertex and one more, isolated, new vertex.
+TEST(PatchSession, IncrementalDirtyIsBothBallsAndTheNewVertices) {
+  for (std::uint64_t family = 0; family < soak::kFamilies; ++family) {
+    const soak::GraphCase c = soak::make_case(/*run_seed=*/21, family);
+    const graph::Vertex n = c.graph.num_vertices();
+    const Graph parent = graph::apply_patch(c.graph, edits({{0, n}}, {})).graph;
+    Edge bridge{};
+    for (const Edge& e : parent.edges()) {
+      if (!graph::is_connected(graph::apply_patch(parent, edits({}, {e})).graph)) {
+        bridge = e;
+        break;
+      }
+    }
+    ASSERT_NE(bridge, Edge{}) << c.family;
+    const GraphPatch patch = edits({{n / 2, n + 1}}, {bridge}, n + 3);
+    const Graph child = graph::apply_patch(parent, patch).graph;
+
+    for (const std::string solver : {"theorem44", "ksv"}) {
+      server::CoreOptions opts;
+      opts.batch = {.threads = 1, .shard_size = 4, .cache_capacity = 16};
+      server::ServerCore core(opts, api::Registry::instance());
+      server::Session session(core);
+      const auto solve = [&](const std::string& handle) {
+        return server::json_parse(session.handle_line(
+            "{\"op\":\"solve\",\"solver\":\"" + solver + "\",\"graphs\":[\"" + handle + "\"]}"));
+      };
+      const std::string handle =
+          server::json_parse(session.handle_line("{\"op\":\"put_graph\",\"graph\":" +
+                                                 server::encode_graph_json(parent) + "}"))
+              .find("handle")
+              ->as_string();
+      ASSERT_TRUE(solve(handle).find("ok")->as_bool()) << c.family;
+      const server::JsonValue patched = server::json_parse(
+          session.handle_line("{\"op\":\"patch_graph\",\"handle\":\"" + handle + "\"," +
+                              server::encode_patch_members(patch) + "}"));
+      ASSERT_TRUE(patched.find("ok")->as_bool()) << c.family;
+      const server::JsonValue solved = solve(patched.find("handle")->as_string());
+      const server::JsonValue* diag = solved.find("diag");
+      ASSERT_NE(diag, nullptr) << c.family;
+      ASSERT_NE(diag->find("incremental_solves"), nullptr) << c.family << " " << solver;
+
+      const int r = api::Registry::instance().at(solver).locality_radius;
+      std::set<graph::Vertex> dirty;
+      const auto add_ball = [&](const Graph& g, const std::vector<graph::Vertex>& sources) {
+        const std::vector<int> dist = graph::bfs_distances_multi(g, sources);
+        for (graph::Vertex v = 0; v < g.num_vertices(); ++v) {
+          if (dist[static_cast<std::size_t>(v)] >= 0 && dist[static_cast<std::size_t>(v)] <= r) {
+            dirty.insert(v);
+          }
+        }
+      };
+      add_ball(parent, {bridge.u, bridge.v, n / 2});
+      add_ball(child, {bridge.u, bridge.v, n / 2, n + 1});
+      for (graph::Vertex v = parent.num_vertices(); v < child.num_vertices(); ++v) dirty.insert(v);
+      EXPECT_EQ(diag->find("incremental_solves")->as_int(), 1) << c.family << " " << solver;
+      EXPECT_EQ(diag->find("incremental_dirty")->as_int(), static_cast<std::int64_t>(dirty.size()))
+          << c.family << " " << solver;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the serving subsystem: the minimal JSON layer, protocol
 // decode/encode (graph decode, solve requests, error classes, the response
-// encoder against its std::to_string oracle), the socket-free Session core
+// encoder against its std::to_string oracle, the reply readers of solve
+// tails and stored-graph lines), the socket-free Session core
 // (v1 round-trips, protocol-v2 graph handles, namespaces, per-request
 // overrides, malformed-request rejection, admin verbs, cache snapshot
 // save/load/warm-hit, warm replies spliced from memoized bytes), the HTTP
@@ -184,6 +185,98 @@ TEST(Protocol, ErrorCodeOfReadsEveryEncodedCode) {
            "",
        }) {
     EXPECT_EQ(error_code_of(line), std::nullopt) << line;
+  }
+}
+
+void expect_same_diag(const api::BatchDiagnostics& got, const api::BatchDiagnostics& want) {
+  EXPECT_EQ(got.threads, want.threads);
+  EXPECT_EQ(got.intra_threads, want.intra_threads);
+  EXPECT_EQ(got.shards, want.shards);
+  EXPECT_EQ(got.stolen_shards, want.stolen_shards);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.cache_misses, want.cache_misses);
+  EXPECT_EQ(got.cache_evictions, want.cache_evictions);
+  EXPECT_EQ(got.incremental_solves, want.incremental_solves);
+  EXPECT_EQ(got.incremental_fallbacks, want.incremental_fallbacks);
+  EXPECT_EQ(got.incremental_dirty, want.incremental_dirty);
+}
+
+TEST(Protocol, SolveDiagOfRoundTripsEveryTailMember) {
+  const api::BatchDiagnostics plain;
+  api::BatchDiagnostics intra = plain;
+  intra.threads = 3;
+  intra.intra_threads = 4;
+  intra.shards = 7;
+  intra.stolen_shards = 2;
+  intra.cache_hits = 5;
+  intra.cache_misses = 6;
+  intra.cache_evictions = 1;
+  api::BatchDiagnostics incremental = intra;
+  incremental.incremental_solves = 2;
+  incremental.incremental_fallbacks = 1;
+  incremental.incremental_dirty = 1583;
+  api::BatchDiagnostics fallback_only = plain;
+  fallback_only.incremental_fallbacks = 1;
+  for (const std::string ns : {"", "tenant-a", "q\"uote\\slash", "\xc3\xa9t\xc3\xa9"}) {
+    for (const api::BatchDiagnostics& diag : {plain, intra, incremental, fallback_only}) {
+      const std::string line = encode_solve_result({}, diag, ns);
+      ASSERT_EQ(line.substr(0, kSolveHead.size() + 1), std::string(kSolveHead) + "]");
+      const std::string_view tail = std::string_view(line).substr(kSolveHead.size() + 1);
+      const std::optional<api::BatchDiagnostics> read = solve_diag_of(tail, ns);
+      ASSERT_TRUE(read.has_value()) << line;
+      expect_same_diag(*read, diag);
+      // Another namespace's tail, and any byte added or lost, is not read.
+      EXPECT_FALSE(solve_diag_of(tail, ns.empty() ? "other" : "").has_value()) << line;
+      EXPECT_FALSE(solve_diag_of(std::string(tail) + " ", ns).has_value()) << line;
+      EXPECT_FALSE(solve_diag_of(tail.substr(0, tail.size() - 1), ns).has_value()) << line;
+    }
+  }
+  for (const char* tail : {
+           "",
+           R"(,"diag":{"threads":1,"shards":1}})",
+           R"(,"diag":{"threads":x,"shards":1,"stolen_shards":0,"cache_hits":0,)"
+           R"("cache_misses":1,"cache_evictions":0}})",
+           R"(,"diag":{"threads":1,"shards":1,"stolen_shards":0,"cache_hits":0,)"
+           R"("cache_misses":1,"cache_evictions":0,"incremental_solves":1}})",
+       }) {
+    EXPECT_FALSE(solve_diag_of(tail, "").has_value()) << tail;
+  }
+}
+
+TEST(Protocol, StoredGraphOfRoundTripsPutAndPatchLines) {
+  const std::string parent = api::GraphStore::handle_for(0x00e1f2a3b4c5d6e7ULL);
+  for (const bool inserted : {true, false}) {
+    for (const std::string& from : {std::string(), parent}) {
+      const api::GraphStore::PutResult put{.handle = api::GraphStore::handle_for(0x7c2ULL),
+                                           .hash = 0x7c2ULL,
+                                           .inserted = inserted,
+                                           .vertices = 8,
+                                           .edges = 13};
+      const std::string line = encode_stored_graph(put, from);
+      const std::optional<api::GraphStore::PatchResult> read = stored_graph_of(line);
+      ASSERT_TRUE(read.has_value()) << line;
+      EXPECT_EQ(read->put.handle, put.handle);
+      EXPECT_EQ(read->put.hash, put.hash);
+      EXPECT_EQ(read->put.inserted, inserted);
+      EXPECT_EQ(read->put.vertices, 8);
+      EXPECT_EQ(read->put.edges, 13);
+      EXPECT_EQ(read->parent, from);
+      EXPECT_FALSE(stored_graph_of(line + " ").has_value()) << line;
+      EXPECT_FALSE(stored_graph_of(line.substr(0, line.size() - 1)).has_value()) << line;
+    }
+  }
+  // The layout both verbs have always written.
+  EXPECT_EQ(encode_stored_graph({.handle = parent, .inserted = true, .vertices = 4, .edges = 2}),
+            "{\"ok\":true,\"op\":\"put_graph\",\"handle\":\"" + parent +
+                "\",\"n\":4,\"m\":2,\"new\":true}");
+  for (const std::string line : {
+           R"({"ok":true,"op":"drop_graph","handle":"g00e1f2a3b4c5d6e7"})",
+           R"({"ok":true,"op":"put_graph","handle":"nonsense","n":1,"m":0,"new":true})",
+           R"({"ok":true,"op":"put_graph","handle":"g00e1f2a3b4c5d6e7","n":1,"m":0,"new":1})",
+           R"({"ok":true,"op":"patch_graph","handle":"g00e1f2a3b4c5d6e7","n":1,"m":0,"new":true})",
+           R"({"ok":false,"code":"bad_request","error":"x"})",
+       }) {
+    EXPECT_FALSE(stored_graph_of(line).has_value()) << line;
   }
 }
 
