@@ -14,7 +14,9 @@
 // counterpart in-process — the bench doubles as a large-scale instance of
 // the tests/test_patch.cpp differential suite. The timers cover
 // server.handle_line alone; each reply is parsed and compared after them.
-// The e2e column also counts that parse, as the bench timed before.
+// The e2e column also counts that parse, as the bench timed before. The
+// patch_graph lines that derive the children are timed the same way
+// (patch s/req, runs[].patch_ms): the store's apply and child hash.
 //
 //   $ ./bench_patch_throughput [--vertices N] [--iters N] [--solver S]
 //                              [--check] [--json FILE]
@@ -147,25 +149,32 @@ int main(int argc, char** argv) {
   static constexpr double kChurn[] = {0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.10};
   std::printf("Patch throughput — %d-vertex grid (%d edges), solver %s, %d patches/level\n\n",
               g.num_vertices(), g.num_edges(), solver.c_str(), iters);
-  std::printf("%8s %8s %10s %12s %12s %10s %10s %10s\n", "churn", "edits", "dirty", "incr s/req",
-              "full s/req", "incr/sec", "speedup", "e2e");
-  std::printf("%s\n", std::string(87, '-').c_str());
+  std::printf("%8s %8s %10s %12s %12s %12s %10s %10s %10s\n", "churn", "edits", "dirty",
+              "patch s/req", "incr s/req", "full s/req", "incr/sec", "speedup", "e2e");
+  std::printf("%s\n", std::string(100, '-').c_str());
 
   std::mt19937_64 rng(0xBE7C'9A11);
   std::vector<bench::Fields> runs;
   for (const double churn : kChurn) {
     const int edits = std::max(1, static_cast<int>(churn * g.num_edges()));
 
-    // Derive `iters` distinct hotspot children for this churn level.
-    std::vector<std::string> children;
-    while (static_cast<int>(children.size()) < iters) {
+    // Derive `iters` hotspot children for this churn level: the patch_graph
+    // lines through handle_line, timed, then every reply parsed.
+    std::vector<std::string> patch_lines;
+    while (static_cast<int>(patch_lines.size()) < iters) {
       graph::GraphPatch patch;
       patch.del = hotspot_deletions(g, rng, edits);
       if (patch.del.empty()) continue;
-      const server::JsonValue patched = exchange(
-          "{\"op\":\"patch_graph\",\"handle\":\"" + parent + "\"," +
-          server::encode_patch_members(patch) + "}");
-      children.push_back(patched.find("handle")->as_string());
+      patch_lines.push_back("{\"op\":\"patch_graph\",\"handle\":\"" + parent + "\"," +
+                            server::encode_patch_members(patch) + "}");
+    }
+    std::vector<std::string> patch_replies;
+    const auto patch_start = std::chrono::steady_clock::now();
+    for (const std::string& line : patch_lines) patch_replies.push_back(server.handle_line(line));
+    const double patch_secs = bench::seconds_since(patch_start);
+    std::vector<std::string> children;
+    for (const std::string& reply : patch_replies) {
+      children.push_back(checked(reply).find("handle")->as_string());
     }
 
     // One arm: the children's solve lines through handle_line, timed, then
@@ -209,13 +218,14 @@ int main(int argc, char** argv) {
     const double full_rate = iters / full_secs;
     const double speedup = incr_rate / full_rate;
     const double e2e_speedup = (full_secs + full_parse_secs) / (incr_secs + incr_parse_secs);
-    std::printf("%7.2f%% %8d %9.1f%% %12.4f %12.4f %10.2f %9.1fx %9.1fx\n", churn * 100, edits,
-                dirty_frac * 100, incr_secs / iters, full_secs / iters, incr_rate, speedup,
-                e2e_speedup);
+    std::printf("%7.2f%% %8d %9.1f%% %12.4f %12.4f %12.4f %10.2f %9.1fx %9.1fx\n", churn * 100,
+                edits, dirty_frac * 100, patch_secs / iters, incr_secs / iters, full_secs / iters,
+                incr_rate, speedup, e2e_speedup);
 
     runs.push_back({{"churn", bench::json_num(churn, 4)},
                     {"edits", std::to_string(edits)},
                     {"dirty_fraction", bench::json_num(dirty_frac, 4)},
+                    {"patch_ms", bench::json_num(patch_secs / iters * 1e3, 3)},
                     {"graphs_per_sec", bench::json_num(incr_rate, 2)},
                     {"full_graphs_per_sec", bench::json_num(full_rate, 2)},
                     {"speedup", bench::json_num(speedup, 2)},

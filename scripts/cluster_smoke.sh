@@ -14,12 +14,38 @@
 #
 # Usage: scripts/cluster_smoke.sh BUILD_DIR [WORK_DIR]
 #
-# Runs against whatever BUILD_DIR was built with, like serve_smoke.sh.
+# Runs against whatever BUILD_DIR was built with, like serve_smoke.sh, and
+# like it stops on any exit every server it started that still runs, and
+# removes its own temporary WORK_DIR on success only.
 
 set -euo pipefail
 
 BUILD_DIR=$(cd "$1" && pwd)
-WORK_DIR=${2:-$(mktemp -d)}
+WORK_DIR=${2:-}
+OWN_WORK_DIR=
+if [ -z "$WORK_DIR" ]; then
+  WORK_DIR=$(mktemp -d)
+  OWN_WORK_DIR=1
+fi
+
+finish() {
+  local status=$?
+  local running
+  running=$(jobs -p)
+  if [ -n "$running" ]; then
+    kill $running 2>/dev/null || true
+    wait $running 2>/dev/null || true
+  fi
+  if [ -n "$OWN_WORK_DIR" ]; then
+    if [ "$status" -eq 0 ]; then
+      cd / && rm -rf "$WORK_DIR"
+    else
+      echo "cluster_smoke: failed; work dir kept at $WORK_DIR" >&2
+    fi
+  fi
+}
+trap finish EXIT
+
 mkdir -p "$WORK_DIR"
 cd "$WORK_DIR"
 rm -f w1_port.txt w2_port.txt router_port.txt router_http_port.txt

@@ -12,12 +12,39 @@
 #
 # Runs against whatever BUILD_DIR was built with — CI invokes it once per
 # build flavor (plain, asan-ubsan, tsan), so the whole accept/solve/
-# snapshot/drain path executes under each sanitizer.
+# snapshot/drain path executes under each sanitizer. On any exit a server
+# it started that still runs is stopped. Without WORK_DIR it works in a
+# fresh temporary directory, removed on success and kept (its path
+# printed) on failure; a WORK_DIR given is never removed.
 
 set -euo pipefail
 
 BUILD_DIR=$(cd "$1" && pwd)
-WORK_DIR=${2:-$(mktemp -d)}
+WORK_DIR=${2:-}
+OWN_WORK_DIR=
+if [ -z "$WORK_DIR" ]; then
+  WORK_DIR=$(mktemp -d)
+  OWN_WORK_DIR=1
+fi
+
+finish() {
+  local status=$?
+  local running
+  running=$(jobs -p)
+  if [ -n "$running" ]; then
+    kill $running 2>/dev/null || true
+    wait $running 2>/dev/null || true
+  fi
+  if [ -n "$OWN_WORK_DIR" ]; then
+    if [ "$status" -eq 0 ]; then
+      cd / && rm -rf "$WORK_DIR"
+    else
+      echo "serve_smoke: failed; work dir kept at $WORK_DIR" >&2
+    fi
+  fi
+}
+trap finish EXIT
+
 cd "$WORK_DIR"
 rm -f port.txt http_port.txt
 

@@ -8,7 +8,8 @@
 # `--duration` is a deterministic work budget, not wall-clock, which is what
 # makes the byte-compare meaningful: same seed, same requests, same report.
 # CI runs this against the plain build and `lmds_soak --check` separately
-# under the asan-ubsan preset (docs/SOAK.md).
+# under the asan-ubsan preset (docs/SOAK.md). The reports go to a temporary
+# directory, removed on success and kept (its path printed) on failure.
 
 set -euo pipefail
 
@@ -16,6 +17,15 @@ BUILD_DIR=$(cd "$1" && pwd)
 DURATION=${2:-4}
 SEED=${3:-42}
 WORK_DIR=$(mktemp -d)
+
+finish() {
+  if [ $? -eq 0 ]; then
+    rm -rf "$WORK_DIR"
+  else
+    echo "soak_smoke: failed; work dir kept at $WORK_DIR" >&2
+  fi
+}
+trap finish EXIT
 
 "$BUILD_DIR/lmds_soak" --duration "$DURATION" --seed "$SEED" \
   --repro-dir "$WORK_DIR/repro-a" --report "$WORK_DIR/a.json"

@@ -136,15 +136,17 @@ void ResponseCache::clear() {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot format (little-endian, version 2):
+// Snapshot format (little-endian, version 3):
 //
 //   magic   "LMDSCACH"                       8 bytes
-//   version u32                              = 2
+//   version u32                              = 3
 //   count   u64
 //   count entries, least- to most-recently-used:
 //     CacheKey   { graph_hash u64, solver str, options str, ns str }
-//                (version 1 lacked the ns str; deserialize() still reads
-//                 such snapshots and places the entries in namespace "")
+//                (versions 1 and 2 keyed entries by the serial-chain
+//                 graph_hash that the edge-additive one replaced, so no
+//                 key of theirs names a graph today; deserialize() refuses
+//                 them by version)
 //     Response   { solver str, problem u8, solution vec<i32>, valid u8,
 //                  ratio { size i32, reference i32, exact u8, ratio f64 },
 //                  ratio_measured u8,
@@ -166,8 +168,7 @@ void ResponseCache::clear() {
 namespace {
 
 constexpr char kMagic[8] = {'L', 'M', 'D', 'S', 'C', 'A', 'C', 'H'};
-constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kVersionPreNamespace = 1;  // still readable
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint64_t kFooter = 0x4C4D44534E415053ULL;  // "LMDSNAPS"
 
 void put_bytes(std::ostream& out, const void* p, std::size_t n) {
@@ -343,7 +344,12 @@ ResponseCache::LruList ResponseCache::parse_snapshot(std::istream& in,
     throw std::runtime_error("cache snapshot: bad magic (not a snapshot file)");
   }
   const std::uint32_t version = get_u32(in);
-  if (version != kVersion && version != kVersionPreNamespace) {
+  if (version == 1 || version == 2) {
+    throw std::runtime_error("cache snapshot: version " + std::to_string(version) +
+                             " is keyed by the retired graph hash; version " +
+                             std::to_string(kVersion) + " is required");
+  }
+  if (version != kVersion) {
     throw std::runtime_error("cache snapshot: unsupported version " +
                              std::to_string(version));
   }
@@ -357,8 +363,7 @@ ResponseCache::LruList ResponseCache::parse_snapshot(std::istream& in,
     key.graph_hash = get_u64(in);
     key.solver = get_str(in);
     key.options = get_str(in);
-    // Version 1 predates namespaces; its entries belong to the default one.
-    key.ns = version >= kVersion ? get_str(in) : std::string();
+    key.ns = get_str(in);
     entries.emplace_front(std::move(key),
                           std::make_shared<const CachedResponse>(get_response(in)));
     if (clamp > 0 && entries.size() > clamp) entries.pop_back();  // drop oldest

@@ -13,11 +13,17 @@
 // never share an entry, which is how a multi-tenant serving front-end keeps
 // one client's warm cache invisible to another (protocol v2, src/server/).
 //
-// Identity is decided by the 64-bit graph fingerprint, not the graph itself:
-// two distinct graphs colliding on all 64 bits would alias (probability
-// ~2^-40 across a million distinct graphs). The serving layer accepts that
-// trade by design — the cache stores no graph copies and key comparison is
-// O(|options string|).
+// Identity is decided by the 64-bit graph_hash, not the graph itself: two
+// distinct graphs colliding on all 64 bits would alias (probability ~2^-40
+// across a million distinct graphs). That contract is unchanged by the
+// edge-additive hash and holds for non-adversarial inputs only: the hash's
+// constant is fixed in the source, so chosen inputs can collide (see
+// src/graph/hash.hpp). The cache accepts the trade by design — it stores
+// no graph copies and key comparison is O(|options string|). The graph
+// store is exact instead: it holds the graph a handle names, so it
+// compares it on every hit and refuses a collision (graph_store.hpp); a
+// solve by handle therefore always reaches the cache with its own graph's
+// hash.
 //
 // Entries are immutable and shared: insert() stores an exact-size copy of the
 // computed Response in a CachedResponse, and a hit hands out a shared_ptr to
@@ -172,13 +178,14 @@ class ResponseCache {
   void serialize(std::ostream& out) const LMDS_EXCLUDES(mu_);
 
   /// Replaces the current entries with a snapshot previously written by
-  /// serialize(). Accepts the current format (version 2, with per-entry
-  /// namespaces) and the pre-namespace version 1 (entries land in the
-  /// default namespace ""). Recency order is preserved; if the snapshot holds more
-  /// entries than this cache's capacity, only the most recent ones are kept
-  /// (silently, not counted as evictions). Lifetime counters are untouched.
-  /// Throws std::runtime_error on a bad magic/version or truncated stream,
-  /// leaving the cache unchanged. A disabled cache ignores the snapshot.
+  /// serialize(). Accepts only the current format, version 3; versions 1
+  /// and 2 are keyed by the retired graph hash and refused with an error
+  /// that names their version. Recency order is preserved; if the snapshot
+  /// holds more entries than this cache's capacity, only the most recent
+  /// ones are kept (silently, not counted as evictions). Lifetime counters
+  /// are untouched. Throws std::runtime_error on a bad magic/version or
+  /// truncated stream, leaving the cache unchanged. A disabled cache
+  /// ignores the snapshot.
   void deserialize(std::istream& in) LMDS_EXCLUDES(mu_);
 
   /// Merges a snapshot into the live entries instead of replacing them:

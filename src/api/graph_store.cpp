@@ -166,6 +166,13 @@ bool GraphStore::store_locked(graph::Graph&& g, std::uint64_t hash,
                               std::shared_ptr<const PatchLineage>&& lineage) {
   expire_leases_locked();
   if (const auto it = entries_.find(hash); it != entries_.end()) {
+    // One handle names one graph: a hit is compared, O(V + E), before any
+    // reuse, and a different graph under the same 64 bits is refused.
+    if (*it->second.graph != g) {
+      ++hash_collisions_;
+      throw HashCollision("graph hash collision: handle \"" + handle_for(hash) +
+                          "\" already names a different graph");
+    }
     // Content-addressed reuse: the caller keeps (and frees, after unlocking)
     // its copy. An owner re-pins the entry; a replica only promotes it.
     if (owner) {
@@ -232,10 +239,13 @@ GraphStore::PatchResult GraphStore::patch(std::string_view handle, const graph::
     throw UnknownGraphHandle("unknown graph handle \"" + std::string(handle) + "\"");
   }
 
-  // Apply + hash outside the lock — both are O(n + m). The parent graph is
+  // Apply outside the lock — it copies O(n + m) words. The parent graph is
   // pinned by our shared_ptr even if it is concurrently dropped and evicted.
+  // The child's hash is the parent's plus the edit's terms, O(edit).
   graph::PatchedGraph patched = graph::apply_patch(*parent, p);
-  const std::uint64_t child_hash = graph::graph_hash(patched.graph);
+  const std::uint64_t child_hash =
+      graph::patched_hash(*parent_hash, parent->num_vertices(),
+                          patched.graph.num_vertices(), patched.added, patched.removed);
   PatchResult out{.put = put_result(child_hash, patched.graph), .parent = std::string(handle)};
   std::shared_ptr<const PatchLineage> lineage =
       std::make_shared<PatchLineage>(PatchLineage{.parent = std::move(parent),
@@ -346,6 +356,7 @@ GraphStoreStats GraphStore::stats() const {
   s.evictions = evictions_;
   s.lease_expiries = lease_expiries_;
   s.quota_rejections = quota_rejections_;
+  s.hash_collisions = hash_collisions_;
   s.size = entries_.size();
   s.pinned = entries_.size() - unpinned_.size();
   s.capacity = opts_.capacity;

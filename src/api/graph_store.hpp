@@ -8,12 +8,15 @@
 // Semantics:
 //  * Content-addressed — put() of an identical graph returns the same
 //    handle and bumps a refcount instead of storing a second copy. The
-//    handle is "g" + 16 hex digits of graph_hash; two *distinct* graphs
-//    colliding on all 64 bits would share a handle (probability ~2^-40
-//    across a million graphs) — the same deliberate trade the response
-//    cache makes. Handles are globally stable: every server derives the
-//    same handle for the same graph, which is what makes consistent-hash
-//    routing and peer replication (src/cluster/) coherent.
+//    handle is "g" + 16 hex digits of graph_hash. Every hit compares the
+//    stored graph with the incoming one, so one handle never names two
+//    graphs: a distinct graph colliding on all 64 bits is refused with
+//    HashCollision and the stored entry is kept. Handles are globally
+//    stable: every server derives the same handle for the same graph,
+//    which is what makes consistent-hash routing and peer replication
+//    (src/cluster/) coherent.
+//  * Addressed in O(edit) — patch() derives the child's hash from the
+//    parent's and the edit (graph::patched_hash); it never walks the child.
 //  * Lease-owned pins — every pin belongs to a SessionId. Session
 //    kSharedSession (0) is the legacy anonymous owner: its pins form one
 //    shared counter any caller may release, and they never expire. Sessions
@@ -67,6 +70,13 @@ struct GraphStoreFull : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown by put/put_hashed/put_replica/patch when the handle of the graph
+/// to store already names a different graph (a 64-bit graph_hash
+/// collision). The stored entry is left as it was.
+struct HashCollision : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Thrown by GraphStore::patch when the parent handle resolves to nothing
 /// (never stored, dropped and evicted, or malformed).
 struct UnknownGraphHandle : std::runtime_error {
@@ -99,6 +109,7 @@ struct GraphStoreStats {
   std::uint64_t evictions = 0;  ///< unpinned entries reclaimed by capacity
   std::uint64_t lease_expiries = 0;   ///< pins released by lease timeout
   std::uint64_t quota_rejections = 0; ///< puts/patches refused by a namespace quota
+  std::uint64_t hash_collisions = 0;  ///< puts/patches refused by HashCollision
   std::size_t size = 0;         ///< graphs currently stored
   std::size_t pinned = 0;       ///< graphs with refcount > 0
   std::size_t capacity = 0;
@@ -140,7 +151,8 @@ class GraphStore {
   /// Stores (or re-pins) a graph and returns its handle; the pin is leased
   /// to `session` and its bytes charged to `ns` when the entry is new.
   /// Throws GraphStoreFull when a new entry is needed and the store is at
-  /// capacity with nothing evictable, or when `ns` would exceed its quota.
+  /// capacity with nothing evictable, or when `ns` would exceed its quota;
+  /// HashCollision when the handle already names a different graph.
   PutResult put(graph::Graph g, SessionId session = kSharedSession,
                 std::string_view ns = {}) LMDS_EXCLUDES(mu_);
 
@@ -153,7 +165,7 @@ class GraphStore {
   /// Stores a graph *unpinned* (resolvable, evictable, owned by nobody) —
   /// how replicate_in installs a peer's graphs without holding them hostage
   /// to capacity. An existing entry is promoted to most-recent instead.
-  /// Throws GraphStoreFull like put().
+  /// Throws GraphStoreFull and HashCollision like put().
   /// `hash` must be graph::graph_hash(g), as for put_hashed().
   PutResult put_replica(graph::Graph g, std::uint64_t hash, std::string_view ns = {})
       LMDS_EXCLUDES(mu_);
@@ -180,9 +192,11 @@ class GraphStore {
   /// graph, recording a PatchLineage so solves against the child can be
   /// answered incrementally from the parent's cached response. While a
   /// derived entry is alive its parent entry is protected from capacity
-  /// eviction (child_refs), so the lineage chain stays resolvable. Throws
-  /// UnknownGraphHandle, std::invalid_argument (malformed edits —
-  /// apply_patch's rules) or GraphStoreFull.
+  /// eviction (child_refs), so the lineage chain stays resolvable. The
+  /// child's hash is graph::patched_hash of the parent's: O(edit), not a
+  /// walk of the child. Throws UnknownGraphHandle, std::invalid_argument
+  /// (malformed edits — apply_patch's rules), GraphStoreFull or
+  /// HashCollision.
   PatchResult patch(std::string_view handle, const graph::GraphPatch& p,
                     SessionId session = kSharedSession, std::string_view ns = {})
       LMDS_EXCLUDES(mu_);
@@ -275,11 +289,12 @@ class GraphStore {
   /// Adds one pin for `session` on `entry`, renewing its lease deadline.
   void pin_locked(Entry& entry, SessionId session) LMDS_REQUIRES(mu_);
   /// The one insert path of put, put_replica and patch: sweeps expired
-  /// leases, then reuses the entry stored under `hash` (pinning it for
-  /// `owner`, or promoting it when there is none) or stores `g` with
-  /// `lineage`, charged to `ns` and pinned for `owner` (unpinned without
-  /// one). Moves from `g` and `lineage` only when it inserts, which is what
-  /// it returns. Throws GraphStoreFull like put().
+  /// leases, then reuses the entry stored under `hash` if it holds a graph
+  /// equal to `g` (pinning it for `owner`, or promoting it when there is
+  /// none) or stores `g` with `lineage`, charged to `ns` and pinned for
+  /// `owner` (unpinned without one). Moves from `g` and `lineage` only when
+  /// it inserts, which is what it returns. Throws GraphStoreFull like put(),
+  /// and HashCollision, counted, when the entry holds a different graph.
   bool store_locked(graph::Graph&& g, std::uint64_t hash, std::optional<SessionId> owner,
                     std::string_view ns, std::shared_ptr<const PatchLineage>&& lineage)
       LMDS_REQUIRES(mu_);
@@ -301,6 +316,7 @@ class GraphStore {
   std::uint64_t evictions_ LMDS_GUARDED_BY(mu_) = 0;
   std::uint64_t lease_expiries_ LMDS_GUARDED_BY(mu_) = 0;
   std::uint64_t quota_rejections_ LMDS_GUARDED_BY(mu_) = 0;
+  std::uint64_t hash_collisions_ LMDS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace lmds::api

@@ -124,6 +124,10 @@ ReplicationResult apply_replication(const server::JsonValue& root,
         // Best-effort: the receiver is full (or quota'd); skip, keep going —
         // replication must never wedge a healthy peer.
         ++result.rejected;
+      } catch (const api::HashCollision&) {
+        // The receiver's entry under this handle is a different graph and
+        // stays; the peer's graph is skipped like a full store's.
+        ++result.rejected;
       }
     }
   }

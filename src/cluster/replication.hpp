@@ -55,8 +55,9 @@ std::string encode_replication_members(const api::GraphStore& store,
 struct ReplicationResult {
   std::size_t installed = 0;  ///< graphs newly stored
   std::size_t present = 0;    ///< graphs already held (content-addressed)
-  std::size_t rejected = 0;   ///< graphs refused (store full / quota) — the
-                              ///< rest of the payload still applies
+  std::size_t rejected = 0;   ///< graphs refused (store full / quota / hash
+                              ///< collision) — the rest of the payload
+                              ///< still applies
   bool cache_merged = false;  ///< a non-empty cache snapshot was merged
 };
 

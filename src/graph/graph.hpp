@@ -102,7 +102,12 @@ class Graph {
   /// Human-readable one-line summary, e.g. "Graph(n=10, m=14)".
   std::string summary() const;
 
-  friend bool operator==(const Graph&, const Graph&) = default;
+  /// Same vertex count and the same rows. Every empty graph is equal,
+  /// whether its offsets array is empty (Graph()) or {0} (built).
+  friend bool operator==(const Graph& a, const Graph& b) {
+    return a.num_vertices() == b.num_vertices() && a.neighbors_ == b.neighbors_ &&
+           (a.num_vertices() == 0 || a.offsets_ == b.offsets_);
+  }
 
  private:
   /// Trusted CSR constructor: offsets/neighbors must already satisfy every

@@ -1,14 +1,28 @@
 #pragma once
-// 64-bit structural graph fingerprint. Hashes the exact CSR representation
-// (vertex count, degrees, sorted adjacency), so two Graph objects hash equal
-// iff they are equal under operator== — same labelling, same edges. It is
-// NOT an isomorphism invariant: relabelling a graph changes its hash.
+// 64-bit content address of a graph's exact labelled structure — the
+// serving layer's graph handle ("g" + 16 hex digits), response-cache key
+// component and routing key. One definition, written out only here:
 //
-// Primary consumer: the api response cache, which keys cached Responses on
-// (graph_hash, solver, canonicalized options). A 64-bit fingerprint makes
-// the cache key cheap to store and compare; the collision probability across
-// a cache of millions of distinct graphs is ~2^-40, which the serving layer
-// accepts by design (see src/api/cache.hpp).
+//   h(G)      = T_n(n) + Σ over edges {u < v} of T_e(u, v)     (mod 2^64)
+//   T_n(n)    = mix64(K ^ (2^63 | n))
+//   T_e(u, v) = mix64(K ^ (u·2^32 + v))
+//
+// mix64 is a bijection and no edge code u·2^32 + v (0 ≤ u < v < 2^31) has
+// bit 63 set, so no edge term is ever a vertex-count term. Two Graph objects
+// equal under operator== hash equal; a change of vertex count or of any
+// edge changes the hash unless 64-bit sums collide. It is NOT an
+// isomorphism invariant: relabelling a graph changes its hash.
+//
+// The sum is edge-additive (an incremental hash in the sense of Bellare and
+// Micciancio, EUROCRYPT 1997): a child derived by edge edits is addressed
+// from its parent's hash plus the terms of the edited edges
+// (patched_hash), in O(edit) rather than O(n + m), and the terms of a
+// fresh graph have no serial dependency. K is fixed in the source, so the
+// hash is not collision-resistant against chosen inputs (Wagner's
+// generalized birthday search finds a collision of such a sum in about
+// 2^23 work). The graph store compares the graph on every hit, so a
+// collision is refused there (src/api/graph_store.hpp); the response cache
+// keeps its 64-bit, non-adversarial contract (src/api/cache.hpp).
 
 #include <cstdint>
 #include <span>
@@ -17,12 +31,8 @@
 
 namespace lmds::graph {
 
-/// Fingerprint of the graph's exact structure (splitmix64-mixed stream over
-/// n and every adjacency list). Deterministic across runs and platforms.
-std::uint64_t graph_hash(const Graph& g);
-
-/// One splitmix64 avalanche step — exposed so cache-key composition can
-/// reuse the same mixer.
+/// One splitmix64 avalanche step (a bijection on 64 bits) — exposed so
+/// cache-key composition and the hash ring reuse the same mixer.
 constexpr std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -30,29 +40,34 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// graph_hash as a stream, for builders that finish CSR rows one at a time:
-/// feed the sorted rows of vertices 0..n-1 in order and value() equals
-/// graph_hash of the resulting Graph. graph_hash itself is this loop.
-class GraphHasher {
- public:
-  // The domain-separation constant keeps an empty graph from hashing to
-  // mix64(0) of some other empty structure.
-  explicit GraphHasher(int n)
-      : h_(mix64(0x6c6d64735f677268ULL ^ static_cast<std::uint64_t>(n))) {}
+/// K: the fixed constant both terms are keyed with.
+inline constexpr std::uint64_t kGraphHashKey = 0x6c6d64735f677268ULL;
 
-  void add_row(std::span<const Vertex> sorted_neighbors) {
-    // The degree delimits each row, so ({0,1},{}) and ({0},{1}) streams
-    // cannot collide by concatenation.
-    h_ = mix64(h_ ^ static_cast<std::uint64_t>(sorted_neighbors.size()));
-    for (const Vertex u : sorted_neighbors) {
-      h_ = mix64(h_ ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)));
-    }
-  }
+/// T_n(n): the vertex-count term.
+constexpr std::uint64_t vertex_count_term(int n) {
+  return mix64(kGraphHashKey ^ (std::uint64_t{1} << 63 |
+                                static_cast<std::uint64_t>(static_cast<std::uint32_t>(n))));
+}
 
-  std::uint64_t value() const { return h_; }
+/// T_e(u, v) of the edge {u, v}, u < v.
+constexpr std::uint64_t edge_term(Vertex u, Vertex v) {
+  return mix64(kGraphHashKey ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)) << 32 |
+                                static_cast<std::uint64_t>(static_cast<std::uint32_t>(v))));
+}
 
- private:
-  std::uint64_t h_;
-};
+/// The terms of v's edges to higher neighbours, for a sorted, duplicate-free
+/// row of v: summed over every row, each edge is counted once.
+std::uint64_t row_terms(Vertex v, std::span<const Vertex> sorted_neighbors);
+
+/// h(G) of the file comment. Deterministic across runs and platforms.
+std::uint64_t graph_hash(const Graph& g);
+
+/// h of the child apply_patch derives from a parent whose hash is
+/// `parent_hash`: the count term swapped from `parent_n` to `child_n`, the
+/// terms of `removed` subtracted and those of `added` added. Both lists are
+/// apply_patch's normalized ones (u < v, each edge once, every removed
+/// edge present in the parent and every added one absent). O(edit).
+std::uint64_t patched_hash(std::uint64_t parent_hash, int parent_n, int child_n,
+                           std::span<const Edge> added, std::span<const Edge> removed);
 
 }  // namespace lmds::graph

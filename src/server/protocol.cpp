@@ -48,8 +48,8 @@ int int_field(const JsonValue& v, std::string_view what) {
 // Edge-list decoding
 
 /// Counting sort of `edges` into CSR rows, then each row sorted,
-/// deduplicated and compacted in place — and hashed as it is finished, so
-/// graph_hash costs no second walk.
+/// deduplicated and compacted in place — and its edges to higher
+/// neighbours hashed as it is finished, so graph_hash costs no second walk.
 DecodedGraph build_csr(const std::vector<GraphSlot::Edge>& edges, int n) {
   const auto count = static_cast<std::size_t>(n);
   std::vector<std::size_t> offsets(count + 1, 0);
@@ -66,7 +66,7 @@ DecodedGraph build_csr(const std::vector<GraphSlot::Edge>& edges, int n) {
       neighbors[fill[static_cast<std::size_t>(e.w)]++] = e.u;
     }
   }
-  graph::GraphHasher hasher(n);
+  std::uint64_t hash = graph::vertex_count_term(n);
   std::size_t out = 0;
   for (std::size_t v = 0; v < count; ++v) {
     const auto begin = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
@@ -78,14 +78,13 @@ DecodedGraph build_csr(const std::vector<GraphSlot::Edge>& edges, int n) {
     const auto row = neighbors.begin() + static_cast<std::ptrdiff_t>(out);
     if (row != begin) std::copy(begin, last, row);
     const auto degree = static_cast<std::size_t>(last - begin);
-    hasher.add_row({neighbors.data() + out, degree});
+    hash += graph::row_terms(static_cast<graph::Vertex>(v), {neighbors.data() + out, degree});
     offsets[v] = out;
     out += degree;
   }
   offsets[count] = out;
   neighbors.resize(out);
-  return {graph::detail::TrustedCsr::build(std::move(offsets), std::move(neighbors)),
-          hasher.value()};
+  return {graph::detail::TrustedCsr::build(std::move(offsets), std::move(neighbors)), hash};
 }
 
 /// The message of a slot's bad element: the checks json_parse could make
@@ -611,6 +610,9 @@ std::string encode_stats(const api::CacheStats& cache,
   }
   if (store.quota_rejections) {
     out += ",\"quota_rejections\":" + std::to_string(store.quota_rejections);
+  }
+  if (store.hash_collisions) {
+    out += ",\"hash_collisions\":" + std::to_string(store.hash_collisions);
   }
   if (!store.namespace_bytes.empty()) {
     out += ",\"namespace_bytes\":{";

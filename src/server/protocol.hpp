@@ -20,6 +20,9 @@
 // Graph-store requests:
 //   {"op":"put_graph","graph":{"n":4,"edges":[[0,1]]}}   -> {"handle":...}
 //   {"op":"drop_graph","handle":"g00e1..."}
+// A put or patch whose graph's handle already names a different graph (a
+// 64-bit graph_hash collision) is a bad_request naming the handle; the
+// stored graph is kept.
 //
 // Dynamic graphs (v2.1): a batch of edge edits against a stored handle
 // yields a new content-addressed handle (HTTP: POST /v2/graphs/<h>/patch

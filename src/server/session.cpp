@@ -240,6 +240,9 @@ std::string Session::do_put_graph(const JsonValue& root) {
   } catch (const api::GraphStoreFull& e) {
     // Retryable once a client drops a graph — busy, not malformed.
     return encode_error(ErrorCode::ServerBusy, e.what());
+  } catch (const api::HashCollision& e) {
+    // Not retryable: the same graph always collides with the same entry.
+    throw ProtocolError(ErrorCode::BadRequest, e.what());
   }
   return encode_stored_graph(put);
 }
@@ -271,6 +274,8 @@ std::string Session::do_patch_graph(const JsonValue& root) {
                         std::string(e.what()) + " (expired, dropped, or never put)");
   } catch (const api::GraphStoreFull& e) {
     return encode_error(ErrorCode::ServerBusy, e.what());
+  } catch (const api::HashCollision& e) {
+    throw ProtocolError(ErrorCode::BadRequest, e.what());
   } catch (const std::invalid_argument& e) {
     // apply_patch's consistency validation against the actual parent:
     // duplicate edits, deletes of absent edges, adds of present ones...

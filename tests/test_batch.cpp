@@ -88,6 +88,37 @@ TEST(GraphHash, SensitiveToSingleEdge) {
   EXPECT_NE(graph::graph_hash(path), graph::graph_hash(cycle));
 }
 
+TEST(GraphHash, IsTheCountTermPlusOneTermPerEdge) {
+  const Graph g({{1, 2}, {0}, {0, 3}, {2}});  // edges {0,1}, {0,2}, {2,3}
+  EXPECT_EQ(graph::graph_hash(g), graph::vertex_count_term(4) + graph::edge_term(0, 1) +
+                                      graph::edge_term(0, 2) + graph::edge_term(2, 3));
+  EXPECT_EQ(graph::graph_hash(Graph()), graph::vertex_count_term(0));
+  EXPECT_NE(graph::edge_term(0, 1), graph::vertex_count_term(1));
+}
+
+TEST(GraphHash, VertexCountIsPartOfTheAddress) {
+  // The same edge set plus isolated vertices is a different graph.
+  const Graph path = graph::gen::path(3);
+  const Graph padded({{1}, {0, 2}, {1}, {}, {}});
+  EXPECT_NE(graph::graph_hash(path), graph::graph_hash(padded));
+  EXPECT_NE(graph::graph_hash(padded), graph::graph_hash(Graph({{1}, {0, 2}, {1}, {}})));
+  // The empty graphs at n = 0, 1 and 2 differ pairwise.
+  const std::uint64_t empty[] = {graph::graph_hash(Graph()),
+                                 graph::graph_hash(Graph(std::vector<std::vector<Vertex>>(1))),
+                                 graph::graph_hash(Graph(std::vector<std::vector<Vertex>>(2)))};
+  EXPECT_NE(empty[0], empty[1]);
+  EXPECT_NE(empty[0], empty[2]);
+  EXPECT_NE(empty[1], empty[2]);
+}
+
+TEST(GraphHash, NotARelabellingInvariant) {
+  // The path 0-1-2 and the path 1-0-2 are isomorphic but not equal.
+  const Graph a({{1}, {0, 2}, {1}});
+  const Graph b({{1, 2}, {0}, {0}});
+  EXPECT_NE(a, b);
+  EXPECT_NE(graph::graph_hash(a), graph::graph_hash(b));
+}
+
 // ---------------------------------------------------------------------------
 // ResponseCache unit behaviour
 
@@ -822,60 +853,79 @@ TEST(ResponseCache, SnapshotRoundTripPreservesNamespaces) {
   EXPECT_EQ(ns.at("tenant-a").size, 1u);
 }
 
-TEST(ResponseCache, ReadsVersion1SnapshotsIntoDefaultNamespace) {
-  // A hand-written version-1 snapshot (the pre-namespace format): one entry,
-  // key (7, "solver", "opts"), minimal Response {solver, solution=[5],
-  // valid}. Byte-for-byte what PR 4's serialize() wrote — the compat
-  // contract is that v2 still loads it, placing the entry in namespace "".
-  std::string bytes;
-  const auto put_u8 = [&](std::uint8_t v) { bytes.push_back(static_cast<char>(v)); };
-  const auto put_u32 = [&](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  const auto put_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  const auto put_str = [&](std::string_view s) {
-    put_u32(static_cast<std::uint32_t>(s.size()));
-    bytes.append(s);
-  };
-  bytes = "LMDSCACH";
-  put_u32(1);  // version 1: no ns field per entry
-  put_u64(1);  // one entry
-  put_u64(7);  // key.graph_hash
-  put_str("solver");
-  put_str("opts");
-  // Response: solver, problem, solution, valid, ratio, ratio_measured, diag.
-  put_str("solver");
-  put_u8(0);   // Problem::Mds
-  put_u32(1);  // |solution|
-  put_u32(5);  // solution[0]
-  put_u8(1);   // valid
-  put_u32(0);  // ratio.solution_size
-  put_u32(0);  // ratio.reference
-  put_u8(0);   // ratio.exact
-  put_u64(0);  // ratio.ratio (0.0 bits)
-  put_u8(0);   // ratio_measured
-  put_u32(static_cast<std::uint32_t>(-1));  // diag.rounds = -1
-  put_u32(0);  // traffic.rounds
-  put_u64(0);  // traffic.messages
-  put_u64(0);  // traffic.bytes
-  put_u8(0);   // traffic_measured
-  put_u32(0);  // twin_classes
-  put_u32(0);  // one_cuts
-  put_u32(0);  // two_cut_vertices
-  put_u32(0);  // brute_forced
-  put_u32(0);  // residual_components
-  put_u32(0);  // max_residual_diameter
-  put_u64(0x4C4D44534E415053ULL);  // footer "LMDSNAPS"
+TEST(ResponseCache, RefusesVersion1And2SnapshotsByVersion) {
+  // Hand-written snapshots in the two formats keyed by the retired graph
+  // hash: one entry, key (7, "solver", "opts"[, ""]), minimal Response
+  // {solver, solution=[5], valid}. Version 1 is the pre-namespace format
+  // (no namespace per entry); version 2 adds the namespace string.
+  // Both are refused by version, and the live cache keeps its entries.
+  for (const std::uint32_t version : {1u, 2u}) {
+    std::string bytes;
+    const auto put_u8 = [&](std::uint8_t v) { bytes.push_back(static_cast<char>(v)); };
+    const auto put_u32 = [&](std::uint32_t v) {
+      for (int i = 0; i < 4; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    const auto put_u64 = [&](std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    const auto put_str = [&](std::string_view s) {
+      put_u32(static_cast<std::uint32_t>(s.size()));
+      bytes.append(s);
+    };
+    bytes = "LMDSCACH";
+    put_u32(version);
+    put_u64(1);  // one entry
+    put_u64(7);  // key.graph_hash
+    put_str("solver");
+    put_str("opts");
+    if (version == 2) put_str("");  // key.ns
+    // Response: solver, problem, solution, valid, ratio, ratio_measured, diag.
+    put_str("solver");
+    put_u8(0);   // Problem::Mds
+    put_u32(1);  // |solution|
+    put_u32(5);  // solution[0]
+    put_u8(1);   // valid
+    put_u32(0);  // ratio.solution_size
+    put_u32(0);  // ratio.reference
+    put_u8(0);   // ratio.exact
+    put_u64(0);  // ratio.ratio (0.0 bits)
+    put_u8(0);   // ratio_measured
+    put_u32(static_cast<std::uint32_t>(-1));  // diag.rounds = -1
+    put_u32(0);  // traffic.rounds
+    put_u64(0);  // traffic.messages
+    put_u64(0);  // traffic.bytes
+    put_u8(0);   // traffic_measured
+    put_u32(0);  // twin_classes
+    put_u32(0);  // one_cuts
+    put_u32(0);  // two_cut_vertices
+    put_u32(0);  // brute_forced
+    put_u32(0);  // residual_components
+    put_u32(0);  // max_residual_diameter
+    put_u64(0x4C4D44534E415053ULL);  // footer "LMDSNAPS"
 
-  ResponseCache cache(4);
-  std::stringstream snapshot(bytes, std::ios::in | std::ios::binary);
-  cache.deserialize(snapshot);
-  const auto hit = cache.lookup(CacheKey{7, "solver", "opts", ""});
-  ASSERT_TRUE(hit != nullptr);
-  EXPECT_EQ(hit->response.solution, std::vector<Vertex>{5});
-  EXPECT_FALSE(cache.lookup(CacheKey{7, "solver", "opts", "tenant-a"}) != nullptr);
+    ResponseCache cache(4);
+    cache.insert(key_of(3), response_of(3));
+    for (const bool merge : {false, true}) {
+      std::stringstream snapshot(bytes, std::ios::in | std::ios::binary);
+      try {
+        if (merge) {
+          cache.merge(snapshot);
+        } else {
+          cache.deserialize(snapshot);
+        }
+        ADD_FAILURE() << "version " << version << " snapshot was loaded";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("version " + std::to_string(version)),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(cache.lookup(CacheKey{7, "solver", "opts", ""}), nullptr);
+      const auto kept = cache.lookup(key_of(3));
+      ASSERT_NE(kept, nullptr);
+      EXPECT_EQ(kept->response.solution, std::vector<Vertex>{3});
+      EXPECT_EQ(cache.stats().size, 1u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

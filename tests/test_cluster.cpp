@@ -800,6 +800,70 @@ TEST_F(RoutedClusterTest, PutOfPatchedChildMatchesSingleServer) {
   ::close(fd);
 }
 
+TEST_F(RoutedClusterTest, HashCollisionRefusalsMatchSingleServerOnBothTransports) {
+  // Graph a planted under the handle of graph b on both workers and on the
+  // single server: the put of b and a patch whose child is b answer the
+  // single server's bad_request bytes through the router on both transports.
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  const int http_fd = server::tcp_connect("127.0.0.1", router_srv_->http_port());
+  ASSERT_GE(http_fd, 0);
+  LineReader http_reader(http_fd);
+  Session ref(reference_->core());
+  const auto ref_http = [&](const std::string& method, const std::string& target,
+                            const std::string& body) {
+    server::HttpRequest request;
+    request.method = method;
+    request.target = target;
+    request.body = body;
+    const std::string response = server::handle_http_request(request, ref);
+    return response.substr(response.find("\r\n\r\n") + 4);
+  };
+  const Graph a = graph::gen::cycle(5);
+  const Graph b = graph::gen::path(5);
+  for (Server* srv : {worker1_.get(), worker2_.get(), reference_.get()}) {
+    ASSERT_TRUE(srv->core().store().put_hashed(a, graph::graph_hash(b)).inserted);
+  }
+
+  const std::string put_b = "{\"op\":\"put_graph\",\"graph\":" + graph_json(b) + "}";
+  const std::string single = ref.handle_line(put_b);
+  ASSERT_TRUE(single.starts_with(R"({"ok":false,"code":"bad_request")")) << single;
+  EXPECT_NE(single.find(api::GraphStore::handle_for(graph::graph_hash(b))), std::string::npos);
+  EXPECT_EQ(raw_line_exchange(fd, reader, put_b), single);
+  EXPECT_EQ(raw_http_exchange(http_fd, http_reader, "PUT", "/v2/graphs", graph_json(b)),
+            ref_http("PUT", "/v2/graphs", graph_json(b)));
+
+  // b less its last edge, then a patch that adds it back.
+  const Graph parent({{1}, {0, 2}, {1, 3}, {2}, {}});
+  const std::string put_parent =
+      "{\"op\":\"put_graph\",\"graph\":" + graph_json(parent) + "}";
+  const std::string parent_line = ref.handle_line(put_parent);
+  EXPECT_EQ(raw_line_exchange(fd, reader, put_parent), parent_line);
+  const std::string parent_handle = json_parse(parent_line).find("handle")->as_string();
+  const std::string patch =
+      "{\"op\":\"patch_graph\",\"handle\":\"" + parent_handle + "\",\"add\":[[3,4]]}";
+  EXPECT_EQ(raw_line_exchange(fd, reader, patch), ref.handle_line(patch));
+  const std::string target = "/v2/graphs/" + parent_handle + "/patch";
+  EXPECT_EQ(raw_http_exchange(http_fd, http_reader, "POST", target, R"({"add":[[3,4]]})"),
+            ref_http("POST", target, R"({"add":[[3,4]]})"));
+  EXPECT_EQ(ref.handle_line(patch), single);
+
+  // Each refusal is counted on the worker that made it; a stays everywhere.
+  EXPECT_EQ(worker1_->core().store().stats().hash_collisions +
+                worker2_->core().store().stats().hash_collisions,
+            4u);
+  EXPECT_EQ(reference_->core().store().stats().hash_collisions, 5u);
+  for (Server* srv : {worker1_.get(), worker2_.get(), reference_.get()}) {
+    const auto planted =
+        srv->core().store().get(api::GraphStore::handle_for(graph::graph_hash(b)));
+    ASSERT_NE(planted, nullptr);
+    EXPECT_EQ(*planted, a);
+  }
+  ::close(http_fd);
+  ::close(fd);
+}
+
 // The router decodes a solve with the decoder a single server runs, so it
 // refuses what a single server refuses, even a batch whose share on each
 // worker would be legal: here one slot over max_batch_graphs, split across

@@ -321,6 +321,24 @@ TEST(DecodeGraph, AgreesOnGeneratedGraphs) {
   EXPECT_EQ(decode_graph(json_parse_graph(text), limits), g);
 }
 
+TEST(DecodeGraph, DuplicateAndReversedPairsHashOnce) {
+  // The folded hash counts each edge of the deduplicated graph once, from
+  // its lower endpoint's row, whatever the slot repeats or reverses.
+  const ServerLimits limits;
+  const graph::Graph path = graph::gen::path(3);
+  const std::uint64_t want =
+      graph::vertex_count_term(3) + graph::edge_term(0, 1) + graph::edge_term(1, 2);
+  ASSERT_EQ(graph::graph_hash(path), want);
+  for (const std::string text : {R"({"edges":[[0,1],[1,0],[0,1],[2,1],[1,2]]})",
+                                 R"({"edges":[[1,2],[0,1],[1,2]],"n":3})",
+                                 R"({"edges":[[2,1],[1,0]]})"}) {
+    const DecodedGraph d = decode_graph_hashed(json_parse_graph(text), limits);
+    EXPECT_EQ(d.graph, path) << text;
+    EXPECT_EQ(d.hash, want) << text;
+    expect_agreement(text, limits);
+  }
+}
+
 TEST(DecodeGraph, SolveRequestCarriesEverySlotsHash) {
   const api::Registry& registry = api::Registry::instance();
   const graph::Graph g = graph::gen::grid(3, 4);

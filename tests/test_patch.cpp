@@ -92,15 +92,15 @@ Graph rebuild(const Graph& parent, const GraphPatch& p) {
   return Graph(adj);
 }
 
-TEST(ApplyPatch, MatchesFromScratchRebuild) {
-  // The row-range construction (block copies of untouched rows, a merge per
-  // touched row) must equal the naive rebuild, hash included.
-  struct Case {
-    std::string name;
-    Graph parent;
-    GraphPatch patch;
-  };
-  std::vector<Case> cases = {
+struct PatchCase {
+  std::string name;
+  Graph parent;
+  GraphPatch patch;
+};
+
+/// Hand-picked edits, one soak patch per family and seeded random ones.
+std::vector<PatchCase> patch_table() {
+  std::vector<PatchCase> cases = {
       {"grid", graph::gen::grid(5, 5), edits({{0, 7}, {13, 21}}, {{0, 1}, {12, 13}})},
       {"new vertices", graph::gen::path(6), edits({{5, 8}, {9, 7}, {0, 10}}, {{2, 3}})},
       {"n above every endpoint", graph::gen::path(6), edits({{0, 5}}, {}, 12)},
@@ -134,7 +134,13 @@ TEST(ApplyPatch, MatchesFromScratchRebuild) {
     if (rng() % 4 == 0) p.n = n + 4;
     cases.push_back({"random " + std::to_string(i), std::move(parent), std::move(p)});
   }
-  for (const Case& c : cases) {
+  return cases;
+}
+
+TEST(ApplyPatch, MatchesFromScratchRebuild) {
+  // The row-range construction (block copies of untouched rows, a merge per
+  // touched row) must equal the naive rebuild, hash included.
+  for (const PatchCase& c : patch_table()) {
     const Graph patched = graph::apply_patch(c.parent, c.patch).graph;
     const Graph want = rebuild(c.parent, c.patch);
     EXPECT_EQ(patched, want) << c.name;
@@ -201,6 +207,110 @@ TEST(GraphStorePatch, UnknownParentThrows) {
   GraphPatch bad;
   bad.del = {{0, 3}};  // not an edge of the path
   EXPECT_THROW((void)store.patch(parent.handle, bad), std::invalid_argument);
+}
+
+TEST(GraphStorePatch, ChildHandleIsTheGraphHashOfTheChild) {
+  // patch() derives the child's hash from the parent's and the edit alone;
+  // on every case of the table it must be graph_hash of the child itself.
+  for (const PatchCase& c : patch_table()) {
+    api::GraphStore store(4);
+    const auto parent = store.put(c.parent);
+    const auto child = store.patch(parent.handle, c.patch);
+    const Graph want = graph::apply_patch(c.parent, c.patch).graph;
+    EXPECT_EQ(child.put.handle, api::GraphStore::handle_for(graph::graph_hash(want))) << c.name;
+    EXPECT_EQ(child.put.hash, graph::graph_hash(want)) << c.name;
+    const auto stored = store.get(child.put.handle);
+    ASSERT_NE(stored, nullptr) << c.name;
+    EXPECT_EQ(*stored, want) << c.name;
+  }
+}
+
+TEST(PatchSession, SeededChainsKeepExactAddresses) {
+  // 200 chains of depth 3-5 over the five soak families, through the wire:
+  // every child's handle is graph_hash of the child, "new" is true exactly
+  // when the child was not stored yet, a no-op patch answers its parent and
+  // a patch undoing the last one answers the grandparent.
+  server::CoreOptions opts;
+  opts.store_capacity = 4096;  // every chain's graphs stay resolvable
+  server::ServerCore core(opts, api::Registry::instance());
+  server::Session session(core);
+  std::set<std::string> stored;
+  std::mt19937_64 rng(2028);
+  int grown = 0, noops = 0, restores = 0, new_vertex_edges = 0, deletions = 0;
+  for (std::uint64_t chain = 0; chain < 200; ++chain) {
+    Graph base = soak::make_case(/*run_seed=*/28, chain).graph;
+    const server::JsonValue put = server::json_parse(session.handle_line(
+        "{\"op\":\"put_graph\",\"graph\":" + server::encode_graph_json(base) + "}"));
+    ASSERT_TRUE(put.find("ok")->as_bool());
+    std::vector<std::pair<std::string, Graph>> line{{put.find("handle")->as_string(), base}};
+    stored.insert(line.back().first);
+    GraphPatch last;
+    const int depth = 3 + static_cast<int>(chain % 3);
+    for (int step = 0; step < depth; ++step) {
+      const Graph& g = line.back().second;
+      const int n = g.num_vertices();
+      GraphPatch p;
+      std::string expect_handle;  // set when the child is an ancestor
+      // Kinds rotate through this order, so an undo follows a plain edit.
+      constexpr int kOrder[] = {0, 4, 3, 1, 2};
+      switch (kOrder[(chain + static_cast<std::uint64_t>(step)) % 5]) {
+        case 0:  // additions and deletions
+          p = soak::make_patch(g, rng(), 1 + static_cast<int>(rng() % 6));
+          break;
+        case 1:  // growth through "n", plus an edge to one of the new vertices
+          p = soak::make_patch(g, rng(), 1 + static_cast<int>(rng() % 3));
+          p.n = n + 1 + static_cast<int>(rng() % 3);
+          p.add.push_back({static_cast<graph::Vertex>(rng() % static_cast<std::uint64_t>(n)),
+                           static_cast<graph::Vertex>(p.n - 1)});
+          break;
+        case 2:  // an edge to a vertex past the end, without "n"
+          p.add.push_back({static_cast<graph::Vertex>(rng() % static_cast<std::uint64_t>(n)),
+                           static_cast<graph::Vertex>(n + static_cast<int>(rng() % 2))});
+          break;
+        case 3:  // the no-op patch
+          expect_handle = line.back().first;
+          ++noops;
+          break;
+        default:  // undo the last patch, unless it grew the vertex set
+          if (line.size() >= 2 && line[line.size() - 2].second.num_vertices() == n) {
+            p.add = last.del;
+            p.del = last.add;
+            expect_handle = line[line.size() - 2].first;
+            ++restores;
+          } else {
+            p = soak::make_patch(g, rng(), 2);
+          }
+          break;
+      }
+      const Graph want = graph::apply_patch(g, p).graph;
+      grown += want.num_vertices() > n ? 1 : 0;
+      deletions += p.del.empty() ? 0 : 1;
+      new_vertex_edges += std::any_of(p.add.begin(), p.add.end(),
+                                      [&](const Edge& e) { return e.v >= n; });
+      const std::string request = "{\"op\":\"patch_graph\",\"handle\":\"" + line.back().first +
+                                  "\"," + server::encode_patch_members(p) + "}";
+      const server::JsonValue reply = server::json_parse(session.handle_line(request));
+      ASSERT_TRUE(reply.find("ok")->as_bool()) << request;
+      const std::string handle = reply.find("handle")->as_string();
+      EXPECT_EQ(handle, api::GraphStore::handle_for(graph::graph_hash(want))) << request;
+      if (!expect_handle.empty()) EXPECT_EQ(handle, expect_handle) << request;
+      EXPECT_EQ(reply.find("new")->as_bool(), !stored.contains(handle)) << request;
+      const auto child = core.store().get(handle);
+      ASSERT_NE(child, nullptr);
+      EXPECT_EQ(*child, want) << request;
+      stored.insert(handle);
+      line.emplace_back(handle, want);
+      last = p;
+    }
+  }
+  // Every kind of edit occurred.
+  EXPECT_GT(grown, 0);
+  EXPECT_GT(noops, 0);
+  EXPECT_GT(restores, 0);
+  EXPECT_GT(new_vertex_edges, 0);
+  EXPECT_GT(deletions, 0);
+  const server::JsonValue stats = server::json_parse(session.handle_line("{\"op\":\"stats\"}"));
+  EXPECT_EQ(stats.find("store")->find("hash_collisions"), nullptr);
 }
 
 TEST(GraphStoreEviction, ParentOfDerivedHandleIsNotEvicted) {

@@ -25,8 +25,10 @@
 #include <utility>
 #include <vector>
 
+#include "api/graph_store.hpp"
 #include "api/registry.hpp"
 #include "graph/generators.hpp"
+#include "graph/hash.hpp"
 #include "server/http.hpp"
 #include "server/json.hpp"
 #include "server/net.hpp"
@@ -1125,6 +1127,62 @@ TEST(Http, ServerBusyIs503AndSolverFailureIs500) {
       session);
   EXPECT_EQ(http_status(response), 500);
   EXPECT_EQ(error_code_of(http_body(response)), ErrorCode::SolverFailure);
+}
+
+TEST(Http, PlantedHashCollisionIsABadRequestOnBothTransports) {
+  // Graph a planted under the handle of graph b: every store hit compares
+  // the graph, so b is refused by put_graph, by a patch_graph whose child
+  // is b and by replicate_in, on both transports, and a stays.
+  Server server(test_options());
+  Session session(server.core());
+  api::GraphStore& store = server.core().store();
+  const Graph a = graph::gen::cycle(5);
+  const Graph b = graph::gen::path(5);
+  const std::string handle = api::GraphStore::handle_for(graph::graph_hash(b));
+  ASSERT_TRUE(store.put_hashed(a, graph::graph_hash(b)).inserted);
+  const std::string refusal = encode_error(
+      ErrorCode::BadRequest,
+      "graph hash collision: handle \"" + handle + "\" already names a different graph");
+
+  const std::string put_b = "{\"op\":\"put_graph\",\"graph\":" + encode_graph_json(b) + "}";
+  EXPECT_EQ(session.handle_line(put_b), refusal);
+  std::string response =
+      handle_http_request(make_http("PUT", "/v2/graphs", encode_graph_json(b)), session);
+  EXPECT_EQ(http_status(response), 400);
+  EXPECT_EQ(http_body(response), refusal);
+
+  // b less its last edge, then a patch that adds it back.
+  const Graph parent({{1}, {0, 2}, {1, 3}, {2}, {}});
+  const JsonValue put_parent = json_parse(session.handle_line(
+      "{\"op\":\"put_graph\",\"graph\":" + encode_graph_json(parent) + "}"));
+  ASSERT_TRUE(put_parent.find("ok")->as_bool());
+  const std::string parent_handle = put_parent.find("handle")->as_string();
+  EXPECT_EQ(session.handle_line("{\"op\":\"patch_graph\",\"handle\":\"" + parent_handle +
+                                "\",\"add\":[[3,4]]}"),
+            refusal);
+  response = handle_http_request(
+      make_http("POST", "/v2/graphs/" + parent_handle + "/patch", R"({"add":[[3,4]]})"),
+      session);
+  EXPECT_EQ(http_status(response), 400);
+  EXPECT_EQ(http_body(response), refusal);
+
+  const JsonValue stats = json_parse(session.handle_line(R"({"op":"stats"})"));
+  EXPECT_EQ(stats.find("store")->find("hash_collisions")->as_int(), 4);
+  EXPECT_EQ(stats.find("store")->find("graphs")->as_int(), 2);
+  EXPECT_EQ(stats.find("store")->find("patches")->as_int(), 0);
+
+  const JsonValue replicated = json_parse(session.handle_line(
+      "{\"op\":\"replicate_in\",\"graphs\":[" + encode_graph_json(b) + "]}"));
+  ASSERT_TRUE(replicated.find("ok")->as_bool());
+  EXPECT_EQ(replicated.find("rejected")->as_int(), 1);
+  EXPECT_EQ(replicated.find("installed")->as_int(), 0);
+  EXPECT_EQ(replicated.find("present")->as_int(), 0);
+  EXPECT_EQ(store.stats().hash_collisions, 5u);
+
+  // The planted entry is unchanged.
+  const auto planted = store.get(handle);
+  ASSERT_NE(planted, nullptr);
+  EXPECT_EQ(*planted, a);
 }
 
 // ---------------------------------------------------------------------------
