@@ -10,8 +10,12 @@
 // The inline row is timed alternately with the same grid spelled with ", "
 // separators, which the decoder's canonical [u,v] fast path does not take,
 // so the two rows show what the fast path is worth; both spellings must
-// answer the same bytes. Per-graph ingest (json_parse plus decode_graph of
-// the one slot) is timed for each spelling the same way.
+// answer the same bytes. Per-graph ingest is timed for each spelling the
+// same way: json_parse plus decode_graph_deferred of the one slot, which is
+// what a hop pays for an inline graph whose solve hits the cache (both
+// spellings keep the edges in canonical order, so neither builds a CSR),
+// and, for the canonical one, json_parse plus decode_graph_hashed, which
+// also builds the CSR a miss needs.
 //
 // A second row times the warm 8-handle batch: 8 outerplanar graphs of
 // 300-1000 vertices, all cached, sent with "batch":{"threads":1} and with
@@ -33,10 +37,12 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
+#include "graph/hash.hpp"
 #include "server/json.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -123,16 +129,22 @@ int main(int argc, char** argv) {
   const double speedup = handle_rate / inline_rate;
   const double fast_path_speedup = inline_rate / spaced_rate;
 
-  // Per-graph ingest: json_parse of the line plus decode_graph_hashed of its
-  // one slot — the work every hop (router or worker) does per inline graph.
+  // Per-graph ingest: json_parse of the line plus the deferred decode of its
+  // one slot — the work a hop (router, or worker on a cache hit) does per
+  // inline graph. Timed for the canonical line also with the CSR built, as
+  // a worker's miss builds it. The graph is checked outside the timing.
   const server::ServerLimits limits;
-  const auto ingest_us = [&](const std::string& line) {
+  const std::uint64_t want_hash = graph::graph_hash(g);
+  const auto ingest_us = [&](const std::string& line, bool build) {
     const auto start = std::chrono::steady_clock::now();
     const server::JsonValue root = server::json_parse(line);
-    const server::DecodedGraph decoded =
-        server::decode_graph_hashed(root.find("graphs")->as_array()[0], limits);
+    server::CheckedGraph checked =
+        server::decode_graph_deferred(root.find("graphs")->as_array()[0], limits);
+    const auto* deferred = std::get_if<server::DeferredGraph>(&checked.graph);
+    if (build && deferred) checked.graph = server::build_graph(*deferred);
     const double us = 1e6 * bench::seconds_since(start);
-    if (decoded.graph != g) {
+    const auto* built = std::get_if<graph::Graph>(&checked.graph);
+    if (checked.hash != want_hash || (build && (!built || *built != g))) {
       std::fprintf(stderr, "an inline spelling decoded to a different graph\n");
       std::exit(1);
     }
@@ -140,12 +152,15 @@ int main(int argc, char** argv) {
   };
   std::vector<double> canonical_ingest;
   std::vector<double> spaced_ingest;
+  std::vector<double> canonical_built;
   for (int i = 0; i < iters; ++i) {
-    canonical_ingest.push_back(ingest_us(inline_line));
-    spaced_ingest.push_back(ingest_us(spaced_line));
+    canonical_ingest.push_back(ingest_us(inline_line, false));
+    spaced_ingest.push_back(ingest_us(spaced_line, false));
+    canonical_built.push_back(ingest_us(inline_line, true));
   }
   const double canonical_ingest_us = bench::median(canonical_ingest);
   const double spaced_ingest_us = bench::median(spaced_ingest);
+  const double canonical_built_us = bench::median(canonical_built);
 
   // The warm 8-handle row: put and solve each graph once, then time single
   // requests, alternating the two thread counts so host drift hits both.
@@ -195,8 +210,8 @@ int main(int argc, char** argv) {
   std::printf("\nsolve-by-handle speedup: %.1fx (wire bytes shrink %zux)\n", speedup,
               inline_line.size() / handle_line.size());
   std::printf("canonical / spaced inline: %.2fx; per-graph ingest (median) %.1f us canonical, "
-              "%.1f us spaced\n",
-              fast_path_speedup, canonical_ingest_us, spaced_ingest_us);
+              "%.1f us spaced; %.1f us canonical with the CSR built\n",
+              fast_path_speedup, canonical_ingest_us, spaced_ingest_us, canonical_built_us);
   std::printf("\nwarm 8-handle batch (outerplanar, 300-1000 vertices), median of %d requests\n",
               warm_iters);
   std::printf("%-22s %10s\n", "batch threads", "us/req");
@@ -214,6 +229,7 @@ int main(int argc, char** argv) {
                 {"canonical_over_spaced", bench::json_num(fast_path_speedup, 3)},
                 {"ingest_canonical_us", bench::json_num(canonical_ingest_us, 2)},
                 {"ingest_spaced_us", bench::json_num(spaced_ingest_us, 2)},
+                {"ingest_built_canonical_us", bench::json_num(canonical_built_us, 2)},
                 {"warm8_t1_us", bench::json_num(warm_t1_us, 2)},
                 {"warm8_t4_us", bench::json_num(warm_t4_us, 2)},
                 {"warm8_t4_over_t1", bench::json_num(warm_ratio, 3)}},

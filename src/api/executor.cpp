@@ -76,8 +76,9 @@ std::vector<Response> BatchExecutor::run_batch(
     const BatchOverrides& over, BatchDiagnostics* diag,
     std::span<const std::uint64_t> graph_hashes,
     std::span<const std::shared_ptr<const PatchLineage>> lineages) {
-  const std::vector<std::shared_ptr<const CachedResponse>> entries =
-      run_batch_shared(solver, graphs, req, over, diag, graph_hashes, lineages);
+  const std::vector<std::shared_ptr<const CachedResponse>> entries = run_batch_shared(
+      solver, graphs.size(), [&](std::size_t i) -> const Graph& { return *graphs[i]; }, req,
+      over, diag, graph_hashes, lineages);
   std::vector<Response> out;
   out.reserve(entries.size());
   for (const std::shared_ptr<const CachedResponse>& entry : entries) {
@@ -87,11 +88,10 @@ std::vector<Response> BatchExecutor::run_batch(
 }
 
 std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shared(
-    std::string_view solver, std::span<const Graph* const> graphs, const Request& req,
-    const BatchOverrides& over, BatchDiagnostics* diag,
+    std::string_view solver, std::size_t count, const GraphAccessor& graph_of,
+    const Request& req, const BatchOverrides& over, BatchDiagnostics* diag,
     std::span<const std::uint64_t> graph_hashes,
     std::span<const std::shared_ptr<const PatchLineage>> lineages) {
-  const std::size_t count = graphs.size();
   // Validate once, up front: a malformed request throws here, on the calling
   // thread, before any worker spawns or cache entry is touched. Workers then
   // take the trusted run_resolved path — one name lookup per graph, no
@@ -154,12 +154,19 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
     const std::string options_key =
         use_cache ? canonical_options(resolved, req.measure_traffic, req.measure_ratio)
                   : std::string();
-    // Slot i's fingerprint: the caller's, else graph_hash computed on first
-    // use. Each slot is touched by one thread at a time.
+    // Slot i's graph, read through the caller's accessor on first use only:
+    // a slot that hits with a hash in hand is never read. Slot i's
+    // fingerprint: the caller's, else graph_hash computed on first use.
+    // Each slot is touched by one thread at a time.
+    std::vector<const Graph*> read(count, nullptr);
+    const auto graph_at = [&](std::size_t i) -> const Graph& {
+      if (!read[i]) read[i] = &graph_of(i);
+      return *read[i];
+    };
     std::vector<std::uint64_t> hashes(count, 0);
     std::copy_n(graph_hashes.begin(), std::min(count, graph_hashes.size()), hashes.begin());
     const auto hash_of = [&](std::size_t i) {
-      if (hashes[i] == 0) hashes[i] = graph::graph_hash(*graphs[i]);
+      if (hashes[i] == 0) hashes[i] = graph::graph_hash(graph_at(i));
       return hashes[i];
     };
 
@@ -256,7 +263,6 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
     };
 
     auto run_one = [&](std::size_t i, graph::BfsScratch& scratch) {
-      const Graph& g = *graphs[i];
       CacheKey key;
       if (use_cache) {
         key = CacheKey{hash_of(i), std::string(solver), options_key, over.cache_namespace};
@@ -266,6 +272,7 @@ std::vector<std::shared_ptr<const CachedResponse>> BatchExecutor::run_batch_shar
           return;
         }
       }
+      const Graph& g = graph_at(i);
       if (const PatchLineage* lin =
               lineage_ok && i < lineages.size() ? lineages[i].get() : nullptr) {
         if (std::optional<Response> spliced =

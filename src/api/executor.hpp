@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -139,9 +140,9 @@ class BatchExecutor {
                                   BatchDiagnostics* diag = nullptr);
 
   /// Pointer-span variant for callers whose graphs are not contiguous —
-  /// the serving layer's solve-by-handle path hands the GraphStore's stored
-  /// graphs straight to the workers, no per-request copies. The contiguous
-  /// overloads above forward here with a pointer per graph. Every pointer must
+  /// stored graphs go straight to the workers, no per-request copies. The
+  /// contiguous overloads above forward here with a pointer per graph, and
+  /// this forwards to run_batch_shared with an accessor over the pointers. Every pointer must
   /// be non-null and outlive the call. `graph_hashes`, when non-empty, must
   /// parallel `graphs` and carries precomputed graph_hash fingerprints (a
   /// graph-store handle *is* its graph's hash, so handle solves skip the
@@ -168,16 +169,26 @@ class BatchExecutor {
                                   std::span<const std::shared_ptr<const PatchLineage>>
                                       lineages = {});
 
-  /// The pointer-span run_batch without the copies: slot i answers graphs[i]
-  /// with a shared entry — on a cache hit the cache's own entry, otherwise a
-  /// private one holding the fresh Response (the cache keeps its own
-  /// exact-size copy). A serving front-end encodes each slot through
-  /// CachedResponse::memo, so only entries served as hits keep their bytes.
-  /// The Response-vector overloads copy out of these; same arguments, same
-  /// diagnostics, same errors.
+  /// Slot i's graph, for run_batch_shared. The executor calls it at most
+  /// once per slot, and only for a slot that needs its graph: one whose
+  /// cache lookup missed (or that bypasses the cache), or one that came
+  /// without a hash. The call runs on the thread that claimed the slot, and
+  /// no two threads ever read one slot; the returned graph must outlive the
+  /// batch. A serving front-end builds an inline graph here, so a hit never
+  /// builds one.
+  using GraphAccessor = std::function<const Graph&(std::size_t slot)>;
+
+  /// The batch without the copies, over `count` slots read through
+  /// `graph_of`: slot i answers graph_of(i) with a shared entry — on a
+  /// cache hit the cache's own entry, otherwise a private one holding the
+  /// fresh Response (the cache keeps its own exact-size copy). A serving
+  /// front-end encodes each slot through CachedResponse::memo, so only
+  /// entries served as hits keep their bytes. The Response-vector overloads
+  /// copy out of these; `graph_hashes` and `lineages` as in the pointer-span
+  /// run_batch; same diagnostics, same errors.
   std::vector<std::shared_ptr<const CachedResponse>> run_batch_shared(
-      std::string_view solver, std::span<const Graph* const> graphs, const Request& req,
-      const BatchOverrides& over, BatchDiagnostics* diag = nullptr,
+      std::string_view solver, std::size_t count, const GraphAccessor& graph_of,
+      const Request& req, const BatchOverrides& over, BatchDiagnostics* diag = nullptr,
       std::span<const std::uint64_t> graph_hashes = {},
       std::span<const std::shared_ptr<const PatchLineage>> lineages = {});
 

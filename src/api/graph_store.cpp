@@ -161,28 +161,52 @@ std::size_t GraphStore::expire_leases_locked() {
   return released;
 }
 
-bool GraphStore::store_locked(graph::Graph&& g, std::uint64_t hash,
-                              std::optional<SessionId> owner, std::string_view ns,
-                              std::shared_ptr<const PatchLineage>&& lineage) {
-  expire_leases_locked();
-  if (const auto it = entries_.find(hash); it != entries_.end()) {
-    // One handle names one graph: a hit is compared, O(V + E), before any
-    // reuse, and a different graph under the same 64 bits is refused.
-    if (*it->second.graph != g) {
+bool GraphStore::store(graph::Graph&& g, std::uint64_t hash, std::optional<SessionId> owner,
+                       std::string_view ns, std::shared_ptr<const PatchLineage>&& lineage) {
+  // One handle names one graph: a hit is compared with `g`, O(V + E), before
+  // any reuse, and a different graph under the same 64 bits is refused. The
+  // compare runs unlocked against `compared`, a copy of the entry's
+  // shared_ptr; the entry is reused only if it still holds that graph once
+  // the mutex is retaken (the copy keeps its address from being reused),
+  // else the store starts over against whatever the hash holds then.
+  std::shared_ptr<const graph::Graph> compared;
+  for (;;) {
+    std::shared_ptr<const graph::Graph> stored;
+    {
+      common::MutexLock lock(mu_);
+      if (!compared) expire_leases_locked();
+      const auto it = entries_.find(hash);
+      if (it == entries_.end()) {
+        insert_locked(std::move(g), hash, owner, ns, std::move(lineage));
+        return true;
+      }
+      if (it->second.graph == compared) {
+        // Content-addressed reuse: the caller keeps (and frees, after
+        // unlocking) its copy. An owner re-pins the entry; a replica only
+        // promotes it.
+        if (owner) {
+          pin_locked(it->second, *owner);
+        } else {
+          touch_locked(it->second, kSharedSession);
+        }
+        ++reuses_;
+        return false;
+      }
+      stored = it->second.graph;
+    }
+    if (*stored != g) {
+      common::MutexLock lock(mu_);
       ++hash_collisions_;
       throw HashCollision("graph hash collision: handle \"" + handle_for(hash) +
                           "\" already names a different graph");
     }
-    // Content-addressed reuse: the caller keeps (and frees, after unlocking)
-    // its copy. An owner re-pins the entry; a replica only promotes it.
-    if (owner) {
-      pin_locked(it->second, *owner);
-    } else {
-      touch_locked(it->second, kSharedSession);
-    }
-    ++reuses_;
-    return false;
+    compared = std::move(stored);
   }
+}
+
+void GraphStore::insert_locked(graph::Graph&& g, std::uint64_t hash,
+                               std::optional<SessionId> owner, std::string_view ns,
+                               std::shared_ptr<const PatchLineage>&& lineage) {
   if (entries_.size() >= opts_.capacity) evict_unpinned_locked();
   // Quota after eviction: freeing an unrelated namespace's LRU entry first
   // is harmless, and this order never leaves charged bytes without an entry.
@@ -196,7 +220,18 @@ bool GraphStore::store_locked(graph::Graph&& g, std::uint64_t hash,
   unpinned_.push_front(hash);
   entry.lru_it = unpinned_.begin();
   if (owner) pin_locked(entry, *owner);
-  return true;
+  if (!entry.lineage) {
+    ++puts_;
+    return;
+  }
+  // Eviction protection for the parent — if its entry still exists. (It may
+  // have been dropped and evicted since patch() read it; the lineage's
+  // shared_ptr alone then keeps the parent graph alive.)
+  if (const auto parent_it = entries_.find(entry.lineage->parent_hash);
+      parent_it != entries_.end()) {
+    ++parent_it->second.child_refs;
+  }
+  ++patches_;
 }
 
 GraphStore::PutResult GraphStore::put(graph::Graph g, SessionId session, std::string_view ns) {
@@ -207,9 +242,7 @@ GraphStore::PutResult GraphStore::put(graph::Graph g, SessionId session, std::st
 GraphStore::PutResult GraphStore::put_hashed(graph::Graph g, std::uint64_t hash,
                                              SessionId session, std::string_view ns) {
   PutResult out = put_result(hash, g);
-  common::MutexLock lock(mu_);
-  out.inserted = store_locked(std::move(g), hash, session, ns, nullptr);
-  if (out.inserted) ++puts_;
+  out.inserted = store(std::move(g), hash, session, ns, nullptr);
   return out;
 }
 
@@ -218,9 +251,7 @@ GraphStore::PutResult GraphStore::put_replica(graph::Graph g, std::uint64_t hash
   // Already present is the common replication case (handles are globally
   // stable). Nobody owns a replica, so it is stored or promoted unpinned.
   PutResult out = put_result(hash, g);
-  common::MutexLock lock(mu_);
-  out.inserted = store_locked(std::move(g), hash, std::nullopt, ns, nullptr);
-  if (out.inserted) ++puts_;
+  out.inserted = store(std::move(g), hash, std::nullopt, ns, nullptr);
   return out;
 }
 
@@ -253,19 +284,10 @@ GraphStore::PatchResult GraphStore::patch(std::string_view handle, const graph::
                                                   .added = std::move(patched.added),
                                                   .removed = std::move(patched.removed)});
 
-  common::MutexLock lock(mu_);
   // A hit (the no-op patch's child is the parent itself) re-pins the stored
   // entry and keeps its original lineage.
   out.put.inserted =
-      store_locked(std::move(patched.graph), child_hash, session, ns, std::move(lineage));
-  if (!out.put.inserted) return out;
-  // Eviction protection for the parent — if its entry still exists. (It may
-  // have been dropped and evicted while we hashed; the lineage's shared_ptr
-  // alone then keeps the parent graph alive.)
-  if (const auto parent_it = entries_.find(*parent_hash); parent_it != entries_.end()) {
-    ++parent_it->second.child_refs;
-  }
-  ++patches_;
+      store(std::move(patched.graph), child_hash, session, ns, std::move(lineage));
   return out;
 }
 

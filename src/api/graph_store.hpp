@@ -11,10 +11,11 @@
 //    handle is "g" + 16 hex digits of graph_hash. Every hit compares the
 //    stored graph with the incoming one, so one handle never names two
 //    graphs: a distinct graph colliding on all 64 bits is refused with
-//    HashCollision and the stored entry is kept. Handles are globally
-//    stable: every server derives the same handle for the same graph,
-//    which is what makes consistent-hash routing and peer replication
-//    (src/cluster/) coherent.
+//    HashCollision and the stored entry is kept. The compare, O(V + E),
+//    runs with the store's mutex released, so a hit on a large graph
+//    stalls no other call. Handles are globally stable: every server
+//    derives the same handle for the same graph, which is what makes
+//    consistent-hash routing and peer replication (src/cluster/) coherent.
 //  * Addressed in O(edit) — patch() derives the child's hash from the
 //    parent's and the edit (graph::patched_hash); it never walks the child.
 //  * Lease-owned pins — every pin belongs to a SessionId. Session
@@ -157,8 +158,8 @@ class GraphStore {
                 std::string_view ns = {}) LMDS_EXCLUDES(mu_);
 
   /// put() for a caller that already holds the graph's fingerprint (the
-  /// wire decoder folds it into the CSR build), so the store does not walk
-  /// the graph again. `hash` must be graph::graph_hash(g).
+  /// wire decoder computes it while checking the graph), so the store does
+  /// not walk the graph again. `hash` must be graph::graph_hash(g).
   PutResult put_hashed(graph::Graph g, std::uint64_t hash, SessionId session = kSharedSession,
                        std::string_view ns = {}) LMDS_EXCLUDES(mu_);
 
@@ -288,15 +289,23 @@ class GraphStore {
   void touch_locked(Entry& entry, SessionId session) LMDS_REQUIRES(mu_);
   /// Adds one pin for `session` on `entry`, renewing its lease deadline.
   void pin_locked(Entry& entry, SessionId session) LMDS_REQUIRES(mu_);
-  /// The one insert path of put, put_replica and patch: sweeps expired
+  /// The one store path of put, put_replica and patch: sweeps expired
   /// leases, then reuses the entry stored under `hash` if it holds a graph
   /// equal to `g` (pinning it for `owner`, or promoting it when there is
-  /// none) or stores `g` with `lineage`, charged to `ns` and pinned for
-  /// `owner` (unpinned without one). Moves from `g` and `lineage` only when
-  /// it inserts, which is what it returns. Throws GraphStoreFull like put(),
-  /// and HashCollision, counted, when the entry holds a different graph.
-  bool store_locked(graph::Graph&& g, std::uint64_t hash, std::optional<SessionId> owner,
-                    std::string_view ns, std::shared_ptr<const PatchLineage>&& lineage)
+  /// none), or else inserts `g` (insert_locked). A hit's compare, O(V + E),
+  /// runs with the mutex released, so it stalls no other store call. Moves
+  /// from `g` and `lineage` only when it inserts, which is what it returns.
+  /// Throws GraphStoreFull like put(), and HashCollision, counted, when the
+  /// entry holds a different graph.
+  bool store(graph::Graph&& g, std::uint64_t hash, std::optional<SessionId> owner,
+             std::string_view ns, std::shared_ptr<const PatchLineage>&& lineage)
+      LMDS_EXCLUDES(mu_);
+  /// Stores `g` under the absent `hash` with `lineage`, charged to `ns` and
+  /// pinned for `owner` (unpinned without one), and counts it: a patch,
+  /// which claims its parent entry if that is still stored, when it has a
+  /// lineage, else a put. Throws GraphStoreFull like put().
+  void insert_locked(graph::Graph&& g, std::uint64_t hash, std::optional<SessionId> owner,
+                     std::string_view ns, std::shared_ptr<const PatchLineage>&& lineage)
       LMDS_REQUIRES(mu_);
   /// Lazy lease-ttl sweep; no-op when lease_ttl is 0.
   std::size_t expire_leases_locked() LMDS_REQUIRES(mu_);

@@ -254,9 +254,10 @@ std::optional<std::string> Router::route_solve(server::Session& session,
                                                const JsonValue& root) {
   // The decoder Session::do_solve runs. A request it refuses falls through
   // to local dispatch, which runs it again and writes the same error line.
+  // A canonically ordered inline slot is checked and hashed without a CSR.
   server::SolveRequest req;
   try {
-    req = server::decode_solve(root, core_.registry(), core_.options().limits);
+    req = server::decode_solve_deferred(root, core_.registry(), core_.options().limits);
   } catch (const server::ProtocolError&) {
     return std::nullopt;
   }
@@ -371,7 +372,7 @@ std::optional<std::string> Router::route_put(const JsonValue& root) {
   if (!graph_member) return std::nullopt;
   std::uint64_t hash = 0;
   try {
-    hash = server::decode_graph_hashed(*graph_member, core_.options().limits).hash;
+    hash = server::decode_graph_deferred(*graph_member, core_.options().limits).hash;
   } catch (const server::ProtocolError&) {
     return std::nullopt;  // local dispatch reports the malformed graph
   }

@@ -4,15 +4,18 @@
 // namespaces and counters all work unchanged — and installs itself as the
 // core's dispatch override, intercepting the store-and-solve verbs:
 //
-//   put_graph    -> decode (the fingerprint comes out of the CSR build),
-//                   forward to the ring owner with the graph's bytes as sent
+//   put_graph    -> check and hash the graph (no CSR for a canonically
+//                   ordered one), forward to the ring owner with the
+//                   graph's bytes as sent
 //   patch_graph  -> forward to the parent handle's owner; remember where the
 //                   derived child lives (server::stored_graph_of reads it
 //                   from the reply; its content hash need not land on the
 //                   same ring segment as its parent's)
 //   drop_graph   -> forward to the handle's owner
-//   solve        -> decode the request with server::decode_solve (one it
-//                   refuses is answered locally, as a single server would),
+//   solve        -> decode the request with server::decode_solve_deferred
+//                   (one it refuses is answered locally, as a single server
+//                   would; a canonically ordered inline slot is hashed from
+//                   its edges and never built into a CSR),
 //                   partition the graphs array by owner (handles via the
 //                   location map then the ring, inline graphs by their
 //                   fingerprint so repeat traffic hits the same warm

@@ -63,11 +63,11 @@ const JsonValue::Object& JsonValue::as_object() const {
   return std::get<Object>(v_);
 }
 
-const std::string& JsonValue::raw_text() const { return graph_slot().text; }
+const std::string& JsonValue::raw_text() const { return graph_slot()->text; }
 
-const GraphSlot& JsonValue::graph_slot() const {
+const std::shared_ptr<const GraphSlot>& JsonValue::graph_slot() const {
   if (type() != Type::Raw) type_error(type(), "raw");
-  return *std::get<std::shared_ptr<const GraphSlot>>(v_);
+  return std::get<std::shared_ptr<const GraphSlot>>(v_);
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {

@@ -21,8 +21,9 @@
 // its "edges" elements into a GraphSlot, trying the canonical element
 // [digits,digits] (1-9 digits, no sign, no whitespace; what
 // encode_graph_json writes) in a tight loop before the general element
-// grammar. decode_graph (protocol.hpp) then builds the graph from the
-// GraphSlot without reading the bytes again; json_dump re-emits the bytes
+// grammar. The decoders (protocol.hpp) then check, hash and build the
+// graph from the GraphSlot without reading the bytes again — a deferred
+// graph shares the slot until it is built; json_dump re-emits the bytes
 // verbatim.
 
 #include <cstdint>
@@ -81,8 +82,9 @@ class JsonValue {
   const Object& as_object() const;
   /// The source bytes of a Raw value: one complete, valid JSON object.
   const std::string& raw_text() const;
-  /// What json_parse collected from a Raw value's bytes.
-  const GraphSlot& graph_slot() const;
+  /// What json_parse collected from a Raw value's bytes, shared: a holder
+  /// keeps the slot alive past this value.
+  const std::shared_ptr<const GraphSlot>& graph_slot() const;
 
   /// Object member lookup; nullptr when this is not an object or the key is
   /// absent — the protocol's "optional field" idiom.

@@ -48,9 +48,10 @@ int int_field(const JsonValue& v, std::string_view what) {
 // Edge-list decoding
 
 /// Counting sort of `edges` into CSR rows, then each row sorted,
-/// deduplicated and compacted in place — and its edges to higher
-/// neighbours hashed as it is finished, so graph_hash costs no second walk.
-DecodedGraph build_csr(const std::vector<GraphSlot::Edge>& edges, int n) {
+/// deduplicated and compacted in place. With `hash`, each row's edges to
+/// higher neighbours are hashed into it as the row is finished, so
+/// graph_hash costs no second walk.
+graph::Graph build_csr(const std::vector<GraphSlot::Edge>& edges, int n, std::uint64_t* hash) {
   const auto count = static_cast<std::size_t>(n);
   std::vector<std::size_t> offsets(count + 1, 0);
   for (const GraphSlot::Edge& e : edges) {
@@ -66,7 +67,6 @@ DecodedGraph build_csr(const std::vector<GraphSlot::Edge>& edges, int n) {
       neighbors[fill[static_cast<std::size_t>(e.w)]++] = e.u;
     }
   }
-  std::uint64_t hash = graph::vertex_count_term(n);
   std::size_t out = 0;
   for (std::size_t v = 0; v < count; ++v) {
     const auto begin = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
@@ -78,13 +78,15 @@ DecodedGraph build_csr(const std::vector<GraphSlot::Edge>& edges, int n) {
     const auto row = neighbors.begin() + static_cast<std::ptrdiff_t>(out);
     if (row != begin) std::copy(begin, last, row);
     const auto degree = static_cast<std::size_t>(last - begin);
-    hash += graph::row_terms(static_cast<graph::Vertex>(v), {neighbors.data() + out, degree});
+    if (hash) {
+      *hash += graph::row_terms(static_cast<graph::Vertex>(v), {neighbors.data() + out, degree});
+    }
     offsets[v] = out;
     out += degree;
   }
   offsets[count] = out;
   neighbors.resize(out);
-  return {graph::detail::TrustedCsr::build(std::move(offsets), std::move(neighbors)), hash};
+  return graph::detail::TrustedCsr::build(std::move(offsets), std::move(neighbors));
 }
 
 /// The message of a slot's bad element: the checks json_parse could make
@@ -97,11 +99,16 @@ std::string bad_edge_message(const GraphSlot::BadEdge& bad) {
   return "edge endpoints must be >= 0";
 }
 
-/// decode_graph on what json_parse collected. Every edge json_parse kept
-/// passed the limit-free checks, so this replays the rest in decode_graph's
-/// precedence: "n" first, then edge by edge its endpoint < n, limit and
-/// self-loop checks, then the bad element, if any.
-DecodedGraph decode_slot(const GraphSlot& slot, const ServerLimits& limits) {
+/// decode_graph_deferred on what json_parse collected. Every edge
+/// json_parse kept passed the limit-free checks, so this replays the rest
+/// in decode_graph's precedence: "n" first, then edge by edge its endpoint
+/// < n, limit and self-loop checks, then the bad element, if any. The same
+/// loop sums the edge terms while the normalized pairs stay strictly
+/// increasing: such pairs are distinct, so their sum plus the count term is
+/// graph_hash of the graph they build.
+CheckedGraph check_slot(const std::shared_ptr<const GraphSlot>& shared,
+                        const ServerLimits& limits) {
+  const GraphSlot& slot = *shared;
   if (!slot.has_edges) bad_request("graph has no \"edges\" array");
   if (!slot.edges_is_array) bad_request("\"edges\" must be an array");
   int declared_n = -1;
@@ -117,6 +124,9 @@ DecodedGraph decode_slot(const GraphSlot& slot, const ServerLimits& limits) {
     }
   }
   graph::Vertex max_endpoint = -1;
+  bool canonical = true;
+  std::uint64_t previous = 0;  // the last pair as min·2^32 + max; [0,1] is 1
+  std::uint64_t edge_sum = 0;
   for (const GraphSlot::Edge& e : slot.edges) {
     const graph::Vertex hi = std::max(e.u, e.w);
     if (declared_n >= 0 && hi >= declared_n) {
@@ -129,9 +139,21 @@ DecodedGraph decode_slot(const GraphSlot& slot, const ServerLimits& limits) {
     }
     if (e.u == e.w) bad_request("self-loop at vertex " + std::to_string(e.u));
     max_endpoint = std::max(max_endpoint, hi);
+    if (canonical) {
+      const graph::Vertex lo = std::min(e.u, e.w);
+      const std::uint64_t pair =
+          static_cast<std::uint64_t>(lo) << 32 | static_cast<std::uint64_t>(hi);
+      canonical = pair > previous;
+      previous = pair;
+      edge_sum += graph::edge_term(lo, hi);
+    }
   }
   if (slot.bad) bad_request(bad_edge_message(*slot.bad));
-  return build_csr(slot.edges, declared_n >= 0 ? declared_n : max_endpoint + 1);
+  const int n = declared_n >= 0 ? declared_n : max_endpoint + 1;
+  std::uint64_t hash = graph::vertex_count_term(n);
+  if (canonical) return {DeferredGraph{shared, n}, hash + edge_sum};
+  graph::Graph built = build_csr(slot.edges, n, &hash);
+  return {std::move(built), hash};
 }
 
 /// Appends `edges` as the wire's [[u,v],...] array: graphs and patches alike.
@@ -146,13 +168,25 @@ void append_edges(std::string& out, const std::vector<graph::Edge>& edges) {
 
 }  // namespace
 
-DecodedGraph decode_graph_hashed(const JsonValue& v, const ServerLimits& limits) {
-  if (v.type() == JsonValue::Type::Raw) return decode_slot(v.graph_slot(), limits);
+graph::Graph build_graph(const DeferredGraph& deferred) {
+  return build_csr(deferred.slot->edges, deferred.n, nullptr);
+}
+
+CheckedGraph decode_graph_deferred(const JsonValue& v, const ServerLimits& limits) {
+  if (v.type() == JsonValue::Type::Raw) return check_slot(v.graph_slot(), limits);
   if (v.type() != JsonValue::Type::Object) bad_request("graph must be an object");
   // An object built in memory rather than parsed from a graph slot. json_dump
   // keeps every scalar's JSON type (a Double always dumps with '.' or an
   // exponent), so collecting the dump gives the outcome a walk of v would.
-  return decode_slot(json_parse_graph(json_dump(v)).graph_slot(), limits);
+  return check_slot(json_parse_graph(json_dump(v)).graph_slot(), limits);
+}
+
+DecodedGraph decode_graph_hashed(const JsonValue& v, const ServerLimits& limits) {
+  CheckedGraph checked = decode_graph_deferred(v, limits);
+  if (const auto* deferred = std::get_if<DeferredGraph>(&checked.graph)) {
+    return {build_graph(*deferred), checked.hash};
+  }
+  return {std::get<graph::Graph>(std::move(checked.graph)), checked.hash};
 }
 
 graph::Graph decode_graph(const JsonValue& v, const ServerLimits& limits) {
@@ -216,8 +250,8 @@ std::string decode_namespace(const JsonValue& v) {
   return ns;
 }
 
-SolveRequest decode_solve(const JsonValue& root, const api::Registry& registry,
-                          const ServerLimits& limits) {
+SolveRequest decode_solve_deferred(const JsonValue& root, const api::Registry& registry,
+                                   const ServerLimits& limits) {
   SolveRequest out;
   const JsonValue* solver = root.find("solver");
   if (!solver || solver->type() != JsonValue::Type::String) {
@@ -318,10 +352,20 @@ SolveRequest decode_solve(const JsonValue& root, const api::Registry& registry,
       out.graphs.emplace_back(handle);
       out.hashes.push_back(*hash);
     } else {
-      DecodedGraph decoded = decode_graph_hashed(g, limits);
-      out.graphs.emplace_back(std::move(decoded.graph));
-      out.hashes.push_back(decoded.hash);
+      CheckedGraph checked = decode_graph_deferred(g, limits);
+      std::visit([&](auto& graph) { out.graphs.emplace_back(std::move(graph)); },
+                 checked.graph);
+      out.hashes.push_back(checked.hash);
     }
+  }
+  return out;
+}
+
+SolveRequest decode_solve(const JsonValue& root, const api::Registry& registry,
+                          const ServerLimits& limits) {
+  SolveRequest out = decode_solve_deferred(root, registry, limits);
+  for (GraphRef& ref : out.graphs) {
+    if (const auto* deferred = std::get_if<DeferredGraph>(&ref)) ref = build_graph(*deferred);
   }
   return out;
 }

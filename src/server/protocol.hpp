@@ -85,6 +85,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -141,40 +142,66 @@ struct ServerLimits {
                                    ///< control, never a queue)
 };
 
+/// An inline graph that passed every decode check with its edges in
+/// canonical order: their normalized pairs (min, max) strictly increasing,
+/// as encode_graph_json and every bench client send them. Its graph_hash
+/// was summed from the collected edges, and its CSR is built only when
+/// build_graph is called — on a cache miss, by the thread that solves it.
+/// It shares ownership of its parsed slot, so it cannot outlive the edges
+/// it reads.
+struct DeferredGraph {
+  std::shared_ptr<const GraphSlot> slot;
+  int n = 0;  ///< the vertex count the checks settled on
+};
+
+/// The CSR of a deferred graph. Canonical edges fill every row sorted and
+/// duplicate-free, and the hash is already known, so this is a counting
+/// sort with no hash fold.
+graph::Graph build_graph(const DeferredGraph& deferred);
+
 /// One entry of a solve request's "graphs" array: an inline edge-list graph
-/// (v1) or a graph-store handle (v2).
-using GraphRef = std::variant<graph::Graph, std::string>;
+/// (v1), built or deferred, or a graph-store handle (v2). Only
+/// decode_solve_deferred leaves a DeferredGraph in a request.
+using GraphRef = std::variant<graph::Graph, std::string, DeferredGraph>;
 
 /// A decoded solve request: the solver name, the request shape (options +
-/// flags; Request::graph stays null — batch entry points take the spans),
-/// the graph references in request order, the per-request executor
-/// overrides (threads / shard_size / no_cache; the cache namespace is
-/// filled in by the Session from `ns` or its open_session state).
+/// flags; Request::graph stays null — batch entry points take the graphs
+/// separately), the graph references in request order, the per-request
+/// executor overrides (threads / shard_size / no_cache; the cache
+/// namespace is filled in by the Session from `ns` or its open_session
+/// state).
 struct SolveRequest {
   std::string solver;
   api::Request request;
   std::vector<GraphRef> graphs;
   /// graph_hash per slot, parallel to `graphs`: a handle's own fingerprint,
-  /// or the hash the decoder computed while building an inline graph — so
-  /// the executor never walks a request graph a second time to key it.
+  /// or the hash the decoder computed while checking an inline graph — so
+  /// the executor never walks a request graph to key it.
   std::vector<std::uint64_t> hashes;
   api::BatchOverrides overrides;
   std::optional<std::string> ns;  ///< request-level namespace override
 };
 
-/// A decoded graph and its graph_hash, computed during the CSR build.
+/// A decoded graph and its graph_hash.
 struct DecodedGraph {
   graph::Graph graph;
   std::uint64_t hash = 0;
 };
 
-/// Decodes {"n":int?,"edges":[[u,v],...]} into a Graph. `n` is optional —
-/// absent, it becomes max endpoint + 1 — and may come before or after
-/// "edges"; duplicate members resolve last-wins and escaped member names
-/// count as their decoded names, as in json_parse. Duplicate edges (either
-/// orientation) collapse. Throws ProtocolError(BadRequest) with checks in
-/// this precedence: not an object; "edges" absent, then not an array; "n"
-/// not an int, out of int range, negative or beyond
+/// A checked inline graph and its graph_hash: deferred when its edges came
+/// in canonical order, else built, with the hash folded into the build.
+struct CheckedGraph {
+  std::variant<graph::Graph, DeferredGraph> graph;
+  std::uint64_t hash = 0;
+};
+
+/// Checks {"n":int?,"edges":[[u,v],...]} as a graph and hashes it. `n` is
+/// optional — absent, it becomes max endpoint + 1 — and may come before or
+/// after "edges"; duplicate members resolve last-wins and escaped member
+/// names count as their decoded names, as in json_parse. Duplicate edges
+/// (either orientation) collapse. Throws ProtocolError(BadRequest) with
+/// checks in this precedence: not an object; "edges" absent, then not an
+/// array; "n" not an int, out of int range, negative or beyond
 /// limits.max_graph_vertices; then edge by edge in array order — not a
 /// [u, v] pair, an endpoint not an int or out of int range, negative, at or
 /// beyond n, beyond the limit, a self-loop.
@@ -182,9 +209,16 @@ struct DecodedGraph {
 /// A Raw value (json_parse's graph slots) is not read again: json_parse
 /// collected its "n" and its edges while validating it (GraphSlot), so
 /// this replays the limit, self-loop and "n" checks over the collected
-/// edges in the order above, builds the CSR by counting sort and folds
-/// graph_hash into the build. An in-memory object (built by code, not
-/// parsed from a slot) is json_dump'ed and collected by json_parse_graph.
+/// edges in the order above. The same loop sums graph_hash's edge terms
+/// while the normalized pairs stay strictly increasing; if they do to the
+/// end, the graph is deferred. Any other order builds the CSR here by
+/// counting sort and folds graph_hash into the build — the cheaper path
+/// for such input than hashing a sorted copy. An in-memory object (built
+/// by code, not parsed from a slot) is json_dump'ed and collected by
+/// json_parse_graph.
+CheckedGraph decode_graph_deferred(const JsonValue& v, const ServerLimits& limits);
+
+/// decode_graph_deferred, with a deferred graph built.
 DecodedGraph decode_graph_hashed(const JsonValue& v, const ServerLimits& limits);
 
 /// decode_graph_hashed without the hash.
@@ -218,8 +252,17 @@ inline constexpr int kMaxRequestThreads = 64;
 /// (BadRequest; int/bool/double map onto ParamValue, coercion rules are the
 /// registry's), the per-request "batch" overrides against `limits`, and the
 /// namespace tag. Handles are validated for shape only — resolution against
-/// the store happens at execution time. Inline graphs are decoded (with
-/// their hashes). Does not run anything.
+/// the store happens at execution time. Inline graphs are checked and
+/// hashed by decode_graph_deferred, so a canonically ordered one stays a
+/// DeferredGraph. Does not run anything. The serving paths call this one:
+/// Session::do_solve hands each deferred graph's build to the executor,
+/// which runs it only on a miss, and the router places slots by their
+/// hashes without building any.
+SolveRequest decode_solve_deferred(const JsonValue& root, const api::Registry& registry,
+                                   const ServerLimits& limits);
+
+/// decode_solve_deferred, then every deferred graph built: each inline
+/// slot's GraphRef holds a graph::Graph.
 SolveRequest decode_solve(const JsonValue& root, const api::Registry& registry,
                           const ServerLimits& limits);
 

@@ -146,7 +146,7 @@ class AdmissionSlot {
 }  // namespace
 
 std::string Session::do_solve(const JsonValue& root) {
-  SolveRequest req = decode_solve(root, core_.registry(), core_.options().limits);
+  SolveRequest req = decode_solve_deferred(root, core_.registry(), core_.options().limits);
 
   // Request-level namespace wins over the session's open_session choice.
   req.overrides.cache_namespace = req.ns.value_or(ns_);
@@ -162,45 +162,41 @@ std::string Session::do_solve(const JsonValue& root) {
             " solves in flight (per-namespace admission limit); retry shortly");
   }
 
-  // Resolve the graph references into one pointer span: inline graphs live
-  // in `decoded` (reserved up front — growth must not move earlier decodes),
-  // handles resolve against the store with their shared_ptrs held in
-  // `pinned` so a concurrent drop/evict cannot free a graph mid-batch.
-  std::vector<graph::Graph> decoded;
-  decoded.reserve(req.graphs.size());
-  std::vector<std::shared_ptr<const graph::Graph>> pinned;
-  std::vector<const graph::Graph*> ptrs;
-  ptrs.reserve(req.graphs.size());
-  // Every slot arrives with its fingerprint (a handle IS one; the decoder
-  // hashed each inline graph as it built it), so the executor never walks a
-  // graph to key the cache.
-  // Patched handles additionally hand over their lineage, unlocking the
-  // executor's ball-granular incremental re-solve (nullptr elsewhere).
-  std::vector<std::shared_ptr<const api::PatchLineage>> lineages(req.graphs.size());
-  for (GraphRef& ref : req.graphs) {
-    if (const auto* handle = std::get_if<std::string>(&ref)) {
-      std::shared_ptr<const graph::Graph> g = core_.store().get(*handle, session_id_);
-      if (!g) {
+  // Handles resolve against the store now, so an unknown one fails before
+  // any work, and their shared_ptrs in `pinned` keep a concurrent
+  // drop/evict from freeing a graph mid-batch. Patched handles also hand
+  // over their lineage, unlocking the executor's ball-granular incremental
+  // re-solve (nullptr elsewhere). Every slot arrives with its fingerprint (a
+  // handle IS one; the decoder hashed each inline graph as it checked it),
+  // so the executor reads a slot's graph only to solve a miss: a deferred
+  // inline graph is built then, on the executor thread that claimed it, in
+  // place of its GraphRef.
+  const std::size_t count = req.graphs.size();
+  std::vector<std::shared_ptr<const graph::Graph>> pinned(count);
+  std::vector<std::shared_ptr<const api::PatchLineage>> lineages(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (const auto* handle = std::get_if<std::string>(&req.graphs[i])) {
+      pinned[i] = core_.store().get(*handle, session_id_);
+      if (!pinned[i]) {
         throw ProtocolError(ErrorCode::UnknownHandle,
                             "unknown graph handle \"" + *handle +
                                 "\" (expired, dropped, or never put)");
       }
-      lineages[ptrs.size()] = core_.store().lineage(*handle);
-      ptrs.push_back(g.get());
-      pinned.push_back(std::move(g));
-    } else {
-      decoded.push_back(std::move(std::get<graph::Graph>(ref)));
-      ptrs.push_back(&decoded.back());
+      lineages[i] = core_.store().lineage(*handle);
     }
   }
+  const auto graph_of = [&](std::size_t i) -> const graph::Graph& {
+    GraphRef& ref = req.graphs[i];
+    if (const auto* deferred = std::get_if<DeferredGraph>(&ref)) ref = build_graph(*deferred);
+    if (const auto* inline_graph = std::get_if<graph::Graph>(&ref)) return *inline_graph;
+    return *pinned[i];
+  };
 
   api::BatchDiagnostics diag;
   std::vector<std::shared_ptr<const api::CachedResponse>> entries;
   try {
-    entries = core_.executor().run_batch_shared(req.solver, {ptrs.data(), ptrs.size()},
-                                                req.request, req.overrides, &diag,
-                                                {req.hashes.data(), req.hashes.size()},
-                                                {lineages.data(), lineages.size()});
+    entries = core_.executor().run_batch_shared(req.solver, count, graph_of, req.request,
+                                                req.overrides, &diag, req.hashes, lineages);
   } catch (const api::RequestError& e) {
     // Undeclared option, type mismatch, traffic on a centralized-only
     // solver — the request's fault, not the solver's.
@@ -209,7 +205,7 @@ std::string Session::do_solve(const JsonValue& root) {
     return encode_error(ErrorCode::SolverFailure,
                         "solver '" + req.solver + "' failed: " + e.what());
   }
-  core_.count_graphs(req.graphs.size());
+  core_.count_graphs(count);
   // Each slot's element is its entry's memo: a hit's entry is the cache's
   // own, encoded on its first hit and spliced unchanged ever after; a miss's
   // is private and freed with this reply.

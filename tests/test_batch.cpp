@@ -2,7 +2,8 @@
 // response cache (hit identity, eviction, counters, crash-safe snapshot
 // files, shared entries and their byte memo), the sharded parallel executor
 // (determinism across thread counts, error propagation, concurrent callers,
-// the cache-hit prefix that keeps all-hit batches off the fork) and the
+// the cache-hit prefix that keeps all-hit batches off the fork, graphs read
+// through the caller's accessor only for the slots that need them) and the
 // typed ParamValue widening of SolverSpec parameters.
 
 #include <gtest/gtest.h>
@@ -645,7 +646,7 @@ TEST(BatchExecutor, RepeatedGraphInAColdBatchHitsItsFirstOccurrence) {
 
 TEST(BatchExecutor, HitsShareTheCacheEntryAndMissesGetAPrivateOne) {
   const Graph g = graph::gen::grid(4, 4);
-  const Graph* const graphs[] = {&g};
+  const BatchExecutor::GraphAccessor graphs = [&](std::size_t) -> const Graph& { return g; };
   const Request req;
   BatchExecutor executor({.threads = 1, .cache_capacity = 8});
   const CacheKey key{graph::graph_hash(g), "greedy",
@@ -653,19 +654,170 @@ TEST(BatchExecutor, HitsShareTheCacheEntryAndMissesGetAPrivateOne) {
                                        false, false),
                      ""};
 
-  const auto cold = executor.run_batch_shared("greedy", graphs, req, BatchOverrides{});
+  const auto cold = executor.run_batch_shared("greedy", 1, graphs, req, BatchOverrides{});
   const auto cached = executor.cache().lookup(key);
   ASSERT_NE(cached, nullptr);
   EXPECT_NE(cold[0], cached);                       // the miss answers from its own entry,
   EXPECT_EQ(cold[0]->response, cached->response);  // holding the Response the cache copied
-  const auto warm = executor.run_batch_shared("greedy", graphs, req, BatchOverrides{});
+  const auto warm = executor.run_batch_shared("greedy", 1, graphs, req, BatchOverrides{});
   EXPECT_EQ(warm[0], cached);  // a hit hands out the cache's entry itself
 
   BatchOverrides bypass;
   bypass.bypass_cache = true;
-  const auto fresh = executor.run_batch_shared("greedy", graphs, req, bypass);
+  const auto fresh = executor.run_batch_shared("greedy", 1, graphs, req, bypass);
   EXPECT_NE(fresh[0], cached);
   EXPECT_EQ(fresh[0]->response, cached->response);
+}
+
+// ---------------------------------------------------------------------------
+// run_batch_shared reads a slot's graph only when the slot needs it
+
+/// A GraphAccessor over `graphs` that counts each slot's reads; workers may
+/// read distinct slots at once.
+class CountingAccessor {
+ public:
+  explicit CountingAccessor(const std::vector<Graph>& graphs)
+      : graphs_(graphs), reads_(graphs.size()) {}
+
+  BatchExecutor::GraphAccessor accessor() {
+    return [this](std::size_t i) -> const Graph& {
+      reads_[i].fetch_add(1);
+      return graphs_[i];
+    };
+  }
+
+  std::vector<int> reads() const {
+    std::vector<int> out;
+    for (const std::atomic<int>& r : reads_) out.push_back(r.load());
+    return out;
+  }
+
+ private:
+  const std::vector<Graph>& graphs_;
+  std::vector<std::atomic<int>> reads_;
+};
+
+std::vector<std::uint64_t> hashes_of(const std::vector<Graph>& gs) {
+  std::vector<std::uint64_t> out;
+  for (const Graph& g : gs) out.push_back(graph::graph_hash(g));
+  return out;
+}
+
+/// Each entry's Response, in slot order.
+std::vector<Response> responses_of(
+    const std::vector<std::shared_ptr<const CachedResponse>>& entries) {
+  std::vector<Response> out;
+  for (const auto& entry : entries) out.push_back(entry->response);
+  return out;
+}
+
+TEST(LazyGraphs, AllHitBatchReadsNoGraph) {
+  const auto graphs = eight_graphs();
+  const std::vector<std::uint64_t> hashes = hashes_of(graphs);
+  const Request req;
+  const auto reference = BatchExecutor({.threads = 1}).run_batch("greedy", span_of(graphs), req);
+  for (const int threads : {1, 4}) {
+    BatchExecutor executor({.threads = threads, .shard_size = 1, .cache_capacity = 64});
+    (void)executor.run_batch("greedy", span_of(graphs), req);  // fill
+    CountingAccessor counted(graphs);
+    BatchDiagnostics diag;
+    const auto entries = executor.run_batch_shared("greedy", graphs.size(), counted.accessor(),
+                                                   req, BatchOverrides{}, &diag, hashes);
+    EXPECT_EQ(counted.reads(), std::vector<int>(graphs.size(), 0)) << threads << " threads";
+    EXPECT_EQ(diag.cache_hits, graphs.size());
+    EXPECT_EQ(responses_of(entries), reference);
+  }
+}
+
+TEST(LazyGraphs, MissesReadExactlyTheirSlotsOnce) {
+  const auto graphs = eight_graphs();
+  const std::vector<std::uint64_t> hashes = hashes_of(graphs);
+  const Request req;
+  const auto reference = BatchExecutor({.threads = 1}).run_batch("greedy", span_of(graphs), req);
+  // Slots 1, 2, 4 and 6 are cached; 0, 3, 5 and 7 miss, one before the hit
+  // prefix can start and the others inside or after shards it entered.
+  const std::vector<int> want = {1, 0, 0, 1, 0, 1, 0, 1};
+  for (const int threads : {1, 4}) {
+    for (const int shard_size : {1, 3}) {
+      BatchExecutor executor({.threads = threads, .shard_size = shard_size, .cache_capacity = 64});
+      const std::vector<Graph> cached = {graphs[1], graphs[2], graphs[4], graphs[6]};
+      (void)executor.run_batch("greedy", span_of(cached), req);
+      CountingAccessor counted(graphs);
+      BatchDiagnostics diag;
+      const auto entries = executor.run_batch_shared(
+          "greedy", graphs.size(), counted.accessor(), req, BatchOverrides{}, &diag, hashes);
+      EXPECT_EQ(counted.reads(), want) << threads << " threads, shard size " << shard_size;
+      EXPECT_EQ(diag.cache_misses, 4u);
+      EXPECT_EQ(diag.cache_hits, 4u);
+      EXPECT_EQ(responses_of(entries), reference);
+    }
+  }
+}
+
+TEST(LazyGraphs, ASlotWithoutAHashIsReadOnce) {
+  const auto graphs = eight_graphs();
+  std::vector<std::uint64_t> hashes = hashes_of(graphs);
+  hashes[2] = 0;  // 0 = unknown: the executor hashes the graph itself
+  hashes[5] = 0;
+  const Request req;
+  const auto reference = BatchExecutor({.threads = 1}).run_batch("greedy", span_of(graphs), req);
+  BatchExecutor executor({.threads = 4, .shard_size = 1, .cache_capacity = 64});
+  // Cold, every slot misses, and an unhashed one is hashed and solved from
+  // one read.
+  CountingAccessor cold(graphs);
+  EXPECT_EQ(responses_of(executor.run_batch_shared("greedy", graphs.size(), cold.accessor(), req,
+                                                   BatchOverrides{}, nullptr, hashes)),
+            reference);
+  EXPECT_EQ(cold.reads(), std::vector<int>(graphs.size(), 1));
+  // Warm, only the unhashed slots are read, once each, to key them.
+  CountingAccessor warm(graphs);
+  BatchDiagnostics diag;
+  EXPECT_EQ(responses_of(executor.run_batch_shared("greedy", graphs.size(), warm.accessor(), req,
+                                                   BatchOverrides{}, &diag, hashes)),
+            reference);
+  EXPECT_EQ(warm.reads(), (std::vector<int>{0, 0, 1, 0, 0, 1, 0, 0}));
+  EXPECT_EQ(diag.cache_hits, graphs.size());
+  // With no hashes at all, every slot is read once.
+  CountingAccessor unhashed(graphs);
+  (void)executor.run_batch_shared("greedy", graphs.size(), unhashed.accessor(), req,
+                                  BatchOverrides{});
+  EXPECT_EQ(unhashed.reads(), std::vector<int>(graphs.size(), 1));
+}
+
+TEST(LazyGraphs, LineageSlotsReadTheirGraphOnlyToReSolve) {
+  GraphStore store(8);
+  const Graph base = graph::gen::grid(6, 6);
+  const GraphStore::PutResult put = store.put(base);
+  graph::GraphPatch edit;
+  edit.del = {{0, 1}};
+  const GraphStore::PatchResult patched = store.patch(put.handle, edit);
+  const std::vector<Graph> graphs = {*store.get(patched.put.handle)};
+  const std::vector<std::uint64_t> hashes = {patched.put.hash};
+  const std::vector<std::shared_ptr<const PatchLineage>> lineages = {
+      store.lineage(patched.put.handle)};
+  ASSERT_NE(lineages[0], nullptr);
+  const Request req;
+  const auto full = BatchExecutor({.threads = 1}).run_batch("theorem44", span_of(graphs), req);
+
+  BatchExecutor executor({.threads = 1, .cache_capacity = 16});
+  (void)executor.run_batch("theorem44", std::span<const Graph>(&base, 1), req);  // the parent's
+  // The miss reads the child once and answers it incrementally.
+  CountingAccessor miss(graphs);
+  BatchDiagnostics diag;
+  EXPECT_EQ(responses_of(executor.run_batch_shared("theorem44", 1, miss.accessor(), req,
+                                                   BatchOverrides{}, &diag, hashes, lineages)),
+            full);
+  EXPECT_EQ(miss.reads(), std::vector<int>{1});
+  EXPECT_EQ(diag.incremental_solves, 1u);
+  EXPECT_EQ(diag.cache_misses, 1u);
+  // The hit reads nothing.
+  CountingAccessor hit(graphs);
+  EXPECT_EQ(responses_of(executor.run_batch_shared("theorem44", 1, hit.accessor(), req,
+                                                   BatchOverrides{}, &diag, hashes, lineages)),
+            full);
+  EXPECT_EQ(hit.reads(), std::vector<int>{0});
+  EXPECT_EQ(diag.cache_hits, 1u);
+  EXPECT_EQ(diag.incremental_solves, 0u);
 }
 
 TEST(CachedResponse, MemoEncodesOnceAndKeepsItsBytes) {

@@ -10,7 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -711,6 +713,70 @@ TEST_F(RoutedClusterTest, InlineSpellingsAndFaultsMatchSingleServerOnBothTranspo
     EXPECT_EQ(raw_line_exchange(fd, reader, line), single) << line;
     EXPECT_EQ(raw_http_exchange(http_fd, http_reader, "POST", "/v2/solve", line), ref_http(line))
         << line;
+  }
+  ::close(http_fd);
+  ::close(fd);
+}
+
+// A canonically ordered inline slot is hashed from its edges and placed
+// without a CSR; a slot in any other order is built at decode. A routed
+// batch mixing both answers the single server's response elements and cache
+// counters on both transports, cold and then warm.
+TEST_F(RoutedClusterTest, CanonicalAndOtherInlineSlotsMatchSingleServerColdAndWarm) {
+  const int fd = server::tcp_connect("127.0.0.1", router_srv_->port());
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  const int http_fd = server::tcp_connect("127.0.0.1", router_srv_->http_port());
+  ASSERT_GE(http_fd, 0);
+  LineReader http_reader(http_fd);
+  Session ref(reference_->core());
+
+  const auto spell = [](const Graph& g, const std::vector<graph::Edge>& edges, bool reversed) {
+    std::string text = "{\"n\":" + std::to_string(g.num_vertices()) + ",\"edges\":[";
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const graph::Edge& e = edges[i];
+      text += (i ? ",[" : "[") + std::to_string(reversed ? e.v : e.u) + ',' +
+              std::to_string(reversed ? e.u : e.v) + ']';
+    }
+    return text + "]}";
+  };
+  const Graph a = graph::gen::random_maximal_outerplanar(80, 3);
+  const Graph b = graph::gen::grid(5, 6);
+  const Graph c = graph::gen::theta_chain(4, 3);
+  const Graph d = graph::gen::cycle(12);
+  std::vector<graph::Edge> shuffled = c.edges();
+  std::mt19937_64 rng(3);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  std::vector<graph::Edge> duplicated = d.edges();
+  duplicated.insert(duplicated.begin() + 3, duplicated[3]);
+  const std::string slots = graph_json(a) + "," + spell(b, b.edges(), true) + "," +
+                            spell(c, shuffled, false) + "," + spell(d, duplicated, false);
+
+  // One namespace per transport, so each starts cold.
+  for (const bool http : {false, true}) {
+    const std::string line = R"({"op":"solve","solver":"theorem44","namespace":")" +
+                             std::string(http ? "http" : "line") + R"(","graphs":[)" + slots +
+                             "]}";
+    for (const char* round : {"cold", "warm"}) {
+      const std::string single = ref.handle_line(line);
+      const std::string routed =
+          http ? raw_http_exchange(http_fd, http_reader, "POST", "/v2/solve", line)
+               : raw_line_exchange(fd, reader, line);
+      const auto single_pieces = split_raw_responses(single);
+      const auto routed_pieces = split_raw_responses(routed);
+      ASSERT_TRUE(single_pieces.has_value()) << single;
+      ASSERT_TRUE(routed_pieces.has_value()) << routed;
+      ASSERT_EQ(single_pieces->size(), 4u);
+      EXPECT_EQ(*routed_pieces, *single_pieces) << round << (http ? " http" : " line");
+      const JsonValue single_diag = *json_parse(single).find("diag");
+      const JsonValue routed_diag = *json_parse(routed).find("diag");
+      const bool cold = std::string(round) == "cold";
+      EXPECT_EQ(single_diag.find("cache_misses")->as_int(), cold ? 4 : 0);
+      for (const char* counter : {"cache_hits", "cache_misses"}) {
+        EXPECT_EQ(routed_diag.find(counter)->as_int(), single_diag.find(counter)->as_int())
+            << counter << ", " << round << (http ? " http" : " line");
+      }
+    }
   }
   ::close(http_fd);
   ::close(fd);

@@ -1,8 +1,9 @@
 // TSan-targeted stress tests for the concurrent serving core: many threads
 // hammer one ServerCore through the real protocol surface — solve (inline
 // and by handle), put_graph/drop_graph, namespace_stats via the stats verb,
-// save_cache/load_cache snapshots, and first hits racing to fill one cache
-// entry's byte memo — all at once. The assertions are
+// save_cache/load_cache snapshots, first hits racing to fill one cache
+// entry's byte memo, and graph-store put hits whose compare runs off the
+// store's mutex racing gets and drops — all at once. The assertions are
 // deliberately coarse (every response is a well-formed protocol line, the
 // counters balance at the end): the real check is the ThreadSanitizer /
 // AddressSanitizer run in CI, where any data race, lock-order inversion or
@@ -17,13 +18,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/executor.hpp"
+#include "api/graph_store.hpp"
 #include "api/registry.hpp"
 #include "graph/generators.hpp"
+#include "graph/hash.hpp"
 #include "server/json.hpp"
 #include "server/protocol.hpp"
 #include "server/session.hpp"
@@ -258,6 +262,145 @@ TEST(Concurrency, FirstHitsOnOneEntryShareItsMemo) {
     }
     for (std::thread& th : pool) th.join();
     for (const std::string& reply : replies) EXPECT_EQ(reply, expected) << "round " << round;
+  }
+}
+
+// A put hit compares the stored graph with the incoming one, O(V + E), with
+// the store's mutex released, then re-finds the entry to pin it. Threads
+// putting one large graph race threads that get and drop it, and one that
+// puts a different graph under the same handle: every hit must pin the
+// entry it compared, every collision be refused and counted, and the pins
+// balance at the end.
+TEST(Concurrency, PutHitsCompareOffTheStoreMutex) {
+  api::GraphStore store(api::GraphStore::StoreOptions{.capacity = 4});
+  const graph::Graph g = graph::gen::random_maximal_outerplanar(3000, 9);
+  const graph::Graph other = graph::gen::random_maximal_outerplanar(3000, 10);
+  const std::uint64_t hash = graph::graph_hash(g);
+  const std::string handle = api::GraphStore::handle_for(hash);
+  ASSERT_TRUE(store.put(g).inserted);
+  ASSERT_TRUE(store.drop(handle));  // stored, unpinned: it stays resolvable
+
+  constexpr int kPutters = 3;
+  constexpr int kDroppers = 3;
+  std::atomic<int> pins{0};
+  std::atomic<int> drops{0};
+  std::atomic<int> collisions{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kPutters; ++t) {
+    pool.emplace_back([&] {
+      for (int i = 0; i < kIters / 4; ++i) {
+        if (store.put_hashed(g, hash).inserted) ADD_FAILURE() << "a hit inserted";
+        pins.fetch_add(1);
+      }
+    });
+  }
+  pool.emplace_back([&] {
+    for (int i = 0; i < kIters / 8; ++i) {
+      try {
+        (void)store.put_hashed(other, hash);  // a planted collision
+        ADD_FAILURE() << "a different graph was stored under " << handle;
+      } catch (const api::HashCollision&) {
+        collisions.fetch_add(1);
+      }
+    }
+  });
+  for (int t = 0; t < kDroppers; ++t) {
+    pool.emplace_back([&] {
+      while (!done.load()) {
+        const std::shared_ptr<const graph::Graph> got = store.get(handle);
+        if (!got || got->num_edges() != g.num_edges()) ADD_FAILURE() << "lost " << handle;
+        if (store.drop(handle)) drops.fetch_add(1);
+      }
+    });
+  }
+  for (int t = 0; t < kPutters + 1; ++t) pool[static_cast<std::size_t>(t)].join();
+  done.store(true);
+  for (std::size_t t = kPutters + 1; t < pool.size(); ++t) pool[t].join();
+
+  int left = 0;
+  while (store.drop(handle)) ++left;
+  EXPECT_EQ(drops.load() + left, pins.load());
+  const api::GraphStoreStats stats = store.stats();
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(stats.pinned, 0u);
+  EXPECT_EQ(stats.puts, 1u);
+  EXPECT_EQ(stats.reuses, static_cast<std::uint64_t>(pins.load()));
+  EXPECT_EQ(stats.hash_collisions, static_cast<std::uint64_t>(collisions.load()));
+  EXPECT_EQ(*store.get(handle), g);
+}
+
+// The same compare races eviction: a thread storing and dropping other
+// graphs in a 2-graph store evicts the large graph whenever its pins are
+// dropped, so a put that compared against one entry may find it gone (and
+// insert) or replaced by a fresh copy (and compare again) when it re-locks.
+// Every put must pin exactly once, and the counters balance.
+TEST(Concurrency, PutHitsRaceEvictionOfTheEntryTheyCompared) {
+  api::GraphStore store(api::GraphStore::StoreOptions{.capacity = 2});
+  const graph::Graph g = graph::gen::random_maximal_outerplanar(3000, 9);
+  const std::uint64_t hash = graph::graph_hash(g);
+  const std::string handle = api::GraphStore::handle_for(hash);
+  const graph::Graph small[] = {graph::gen::cycle(5), graph::gen::cycle(6)};
+
+  std::atomic<int> pins{0};
+  std::atomic<int> inserts{0};
+  std::atomic<int> drops{0};
+  std::atomic<int> small_inserts{0};
+  std::atomic<int> small_reuses{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> ready{0};
+  const auto start_together = [&] {
+    ready.fetch_add(1);
+    while (ready.load() < 5) std::this_thread::yield();
+  };
+  std::vector<std::thread> pool;
+  for (int t = 0; t < 3; ++t) {
+    pool.emplace_back([&] {
+      start_together();
+      for (int i = 0; i < 2 * kIters; ++i) {
+        try {
+          if (store.put_hashed(g, hash).inserted) inserts.fetch_add(1);
+          pins.fetch_add(1);
+        } catch (const api::GraphStoreFull&) {
+          // Both entries pinned by this moment's owners: nothing to evict.
+        }
+      }
+    });
+  }
+  const std::size_t putters = pool.size();
+  pool.emplace_back([&] {
+    start_together();
+    while (!done.load()) {
+      if (store.drop(handle)) drops.fetch_add(1);
+    }
+  });
+  pool.emplace_back([&] {
+    start_together();
+    for (int i = 0; !done.load(); ++i) {
+      const graph::Graph& other = small[i % 2];
+      try {
+        const api::GraphStore::PutResult put = store.put(other);
+        (put.inserted ? small_inserts : small_reuses).fetch_add(1);
+        EXPECT_TRUE(store.drop(put.handle));
+      } catch (const api::GraphStoreFull&) {
+      }
+    }
+  });
+  for (std::size_t t = 0; t < putters; ++t) pool[t].join();
+  done.store(true);
+  for (std::size_t t = putters; t < pool.size(); ++t) pool[t].join();
+
+  int left = 0;
+  while (store.drop(handle)) ++left;
+  EXPECT_EQ(drops.load() + left, pins.load());
+  const api::GraphStoreStats stats = store.stats();
+  EXPECT_EQ(stats.pinned, 0u);
+  EXPECT_EQ(stats.puts, static_cast<std::uint64_t>(inserts.load() + small_inserts.load()));
+  EXPECT_EQ(stats.reuses,
+            static_cast<std::uint64_t>(pins.load() - inserts.load() + small_reuses.load()));
+  EXPECT_EQ(stats.hash_collisions, 0u);
+  if (const std::shared_ptr<const graph::Graph> stored = store.get(handle)) {
+    EXPECT_EQ(*stored, g);
   }
 }
 

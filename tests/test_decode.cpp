@@ -4,11 +4,14 @@
 // objects go through their json_dump. Both must agree with the DOM decoder
 // they replaced (decode_graph_reference, kept in tests/support) on every
 // input: the same Graph and graph_hash, or the same ProtocolError code and
-// message. Tables pin the edge cases and the fast path's boundaries; seeded
-// byte mutations of solve / put_graph / replicate_in lines then hold
-// raw-slot json_parse to an eager parse of the same bytes (same JsonError
-// text, offset included) and every slot to the oracle, and a syntax error
-// placed after a decode fault must win as it does in the eager parse.
+// message. The deferred decode (decode_graph_deferred), which sums the hash
+// over canonically ordered edges and leaves their CSR unbuilt, is held to
+// the same oracle on every input, its graph built. Tables pin the edge
+// cases and the fast path's boundaries; seeded byte mutations of solve /
+// put_graph / replicate_in lines then hold raw-slot json_parse to an eager
+// parse of the same bytes (same JsonError text, offset included) and every
+// slot to the oracle, and a syntax error placed after a decode fault must
+// win as it does in the eager parse.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include <random>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -71,14 +75,34 @@ DecodedGraph checked_decode(const JsonValue& v, const ServerLimits& limits) {
   return d;
 }
 
-/// The graph text decoded three ways — as a Raw slot, as an in-memory
-/// object, and by the oracle — must give one outcome.
+/// decode_graph_deferred with its graph built afterwards, and the hash as
+/// the decode returned it: summed over the edges for a deferred graph,
+/// folded into the build for any other. `deferred`, when given, says which.
+DecodedGraph deferred_decode(const JsonValue& v, const ServerLimits& limits,
+                             bool* deferred = nullptr) {
+  CheckedGraph checked = decode_graph_deferred(v, limits);
+  const auto* later = std::get_if<DeferredGraph>(&checked.graph);
+  if (deferred) *deferred = later != nullptr;
+  return {later ? build_graph(*later) : std::get<graph::Graph>(std::move(checked.graph)),
+          checked.hash};
+}
+
+/// The graph text decoded five ways — as a Raw slot and as an in-memory
+/// object, each built at decode and deferred, and by the oracle — must give
+/// one outcome: the same error text, or the oracle's graph with its
+/// graph_hash.
 void expect_agreement(const std::string& text, const ServerLimits& limits) {
   const Outcome want = outcome_of([&] { return oracle_decode(json_parse(text), limits); });
   const Outcome raw = outcome_of([&] { return checked_decode(json_parse_graph(text), limits); });
   const Outcome in_memory = outcome_of([&] { return checked_decode(json_parse(text), limits); });
+  const Outcome raw_deferred =
+      outcome_of([&] { return deferred_decode(json_parse_graph(text), limits); });
+  const Outcome in_memory_deferred =
+      outcome_of([&] { return deferred_decode(json_parse(text), limits); });
   EXPECT_EQ(raw, want) << text;
   EXPECT_EQ(in_memory, want) << text;
+  EXPECT_EQ(raw_deferred, want) << text;
+  EXPECT_EQ(in_memory_deferred, want) << text;
 }
 
 std::string nested(int depth) { return std::string(depth, '[') + std::string(depth, ']'); }
@@ -297,12 +321,54 @@ TEST(DecodeGraph, FastPathBoundariesAgreeWithTheOracle) {
   for (const Case& c : cases) expect_agreement(c.text, *c.limits);
 }
 
+/// {"n":n,"edges":[...]} of `edges` in the given order, each pair written
+/// [u,v], or [v,u] when `reversed`.
+std::string spell_graph(int n, const std::vector<graph::Edge>& edges, bool reversed) {
+  std::string text = "{\"n\":" + std::to_string(n) + ",\"edges\":[";
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (i) text += ',';
+    const graph::Vertex first = reversed ? edges[i].v : edges[i].u;
+    const graph::Vertex second = reversed ? edges[i].u : edges[i].v;
+    text += '[' + std::to_string(first) + ',' + std::to_string(second) + ']';
+  }
+  return text + "]}";
+}
+
 TEST(DecodeGraph, AgreesOnGeneratedGraphs) {
   const ServerLimits limits;
+  std::mt19937_64 spelling_rng(29);
   for (const graph::Graph& g :
        {graph::gen::grid(7, 9), graph::gen::cycle(31), graph::gen::path(1),
         graph::gen::theta_chain(5, 4), graph::Graph()}) {
     expect_agreement(encode_graph_json(g), limits);
+    const std::vector<graph::Edge> sorted = g.edges();
+    if (sorted.size() < 2) continue;
+    // Five spellings of g: the canonical one and its reversed pairs defer
+    // the CSR; shuffled, or with a duplicate next to its twin or far from
+    // it, the pairs are not strictly increasing and build it at decode.
+    std::vector<graph::Edge> shuffled = sorted;
+    while (shuffled == sorted) std::shuffle(shuffled.begin(), shuffled.end(), spelling_rng);
+    std::vector<graph::Edge> adjacent_duplicate = sorted;
+    adjacent_duplicate.insert(adjacent_duplicate.begin() + 1, sorted[0]);
+    std::vector<graph::Edge> far_duplicate = sorted;
+    far_duplicate.push_back(sorted[0]);
+    const int n = g.num_vertices();
+    ASSERT_EQ(spell_graph(n, sorted, false), encode_graph_json(g));
+    const std::vector<std::pair<std::string, bool>> spellings = {
+        {spell_graph(n, sorted, false), true},
+        {spell_graph(n, sorted, true), true},
+        {spell_graph(n, shuffled, false), false},
+        {spell_graph(n, adjacent_duplicate, false), false},
+        {spell_graph(n, far_duplicate, true), false},
+    };
+    for (const auto& [text, defers] : spellings) {
+      expect_agreement(text, limits);
+      bool deferred = false;
+      const DecodedGraph d = deferred_decode(json_parse_graph(text), limits, &deferred);
+      EXPECT_EQ(deferred, defers) << text;
+      EXPECT_EQ(d.graph, g) << text;
+      EXPECT_EQ(d.hash, graph::graph_hash(g)) << text;
+    }
   }
   // The same edges in shuffled order and orientation build the same CSR.
   std::mt19937_64 rng(17);
@@ -351,6 +417,37 @@ TEST(DecodeGraph, SolveRequestCarriesEverySlotsHash) {
   EXPECT_EQ(std::get<graph::Graph>(req.graphs[0]), g);
   EXPECT_EQ(req.hashes[0], graph::graph_hash(g));
   EXPECT_EQ(req.hashes[1], 0xabu);
+}
+
+// The router and the Session decode with decode_solve_deferred: a
+// canonically ordered slot is hashed from its edges and stays unbuilt, any
+// other slot is built at decode, and every hash is graph_hash. A deferred
+// graph shares its parsed slot, so it builds after the parse is gone.
+TEST(DecodeGraph, DeferredSolveBuildsOnlyNonCanonicalSlots) {
+  const api::Registry& registry = api::Registry::instance();
+  const graph::Graph a = graph::gen::grid(3, 4);
+  const graph::Graph b = graph::gen::theta_chain(3, 2);
+  std::vector<graph::Edge> rotated = b.edges();  // its first pair last: not increasing
+  std::rotate(rotated.begin(), rotated.begin() + 1, rotated.end());
+  SolveRequest req;
+  {
+    const JsonValue root = json_parse(R"({"op":"solve","solver":"greedy","graphs":[)" +
+                                      encode_graph_json(a) + ",\"g00000000000000ab\"," +
+                                      spell_graph(b.num_vertices(), rotated, false) + "]}");
+    req = decode_solve_deferred(root, registry, ServerLimits{});
+    const SolveRequest built = decode_solve(root, registry, ServerLimits{});
+    EXPECT_EQ(built.hashes, req.hashes);
+    EXPECT_EQ(std::get<graph::Graph>(built.graphs[0]), a);
+    EXPECT_EQ(std::get<graph::Graph>(built.graphs[2]), b);
+  }
+  ASSERT_EQ(req.graphs.size(), 3u);
+  ASSERT_TRUE(std::holds_alternative<DeferredGraph>(req.graphs[0]));
+  EXPECT_EQ(std::get<std::string>(req.graphs[1]), "g00000000000000ab");
+  ASSERT_TRUE(std::holds_alternative<graph::Graph>(req.graphs[2]));
+  EXPECT_EQ(std::get<graph::Graph>(req.graphs[2]), b);
+  EXPECT_EQ(build_graph(std::get<DeferredGraph>(req.graphs[0])), a);
+  EXPECT_EQ(req.hashes, (std::vector<std::uint64_t>{graph::graph_hash(a), 0xab,
+                                                    graph::graph_hash(b)}));
 }
 
 TEST(RawSlots, OnlyGraphPositionsStayRawAndDumpVerbatim) {
@@ -424,9 +521,9 @@ void expect_slot_agreement(const JsonValue& slot, const JsonValue& dom, const Se
     EXPECT_EQ(slot.as_string(), dom.as_string()) << line;
     return;
   }
-  EXPECT_EQ(outcome_of([&] { return checked_decode(slot, limits); }),
-            outcome_of([&] { return oracle_decode(dom, limits); }))
-      << line;
+  const Outcome want = outcome_of([&] { return oracle_decode(dom, limits); });
+  EXPECT_EQ(outcome_of([&] { return checked_decode(slot, limits); }), want) << line;
+  EXPECT_EQ(outcome_of([&] { return deferred_decode(slot, limits); }), want) << line;
 }
 
 TEST(DecodeGraph, SeededMutationsAgreeWithEagerParseAndOracle) {

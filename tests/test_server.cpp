@@ -14,6 +14,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -679,6 +680,45 @@ TEST(ServerCore, SolveByHandleMatchesInlineSolve) {
       "{\"op\":\"solve\",\"solver\":\"theorem44\",\"measure_ratio\":true,\"graphs\":" +
       graphs_json(gs) + "}");
   EXPECT_EQ(payload_of(by_handle), payload_of(inline_solve));
+}
+
+// A warm inline slot is keyed by the hash its decode computed and answered
+// from the cache entry a handle hit reads, without building its graph: in
+// every spelling, canonical or not, the hit's line is the handle hit's,
+// byte for byte.
+TEST(ServerCore, InlineHitAnswersTheBytesOfAHandleHit) {
+  Server server(test_options());
+  const Graph g = graph::gen::random_maximal_outerplanar(300, 5);
+  const std::string canonical = encode_graph_json(g);
+  const JsonValue put =
+      json_parse(server.handle_line("{\"op\":\"put_graph\",\"graph\":" + canonical + "}"));
+  ASSERT_TRUE(put.find("ok")->as_bool());
+  const auto solve = [](const std::string& graph) {
+    return "{\"op\":\"solve\",\"solver\":\"theorem44\",\"graphs\":[" + graph + "]}";
+  };
+  const std::string by_handle = solve('"' + put.find("handle")->as_string() + '"');
+  (void)server.handle_line(by_handle);  // the miss
+  const std::string handle_hit = server.handle_line(by_handle);
+  ASSERT_NE(handle_hit.find("\"cache_hits\":1"), std::string::npos) << handle_hit;
+
+  std::vector<graph::Edge> edges = g.edges();
+  std::string reversed = "{\"n\":" + std::to_string(g.num_vertices()) + ",\"edges\":[";
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    reversed += (i ? ",[" : "[") + std::to_string(edges[i].v) + ',' +
+                std::to_string(edges[i].u) + ']';
+  }
+  reversed += "]}";
+  std::mt19937_64 rng(11);
+  std::shuffle(edges.begin(), edges.end(), rng);
+  std::string shuffled = "{\"edges\":[";
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    shuffled += (i ? ",[" : "[") + std::to_string(edges[i].u) + ',' +
+                std::to_string(edges[i].v) + ']';
+  }
+  shuffled += "],\"n\":" + std::to_string(g.num_vertices()) + "}";
+  for (const std::string& spelling : {canonical, reversed, shuffled}) {
+    EXPECT_EQ(server.handle_line(solve(spelling)), handle_hit) << spelling.substr(0, 40);
+  }
 }
 
 TEST(ServerCore, MixedHandleAndInlineBatchAnswersInOrder) {
