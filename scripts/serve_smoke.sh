@@ -6,7 +6,10 @@
 # v2.1 put→patch→solve cycle (--patch derives a handle and requires the
 # child solve to be answered incrementally) — save a cache snapshot,
 # restart the server from it, and require the replayed batch to answer
-# from the warmed cache (--expect-hits exits non-zero on zero hits).
+# from the warmed cache (--expect-hits exits non-zero on zero hits). Last,
+# a short-lived server with --max-line-bytes 4096 must refuse a valid solve
+# line padded to 5000 bytes, sent with its newline in one write: the line
+# limit is exact wherever the newline sits.
 #
 # Usage: scripts/serve_smoke.sh BUILD_DIR [WORK_DIR]
 #
@@ -86,6 +89,20 @@ SERVER_PID=$!
 wait_for_file port.txt
 "$BUILD_DIR/serve_client" --port "$(cat port.txt)" --demo --expect-hits \
   --stats --shutdown
+wait "$SERVER_PID"
+
+# The exact line limit in the real binary: the padded line is refused
+# (bad_request, connection dropped), so the send reads ok=false.
+rm -f limit_port.txt
+"$BUILD_DIR/lmds_serve" --port 0 --port-file limit_port.txt --max-line-bytes 4096 &
+SERVER_PID=$!
+wait_for_file limit_port.txt
+LINE='{"op":"solve","solver":"greedy","graphs":[{"n":3,"edges":[[0,1],[1,2]]}]}'
+PADDED="$LINE$(printf '%*s' $((5000 - ${#LINE})) '')"
+SENT=$("$BUILD_DIR/serve_client" --port "$(cat limit_port.txt)" --send "$PADDED")
+echo "$SENT"
+echo "$SENT" | grep -qx 'send -> ok=false'
+"$BUILD_DIR/serve_client" --port "$(cat limit_port.txt)" --shutdown
 wait "$SERVER_PID"
 
 echo "serve_smoke: OK ($BUILD_DIR)"

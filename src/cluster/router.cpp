@@ -50,30 +50,78 @@ void merge_diag(api::BatchDiagnostics& out, const api::BatchDiagnostics& in) {
   out.incremental_dirty += in.incremental_dirty;
 }
 
+/// A request line for a worker, kept as the pieces it is sent as: views of
+/// the client's graph-slot bytes, which outlive it, between runs of bytes it
+/// writes itself (its head, separators, re-quoted handles and tail).
+class GatheredLine {
+ public:
+  /// The bytes the line owns; appending to them appends to the line.
+  std::string& own() { return own_; }
+
+  /// Appends `v` as json_dump writes it: a Raw graph slot as a view of its
+  /// bytes, anything else encoded into the line's own bytes.
+  void append(const JsonValue& v) {
+    if (v.type() == JsonValue::Type::Raw) {
+      views_.push_back({own_.size(), v.raw_text()});
+    } else {
+      server::json_dump_to(own_, v);
+    }
+  }
+
+  /// The line as pieces in order, valid while the line and the views'
+  /// bytes are unchanged.
+  std::vector<std::string_view> pieces() const {
+    std::vector<std::string_view> out;
+    out.reserve(2 * views_.size() + 1);
+    const std::string_view own = own_;
+    std::size_t done = 0;
+    for (const auto& [at, view] : views_) {
+      if (at > done) out.push_back(own.substr(done, at - done));
+      out.push_back(view);
+      done = at;
+    }
+    if (own.size() > done) out.push_back(own.substr(done));
+    return out;
+  }
+
+ private:
+  std::string own_;
+  /// Each view with the size of own_ when it was appended (where it goes).
+  std::vector<std::pair<std::size_t, std::string_view>> views_;
+};
+
 /// One sub-batch: the slots of the client batch owned by one peer.
 struct SubBatch {
   std::size_t peer = 0;
   std::vector<std::size_t> slots;
   std::uint64_t rep_hash = 0;  ///< first slot's fingerprint (failover order)
   bool has_handle = false;     ///< store-bound: cannot fail over
-  std::string line;            ///< the sub-request line, newline included
+  GatheredLine line;           ///< the sub-request line, newline included
 };
 
 /// Finishes a request line for a worker: `line` holds '{' and the
 /// pre-encoded members ("op" first); appends every member of `root` not
-/// named in `replaced`, the closing brace and the newline. json_dump_to
-/// re-emits Raw graph slots verbatim, so no graph is re-encoded or copied
-/// twice.
-std::string finish_line(std::string line, const JsonValue& root,
-                        std::initializer_list<std::string_view> replaced) {
+/// named in `replaced`, the closing brace and the newline. Raw graph slots
+/// go in as views of the client's bytes, so no graph is re-encoded or
+/// copied.
+void finish_line(GatheredLine& line, const JsonValue& root,
+                 std::initializer_list<std::string_view> replaced) {
   for (const auto& [key, value] : root.as_object()) {
     if (std::find(replaced.begin(), replaced.end(), key) != replaced.end()) continue;
-    line += ',';
-    server::json_append_string(line, key);
-    line += ':';
-    server::json_dump_to(line, value);
+    line.own() += ',';
+    server::json_append_string(line.own(), key);
+    line.own() += ':';
+    line.append(value);
   }
-  line += "}\n";
+  line.own() += "}\n";
+}
+
+/// The line of a store verb forwarded as the client sent it, op first.
+GatheredLine store_verb_line(std::string_view op, const JsonValue& root) {
+  GatheredLine line;
+  line.own() += "{\"op\":";
+  server::json_append_string(line.own(), op);
+  finish_line(line, root, {"op"});
   return line;
 }
 
@@ -157,7 +205,8 @@ void Router::release(std::size_t peer, ClientPtr client) {
   pool_[peer].push_back(std::move(client));
 }
 
-std::string Router::exchange(std::size_t peer, ClientPtr& client, const std::string& line) {
+std::string Router::exchange(std::size_t peer, ClientPtr& client,
+                             std::span<const std::string_view> line) {
   if (!client) {
     const auto [host, port] = parse_peer(opts_.peers[peer]);
     // Line protocol, default namespace: solve sub-requests carry their
@@ -182,7 +231,7 @@ std::string Router::exchange(std::size_t peer, ClientPtr& client, const std::str
 }
 
 std::string Router::forward(const std::vector<std::size_t>& preference, bool can_fail_over,
-                            bool control, const std::string& line) {
+                            bool control, std::span<const std::string_view> line) {
   const std::size_t tries = can_fail_over ? preference.size() : 1;
   std::string last_busy;
   std::string last_error;
@@ -289,44 +338,40 @@ std::optional<std::string> Router::route_solve(server::Session& session,
   req.graphs.clear();  // placed: the workers decode their own copies
 
   // Build each peer's sub-request: a graphs array of the peer's slots,
-  // spliced from the client's bytes (Raw slots are the source text; handles
-  // are re-quoted), the namespace pinned explicitly (pooled connections are
-  // namespace-less), then every other member of the client's request —
-  // solver, options, measure flags, batch overrides — json_dump'ed, which
-  // canonicalizes member order but keeps every value's type (an option's 5.0
-  // stays a double, so the worker rejects it exactly where a single server
-  // would).
+  // gathered from the client's bytes (a Raw slot is a view of the client's
+  // line; handles are re-quoted), the namespace pinned explicitly (pooled
+  // connections are namespace-less), then every other member of the
+  // client's request — solver, options, measure flags, batch overrides —
+  // json_dump'ed, which canonicalizes member order but keeps every value's
+  // type (an option's 5.0 stays a double, so the worker rejects it exactly
+  // where a single server would). The client's line outlives the fan-out.
   for (SubBatch& sub : subs) {
-    std::size_t bytes = 64 + ns.size();
-    for (const std::size_t slot : sub.slots) {
-      if (slots[slot].type() == JsonValue::Type::Raw) bytes += slots[slot].raw_text().size() + 1;
-    }
-    std::string line;
-    line.reserve(bytes);
-    line += "{\"op\":\"solve\",\"graphs\":[";
+    GatheredLine& line = sub.line;
+    line.own() += "{\"op\":\"solve\",\"graphs\":[";
     for (std::size_t i = 0; i < sub.slots.size(); ++i) {
-      if (i) line += ',';
-      server::json_dump_to(line, slots[sub.slots[i]]);
+      if (i) line.own() += ',';
+      line.append(slots[sub.slots[i]]);
     }
-    line += ']';
+    line.own() += ']';
     if (!ns.empty()) {
-      line += ",\"namespace\":";
-      server::json_append_string(line, ns);
+      line.own() += ",\"namespace\":";
+      server::json_append_string(line.own(), ns);
     }
-    sub.line = finish_line(std::move(line), root, {"op", "graphs", "namespace"});
+    finish_line(line, root, {"op", "graphs", "namespace"});
   }
 
   // Fan out: one worker per sub-batch (bounded by the ring size), sub-batch
   // 0 on this connection's thread, each running the full retry/failover
-  // policy independently. Store-bound sub-batches cannot fail over — only
-  // the owner holds their graphs.
+  // policy independently and sending its pieces with one gathered write per
+  // attempt. Store-bound sub-batches cannot fail over — only the owner holds
+  // their graphs.
   std::vector<std::string> raw(subs.size());
   const auto run_one = [&](std::size_t i) {
     const SubBatch& sub = subs[i];
     const std::vector<std::size_t> preference =
         sub.has_handle ? std::vector<std::size_t>{sub.peer} : ring_.preference(sub.rep_hash);
     raw[i] = forward(preference, /*can_fail_over=*/!sub.has_handle, /*control=*/false,
-                     sub.line);
+                     sub.line.pieces());
   };
   const int fan_out = static_cast<int>(subs.size());
   common::parallel_for(fan_out, fan_out, [&](int begin, int end) {
@@ -383,7 +428,7 @@ std::optional<std::string> Router::route_put(const JsonValue& root) {
   // stored on a non-owner would be unreachable to routing.
   const std::size_t peer = locate_handle(api::GraphStore::handle_for(hash), hash);
   return forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-                 finish_line("{\"op\":\"put_graph\"", root, {"op"}));
+                 store_verb_line("put_graph", root).pieces());
 }
 
 std::optional<std::string> Router::route_patch(const JsonValue& root) {
@@ -396,7 +441,7 @@ std::optional<std::string> Router::route_patch(const JsonValue& root) {
   // ring segment, so its true location goes into the location map.
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
   std::string response = forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-                                 finish_line("{\"op\":\"patch_graph\"", root, {"op"}));
+                                 store_verb_line("patch_graph", root).pieces());
   if (const auto child = server::stored_graph_of(response)) {
     record_location(child->put.handle, peer);
   }
@@ -412,7 +457,7 @@ std::optional<std::string> Router::route_drop(const JsonValue& root) {
   // worker until evicted, as on a single server (kMaxLocations bounds the map).
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
   return forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-                 finish_line("{\"op\":\"drop_graph\"", root, {"op"}));
+                 store_verb_line("drop_graph", root).pieces());
 }
 
 std::string Router::route_stats(server::Session& session, const JsonValue& root) {

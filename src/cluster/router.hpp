@@ -19,8 +19,9 @@
 //                   partition the graphs array by owner (handles via the
 //                   location map then the ring, inline graphs by their
 //                   fingerprint so repeat traffic hits the same warm
-//                   worker), build each sub-request by splicing its slots'
-//                   raw bytes, fan the sub-batches out concurrently, then
+//                   worker), gather each sub-request from its slots' raw
+//                   bytes (views of the client's line, sent with one
+//                   sendmsg), fan the sub-batches out concurrently, then
 //                   splice the workers' response objects back together IN
 //                   SLOT ORDER as raw text — bit-identical to what one
 //                   server would emit (re-encoding parsed JSON would reorder
@@ -44,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -102,12 +104,13 @@ class Router {
   ClientPtr acquire(std::size_t peer) LMDS_EXCLUDES(pool_mu_);
   void release(std::size_t peer, ClientPtr client) LMDS_EXCLUDES(pool_mu_);
 
-  /// One request line (newline included, sent as is) against `peer` over
-  /// `client`, dialing it first when null. Returns the verbatim response
-  /// line (raw text — never reparsed-and-reencoded). On connect/IO failure
-  /// resets `client` (its stream state is unknown) and throws
-  /// std::runtime_error.
-  std::string exchange(std::size_t peer, ClientPtr& client, const std::string& line);
+  /// One request line (newline included, its pieces sent as is in one
+  /// gathered write) against `peer` over `client`, dialing it first when
+  /// null. Returns the verbatim response line (raw text — never
+  /// reparsed-and-reencoded). On connect/IO failure resets `client` (its
+  /// stream state is unknown) and throws std::runtime_error.
+  std::string exchange(std::size_t peer, ClientPtr& client,
+                       std::span<const std::string_view> line);
 
   /// Full failure policy (busy backoff + optional ring failover) around
   /// exchange(). `preference` is the peer order to try; `can_fail_over`
@@ -116,10 +119,10 @@ class Router {
   /// control connection, serialized by control_mu_ (these verbs are rare
   /// next to solves) — pins belong to the worker-side session that made
   /// them, so a drop sent over a different connection than its put would
-  /// fail ownership. Returns the first non-busy response, or an encoded
-  /// error line when every attempt failed.
+  /// fail ownership. Every attempt sends the same pieces. Returns the first
+  /// non-busy response, or an encoded error line when every attempt failed.
   std::string forward(const std::vector<std::size_t>& preference, bool can_fail_over,
-                      bool control, const std::string& line)
+                      bool control, std::span<const std::string_view> line)
       LMDS_EXCLUDES(pool_mu_, control_mu_);
 
   std::optional<std::string> route_solve(server::Session& session,

@@ -87,12 +87,13 @@ JsonValue ProtocolClient::exchange_line(const std::string& line) {
   if (!send_all(fd_, line + "\n")) {
     throw std::runtime_error("send failed (server closed the connection?)");
   }
-  const auto response = reader_.next_line(64u << 20);
+  std::optional<std::string> response = reader_.next_line(64u << 20);
   if (!response) {
     if (reader_.timed_out()) throw std::runtime_error("read timed out waiting for the server");
     throw std::runtime_error("server closed the connection mid-exchange");
   }
-  return json_parse(*response);
+  // The value outlives this function: it takes the line over.
+  return json_parse(*std::move(response));
 }
 
 JsonValue ProtocolClient::exchange_http(const std::string& method, const std::string& target,
@@ -125,12 +126,16 @@ JsonValue ProtocolClient::exchange_http(const std::string& method, const std::st
           std::strtoull(header->c_str() + kPrefix.size(), nullptr, 10));
     }
   }
-  const auto body_bytes = reader_.read_exact(content_length);
+  std::optional<std::string> body_bytes = reader_.read_exact(content_length);
   if (!body_bytes) throw std::runtime_error("connection closed inside HTTP body");
-  return json_parse(*body_bytes);
+  return json_parse(*std::move(body_bytes));  // takes the body over, as above
 }
 
 bool ProtocolClient::send_raw(const std::string& bytes) { return send_all(fd_, bytes); }
+
+bool ProtocolClient::send_raw(std::span<const std::string_view> pieces) {
+  return send_all(fd_, pieces);
+}
 
 std::optional<std::string> ProtocolClient::read_raw_line(std::size_t max_bytes) {
   return reader_.next_line(max_bytes);

@@ -15,7 +15,9 @@
 // router drops the connection and applies its own retry and failover).
 
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "server/json.hpp"
 #include "server/net.hpp"
@@ -78,10 +80,12 @@ class ProtocolClient {
                           const std::string& body);
 
   /// Lowest-level access (the fuzzer, the cluster router's verbatim
-  /// replies): send bytes verbatim / read one line. send_raw returns false
-  /// when the server already closed the connection; read_raw_line returns
-  /// nullopt on close or an I/O timeout.
+  /// replies): send bytes verbatim — one buffer, or pieces in one gathered
+  /// write — / read one line. send_raw returns false when the server already
+  /// closed the connection; read_raw_line returns nullopt on close or an I/O
+  /// timeout.
   bool send_raw(const std::string& bytes);
+  bool send_raw(std::span<const std::string_view> pieces);
   std::optional<std::string> read_raw_line(std::size_t max_bytes = 64u << 20);
 
  private:

@@ -63,7 +63,7 @@ const JsonValue::Object& JsonValue::as_object() const {
   return std::get<Object>(v_);
 }
 
-const std::string& JsonValue::raw_text() const { return graph_slot()->text; }
+std::string_view JsonValue::raw_text() const { return graph_slot()->text; }
 
 const std::shared_ptr<const GraphSlot>& JsonValue::graph_slot() const {
   if (type() != Type::Raw) type_error(type(), "raw");
@@ -99,7 +99,9 @@ struct Skipped {};
 // branches: a slot fails where the full parse would.
 class JsonParser {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  /// `source`, when set, is the string `text` views; every slot holds it.
+  explicit JsonParser(std::string_view text, std::shared_ptr<const std::string> source = nullptr)
+      : text_(text), source_(std::move(source)) {}
 
   JsonValue parse_document(bool root_is_slot) {
     JsonValue v = root_is_slot ? parse_slot(0) : parse_value<true>(0);
@@ -115,6 +117,7 @@ class JsonParser {
   using String = std::conditional_t<Build, std::string, Skipped>;
 
   std::string_view text_;
+  std::shared_ptr<const std::string> source_;
   std::size_t pos_ = 0;
 
   [[noreturn]] void fail(const std::string& what) const {
@@ -293,7 +296,8 @@ class JsonParser {
         parse_value<false>(depth + 1);
       }
     });
-    slot->text.assign(text_.substr(start, pos_ - start));
+    slot->text = text_.substr(start, pos_ - start);
+    slot->source = source_;
     return JsonValue(std::shared_ptr<const GraphSlot>(std::move(slot)));
   }
 
@@ -495,12 +499,31 @@ class JsonParser {
 
 }  // namespace detail
 
+namespace {
+
+/// The owning parse: the text moves into the string every slot shares.
+JsonValue parse_owned(std::string&& text, bool root_is_slot) {
+  auto source = std::make_shared<const std::string>(std::move(text));
+  const std::string_view view = *source;
+  return detail::JsonParser(view, std::move(source)).parse_document(root_is_slot);
+}
+
+}  // namespace
+
 JsonValue json_parse(std::string_view text) {
   return detail::JsonParser(text).parse_document(/*root_is_slot=*/false);
 }
 
+JsonValue json_parse(std::string&& text) {
+  return parse_owned(std::move(text), /*root_is_slot=*/false);
+}
+
 JsonValue json_parse_graph(std::string_view text) {
   return detail::JsonParser(text).parse_document(/*root_is_slot=*/true);
+}
+
+JsonValue json_parse_graph(std::string&& text) {
+  return parse_owned(std::move(text), /*root_is_slot=*/true);
 }
 
 void json_append_string(std::string& out, std::string_view s) {

@@ -25,6 +25,19 @@
 // graph from the GraphSlot without reading the bytes again — a deferred
 // graph shares the slot until it is built; json_dump re-emits the bytes
 // verbatim.
+//
+// A slot's bytes are a view of the parsed text, never a copy, and the
+// overload that parsed it decides who keeps that text alive:
+//   - json_parse(std::string_view) owns nothing. Its caller keeps the text
+//     alive while any slot's raw bytes are read (raw_text(), json_dump): the
+//     Session's line for one request, the HTTP body, the router's forward.
+//     Only the bytes are borrowed — what was collected (n, edges) is the
+//     slot's own, so a deferred graph builds after the text is gone.
+//   - json_parse(std::string&&) moves the text into one shared string that
+//     every slot of the value holds, so a value parsed from a temporary
+//     stays whole, with no copy.
+// A string literal or const char* parses as a view. json_parse_graph has
+// the same overloads.
 
 #include <cstdint>
 #include <map>
@@ -80,8 +93,9 @@ class JsonValue {
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;
-  /// The source bytes of a Raw value: one complete, valid JSON object.
-  const std::string& raw_text() const;
+  /// The source bytes of a Raw value: one complete, valid JSON object, as
+  /// a view of the parsed text (see the header comment for its lifetime).
+  std::string_view raw_text() const;
   /// What json_parse collected from a Raw value's bytes, shared: a holder
   /// keeps the slot alive past this value.
   const std::shared_ptr<const GraphSlot>& graph_slot() const;
@@ -124,7 +138,10 @@ struct GraphSlot {
     JsonScalar w;
   };
 
-  std::string text;             ///< the slot's source bytes, verbatim
+  std::string_view text;        ///< the slot's source bytes, verbatim
+  /// The text `text` points into when the value owns it
+  /// (json_parse(std::string&&)); null when the caller keeps it alive.
+  std::shared_ptr<const std::string> source;
   std::optional<JsonScalar> n;  ///< the "n" member
   bool has_edges = false;       ///< an "edges" member is present
   bool edges_is_array = false;  ///< ... and it is an array
@@ -139,13 +156,21 @@ std::string_view to_string(JsonValue::Type t);
 /// levels is rejected. Throws JsonError with a byte offset in the message.
 /// Objects in graph slots (top-level "graph", elements of top-level
 /// "graphs") come back Raw, collected; the errors are those of a full
-/// parse, and no decode error is raised here.
+/// parse, and no decode error is raised here. The view overload borrows
+/// `text` for the slots' raw bytes, the rvalue overload takes it over (see
+/// the header comment).
 JsonValue json_parse(std::string_view text);
+JsonValue json_parse(std::string&& text);
+inline JsonValue json_parse(const char* text) { return json_parse(std::string_view(text)); }
 
 /// json_parse for a document that is itself a graph slot (the body of HTTP
 /// PUT /v2/graphs): a root object comes back Raw, anything else as
-/// json_parse returns it. Same errors and offsets as json_parse.
+/// json_parse returns it. Same errors, offsets and overloads as json_parse.
 JsonValue json_parse_graph(std::string_view text);
+JsonValue json_parse_graph(std::string&& text);
+inline JsonValue json_parse_graph(const char* text) {
+  return json_parse_graph(std::string_view(text));
+}
 
 /// Appends `s` as a quoted JSON string with the mandatory escapes.
 void json_append_string(std::string& out, std::string_view s);

@@ -6,8 +6,10 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -82,70 +84,121 @@ bool set_io_timeout(int fd, int timeout_ms) {
          ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) == 0;
 }
 
-bool send_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+bool send_all(int fd, std::span<const std::string_view> pieces) {
+  // Up to kBatch pieces per sendmsg; a short write resumes inside the piece
+  // where it stopped.
+  constexpr std::size_t kBatch = 64;
+  std::size_t next = 0;    // first piece not fully written
+  std::size_t offset = 0;  // bytes of pieces[next] already written
+  while (true) {
+    iovec iov[kBatch];
+    std::size_t count = 0;
+    for (std::size_t i = next; i < pieces.size() && count < kBatch; ++i) {
+      const std::string_view piece = i == next ? pieces[i].substr(offset) : pieces[i];
+      if (piece.empty()) continue;
+      iov[count++] = {const_cast<char*>(piece.data()), piece.size()};
+    }
+    if (count == 0) return true;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    data.remove_prefix(static_cast<std::size_t>(n));
+    auto sent = static_cast<std::size_t>(n);
+    while (next < pieces.size() && pieces[next].size() - offset <= sent) {
+      sent -= pieces[next].size() - offset;
+      ++next;
+      offset = 0;
+    }
+    offset += sent;
   }
-  return true;
 }
 
-std::optional<std::string> LineReader::next_line(std::size_t max_bytes) {
+bool send_all(int fd, std::string_view data) {
+  return send_all(fd, std::span<const std::string_view>(&data, 1));
+}
+
+void LineReader::consume() {
+  begin_ += handed_;
+  handed_ = 0;
+  scanned_ = std::max(scanned_, begin_);
+  if (begin_ == end_) begin_ = end_ = scanned_ = 0;  // empty: refill from the front
+}
+
+std::optional<std::string_view> LineReader::next_line_view(std::size_t max_bytes) {
+  consume();
   if (oversized_) return std::nullopt;
   while (true) {
     // Bytes before scanned_ were searched by an earlier pass: a long line
     // arriving in many reads is scanned once, not once per read.
-    const std::size_t nl = buffer_.find('\n', scanned_);
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      scanned_ = 0;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    scanned_ = buffer_.size();
-    if (buffer_.size() > max_bytes) {
+    const std::string_view held(buffer_.get(), end_);
+    const std::size_t nl = held.find('\n', scanned_);
+    const bool terminated = nl != std::string_view::npos;
+    const std::size_t length = (terminated ? nl : end_) - begin_;
+    if (length > max_bytes) {
       oversized_ = true;
       return std::nullopt;
     }
-    if (eof_) {
-      // Trailing data without a final newline still counts as a line.
-      if (buffer_.empty()) return std::nullopt;
-      std::string line = std::move(buffer_);
-      buffer_.clear();
-      scanned_ = 0;
+    if (terminated || (eof_ && length > 0)) {
+      // A newline ends the line; at EOF, trailing data without one still
+      // counts as a line.
+      handed_ = terminated ? length + 1 : length;
+      scanned_ = begin_ + handed_;
+      std::string_view line = held.substr(begin_, length);
+      if (terminated && line.ends_with('\r')) line.remove_suffix(1);
       return line;
     }
+    scanned_ = end_;
+    if (eof_) return std::nullopt;
     if (!fill()) return std::nullopt;
   }
+}
+
+std::optional<std::string> LineReader::next_line(std::size_t max_bytes) {
+  const std::optional<std::string_view> line = next_line_view(max_bytes);
+  if (!line) return std::nullopt;
+  return std::string(*line);
 }
 
 std::optional<std::string> LineReader::read_exact(std::size_t n) {
-  while (buffer_.size() < n && !eof_) {
+  consume();
+  while (end_ - begin_ < n && !eof_) {
     if (!fill()) return std::nullopt;
   }
-  if (buffer_.size() < n) return std::nullopt;  // peer closed mid-body
-  std::string out = buffer_.substr(0, n);
-  buffer_.erase(0, n);
-  scanned_ = 0;
-  return out;
+  if (end_ - begin_ < n) return std::nullopt;  // peer closed mid-body
+  handed_ = n;
+  return std::string(buffer_.get() + begin_, n);
 }
 
 bool LineReader::fill() {
-  char chunk[65536];
+  constexpr std::size_t kChunk = 65536;  // the least free space one recv gets
+  if (capacity_ - end_ < kChunk) {
+    const std::size_t live = end_ - begin_;
+    if (capacity_ - live < kChunk) {
+      const std::size_t capacity = std::max(2 * capacity_, live + kChunk);
+      std::unique_ptr<char[]> grown = std::make_unique_for_overwrite<char[]>(capacity);
+      if (live > 0) std::memcpy(grown.get(), buffer_.get() + begin_, live);
+      buffer_ = std::move(grown);
+      capacity_ = capacity;
+    } else {
+      std::memmove(buffer_.get(), buffer_.get() + begin_, live);
+    }
+    scanned_ -= begin_;
+    begin_ = 0;
+    end_ = live;
+  }
   ssize_t n;
-  while ((n = ::recv(fd_, chunk, sizeof chunk, 0)) < 0 && errno == EINTR) {
+  while ((n = ::recv(fd_, buffer_.get() + end_, capacity_ - end_, 0)) < 0 && errno == EINTR) {
   }
   // SO_RCVTIMEO expired: the fd is still usable, report "no data" but
   // remember why so the caller can tell silence from a closed peer.
   timed_out_ = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   if (timed_out_) return false;
   if (n > 0) {
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    end_ += static_cast<std::size_t>(n);
   } else {
     eof_ = true;  // a connection error counts as EOF
   }

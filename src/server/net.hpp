@@ -5,7 +5,9 @@
 // lacks these headers.
 
 #include <cstddef>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,12 +31,30 @@ int tcp_connect(const std::string& host, int port, int timeout_ms = 0);
 /// LineReader as timed_out(), distinct from EOF.
 bool set_io_timeout(int fd, int timeout_ms);
 
-/// Writes all of `data`, retrying on short writes / EINTR. Returns false on
-/// a write error (e.g. peer closed).
+/// Writes all of `pieces`, in order, as one gathered stream (sendmsg over
+/// the pieces, no copy into one buffer), retrying on short writes / EINTR.
+/// Returns false on a write error (e.g. peer closed).
+bool send_all(int fd, std::span<const std::string_view> pieces);
+
+/// send_all of one piece.
 bool send_all(int fd, std::string_view data);
 
-/// Incremental newline-delimited reader over one fd. Reads in chunks,
-/// buffers the remainder, hands back complete lines without the '\n'.
+/// Incremental newline-delimited reader over one fd. Reads straight into
+/// its own buffer and hands back complete lines without the '\n' (and
+/// without a '\r' before it).
+///
+/// Lines are parsed in place: next_line_view returns a view into the
+/// buffer, valid until the next call on this reader (any call: the line's
+/// bytes, its newline included, are dropped from the buffer then). The
+/// buffer keeps its capacity across lines, so a connection that carries
+/// large requests does not give its memory back and fault it in again for
+/// each one. Bytes are copied once, by recv into the buffer; the only other
+/// moves are the buffer's growth and, when it needs room, bytes of a later
+/// line that arrived with an earlier one moving to its front.
+///
+/// The limit is exact: a line of more than `max_bytes` bytes (the newline
+/// not counted, a '\r' before it counted) is oversized wherever its newline
+/// sits, in the read that crosses the limit or in a later one.
 ///
 /// Deliberately unsynchronized (no mutex, no annotations): a LineReader is
 /// owned by exactly one connection thread for its whole life. A concurrent
@@ -45,9 +65,14 @@ class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// Next complete line. std::nullopt on EOF with no buffered data, or when
-  /// a line exceeds max_bytes (oversized_ is set — the caller should drop
-  /// the connection; resynchronizing inside a half-read line is guesswork).
+  /// Next complete line, as a view into the buffer (see above). An
+  /// unterminated tail at EOF counts as a line. std::nullopt on EOF with no
+  /// buffered data, on an I/O timeout (timed_out()), or when a line exceeds
+  /// max_bytes (oversized() — the caller should drop the connection;
+  /// resynchronizing inside a half-read line is guesswork).
+  std::optional<std::string_view> next_line_view(std::size_t max_bytes);
+
+  /// next_line_view plus one copy: a line that outlives the next call.
   std::optional<std::string> next_line(std::size_t max_bytes);
 
   /// Exactly `n` bytes (buffered remainder first, then the socket) — the
@@ -64,14 +89,23 @@ class LineReader {
   bool timed_out() const { return timed_out_; }
 
  private:
-  /// One recv into buffer_, retrying EINTR: true when bytes arrived or the
-  /// peer closed (eof_ set; a connection error counts as a close), false on
-  /// an I/O timeout (timed_out_ set). Every recv sets timed_out_ afresh.
+  /// Drops the bytes the last view or read handed out.
+  void consume();
+
+  /// One recv into the free end of the buffer (made room for first: the
+  /// unconsumed bytes move to the front, or the buffer grows), retrying
+  /// EINTR: true when bytes arrived or the peer closed (eof_ set; a
+  /// connection error counts as a close), false on an I/O timeout
+  /// (timed_out_ set). Every recv sets timed_out_ afresh.
   bool fill();
 
   int fd_;
-  std::string buffer_;
-  std::size_t scanned_ = 0;  ///< buffer_ prefix known to hold no '\n'
+  std::unique_ptr<char[]> buffer_;
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;     ///< first byte not yet handed out
+  std::size_t end_ = 0;       ///< one past the last byte received
+  std::size_t scanned_ = 0;   ///< [begin_, scanned_) is known to hold no '\n'
+  std::size_t handed_ = 0;    ///< bytes after begin_ that the last call handed out
   bool eof_ = false;
   bool oversized_ = false;
   bool timed_out_ = false;

@@ -227,10 +227,13 @@ void Server::serve_line_connection(int fd) {
   // cannot leave capacity pinned (tested by tests/test_cluster.cpp).
   Session session(core_, Session::LeaseScope::Owned);  // + open_session state
   while (!core_.stopping()) {
-    std::optional<std::string> line = reader.next_line(opts_.core.limits.max_line_bytes);
+    // Parsed in place: the view (and every graph slot parsed from it) lives
+    // until the next read, past this request's reply.
+    const std::optional<std::string_view> line =
+        reader.next_line_view(opts_.core.limits.max_line_bytes);
     if (!line) {
       if (reader.oversized()) {
-        // The line never terminated within the limit; report and drop the
+        // The line is longer than the limit; report and drop the
         // connection — resynchronizing mid-line would misparse what follows.
         (void)send_all(fd, encode_error(ErrorCode::BadRequest,
                                         "request line exceeds " +
@@ -242,7 +245,8 @@ void Server::serve_line_connection(int fd) {
     }
     if (line->empty()) continue;  // blank keep-alive lines are ignored
     const std::string response = session.handle_line(*line);
-    if (!send_all(fd, response + "\n")) break;
+    const std::string_view reply[] = {response, "\n"};
+    if (!send_all(fd, reply)) break;
   }
 }
 

@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +33,7 @@
 #include "graph/ops.hpp"
 #include "server/http.hpp"
 #include "server/net.hpp"
+#include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/session.hpp"
 
@@ -1128,6 +1134,157 @@ TEST_F(BusyWorkerClusterTest, BusyInlineBatchFailsOverToTheOtherWorker) {
   EXPECT_EQ(forwards(fd, reader, owner) - owner_before, kAttempts);
   EXPECT_EQ(forwards(fd, reader, other) - other_before, 1u);
   ::close(fd);
+}
+
+// ---------------------------------------------------------------------------
+// What a worker receives
+
+/// A worker that records every request line it receives, newline included,
+/// and answers it through a real Session — or server_busy while busy
+/// answers are owed (answer_busy).
+class RecordingPeer {
+ public:
+  RecordingPeer() : server_(worker_options()) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(listen_fd_, 16), 0);
+    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port_ = ntohs(addr.sin_port);
+    accepting_ = std::thread([this] {
+      int fd;
+      while ((fd = ::accept(listen_fd_, nullptr, nullptr)) >= 0) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        fds_.push_back(fd);
+        serving_.emplace_back([this, fd] { serve(fd); });
+      }
+    });
+  }
+
+  RecordingPeer(const RecordingPeer&) = delete;
+  RecordingPeer& operator=(const RecordingPeer&) = delete;
+
+  ~RecordingPeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // accept() fails: no new connections
+    accepting_.join();
+    for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
+    for (std::thread& t : serving_) t.join();
+    for (const int fd : fds_) ::close(fd);
+    ::close(listen_fd_);
+  }
+
+  std::string address() const { return "127.0.0.1:" + std::to_string(port_); }
+
+  std::vector<std::string> take_received() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(received_, {});
+  }
+
+  /// The next `n` lines are answered server_busy.
+  void answer_busy(int n) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    busy_ = n;
+  }
+
+ private:
+  void serve(int fd) {
+    Session session(server_.core(), Session::LeaseScope::Owned);
+    LineReader reader(fd);
+    while (const std::optional<std::string_view> line = reader.next_line_view(64u << 20)) {
+      bool busy = false;
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        received_.push_back(std::string(*line) + "\n");
+        busy = busy_ > 0;
+        busy_ -= busy ? 1 : 0;
+      }
+      const std::string reply = busy ? server::encode_error(server::ErrorCode::ServerBusy, "busy")
+                                     : session.handle_line(*line);
+      if (!server::send_all(fd, reply + "\n")) return;
+    }
+  }
+
+  Server server_;
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::mutex mu_;
+  std::vector<std::string> received_;  // guarded by mu_
+  int busy_ = 0;                       // guarded by mu_
+  std::vector<int> fds_;               // guarded by mu_ until accepting_ is joined
+  std::vector<std::thread> serving_;   // likewise
+  std::thread accepting_;
+};
+
+// The router gathers each sub-request from views of the client's line and
+// sends it in one gathered write. A worker receives, byte for byte, the line
+// the router assembled into one buffer before: the head, the peer's slots in
+// client order (inline bytes verbatim, handles re-quoted), the namespace
+// pinned and escaped, the other members in key order with 5.0 still a
+// double, and a newline. A busy retry sends the same bytes again; so does a
+// forwarded put_graph, its graph verbatim.
+TEST(RouterForward, WorkersReceiveTheAssembledLineByteForByte) {
+  RecordingPeer peers[2];
+  Server router_srv(worker_options());
+  RouterOptions ropts;
+  ropts.peers = {peers[0].address(), peers[1].address()};
+  Router router(ropts, router_srv.core());
+  router.install();
+  Session client(router_srv.core());
+  const HashRing& ring = router.ring();
+
+  // Graph slots spelled with whitespace, which only a verbatim forward keeps.
+  const auto spaced = [](const Graph& g) {
+    std::string json = graph_json(g);
+    json.replace(json.find(",\"edges\":"), 9, " , \"edges\" : ");
+    return "{ " + json.substr(1);
+  };
+
+  // A stored graph, put through the router to its owner.
+  const std::string stored = spaced(graph::gen::grid(3, 4));
+  const std::size_t stored_owner = ring.owner_index(graph::graph_hash(graph::gen::grid(3, 4)));
+  const std::string put = "{\"op\":\"put_graph\",\"graph\":" + stored + "}";
+  const JsonValue put_reply = json_parse(client.handle_line(put));
+  ASSERT_TRUE(put_reply.find("ok")->as_bool()) << put_reply.find("error")->as_string();
+  EXPECT_EQ(peers[stored_owner].take_received(), std::vector<std::string>{put + "\n"});
+  EXPECT_TRUE(peers[1 - stored_owner].take_received().empty());
+  const std::string handle = put_reply.find("handle")->as_string();
+
+  // Inline cycles until each peer owns one.
+  std::string inline_slot[2];
+  for (graph::Vertex n = 3; inline_slot[0].empty() || inline_slot[1].empty(); ++n) {
+    ASSERT_LT(n, 200);
+    const Graph g = graph::gen::cycle(n);
+    std::string& slot = inline_slot[ring.owner_index(graph::graph_hash(g))];
+    if (slot.empty()) slot = spaced(g);
+  }
+  // Slots: [inline on 0, the handle, inline on 1]; the handle's peer gets a
+  // mixed sub-batch.
+  const std::string quoted = "\"" + handle + "\"";
+  const std::string slots[3] = {inline_slot[0], quoted, inline_slot[1]};
+  const std::size_t owner[3] = {0, stored_owner, 1};
+  const std::string request = std::string(R"({"op":"solve","solver":"ksv","options":{"k":5.0},)") +
+                              R"("namespace":"a\"b\\c","graphs":[)" + slots[0] + "," + slots[1] +
+                              "," + slots[2] + "]}";
+  for (RecordingPeer& peer : peers) peer.answer_busy(1);
+  const std::string reply = client.handle_line(request);
+  EXPECT_EQ(server::error_code_of(reply), server::ErrorCode::BadRequest) << reply;  // 5.0 is no int
+
+  for (std::size_t p = 0; p < 2; ++p) {
+    std::string want = R"({"op":"solve","graphs":[)";
+    bool first = true;
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (owner[i] != p) continue;
+      if (!first) want += ',';
+      first = false;
+      want += slots[i];
+    }
+    want += R"(],"namespace":"a\"b\\c","options":{"k":5.0},"solver":"ksv"})" "\n";
+    // Busy once, then retried on the same peer with the same bytes.
+    EXPECT_EQ(peers[p].take_received(), (std::vector<std::string>{want, want})) << p;
+  }
 }
 
 // ---------------------------------------------------------------------------

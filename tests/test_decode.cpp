@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <ostream>
 #include <random>
 #include <string>
@@ -469,6 +470,53 @@ TEST(RawSlots, OnlyGraphPositionsStayRawAndDumpVerbatim) {
   EXPECT_EQ(json_parse_graph(graph).type(), JsonValue::Type::Raw);
   EXPECT_EQ(json_parse_graph("[1]").type(), JsonValue::Type::Array);
   EXPECT_THROW((void)json_parse_graph("{\"edges\":[}"), JsonError);
+}
+
+// A slot's bytes are a view of the parsed text, never a copy. The view
+// overload borrows the caller's text; the rvalue overload takes the text
+// over into one string every slot of the value shares, so the value reads
+// its slots after the source string is gone. What was collected is the
+// slot's own either way: a deferred graph builds after borrowed text is
+// gone.
+TEST(RawSlots, ViewParseBorrowsTheTextAndRvalueParseKeepsIt) {
+  const std::string graph = R"({"n":3,"edges":[[0,1],[1,2]]})";
+  const std::string line =
+      R"({"op":"solve","solver":"greedy","graphs":[)" + graph + "," + graph + "]}";
+  const auto inside = [](std::string_view bytes, const std::string& text) {
+    const auto at = reinterpret_cast<std::uintptr_t>(bytes.data());
+    const auto begin = reinterpret_cast<std::uintptr_t>(text.data());
+    return at >= begin && at + bytes.size() <= begin + text.size();
+  };
+
+  const JsonValue borrowed = json_parse(line);
+  for (const JsonValue& slot : borrowed.find("graphs")->as_array()) {
+    EXPECT_EQ(slot.raw_text(), graph);
+    EXPECT_TRUE(inside(slot.raw_text(), line));
+    EXPECT_EQ(slot.graph_slot()->source, nullptr);
+  }
+  const JsonValue borrowed_graph = json_parse_graph(graph);
+  EXPECT_EQ(borrowed_graph.raw_text().data(), graph.data());
+
+  const JsonValue owned = json_parse(std::string(line));  // the temporary dies here
+  const JsonValue::Array& slots = owned.find("graphs")->as_array();
+  ASSERT_EQ(slots.size(), 2u);
+  ASSERT_NE(slots[0].graph_slot()->source, nullptr);
+  EXPECT_EQ(slots[0].graph_slot()->source, slots[1].graph_slot()->source);
+  EXPECT_TRUE(inside(slots[0].raw_text(), *slots[0].graph_slot()->source));
+  EXPECT_EQ(slots[0].raw_text(), graph);
+  EXPECT_EQ(slots[1].raw_text(), graph);
+  EXPECT_EQ(json_dump(owned),
+            R"({"graphs":[)" + graph + "," + graph + R"(],"op":"solve","solver":"greedy"})");
+  const JsonValue owned_graph = json_parse_graph(std::string(graph));
+  EXPECT_EQ(owned_graph.raw_text(), graph);
+
+  SolveRequest req;
+  {
+    const std::string text = line;
+    req = decode_solve_deferred(json_parse(text), api::Registry::instance(), ServerLimits{});
+  }
+  ASSERT_TRUE(std::holds_alternative<DeferredGraph>(req.graphs[0]));
+  EXPECT_EQ(build_graph(std::get<DeferredGraph>(req.graphs[0])), graph::gen::path(3));
 }
 
 // ---------------------------------------------------------------------------

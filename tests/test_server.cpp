@@ -20,8 +20,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -1265,42 +1267,75 @@ TEST(ServerSocket, EndToEndSolveAndShutdown) {
   EXPECT_EQ(server.counters().connections, 1u);
 }
 
-// LineReader resumes its newline search where the previous scan stopped;
-// the framing must survive that: a long line in small pieces, several lines
-// in one read, CRLF, and the over-limit cut-off.
+// LineReader resumes its newline search where the previous scan stopped,
+// and next_line_view hands lines out in place; the framing must survive
+// both, through either call: a long line in small pieces, several lines in
+// one read, CRLF, read_exact after a line, and an unterminated tail at EOF.
 TEST(LineReader, FramesLinesAcrossAndWithinReads) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const std::string big(1u << 20, 'x');
-  std::thread writer([&] {
-    for (std::size_t at = 0; at < big.size(); at += 4096) {
-      EXPECT_TRUE(send_all(fds[1], std::string_view(big).substr(at, 4096)));
-    }
-    EXPECT_TRUE(send_all(fds[1], "\n"));
-    EXPECT_TRUE(send_all(fds[1], "first\nsecond\n"));  // two lines, one write
-    EXPECT_TRUE(send_all(fds[1], "crlf\r\n"));
-  });
-  LineReader reader(fds[0]);
-  EXPECT_EQ(reader.next_line(2u << 20), big);
-  EXPECT_EQ(reader.next_line(1024), "first");
-  EXPECT_EQ(reader.next_line(1024), "second");
-  EXPECT_EQ(reader.next_line(1024), "crlf");
-  writer.join();
-  close_fd(fds[1]);
-  EXPECT_FALSE(reader.next_line(1024).has_value());  // EOF
-  EXPECT_FALSE(reader.oversized());
-  close_fd(fds[0]);
+  for (const bool view : {false, true}) {
+    SCOPED_TRACE(view ? "next_line_view" : "next_line");
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    const std::string big(1u << 20, 'x');
+    std::thread writer([&] {
+      for (std::size_t at = 0; at < big.size(); at += 4096) {
+        EXPECT_TRUE(send_all(fds[1], std::string_view(big).substr(at, 4096)));
+      }
+      EXPECT_TRUE(send_all(fds[1], "\n"));
+      EXPECT_TRUE(send_all(fds[1], "first\nsecond\n"));  // two lines, one write
+      EXPECT_TRUE(send_all(fds[1], "crlf\r\n0123456789tail"));
+      close_fd(fds[1]);
+    });
+    LineReader reader(fds[0]);
+    const auto next = [&](std::size_t max_bytes) -> std::optional<std::string> {
+      if (!view) return reader.next_line(max_bytes);
+      const std::optional<std::string_view> line = reader.next_line_view(max_bytes);
+      return line ? std::optional<std::string>(*line) : std::nullopt;
+    };
+    EXPECT_EQ(next(2u << 20), big);
+    EXPECT_EQ(next(1024), "first");
+    EXPECT_EQ(next(1024), "second");
+    EXPECT_EQ(next(1024), "crlf");
+    EXPECT_EQ(reader.read_exact(10), "0123456789");
+    writer.join();
+    EXPECT_EQ(next(1024), "tail");  // unterminated, at EOF
+    EXPECT_FALSE(next(1024).has_value());  // EOF
+    EXPECT_FALSE(reader.oversized());
+    close_fd(fds[0]);
+  }
 }
 
+// The limit is exact: a line longer than it is oversized wherever its
+// newline sits — after the reads that cross it, or in the same read.
 TEST(LineReader, OverLimitLineSetsOversized) {
+  struct Case {
+    std::vector<std::string> writes;
+    std::size_t limit;
+  };
+  const Case cases[] = {
+      // 10 KB in 1 KB writes and no newline: past the 4 KB limit after a
+      // few reads, however the kernel coalesces them.
+      {std::vector<std::string>(10, std::string(1000, 'y')), 4096},
+      // 1500 bytes and their newline in one write, limit 1000.
+      {{std::string(1500, 'z') + "\n"}, 1000},
+  };
+  for (const Case& c : cases) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    for (const std::string& bytes : c.writes) ASSERT_TRUE(send_all(fds[1], bytes));
+    LineReader reader(fds[0]);
+    EXPECT_FALSE(reader.next_line(c.limit).has_value()) << c.limit;
+    EXPECT_TRUE(reader.oversized()) << c.limit;
+    close_fd(fds[0]);
+    close_fd(fds[1]);
+  }
+  // A line of exactly the limit is a line.
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  // 10 KB in 1 KB writes and no newline: past the 4 KB limit after a few
-  // reads, however the kernel coalesces them.
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(send_all(fds[1], std::string(1000, 'y')));
+  ASSERT_TRUE(send_all(fds[1], std::string(1000, 'z') + "\n"));
   LineReader reader(fds[0]);
-  EXPECT_FALSE(reader.next_line(4096).has_value());
-  EXPECT_TRUE(reader.oversized());
+  EXPECT_EQ(reader.next_line(1000), std::string(1000, 'z'));
+  EXPECT_FALSE(reader.oversized());
   close_fd(fds[0]);
   close_fd(fds[1]);
 }
@@ -1392,19 +1427,25 @@ TEST(ServerSocket, OversizedLineIsRejectedAndConnectionDropped) {
   server.bind_and_listen();
   std::thread serving([&] { server.serve(); });
 
-  const int fd = tcp_connect("127.0.0.1", server.port());
-  ASSERT_GE(fd, 0);
-  const std::string huge(4096, 'x');  // no newline within the limit
-  EXPECT_TRUE(send_all(fd, huge));
-  LineReader reader(fd);
-  const auto response = reader.next_line(1u << 20);
-  ASSERT_TRUE(response.has_value());
-  const JsonValue parsed = json_parse(*response);
-  EXPECT_FALSE(parsed.find("ok")->as_bool());
-  EXPECT_EQ(parsed.find("code")->as_string(), "bad_request");
-  // The server dropped the connection after reporting.
-  EXPECT_FALSE(reader.next_line(1u << 20).has_value());
-  close_fd(fd);
+  // No newline within the limit; and a valid solve line padded to 300
+  // bytes, sent with its newline in one write.
+  std::string padded = R"({"op":"solve","solver":"greedy","graphs":[{"n":2,"edges":[[0,1]]}]})";
+  padded.resize(300, ' ');
+  for (const std::string& bytes : {std::string(4096, 'x'), padded + "\n"}) {
+    const int fd = tcp_connect("127.0.0.1", server.port());
+    ASSERT_GE(fd, 0);
+    EXPECT_TRUE(send_all(fd, bytes));
+    LineReader reader(fd);
+    const auto response = reader.next_line(1u << 20);
+    ASSERT_TRUE(response.has_value()) << bytes.size();
+    const JsonValue parsed = json_parse(*response);
+    ASSERT_FALSE(parsed.find("ok")->as_bool()) << *response;
+    EXPECT_EQ(parsed.find("code")->as_string(), "bad_request");
+    EXPECT_EQ(parsed.find("error")->as_string(), "request line exceeds 256 bytes");
+    // The server dropped the connection after reporting.
+    EXPECT_FALSE(reader.next_line(1u << 20).has_value());
+    close_fd(fd);
+  }
 
   server.request_stop();
   serving.join();
