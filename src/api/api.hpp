@@ -4,11 +4,11 @@
 // surface (see registry.hpp for the process-wide Registry).
 //
 // The point is the *comparison*: Table 1 of the paper lines up Algorithm 1,
-// the 3-round Theorem 4.4 rule, folklore baselines and KSV-style rules, yet
-// each used to be a bespoke struct (`Algorithm1Result`, `Theorem44Result`,
-// bare vectors...). One uniform surface is also the seam the ROADMAP's
-// serving/batching/caching layers build on: callers hold a Request, not a
-// call site per algorithm.
+// the 3-round Theorem 4.4 rule, folklore baselines and KSV-style rules, and
+// every one of them answers in one shape, core::SolverOutput (a solution
+// plus core::Diagnostics), from the algorithm to the wire. The same surface
+// is the seam the serving, batching and caching layers build on: callers
+// hold a Request, not a call site per algorithm.
 
 #include <map>
 #include <optional>
@@ -20,11 +20,13 @@
 #include <vector>
 
 #include "core/metrics.hpp"
+#include "core/solver_output.hpp"
 #include "graph/graph.hpp"
-#include "local/simulator.hpp"
 
 namespace lmds::api {
 
+using core::Diagnostics;
+using core::SolverOutput;
 using graph::Graph;
 using graph::Vertex;
 
@@ -152,25 +154,6 @@ struct Request {
   /// Fill Response::ratio via core::measure_mds_ratio / measure_mvc_ratio
   /// (runs the exact solver or a lower bound — costs time on big graphs).
   bool measure_ratio = false;
-};
-
-/// Execution detail common to every solver, folding the fields of the old
-/// Algorithm1Diagnostics / MvcAlgorithm1Diagnostics and local::TrafficStats
-/// into one shape. Fields a solver has nothing to say about keep their
-/// zero/empty defaults.
-struct Diagnostics {
-  int rounds = -1;  ///< model-level LOCAL rounds; -1 = centralized-only solver
-  local::TrafficStats traffic;    ///< measured iff traffic_measured
-  bool traffic_measured = false;  ///< true iff the run went through the simulator
-  // Algorithm-1 family detail:
-  int twin_classes = 0;                  ///< |V(G⁻)| (MDS pipeline only)
-  std::vector<Vertex> one_cuts;          ///< X, input indices
-  std::vector<Vertex> two_cut_vertices;  ///< I (MDS: interesting) or all 2-cut vertices (MVC)
-  std::vector<Vertex> brute_forced;      ///< step-3 additions
-  int residual_components = 0;
-  int max_residual_diameter = 0;
-
-  friend bool operator==(const Diagnostics&, const Diagnostics&) = default;
 };
 
 /// One solve response. `solution` is sorted in input-graph indices; `valid`

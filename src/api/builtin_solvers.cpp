@@ -1,7 +1,9 @@
 // Registration of every built-in algorithm with the unified registry. Each
-// adapter translates SolveContext -> the algorithm's native call and folds
-// its bespoke result struct into the uniform SolverOutput. Outputs are
-// bit-identical to the direct calls (asserted by tests/test_api.cpp).
+// adapter reads its parameters from the SolveContext and calls the
+// algorithm. Algorithm 1 and the Theorem 4.4 rules answer in SolverOutput
+// themselves, so their adapters return the core call; the baselines return
+// a bare solution, which `plain` wraps with its round count. Outputs equal
+// the direct calls (asserted by tests/test_api.cpp).
 
 #include <stdexcept>
 #include <string>
@@ -9,7 +11,6 @@
 #include "api/registry.hpp"
 #include "core/algorithm1.hpp"
 #include "core/baselines.hpp"
-#include "core/mvc.hpp"
 #include "core/theorem44.hpp"
 #include "solve/exact_mds.hpp"
 #include "solve/exact_mvc.hpp"
@@ -68,43 +69,7 @@ std::vector<ParamSpec> algorithm1_params() {
   };
 }
 
-// Folds the fields the MDS and MVC pipeline diagnostics share into the
-// unified shape. `two_cut_vertices` is passed explicitly because the source
-// member differs (`interesting` vs `two_cut_vertices`).
-template <typename PipelineDiag>
-Diagnostics fold_pipeline_diag(PipelineDiag& d, std::vector<Vertex>&& two_cut_vertices,
-                               bool local) {
-  Diagnostics out;
-  out.rounds = d.rounds;
-  out.traffic = d.traffic;
-  out.traffic_measured = local;
-  out.one_cuts = std::move(d.one_cuts);
-  out.two_cut_vertices = std::move(two_cut_vertices);
-  out.brute_forced = std::move(d.brute_forced);
-  out.residual_components = d.residual_components;
-  out.max_residual_diameter = d.max_residual_diameter;
-  return out;
-}
-
-SolverOutput from_algorithm1(core::Algorithm1Result&& result, bool local) {
-  SolverOutput out;
-  out.solution = std::move(result.dominating_set);
-  out.diag = fold_pipeline_diag(result.diag, std::move(result.diag.interesting), local);
-  out.diag.twin_classes = result.diag.twin_classes;
-  return out;
-}
-
-SolverOutput from_theorem44(core::Theorem44Result&& result, bool local) {
-  SolverOutput out;
-  out.solution = std::move(result.solution);
-  out.diag.rounds = result.traffic.rounds;
-  if (local) {
-    out.diag.traffic = result.traffic;
-    out.diag.traffic_measured = true;
-  }
-  return out;
-}
-
+// A solver whose answer carries no diagnostics beyond its model rounds.
 SolverOutput plain(std::vector<Vertex> solution, int rounds) {
   SolverOutput out;
   out.solution = std::move(solution);
@@ -128,11 +93,9 @@ void register_builtin_solvers(Registry& reg) {
        }()},
       [](const SolveContext& ctx) {
         const auto cfg = algorithm1_config(ctx);
-        auto result = ctx.local
-                          ? core::algorithm1_local(local::Network(ctx.graph), cfg,
-                                                   ctx.intra_threads)
-                          : core::algorithm1(ctx.graph, cfg);
-        return from_algorithm1(std::move(result), ctx.local);
+        return ctx.local ? core::algorithm1_local(local::Network(ctx.graph), cfg,
+                                                  ctx.intra_threads)
+                         : core::algorithm1(ctx.graph, cfg);
       });
 
   reg.add(
@@ -143,15 +106,9 @@ void register_builtin_solvers(Registry& reg) {
        .params = algorithm1_params()},
       [](const SolveContext& ctx) {
         const auto cfg = algorithm1_config(ctx);
-        auto result = ctx.local
-                          ? core::algorithm1_mvc_local(local::Network(ctx.graph), cfg,
-                                                       ctx.intra_threads)
-                          : core::algorithm1_mvc(ctx.graph, cfg);
-        SolverOutput out;
-        out.solution = std::move(result.vertex_cover);
-        out.diag = fold_pipeline_diag(result.diag, std::move(result.diag.two_cut_vertices),
-                                      ctx.local);
-        return out;
+        return ctx.local ? core::algorithm1_mvc_local(local::Network(ctx.graph), cfg,
+                                                      ctx.intra_threads)
+                         : core::algorithm1_mvc(ctx.graph, cfg);
       });
 
   reg.add({.name = "theorem44",
@@ -164,11 +121,9 @@ void register_builtin_solvers(Registry& reg) {
            .locality_radius = 2,
            .decide = decide_each<core::theorem44_mds_joins>},
           [](const SolveContext& ctx) {
-            auto result =
-                ctx.local
-                    ? core::theorem44_mds_local(local::Network(ctx.graph), ctx.intra_threads)
-                    : core::theorem44_mds(ctx.graph, ctx.intra_threads);
-            return from_theorem44(std::move(result), ctx.local);
+            return ctx.local
+                       ? core::theorem44_mds_local(local::Network(ctx.graph), ctx.intra_threads)
+                       : core::theorem44_mds(ctx.graph, ctx.intra_threads);
           });
 
   reg.add({.name = "theorem44-mvc",
@@ -181,11 +136,9 @@ void register_builtin_solvers(Registry& reg) {
            .locality_radius = 2,
            .decide = decide_each<core::theorem44_mvc_joins>},
           [](const SolveContext& ctx) {
-            auto result =
-                ctx.local
-                    ? core::theorem44_mvc_local(local::Network(ctx.graph), ctx.intra_threads)
-                    : core::theorem44_mvc(ctx.graph, ctx.intra_threads);
-            return from_theorem44(std::move(result), ctx.local);
+            return ctx.local
+                       ? core::theorem44_mvc_local(local::Network(ctx.graph), ctx.intra_threads)
+                       : core::theorem44_mvc(ctx.graph, ctx.intra_threads);
           });
 
   reg.add({.name = "greedy",

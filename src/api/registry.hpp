@@ -41,14 +41,9 @@ struct SolveContext {
   int intra_threads = 1;
 };
 
-/// What an adapter produces; the registry fills in the rest of Response
-/// (solver name, problem, validity, optional ratio).
-struct SolverOutput {
-  std::vector<Vertex> solution;
-  Diagnostics diag;
-};
-
-/// Adapter from the uniform surface to one concrete algorithm.
+/// Adapter from the uniform surface to one concrete algorithm. The registry
+/// sorts the solution and fills in the rest of Response (solver name,
+/// problem, validity, optional ratio).
 using SolveFn = std::function<SolverOutput(const SolveContext&)>;
 
 /// SolverSpec::decide of a solver whose answer is one independent decision

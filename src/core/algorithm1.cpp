@@ -13,7 +13,6 @@
 #include <string>
 
 #include "common/parallel.hpp"
-#include "core/mvc.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
 #include "graph/bfs.hpp"
@@ -49,9 +48,10 @@ int view_radius(const Algorithm1Config& cfg) {
 // Steps 1-2. The centralized run (net == nullptr) calls the whole-graph
 // functions, which run one cuts::LocalCutKernel over each unordered 2-cut
 // pair once. The LOCAL run gathers one view per node of net, whose topology
-// is g, and applies the per-vertex rules to the views, one kernel per view.
+// is g, measures the gather's traffic into diag, and applies the per-vertex
+// rules to the views, one kernel per view.
 CutSets cut_steps(const Graph& g, const local::Network* net, const Algorithm1Config& cfg,
-                  Problem problem, int threads, local::TrafficStats& traffic) {
+                  Problem problem, int threads, Diagnostics& diag) {
   const int r1 = cfg.effective_radius1();
   const int r2 = cfg.effective_radius2();
   if (net == nullptr) {
@@ -64,7 +64,8 @@ CutSets cut_steps(const Graph& g, const local::Network* net, const Algorithm1Con
   // cuts/local_cuts.hpp), but never needs to exceed the graph itself —
   // beyond the diameter the views are the whole graph already.
   const int radius = std::min(view_radius(cfg), g.num_vertices());
-  const auto views = local::gather_views(*net, radius, &traffic, threads);
+  const auto views = local::gather_views(*net, radius, &diag.traffic, threads);
+  diag.traffic_measured = true;
   const auto select = [&](bool (*rule)(const Graph&, Vertex, int), int r) {
     return common::parallel_select(g.num_vertices(), threads, [&](Vertex v) {
       const local::BallView& view = views[static_cast<std::size_t>(v)];
@@ -82,9 +83,9 @@ using Picks = std::optional<std::vector<Vertex>>;
 // Step 3: one `solve` per component of g − removed. The solved components
 // and their largest diameter (the Lemma 4.2 quantity) go into diag. Returns
 // the sorted picks.
-template <typename Diag, typename Solve>
-std::vector<Vertex> residual_step(const Graph& g, std::span<const Vertex> removed, Diag& diag,
-                                  const Solve& solve) {
+template <typename Solve>
+std::vector<Vertex> residual_step(const Graph& g, std::span<const Vertex> removed,
+                                  Diagnostics& diag, const Solve& solve) {
   std::vector<Vertex> picked;
   for (const auto& component : graph::components_without(g, removed).groups()) {
     const Picks picks = solve(component);
@@ -103,10 +104,10 @@ int cut_and_residual_rounds(const Algorithm1Config& cfg, int max_residual_diamet
   return (view_radius(cfg) + 1) + (max_residual_diameter + 3);
 }
 
-Algorithm1Result run_mds(const Graph& input, const local::Network* net,
-                         const Algorithm1Config& cfg, int threads) {
+SolverOutput run_mds(const Graph& input, const local::Network* net, const Algorithm1Config& cfg,
+                     int threads) {
   cfg.check();
-  Algorithm1Result result;
+  SolverOutput result;
   // Step 0, once per run: the true-twin reduction (2 rounds in the model).
   // The LOCAL run's reduced network keeps each representative's id.
   graph::TwinReduction reduction;
@@ -123,7 +124,7 @@ Algorithm1Result run_mds(const Graph& input, const local::Network* net,
   }
   result.diag.twin_classes = g->num_vertices();
 
-  const CutSets cut = cut_steps(*g, net, cfg, Problem::kMds, threads, result.diag.traffic);
+  const CutSets cut = cut_steps(*g, net, cfg, Problem::kMds, threads, result.diag);
   const std::vector<Vertex> s0 = sorted_union(cut.one_cuts, cut.second);
 
   // Dominated = N[S0]. Step 3 removes U, the dominated vertices with every
@@ -156,20 +157,20 @@ Algorithm1Result run_mds(const Graph& input, const local::Network* net,
   const auto lift = [&](const std::vector<Vertex>& s) {
     return cfg.twin_removal ? reduction.reduced.lift(s) : s;
   };
-  result.dominating_set = lift(sorted_union(s0, extra));
+  result.solution = lift(sorted_union(s0, extra));
   result.diag.one_cuts = lift(cut.one_cuts);
-  result.diag.interesting = lift(cut.second);
+  result.diag.two_cut_vertices = lift(cut.second);
   result.diag.brute_forced = lift(extra);
   result.diag.rounds = (cfg.twin_removal ? 2 : 0) +
                        cut_and_residual_rounds(cfg, result.diag.max_residual_diameter);
   return result;
 }
 
-MvcAlgorithm1Result run_mvc(const Graph& g, const local::Network* net,
-                            const Algorithm1Config& cfg, int threads) {
+SolverOutput run_mvc(const Graph& g, const local::Network* net, const Algorithm1Config& cfg,
+                     int threads) {
   cfg.check();
-  MvcAlgorithm1Result result;
-  CutSets cut = cut_steps(g, net, cfg, Problem::kMvc, threads, result.diag.traffic);
+  SolverOutput result;
+  CutSets cut = cut_steps(g, net, cfg, Problem::kMvc, threads, result.diag);
   const std::vector<Vertex> s0 = sorted_union(cut.one_cuts, cut.second);
   std::vector<char> in_s0(static_cast<std::size_t>(g.num_vertices()), 0);
   for (Vertex v : s0) in_s0[static_cast<std::size_t>(v)] = 1;
@@ -188,7 +189,7 @@ MvcAlgorithm1Result run_mvc(const Graph& g, const local::Network* net,
   };
   std::vector<Vertex> extra = residual_step(g, s0, result.diag, edge_cover);
 
-  result.vertex_cover = sorted_union(s0, extra);
+  result.solution = sorted_union(s0, extra);
   result.diag.one_cuts = std::move(cut.one_cuts);
   result.diag.two_cut_vertices = std::move(cut.second);
   result.diag.brute_forced = std::move(extra);
@@ -211,21 +212,21 @@ void Algorithm1Config::check() const {
   if (radius2 > kMaxRadius) refuse("radius2", radius_range, radius2);
 }
 
-Algorithm1Result algorithm1(const Graph& g, const Algorithm1Config& cfg) {
+SolverOutput algorithm1(const Graph& g, const Algorithm1Config& cfg) {
   return run_mds(g, nullptr, cfg, 1);
 }
 
-Algorithm1Result algorithm1_local(const local::Network& net, const Algorithm1Config& cfg,
-                                  int threads) {
+SolverOutput algorithm1_local(const local::Network& net, const Algorithm1Config& cfg,
+                              int threads) {
   return run_mds(net.topology(), &net, cfg, threads);
 }
 
-MvcAlgorithm1Result algorithm1_mvc(const Graph& g, const Algorithm1Config& cfg) {
+SolverOutput algorithm1_mvc(const Graph& g, const Algorithm1Config& cfg) {
   return run_mvc(g, nullptr, cfg, 1);
 }
 
-MvcAlgorithm1Result algorithm1_mvc_local(const local::Network& net,
-                                         const Algorithm1Config& cfg, int threads) {
+SolverOutput algorithm1_mvc_local(const local::Network& net, const Algorithm1Config& cfg,
+                                  int threads) {
   return run_mvc(net.topology(), &net, cfg, threads);
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 // Algorithm 1 (Theorem 4.1): the O_t(1)-round constant-approximation for
-// Minimum Dominating Set on K_{2,t}-minor-free graphs.
+// Minimum Dominating Set on K_{2,t}-minor-free graphs, and its Minimum
+// Vertex Cover variant (end of Section 4). Both variants run on the one
+// pipeline in core/algorithm1.cpp.
 //
 // Pipeline (on the true-twin-less graph G⁻):
 //   1. X  = vertices in m3.2-local minimal 1-cuts;
@@ -8,6 +10,14 @@
 //   3. U  = dominated vertices with no undominated neighbour,
 //      brute-force an optimal B-dominating set per residual component of
 //      G⁻ − (X ∪ I ∪ U), where B is the set of still-undominated vertices.
+// The MVC variant removes no twins, takes X and *all* vertices of m3.3-local
+// minimal 2-cuts (not just interesting ones), then brute-forces a minimum
+// cover of the remaining uncovered edges in each residual component.
+//
+// Every entry point fills Diagnostics with the rounds, the cut sets (I, or
+// the 2-cut vertices, in two_cut_vertices), the step-3 additions and the
+// residual fields; MDS adds twin_classes; the LOCAL runs add the measured
+// traffic.
 //
 // Radii: the paper's constants m3.2 = f(5)+2 = 43t+2 and m3.3 = f(11)+5 =
 // 73t+5 (131 and 224 at t = 3) exceed the diameter of most graphs one runs,
@@ -27,6 +37,7 @@
 #include <vector>
 
 #include "core/constants.hpp"
+#include "core/solver_output.hpp"
 #include "graph/graph.hpp"
 #include "local/simulator.hpp"
 
@@ -62,27 +73,9 @@ struct Algorithm1Config {
   void check() const;
 };
 
-/// Everything the analysis benches need about one run.
-struct Algorithm1Diagnostics {
-  int twin_classes = 0;                 ///< |V(G⁻)|
-  std::vector<Vertex> one_cuts;         ///< X, lifted to input indices
-  std::vector<Vertex> interesting;      ///< I, lifted to input indices
-  std::vector<Vertex> brute_forced;     ///< step-3 additions, input indices
-  int residual_components = 0;          ///< components brute-forced
-  int max_residual_diameter = 0;        ///< Lemma 4.2 quantity (measured)
-  int rounds = 0;                       ///< model-level round count
-  local::TrafficStats traffic;          ///< filled by the simulator path
-};
-
-/// Result of Algorithm 1.
-struct Algorithm1Result {
-  std::vector<Vertex> dominating_set;  ///< sorted, input-graph indices
-  Algorithm1Diagnostics diag;
-};
-
 /// Centralized execution (mathematically identical to the LOCAL execution;
 /// the equivalence is tested).
-Algorithm1Result algorithm1(const Graph& g, const Algorithm1Config& cfg);
+SolverOutput algorithm1(const Graph& g, const Algorithm1Config& cfg);
 
 /// LOCAL execution: per-node decisions for steps 1-2 are evaluated on
 /// message-passing views; step 3 is solved per residual component with
@@ -90,7 +83,18 @@ Algorithm1Result algorithm1(const Graph& g, const Algorithm1Config& cfg);
 /// extraction and cut classification (<= 0 picks hardware_concurrency);
 /// output is bit-identical for any thread count. The centralized step-3
 /// pipeline stays sequential (see ARCHITECTURE.md, hot path).
-Algorithm1Result algorithm1_local(const local::Network& net, const Algorithm1Config& cfg,
+SolverOutput algorithm1_local(const local::Network& net, const Algorithm1Config& cfg,
+                              int threads = 1);
+
+/// Centralized execution of the MVC variant. Reuses the radius
+/// configuration of Algorithm1Config (twin_removal is ignored).
+SolverOutput algorithm1_mvc(const Graph& g, const Algorithm1Config& cfg);
+
+/// LOCAL execution of the MVC variant: cut-membership decisions are
+/// evaluated on message-passing views (radius max(r1, 2·r2)); the residual
+/// edge covers are solved per component with leader-based round accounting.
+/// Produces the same cover as the centralized path (tested).
+SolverOutput algorithm1_mvc_local(const local::Network& net, const Algorithm1Config& cfg,
                                   int threads = 1);
 
 }  // namespace lmds::core

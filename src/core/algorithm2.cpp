@@ -4,7 +4,7 @@
 
 namespace lmds::core {
 
-Algorithm1Result algorithm2(const Graph& g, const Algorithm2Config& cfg) {
+SolverOutput algorithm2(const Graph& g, const Algorithm2Config& cfg) {
   if (!cfg.f) throw std::invalid_argument("algorithm2: control function required");
   Algorithm1Config inner;
   inner.radius1 = cfg.f(5) + 2;
@@ -13,7 +13,7 @@ Algorithm1Result algorithm2(const Graph& g, const Algorithm2Config& cfg) {
   return algorithm1(g, inner);
 }
 
-Algorithm1Result algorithm2_local(const local::Network& net, const Algorithm2Config& cfg) {
+SolverOutput algorithm2_local(const local::Network& net, const Algorithm2Config& cfg) {
   if (!cfg.f) throw std::invalid_argument("algorithm2_local: control function required");
   Algorithm1Config inner;
   inner.radius1 = cfg.f(5) + 2;

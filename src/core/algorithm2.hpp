@@ -22,12 +22,12 @@ struct Algorithm2Config {
   bool twin_removal = true;
 };
 
-/// Centralized execution of Algorithm 2. The output reuses the Algorithm 1
-/// result type (the pipeline is identical, only the radii differ).
-Algorithm1Result algorithm2(const Graph& g, const Algorithm2Config& cfg);
+/// Centralized execution of Algorithm 2: Algorithm 1's pipeline and
+/// diagnostics, only the radii differ.
+SolverOutput algorithm2(const Graph& g, const Algorithm2Config& cfg);
 
 /// LOCAL execution of Algorithm 2 through the message-passing simulator.
-Algorithm1Result algorithm2_local(const local::Network& net, const Algorithm2Config& cfg);
+SolverOutput algorithm2_local(const local::Network& net, const Algorithm2Config& cfg);
 
 /// The ratio guaranteed by Theorem 4.3 for dimension d.
 int algorithm2_ratio(int d);

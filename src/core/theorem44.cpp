@@ -1,6 +1,7 @@
 #include "core/theorem44.hpp"
 
 #include <functional>
+#include <utility>
 
 #include "common/parallel.hpp"
 #include "core/constants.hpp"
@@ -45,6 +46,28 @@ auto view_order(const local::BallView& view) {
   };
 }
 
+// A centralized run: the ascending {v : Joins(g, v)}, in the rule's 3 rounds.
+template <bool (*Joins)(const Graph&, Vertex)>
+SolverOutput centralized(const Graph& g, int threads) {
+  SolverOutput out;
+  out.solution =
+      common::parallel_select(g.num_vertices(), threads, [&](Vertex v) { return Joins(g, v); });
+  out.diag.rounds = PaperConstants::kTheorem44Rounds;
+  return out;
+}
+
+// A LOCAL run on radius-2 views, with the simulator's rounds and traffic.
+SolverOutput measured(const local::Network& net, int threads,
+                      bool (*decision)(const local::BallView&)) {
+  local::RunResult run = local::run_ball_algorithm(net, 2, decision, threads);
+  SolverOutput out;
+  out.solution = std::move(run.selected);
+  out.diag.rounds = run.traffic.rounds;
+  out.diag.traffic = run.traffic;
+  out.diag.traffic_measured = true;
+  return out;
+}
+
 }  // namespace
 
 bool theorem44_mds_joins(const Graph& g, Vertex v) { return mds_rule(g, v, std::less<>{}); }
@@ -59,36 +82,20 @@ bool theorem44_mvc_decision(const local::BallView& view) {
   return mvc_rule(view.graph, view.centre, view_order(view));
 }
 
-Theorem44Result theorem44_mds(const Graph& g, int threads) {
-  Theorem44Result result;
-  result.solution = common::parallel_select(g.num_vertices(), threads,
-                                            [&](Vertex v) { return theorem44_mds_joins(g, v); });
-  result.traffic.rounds = PaperConstants::kTheorem44Rounds;
-  return result;
+SolverOutput theorem44_mds(const Graph& g, int threads) {
+  return centralized<theorem44_mds_joins>(g, threads);
 }
 
-Theorem44Result theorem44_mds_local(const local::Network& net, int threads) {
-  Theorem44Result result;
-  const auto run = local::run_ball_algorithm(net, 2, theorem44_mds_decision, threads);
-  result.solution = run.selected;
-  result.traffic = run.traffic;
-  return result;
+SolverOutput theorem44_mds_local(const local::Network& net, int threads) {
+  return measured(net, threads, theorem44_mds_decision);
 }
 
-Theorem44Result theorem44_mvc(const Graph& g, int threads) {
-  Theorem44Result result;
-  result.solution = common::parallel_select(g.num_vertices(), threads,
-                                            [&](Vertex v) { return theorem44_mvc_joins(g, v); });
-  result.traffic.rounds = PaperConstants::kTheorem44Rounds;
-  return result;
+SolverOutput theorem44_mvc(const Graph& g, int threads) {
+  return centralized<theorem44_mvc_joins>(g, threads);
 }
 
-Theorem44Result theorem44_mvc_local(const local::Network& net, int threads) {
-  Theorem44Result result;
-  const auto run = local::run_ball_algorithm(net, 2, theorem44_mvc_decision, threads);
-  result.solution = run.selected;
-  result.traffic = run.traffic;
-  return result;
+SolverOutput theorem44_mvc_local(const local::Network& net, int threads) {
+  return measured(net, threads, theorem44_mvc_decision);
 }
 
 }  // namespace lmds::core

@@ -12,9 +12,11 @@
 // plus the minimum-id endpoint of every isolated edge. The paper states this
 // ratio without proof; docs/REPRODUCTION.md (note 3) gives the reconstruction
 // via Lemma 5.18.
+//
+// A run's Diagnostics hold its rounds: the rule's 3 for a centralized run,
+// and the simulator's measured count and traffic for a LOCAL one.
 
-#include <vector>
-
+#include "core/solver_output.hpp"
 #include "graph/graph.hpp"
 #include "local/runner.hpp"
 #include "local/simulator.hpp"
@@ -23,12 +25,6 @@ namespace lmds::core {
 
 using graph::Graph;
 using graph::Vertex;
-
-/// Result of a Theorem 4.4 run.
-struct Theorem44Result {
-  std::vector<Vertex> solution;  ///< vertices of the input graph
-  local::TrafficStats traffic;   ///< rounds = 3 (radius-2 views)
-};
 
 /// The MDS rule at one vertex, with vertex indices as identifiers: v joins
 /// unless a neighbour u has N[v] ⊊ N[u], or N[v] = N[u] and u < v. It reads
@@ -43,10 +39,10 @@ bool theorem44_mds_joins(const Graph& g, Vertex v);
 /// execution; see theorem44_mds_local). `threads` shards the per-vertex rule
 /// across a fork-join pool (<= 0 picks hardware_concurrency); the output is
 /// bit-identical for any thread count.
-Theorem44Result theorem44_mds(const Graph& g, int threads = 1);
+SolverOutput theorem44_mds(const Graph& g, int threads = 1);
 
 /// LOCAL execution through the message-passing simulator.
-Theorem44Result theorem44_mds_local(const local::Network& net, int threads = 1);
+SolverOutput theorem44_mds_local(const local::Network& net, int threads = 1);
 
 /// The per-node decision as a pure view function (exposed for tests and for
 /// composing with other runners). Expects a radius-2 view.
@@ -59,10 +55,10 @@ bool theorem44_mvc_joins(const Graph& g, Vertex v);
 
 /// Centralized evaluation of the 3-round MVC rule: the ascending
 /// {v : theorem44_mvc_joins(g, v)}.
-Theorem44Result theorem44_mvc(const Graph& g, int threads = 1);
+SolverOutput theorem44_mvc(const Graph& g, int threads = 1);
 
 /// LOCAL execution of the MVC rule.
-Theorem44Result theorem44_mvc_local(const local::Network& net, int threads = 1);
+SolverOutput theorem44_mvc_local(const local::Network& net, int threads = 1);
 
 /// Per-node decision of the MVC rule (radius-2 view; degree tests of
 /// neighbours need distance-2 edges).

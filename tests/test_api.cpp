@@ -1,8 +1,8 @@
 // Tests for the unified lmds::api solver registry: every registered solver
 // produces a valid solution over the generator suite, registry output is
-// bit-identical to the legacy direct-call API on the same inputs, and the
-// Request/Response surface (options, modes, batching, errors) behaves as
-// documented.
+// bit-identical to the direct core calls on the same inputs (solutions and
+// the whole Diagnostics), and the Request/Response surface (options, modes,
+// batching, errors) behaves as documented.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "api/registry.hpp"
 #include "core/algorithm1.hpp"
 #include "core/baselines.hpp"
-#include "core/mvc.hpp"
 #include "core/theorem44.hpp"
 #include "ding/generators.hpp"
 #include "graph/generators.hpp"
@@ -136,8 +135,8 @@ INSTANTIATE_TEST_SUITE_P(AllMvc, MvcSolverSuite, testing::ValuesIn(names_for(Pro
                          test_name);
 
 // ---------------------------------------------------------------------------
-// Registry output == legacy direct-call output on identical inputs (the
-// acceptance criterion of the API redesign: no algorithm changed behaviour).
+// Registry output == direct core-call output on identical inputs (no
+// adapter changes an algorithm's behaviour).
 
 TEST(Registry, MatchesDirectCallsOnIdenticalInputs) {
   const auto& reg = Registry::instance();
@@ -151,8 +150,8 @@ TEST(Registry, MatchesDirectCallsOnIdenticalInputs) {
     req.graph = &g;
     const auto run = [&](const char* name) { return reg.run(name, req).solution; };
 
-    EXPECT_EQ(run("algorithm1"), sorted(core::algorithm1(g, cfg).dominating_set));
-    EXPECT_EQ(run("algorithm1-mvc"), sorted(core::algorithm1_mvc(g, cfg).vertex_cover));
+    EXPECT_EQ(run("algorithm1"), sorted(core::algorithm1(g, cfg).solution));
+    EXPECT_EQ(run("algorithm1-mvc"), sorted(core::algorithm1_mvc(g, cfg).solution));
     EXPECT_EQ(run("theorem44"), sorted(core::theorem44_mds(g).solution));
     EXPECT_EQ(run("theorem44-mvc"), sorted(core::theorem44_mvc(g).solution));
     EXPECT_EQ(run("greedy"), sorted(solve::greedy_mds(g)));
@@ -184,7 +183,7 @@ TEST(Registry, OptionsReachTheAlgorithm) {
   acfg.radius1 = 3;
   acfg.radius2 = 3;
   EXPECT_EQ(reg.run("algorithm1", areq).solution,
-            sorted(core::algorithm1(g, acfg).dominating_set));
+            sorted(core::algorithm1(g, acfg).solution));
 }
 
 // ---------------------------------------------------------------------------
@@ -207,6 +206,64 @@ TEST(Registry, LocalModeMeasuresTrafficAndAgrees) {
     EXPECT_TRUE(l.diag.traffic_measured);
     EXPECT_GT(l.diag.traffic.rounds, 0) << name;
     EXPECT_GT(l.diag.traffic.messages, 0u) << name;
+  }
+}
+
+// The whole Diagnostics the registry serves for the four LOCAL-capable
+// solvers, centralized and LOCAL, against expectations derived here:
+// traffic is measured iff the run was LOCAL, only algorithm1 reports twin
+// classes, a centralized Theorem 4.4 run reports its 3 rounds with no
+// traffic, and Algorithm 1's cut sets, residual fields, rounds and traffic
+// are the core call's.
+TEST(Registry, ServesTheWholeDiagnostics) {
+  const auto& reg = Registry::instance();
+  core::Algorithm1Config cfg;  // the registry defaults: t=5, r1=r2=4
+  cfg.radius1 = 4;
+  cfg.radius2 = 4;
+  const std::vector<Graph> graphs = {
+      graph::gen::theta_chain(4, 3), graph::gen::random_maximal_outerplanar(24, 31),
+      graph::disjoint_union(graph::gen::random_tree(20, 31), graph::gen::complete(4))};
+
+  for (const Graph& g : graphs) {
+    const local::Network net(g);
+    for (const bool local_run : {false, true}) {
+      Request req;
+      req.graph = &g;
+      req.measure_traffic = local_run;
+      const auto label = [&] { return g.summary() + (local_run ? " LOCAL" : " centralized"); };
+
+      const auto pipeline = [&](const Diagnostics& d) {
+        Diagnostics want;
+        want.rounds = d.rounds;
+        want.traffic = local_run ? d.traffic : local::TrafficStats{};
+        want.traffic_measured = local_run;
+        want.one_cuts = d.one_cuts;
+        want.two_cut_vertices = d.two_cut_vertices;
+        want.brute_forced = d.brute_forced;
+        want.residual_components = d.residual_components;
+        want.max_residual_diameter = d.max_residual_diameter;
+        return want;
+      };
+      const auto mds = local_run ? core::algorithm1_local(net, cfg) : core::algorithm1(g, cfg);
+      Diagnostics want = pipeline(mds.diag);
+      want.twin_classes = graph::remove_true_twins(g).num_classes;
+      EXPECT_EQ(reg.run("algorithm1", req).diag, want) << label();
+      const auto mvc =
+          local_run ? core::algorithm1_mvc_local(net, cfg) : core::algorithm1_mvc(g, cfg);
+      EXPECT_EQ(reg.run("algorithm1-mvc", req).diag, pipeline(mvc.diag)) << label();
+
+      const auto rule = [&](const local::TrafficStats& traffic) {
+        Diagnostics expected;
+        expected.rounds = local_run ? traffic.rounds : 3;
+        expected.traffic = local_run ? traffic : local::TrafficStats{};
+        expected.traffic_measured = local_run;
+        return expected;
+      };
+      EXPECT_EQ(reg.run("theorem44", req).diag, rule(core::theorem44_mds_local(net).diag.traffic))
+          << label();
+      EXPECT_EQ(reg.run("theorem44-mvc", req).diag, rule(core::theorem44_mvc_local(net).diag.traffic))
+          << label();
+    }
   }
 }
 

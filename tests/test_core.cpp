@@ -11,7 +11,6 @@
 #include "core/baselines.hpp"
 #include "core/constants.hpp"
 #include "core/metrics.hpp"
-#include "core/mvc.hpp"
 #include "core/theorem44.hpp"
 #include "ding/generators.hpp"
 #include "graph/bfs.hpp"
@@ -64,7 +63,7 @@ TEST(Theorem44, OutputDominates) {
     const Graph g = graph::gen::random_connected(40, 20, rng);
     const auto result = theorem44_mds(g);
     EXPECT_TRUE(solve::is_dominating_set(g, result.solution));
-    EXPECT_EQ(result.traffic.rounds, 3);
+    EXPECT_EQ(result.diag.rounds, 3);
   }
 }
 
@@ -120,8 +119,8 @@ TEST(Theorem44, LocalMatchesCentralized) {
     const auto central = theorem44_mds(g);
     const auto distributed = theorem44_mds_local(net);
     EXPECT_EQ(central.solution, distributed.solution);
-    EXPECT_EQ(distributed.traffic.rounds, 3);
-    EXPECT_GT(distributed.traffic.messages, 0u);
+    EXPECT_EQ(distributed.diag.traffic.rounds, 3);
+    EXPECT_GT(distributed.diag.traffic.messages, 0u);
   }
 }
 
@@ -191,7 +190,7 @@ TEST(Algorithm1, OutputDominatesAcrossFamilies) {
   std::mt19937_64 rng(181);
   const auto check = [](const Graph& g, const Algorithm1Config& cfg) {
     const auto result = algorithm1(g, cfg);
-    EXPECT_TRUE(solve::is_dominating_set(g, result.dominating_set)) << g.summary();
+    EXPECT_TRUE(solve::is_dominating_set(g, result.solution)) << g.summary();
   };
   check(graph::gen::cycle(30), small_radius_config(3, 3, 3));
   check(graph::gen::theta_chain(6, 4), small_radius_config(5, 3, 3));
@@ -214,7 +213,7 @@ TEST(Algorithm1, PaperConstantRadiiOnSmallGraphs) {
   EXPECT_EQ(cfg.effective_radius1(), 43 * 3 + 2);
   EXPECT_EQ(cfg.effective_radius2(), 73 * 3 + 5);
   const auto result = algorithm1(g, cfg);
-  EXPECT_TRUE(solve::is_dominating_set(g, result.dominating_set));
+  EXPECT_TRUE(solve::is_dominating_set(g, result.solution));
 }
 
 TEST(Algorithm1, ThetaChainTakesInteriorHubsAndStaysConstant) {
@@ -224,14 +223,14 @@ TEST(Algorithm1, ThetaChainTakesInteriorHubsAndStaysConstant) {
   for (const int parallel : {3, 5, 8}) {
     const Graph g = graph::gen::theta_chain(8, parallel);
     const auto result = algorithm1(g, small_radius_config(parallel + 1, 4, 4));
-    EXPECT_TRUE(solve::is_dominating_set(g, result.dominating_set));
+    EXPECT_TRUE(solve::is_dominating_set(g, result.solution));
     const int opt = solve::mds_size(g);
     // Constant multiple regardless of t (generous constant, far below the
     // D2 rule's ~2t·opt ≈ n).
-    EXPECT_LE(result.dominating_set.size(), static_cast<std::size_t>(6 * opt))
+    EXPECT_LE(result.solution.size(), static_cast<std::size_t>(6 * opt))
         << "parallel=" << parallel;
     const auto d2 = theorem44_mds(g);
-    EXPECT_GT(d2.solution.size(), result.dominating_set.size());
+    EXPECT_GT(d2.solution.size(), result.solution.size());
   }
 }
 
@@ -240,7 +239,7 @@ TEST(Algorithm1, CycleHandledByOneCuts) {
   const Graph g = graph::gen::cycle(24);
   const auto result = algorithm1(g, small_radius_config(3, 3, 3));
   EXPECT_EQ(result.diag.one_cuts.size(), 24u);
-  EXPECT_TRUE(result.diag.interesting.empty());
+  EXPECT_TRUE(result.diag.two_cut_vertices.empty());
   EXPECT_EQ(result.diag.residual_components, 0);
 }
 
@@ -249,8 +248,8 @@ TEST(Algorithm1, CliqueWithPendantsStaysSmall) {
   // the output tiny even though there are n-1 two-cuts.
   const Graph g = graph::gen::clique_with_pendants(9);
   const auto result = algorithm1(g, small_radius_config(9, 2, 2));
-  EXPECT_TRUE(solve::is_dominating_set(g, result.dominating_set));
-  EXPECT_LE(result.dominating_set.size(), 3u);
+  EXPECT_TRUE(solve::is_dominating_set(g, result.solution));
+  EXPECT_LE(result.solution.size(), 3u);
 }
 
 TEST(Algorithm1, DiagnosticsConsistent) {
@@ -258,12 +257,12 @@ TEST(Algorithm1, DiagnosticsConsistent) {
   const auto result = algorithm1(g, small_radius_config(4, 3, 3));
   // Every diagnostic vertex really is in the output.
   for (Vertex v : result.diag.one_cuts) {
-    EXPECT_TRUE(std::binary_search(result.dominating_set.begin(),
-                                   result.dominating_set.end(), v));
+    EXPECT_TRUE(std::binary_search(result.solution.begin(),
+                                   result.solution.end(), v));
   }
-  for (Vertex v : result.diag.interesting) {
-    EXPECT_TRUE(std::binary_search(result.dominating_set.begin(),
-                                   result.dominating_set.end(), v));
+  for (Vertex v : result.diag.two_cut_vertices) {
+    EXPECT_TRUE(std::binary_search(result.solution.begin(),
+                                   result.solution.end(), v));
   }
   EXPECT_GE(result.diag.rounds, 1);
 }
@@ -280,7 +279,7 @@ TEST(Algorithm1, LocalMatchesCentralized) {
     const auto cfg = small_radius_config(5, 3, 3);
     const auto central = algorithm1(g, cfg);
     const auto distributed = algorithm1_local(net, cfg);
-    EXPECT_EQ(central.dominating_set, distributed.dominating_set) << g.summary();
+    EXPECT_EQ(central.solution, distributed.solution) << g.summary();
     EXPECT_GT(distributed.diag.traffic.messages, 0u);
   }
 }
@@ -289,8 +288,8 @@ TEST(Algorithm1, LocalMatchesCentralizedOnThetaAndCycle) {
   const auto cfg = small_radius_config(4, 3, 3);
   for (const Graph& g : {graph::gen::theta_chain(5, 3), graph::gen::cycle(20)}) {
     const local::Network net(g);
-    EXPECT_EQ(algorithm1(g, cfg).dominating_set,
-              algorithm1_local(net, cfg).dominating_set);
+    EXPECT_EQ(algorithm1(g, cfg).solution,
+              algorithm1_local(net, cfg).solution);
   }
 }
 
@@ -315,23 +314,23 @@ TEST(Algorithm1, LocalEqualsCentralizedFieldForField) {
     for (const bool twin_removal : {true, false}) {
       Algorithm1Config cfg = small_radius_config(5, 3, 3);
       cfg.twin_removal = twin_removal;
-      const Algorithm1Result mds = algorithm1(g, cfg);
-      const MvcAlgorithm1Result mvc = algorithm1_mvc(g, cfg);
+      const SolverOutput mds = algorithm1(g, cfg);
+      const SolverOutput mvc = algorithm1_mvc(g, cfg);
       for (const int threads : {1, 4}) {
         SCOPED_TRACE(g.summary() + " twin_removal=" + std::to_string(twin_removal) +
                      " threads=" + std::to_string(threads));
-        const Algorithm1Result mds_local = algorithm1_local(net, cfg, threads);
-        EXPECT_EQ(mds_local.dominating_set, mds.dominating_set);
+        const SolverOutput mds_local = algorithm1_local(net, cfg, threads);
+        EXPECT_EQ(mds_local.solution, mds.solution);
         EXPECT_EQ(mds_local.diag.twin_classes, mds.diag.twin_classes);
         EXPECT_EQ(mds_local.diag.one_cuts, mds.diag.one_cuts);
-        EXPECT_EQ(mds_local.diag.interesting, mds.diag.interesting);
+        EXPECT_EQ(mds_local.diag.two_cut_vertices, mds.diag.two_cut_vertices);
         EXPECT_EQ(mds_local.diag.brute_forced, mds.diag.brute_forced);
         EXPECT_EQ(mds_local.diag.residual_components, mds.diag.residual_components);
         EXPECT_EQ(mds_local.diag.max_residual_diameter, mds.diag.max_residual_diameter);
         EXPECT_EQ(mds_local.diag.rounds, mds.diag.rounds);
 
-        const MvcAlgorithm1Result mvc_local = algorithm1_mvc_local(net, cfg, threads);
-        EXPECT_EQ(mvc_local.vertex_cover, mvc.vertex_cover);
+        const SolverOutput mvc_local = algorithm1_mvc_local(net, cfg, threads);
+        EXPECT_EQ(mvc_local.solution, mvc.solution);
         EXPECT_EQ(mvc_local.diag.one_cuts, mvc.diag.one_cuts);
         EXPECT_EQ(mvc_local.diag.two_cut_vertices, mvc.diag.two_cut_vertices);
         EXPECT_EQ(mvc_local.diag.brute_forced, mvc.diag.brute_forced);
@@ -350,10 +349,10 @@ TEST(Algorithm1, TwinRemovalAblation) {
   auto cfg = small_radius_config(8, 2, 2);
   cfg.twin_removal = false;
   const auto no_twin = algorithm1(g, cfg);
-  EXPECT_TRUE(solve::is_dominating_set(g, no_twin.dominating_set));
+  EXPECT_TRUE(solve::is_dominating_set(g, no_twin.solution));
   cfg.twin_removal = true;
   const auto with_twin = algorithm1(g, cfg);
-  EXPECT_LE(with_twin.dominating_set.size(), no_twin.dominating_set.size());
+  EXPECT_LE(with_twin.solution.size(), no_twin.solution.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ TEST(Algorithm2, MatchesAlgorithm1WithSameRadii) {
   cfg1.radius1 = 3;
   cfg1.radius2 = 6;
   const auto result1 = algorithm1(g, cfg1);
-  EXPECT_EQ(result1.dominating_set, result2.dominating_set);
+  EXPECT_EQ(result1.solution, result2.solution);
 }
 
 TEST(Algorithm2, RequiresControlFunction) {
@@ -388,7 +387,7 @@ TEST(Algorithm2, LocalMatchesCentralized) {
   cfg.d = 1;
   cfg.f = [](int) { return 1; };
   const local::Network net(g);
-  EXPECT_EQ(algorithm2(g, cfg).dominating_set, algorithm2_local(net, cfg).dominating_set);
+  EXPECT_EQ(algorithm2(g, cfg).solution, algorithm2_local(net, cfg).solution);
 }
 
 TEST(Algorithm1, RoundAccountingFormula) {
@@ -431,8 +430,8 @@ TEST(Algorithm1, ConfigRangeCheckedOnEveryEntryPoint) {
   const Algorithm1Config edge{.t = Algorithm1Config::kMaxClassParameter,
                               .radius1 = 4,
                               .radius2 = Algorithm1Config::kMaxRadius};
-  EXPECT_TRUE(solve::is_dominating_set(g, algorithm1(g, edge).dominating_set));
-  EXPECT_TRUE(solve::is_vertex_cover(g, algorithm1_mvc(g, {.t = 1, .radius1 = -7}).vertex_cover));
+  EXPECT_TRUE(solve::is_dominating_set(g, algorithm1(g, edge).solution));
+  EXPECT_TRUE(solve::is_vertex_cover(g, algorithm1_mvc(g, {.t = 1, .radius1 = -7}).solution));
 }
 
 // ---------------------------------------------------------------------------
@@ -443,7 +442,7 @@ TEST(Algorithm1Mvc, OutputCoversAcrossFamilies) {
   const auto cfg = small_radius_config(5, 3, 3);
   const auto check = [&](const Graph& g) {
     const auto result = algorithm1_mvc(g, cfg);
-    EXPECT_TRUE(solve::is_vertex_cover(g, result.vertex_cover)) << g.summary();
+    EXPECT_TRUE(solve::is_vertex_cover(g, result.solution)) << g.summary();
   };
   check(graph::gen::cycle(25));
   check(graph::gen::theta_chain(5, 4));
@@ -458,7 +457,7 @@ TEST(Algorithm1Mvc, ConstantFactorOnThetaChains) {
     const Graph g = graph::gen::theta_chain(7, parallel);
     const auto result = algorithm1_mvc(g, small_radius_config(parallel + 1, 3, 3));
     const int opt = solve::mvc_size(g);
-    EXPECT_LE(result.vertex_cover.size(), static_cast<std::size_t>(6 * opt));
+    EXPECT_LE(result.solution.size(), static_cast<std::size_t>(6 * opt));
   }
 }
 

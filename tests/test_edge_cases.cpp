@@ -13,7 +13,6 @@
 #include "core/algorithm2.hpp"
 #include "core/baselines.hpp"
 #include "core/metrics.hpp"
-#include "core/mvc.hpp"
 #include "core/theorem44.hpp"
 #include "ding/generators.hpp"
 #include "graph/generators.hpp"
@@ -52,7 +51,7 @@ TEST(EdgeCases, Algorithm1SingleVertex) {
   core::Algorithm1Config cfg;
   cfg.t = 2;
   const auto result = core::algorithm1(single_vertex(), cfg);
-  EXPECT_EQ(result.dominating_set, (std::vector<Vertex>{0}));
+  EXPECT_EQ(result.solution, (std::vector<Vertex>{0}));
 }
 
 TEST(EdgeCases, Algorithm1TinyGraphs) {
@@ -63,7 +62,7 @@ TEST(EdgeCases, Algorithm1TinyGraphs) {
   for (int n = 2; n <= 5; ++n) {
     const Graph g = graph::gen::path(n);
     const auto result = core::algorithm1(g, cfg);
-    EXPECT_TRUE(solve::is_dominating_set(g, result.dominating_set)) << "P" << n;
+    EXPECT_TRUE(solve::is_dominating_set(g, result.solution)) << "P" << n;
   }
 }
 
@@ -74,7 +73,7 @@ TEST(EdgeCases, Algorithm1DisconnectedInput) {
   cfg.radius1 = 3;
   cfg.radius2 = 3;
   const auto result = core::algorithm1(g, cfg);
-  EXPECT_TRUE(solve::is_dominating_set(g, result.dominating_set));
+  EXPECT_TRUE(solve::is_dominating_set(g, result.solution));
 }
 
 TEST(EdgeCases, Algorithm1MvcDisconnected) {
@@ -84,7 +83,7 @@ TEST(EdgeCases, Algorithm1MvcDisconnected) {
   cfg.radius1 = 3;
   cfg.radius2 = 3;
   const auto result = core::algorithm1_mvc(g, cfg);
-  EXPECT_TRUE(solve::is_vertex_cover(g, result.vertex_cover));
+  EXPECT_TRUE(solve::is_vertex_cover(g, result.solution));
 }
 
 TEST(EdgeCases, Theorem44DisconnectedWithIsolated) {
@@ -189,7 +188,7 @@ TEST(MvcLocal, MatchesCentralized) {
     const local::Network net(g);
     const auto central = core::algorithm1_mvc(g, cfg);
     const auto distributed = core::algorithm1_mvc_local(net, cfg);
-    EXPECT_EQ(central.vertex_cover, distributed.vertex_cover) << g.summary();
+    EXPECT_EQ(central.solution, distributed.solution) << g.summary();
     EXPECT_EQ(central.diag.two_cut_vertices, distributed.diag.two_cut_vertices) << g.summary();
   }
 }
@@ -207,9 +206,9 @@ TEST(Integration, Algorithm2WithMeasuredControl) {
   // resulting radii are small but any radii yield a valid dominating set.
   cfg.f = [&g](int r) { return asdim::measured_control(g, r); };
   const auto result = core::algorithm2(g, cfg);
-  EXPECT_TRUE(solve::is_dominating_set(g, result.dominating_set));
+  EXPECT_TRUE(solve::is_dominating_set(g, result.solution));
   // Quality: still constant-factor on this instance.
-  EXPECT_LE(result.dominating_set.size(), 3u * static_cast<std::size_t>(solve::mds_size(g)));
+  EXPECT_LE(result.solution.size(), 3u * static_cast<std::size_t>(solve::mds_size(g)));
 }
 
 // ---------------------------------------------------------------------------
@@ -226,8 +225,8 @@ TEST(OutputHygiene, SortedUniqueInRange) {
   cfg.radius1 = 3;
   cfg.radius2 = 3;
   for (const auto& solution :
-       {core::algorithm1(g, cfg).dominating_set, core::theorem44_mds(g).solution,
-        core::algorithm1_mvc(g, cfg).vertex_cover, core::theorem44_mvc(g).solution}) {
+       {core::algorithm1(g, cfg).solution, core::theorem44_mds(g).solution,
+        core::algorithm1_mvc(g, cfg).solution, core::theorem44_mvc(g).solution}) {
     EXPECT_TRUE(std::is_sorted(solution.begin(), solution.end()));
     EXPECT_EQ(std::adjacent_find(solution.begin(), solution.end()), solution.end());
     for (Vertex v : solution) EXPECT_TRUE(g.has_vertex(v));

@@ -126,10 +126,10 @@ TEST_P(LemmaSweep, Algorithm1WithinDerivedRatio) {
   cfg.radius1 = 4;
   cfg.radius2 = 4;
   const auto result = core::algorithm1(inst.graph, cfg);
-  ASSERT_TRUE(solve::is_dominating_set(inst.graph, result.dominating_set)) << inst.label;
+  ASSERT_TRUE(solve::is_dominating_set(inst.graph, result.solution)) << inst.label;
   const int mds = solve::mds_size(inst.graph);
   const core::PaperConstants constants{.t = inst.t, .d = 1};
-  EXPECT_LE(static_cast<int>(result.dominating_set.size()), constants.derived_ratio() * mds)
+  EXPECT_LE(static_cast<int>(result.solution.size()), constants.derived_ratio() * mds)
       << inst.label;
 }
 
@@ -163,7 +163,7 @@ TEST(Lemma42, LongStripsResidualBounded) {
   acfg.radius1 = 3;
   acfg.radius2 = 3;
   const auto result = core::algorithm1(aug.graph, acfg);
-  EXPECT_TRUE(solve::is_dominating_set(aug.graph, result.dominating_set));
+  EXPECT_TRUE(solve::is_dominating_set(aug.graph, result.solution));
   // The residual diameter stays bounded by a small multiple of the radii,
   // never the strip length (Lemma 4.2's content).
   EXPECT_LE(result.diag.max_residual_diameter, 12);

@@ -293,7 +293,9 @@ TEST(PatchSession, SeededChainsKeepExactAddresses) {
       ASSERT_TRUE(reply.find("ok")->as_bool()) << request;
       const std::string handle = reply.find("handle")->as_string();
       EXPECT_EQ(handle, api::GraphStore::handle_for(graph::graph_hash(want))) << request;
-      if (!expect_handle.empty()) EXPECT_EQ(handle, expect_handle) << request;
+      if (!expect_handle.empty()) {
+        EXPECT_EQ(handle, expect_handle) << request;
+      }
       EXPECT_EQ(reply.find("new")->as_bool(), !stored.contains(handle)) << request;
       const auto child = core.store().get(handle);
       ASSERT_NE(child, nullptr);

@@ -211,10 +211,10 @@ TEST(Properties, Algorithm1SizeDecomposition) {
     cfg.radius1 = 3;
     cfg.radius2 = 3;
     const auto result = core::algorithm1(g, cfg);
-    EXPECT_LE(result.dominating_set.size(), result.diag.one_cuts.size() +
-                                                result.diag.interesting.size() +
-                                                result.diag.brute_forced.size() + 1u);
-    EXPECT_TRUE(solve::is_dominating_set(g, result.dominating_set));
+    EXPECT_LE(result.solution.size(), result.diag.one_cuts.size() +
+                                          result.diag.two_cut_vertices.size() +
+                                          result.diag.brute_forced.size() + 1u);
+    EXPECT_TRUE(solve::is_dominating_set(g, result.solution));
   }
 }
 
