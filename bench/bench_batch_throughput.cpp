@@ -7,6 +7,10 @@
 //
 //   $ ./bench_batch_throughput [--preset small|full] [--json FILE]
 //
+// Each threads row records the CPU seconds it was granted (cpu_s,
+// cpu_per_wall) and, next to the wall speedup, a CPU-normalised one:
+// graphs per CPU second relative to threads=1.
+//
 // Every multi-threaded pass is checked element-wise against the threads=1
 // responses (the executor's determinism guarantee), so this bench doubles as
 // a stress test. With --json the measurements land in FILE for the CI
@@ -63,12 +67,13 @@ int main(int argc, char** argv) {
 
   std::printf("Batch throughput — %s x %zu graphs (preset %s), shard_size 2\n\n", solver,
               graphs.size(), small ? "small" : "full");
-  std::printf("%8s %10s %12s %10s %8s %8s\n", "threads", "seconds", "graphs/sec", "speedup",
-              "shards", "stolen");
-  std::printf("%s\n", std::string(62, '-').c_str());
+  std::printf("%8s %10s %12s %10s %8s %8s %8s %10s\n", "threads", "seconds", "graphs/sec",
+              "speedup", "shards", "stolen", "cpu/wall", "cpu-norm");
+  std::printf("%s\n", std::string(82, '-').c_str());
 
   std::vector<bench::Fields> runs;
-  double base_rate = 0;  // graphs/sec at threads=1
+  double base_rate = 0;      // graphs/sec at threads=1
+  double base_cpu_rate = 0;  // graphs per CPU second at threads=1
   std::vector<api::Response> reference;
   for (const int threads : {1, 2, 4, 8}) {
     api::BatchOptions opts;
@@ -77,12 +82,18 @@ int main(int argc, char** argv) {
     api::BatchExecutor executor(opts);
     api::BatchDiagnostics diag;
     const auto start = std::chrono::steady_clock::now();
+    const double cpu_start = bench::cpu_seconds();
     const auto responses = executor.run_batch(solver, {graphs.data(), graphs.size()}, req, &diag);
+    const double cpu = bench::cpu_seconds() - cpu_start;
     const double secs = bench::seconds_since(start);
     const double rate = static_cast<double>(graphs.size()) / secs;
+    // The wall speedup over the CPU this row was granted: on a host that
+    // grants fewer CPUs than threads, the wall speedup alone misleads.
+    const double cpu_rate = cpu > 0 ? static_cast<double>(graphs.size()) / cpu : 0;
     if (threads == 1) {
       reference = responses;
       base_rate = rate;
+      base_cpu_rate = cpu_rate;
     } else if (responses != reference) {
       std::fprintf(stderr, "DETERMINISM VIOLATION at threads=%d\n", threads);
       return 1;
@@ -90,9 +101,14 @@ int main(int argc, char** argv) {
     runs.push_back({{"threads", std::to_string(threads)},
                     {"seconds", bench::json_num(secs, 6)},
                     {"graphs_per_sec", bench::json_num(rate, 2)},
-                    {"speedup_vs_1", bench::json_num(rate / base_rate, 3)}});
-    std::printf("%8d %10.3f %12.1f %9.2fx %8d %8llu\n", threads, secs, rate, rate / base_rate,
-                diag.shards, static_cast<unsigned long long>(diag.stolen_shards));
+                    {"speedup_vs_1", bench::json_num(rate / base_rate, 3)},
+                    {"cpu_s", bench::json_num(cpu, 6)},
+                    {"cpu_per_wall", bench::json_num(secs > 0 ? cpu / secs : 0, 3)},
+                    {"cpu_speedup_vs_1",
+                     bench::json_num(base_cpu_rate > 0 ? cpu_rate / base_cpu_rate : 0, 3)}});
+    std::printf("%8d %10.3f %12.1f %9.2fx %8d %8llu %8.2f %9.2fx\n", threads, secs, rate,
+                rate / base_rate, diag.shards, static_cast<unsigned long long>(diag.stolen_shards),
+                secs > 0 ? cpu / secs : 0, base_cpu_rate > 0 ? cpu_rate / base_cpu_rate : 0);
   }
 
   // Response cache: a second identical batch should be all hits.

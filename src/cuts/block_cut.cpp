@@ -66,9 +66,6 @@ TarjanResult tarjan(const Graph& g) {
             std::min(low[static_cast<std::size_t>(p)], low[static_cast<std::size_t>(u)]);
         if (low[static_cast<std::size_t>(u)] >= disc[static_cast<std::size_t>(p)]) {
           // p closes a biconnected component: pop edges up to and incl. (p,u).
-          if (p != root || root_children >= 1) {
-            // Articulation decision handled below; always emit the block.
-          }
           std::vector<Vertex> block_vertices;
           while (!edge_stack.empty()) {
             const graph::Edge e = edge_stack.back();
@@ -100,6 +97,8 @@ std::vector<Vertex> articulation_points(const Graph& g) {
   }
   return result;
 }
+
+std::vector<std::vector<Vertex>> biconnected_blocks(const Graph& g) { return tarjan(g).blocks; }
 
 bool is_cut_vertex(const Graph& g, Vertex v) {
   const int before = graph::connected_components(g).count;

@@ -18,6 +18,10 @@ using graph::Vertex;
 /// Tarjan lowpoint DFS).
 std::vector<Vertex> articulation_points(const Graph& g);
 
+/// The blocks of g (as in BlockCutTree::blocks, same order): one Tarjan
+/// pass, no tree.
+std::vector<std::vector<Vertex>> biconnected_blocks(const Graph& g);
+
 /// True iff removing v increases the number of connected components.
 /// O(n + m) — brute-force reference used in tests and by the seed local-cut
 /// oracles (tests/support/cut_reference.hpp).

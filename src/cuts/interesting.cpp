@@ -54,9 +54,10 @@ bool is_interesting(const Graph& g, Vertex v, int r) {
   if (!g.has_vertex(v)) throw std::invalid_argument("is_interesting: bad vertex");
   if (r < 1) return false;
   LocalCutKernel kernel;
-  for (Vertex u : kernel.candidates(g, v, r)) {
+  PairFilter filter(g);
+  for (Vertex u : filter.partners(v, r)) {
     // Condition (1) first: it costs no traversal.
-    if (u == v || g.closed_neighborhood_contained(v, u)) continue;
+    if (g.closed_neighborhood_contained(v, u) || !filter.links_split(u, v)) continue;
     if (certifies(g, kernel.pair(g, u, v, r), v, u)) return true;
   }
   return false;
@@ -66,8 +67,9 @@ bool in_local_two_cut(const Graph& g, Vertex v, int r) {
   if (r < 1) throw std::invalid_argument("local cuts: radius must be >= 1");
   if (!g.has_vertex(v)) throw std::invalid_argument("in_local_two_cut: bad vertex");
   LocalCutKernel kernel;
-  for (Vertex u : kernel.candidates(g, v, r)) {
-    if (u != v && kernel.pair(g, u, v, r).minimal) return true;
+  PairFilter filter(g);
+  for (Vertex u : filter.partners(v, r)) {
+    if (filter.links_split(u, v) && kernel.pair(g, u, v, r).minimal) return true;
   }
   return false;
 }
@@ -75,17 +77,18 @@ bool in_local_two_cut(const Graph& g, Vertex v, int r) {
 std::vector<Vertex> interesting_vertices(const Graph& g, int r) {
   if (r < 1) return {};
   LocalCutKernel kernel;
+  PairFilter filter(g);
   std::vector<char> selected(static_cast<std::size_t>(g.num_vertices()), 0);
   const auto is_selected = [&](Vertex x) { return selected[static_cast<std::size_t>(x)] != 0; };
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    // Each unordered pair once (u > v, u ∈ N^r[v], so d(u, v) <= r); one
-    // pass decides both orientations. An end that is already selected, or
-    // whose condition (1) fails, needs nothing from the pair.
-    for (Vertex u : kernel.candidates(g, v, r)) {
+    // Each unordered pair once (u > v, a partner of v, so d(u, v) <= r);
+    // one pass decides both orientations. An end that is already selected,
+    // or whose condition (1) fails, needs nothing from the pair.
+    for (Vertex u : filter.partners(v, r)) {
       if (u <= v) continue;
       const bool want_v = !is_selected(v) && !g.closed_neighborhood_contained(v, u);
       const bool want_u = !is_selected(u) && !g.closed_neighborhood_contained(u, v);
-      if (!want_v && !want_u) continue;
+      if ((!want_v && !want_u) || !filter.links_split(u, v)) continue;
       const PairCut cut = kernel.pair(g, u, v, r);
       if (!cut.minimal) continue;
       if (want_v && cut.spread_u) selected[static_cast<std::size_t>(v)] = 1;

@@ -24,7 +24,8 @@ namespace lmds::cuts {
 bool certifies_interesting(const Graph& g, Vertex v, Vertex u, int r);
 
 /// True iff some u makes v r-interesting; false for r < 1. Throws
-/// std::invalid_argument for a bad vertex.
+/// std::invalid_argument for a bad vertex. Builds its PairFilter from g, so
+/// a LOCAL rule that passes its view reads only the view.
 bool is_interesting(const Graph& g, Vertex v, int r);
 
 /// True iff v lies in some r-local minimal 2-cut {v, u}
@@ -34,8 +35,10 @@ bool is_interesting(const Graph& g, Vertex v, int r);
 /// 2-cut functions.
 bool in_local_two_cut(const Graph& g, Vertex v, int r);
 
-/// Sorted list of all r-interesting vertices of g; empty for r < 1. Each
-/// pair at distance <= r costs one kernel pass (cuts/local_cuts.hpp).
+/// Sorted list of all r-interesting vertices of g; empty for r < 1. A pair
+/// at distance <= r that shares a block costs one kernel pass, unless the
+/// link test rejects it for a block lookup and at most two link searches
+/// (cuts/local_cuts.hpp); a pair in no common block costs nothing.
 std::vector<Vertex> interesting_vertices(const Graph& g, int r);
 
 /// Global variant: {u, v} is a minimal 2-cut of g, N[v] ⊄ N[u], and at least

@@ -1,7 +1,10 @@
 #include "cuts/local_cuts.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+
+#include "cuts/block_cut.hpp"
 
 namespace lmds::cuts {
 
@@ -11,20 +14,27 @@ void require_radius(int r) {
   if (r < 1) throw std::invalid_argument("local cuts: radius must be >= 1");
 }
 
+// True iff G[N(v) − skip] is disconnected: one BFS inside it, in `scratch`,
+// from its first vertex. Fewer than two vertices count as connected.
+bool link_split(const Graph& g, Vertex v, Vertex skip, graph::BfsScratch& scratch) {
+  const auto nb = g.neighbors(v);
+  const std::size_t size = nb.size() - (g.has_edge(v, skip) ? 1 : 0);
+  if (size < 2) return false;
+  const Vertex start[] = {nb[0] != skip ? nb[0] : nb[1]};
+  graph::mark_ball_if(g, start, -1, scratch,
+                      [&](std::size_t, Vertex w) { return w != skip && g.has_edge(v, w); });
+  return scratch.visited().size() < size;
+}
+
 }  // namespace
 
 bool LocalCutKernel::is_one_cut(const Graph& g, Vertex v, int r) {
   // N^r[v] is connected, so v is a cut vertex of G[N^r[v]] iff N^r[v] − v
-  // has >= 2 components.
-  if (g.degree(v) < 2) return false;
+  // has >= 2 components, and a connected link N(v) joins them all.
+  if (!link_split(g, v, graph::kNoVertex, ball_)) return false;
   const Vertex sources[] = {v};
   graph::mark_ball(g, sources, r, ball_);
   return label_components(g, 1) >= 2;
-}
-
-const std::vector<Vertex>& LocalCutKernel::candidates(const Graph& g, Vertex v, int r) {
-  graph::ball_into(g, v, r, ball_, candidates_);
-  return candidates_;
 }
 
 bool LocalCutKernel::within(const Graph& g, Vertex u, Vertex v, int r) {
@@ -120,6 +130,63 @@ PairCut LocalCutKernel::pair(const Graph& g, Vertex u, Vertex v, int r) {
   return {true, spread_u >= 2, spread_v >= 2};
 }
 
+PairFilter::PairFilter(const Graph& g)
+    : g_(g), first_(static_cast<std::size_t>(g.num_vertices()) + 1, 0),
+      split_(static_cast<std::size_t>(g.num_vertices()), -1) {
+  const std::vector<std::vector<Vertex>> all = biconnected_blocks(g);
+  for (const auto& block : all) {
+    if (block.size() < 3) continue;
+    for (Vertex w : block) ++first_[static_cast<std::size_t>(w) + 1];
+  }
+  std::partial_sum(first_.begin(), first_.end(), first_.begin());
+  blocks_.resize(static_cast<std::size_t>(first_.back()));
+  std::vector<int> next(first_.begin(), first_.end() - 1);
+  for (std::size_t b = 0; b < all.size(); ++b) {
+    if (all[b].size() < 3) continue;
+    for (Vertex w : all[b]) {
+      blocks_[static_cast<std::size_t>(next[static_cast<std::size_t>(w)]++)] = static_cast<int>(b);
+    }
+  }
+}
+
+bool PairFilter::in_block(Vertex w, int b) const {
+  const auto row = blocks_.begin();
+  return std::binary_search(row + first_[static_cast<std::size_t>(w)],
+                            row + first_[static_cast<std::size_t>(w) + 1], b);
+}
+
+bool PairFilter::share_block(Vertex u, Vertex v) const {
+  const auto su = static_cast<std::size_t>(u);
+  for (int i = first_[su]; i < first_[su + 1]; ++i) {
+    if (in_block(v, blocks_[static_cast<std::size_t>(i)])) return true;
+  }
+  return false;
+}
+
+bool PairFilter::links_split(Vertex u, Vertex v) {
+  const auto split = [&](Vertex a, Vertex b) {
+    if (g_.has_edge(a, b)) return link_split(g_, a, b, scratch_);
+    signed char& known = split_[static_cast<std::size_t>(a)];
+    if (known < 0) known = link_split(g_, a, graph::kNoVertex, scratch_) ? 1 : 0;
+    return known == 1;
+  };
+  return split(u, v) && split(v, u);
+}
+
+const std::vector<Vertex>& PairFilter::partners(Vertex v, int r) {
+  partners_.clear();
+  const Vertex source[] = {v};
+  const auto sv = static_cast<std::size_t>(v);
+  for (int i = first_[sv]; i < first_[sv + 1]; ++i) {
+    const int b = blocks_[static_cast<std::size_t>(i)];
+    graph::mark_ball_if(g_, source, r, scratch_,
+                        [this, b](std::size_t, Vertex w) { return in_block(w, b); });
+    partners_.insert(partners_.end(), scratch_.visited().begin() + 1, scratch_.visited().end());
+  }
+  std::sort(partners_.begin(), partners_.end());
+  return partners_;
+}
+
 bool is_local_one_cut(const Graph& g, Vertex v, int r) {
   require_radius(r);
   if (!g.has_vertex(v)) throw std::invalid_argument("is_local_one_cut: bad vertex");
@@ -147,12 +214,15 @@ bool is_local_two_cut(const Graph& g, Vertex u, Vertex v, int r) {
 std::vector<VertexPair> local_two_cuts(const Graph& g, int r) {
   require_radius(r);
   LocalCutKernel kernel;
+  PairFilter filter(g);
   std::vector<VertexPair> result;
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    // Partners come from N^r[u], so d(u, v) <= r holds; v > u emits each
-    // pair once, in lexicographic order because the ball is sorted.
-    for (Vertex v : kernel.candidates(g, u, r)) {
-      if (v > u && kernel.pair(g, u, v, r).minimal) result.push_back({u, v});
+    // Partners lie within r of u; v > u emits each pair once, in
+    // lexicographic order because partners are sorted.
+    for (Vertex v : filter.partners(u, r)) {
+      if (v > u && filter.links_split(u, v) && kernel.pair(g, u, v, r).minimal) {
+        result.push_back({u, v});
+      }
     }
   }
   return result;
@@ -161,14 +231,15 @@ std::vector<VertexPair> local_two_cuts(const Graph& g, int r) {
 std::vector<Vertex> vertices_in_local_two_cuts(const Graph& g, int r) {
   require_radius(r);
   LocalCutKernel kernel;
+  PairFilter filter(g);
   std::vector<char> in(static_cast<std::size_t>(g.num_vertices()), 0);
   const auto is_in = [&](Vertex x) { return in[static_cast<std::size_t>(x)] != 0; };
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    // Each unordered pair once (u > v, u ∈ N^r[v], so d(u, v) <= r); a
+    // Each unordered pair once (u > v, a partner of v, so d(u, v) <= r); a
     // pair whose two ends are already in can add nothing.
-    for (Vertex u : kernel.candidates(g, v, r)) {
+    for (Vertex u : filter.partners(v, r)) {
       if (u <= v || (is_in(u) && is_in(v))) continue;
-      if (kernel.pair(g, u, v, r).minimal) {
+      if (filter.links_split(u, v) && kernel.pair(g, u, v, r).minimal) {
         in[static_cast<std::size_t>(u)] = 1;
         in[static_cast<std::size_t>(v)] = 1;
       }

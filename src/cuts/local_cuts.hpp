@@ -14,12 +14,17 @@
 // from.
 //
 // Cost. Every predicate here and in cuts/interesting.hpp is a loop over one
-// LocalCutKernel: a pair costs one bounded BFS of its ball N^r[{u, v}] plus
-// at most one labelling of that ball, and N^r[{u, v}] ⊆ N^{2r}[v], so a
-// whole-graph function costs O(Σ_v |N^r[v]| · vol(N^{2r}[v])): linear in n
-// while the balls stay bounded, and never a traversal of the whole graph
-// per pair. The labelling stops once the ball minus the pair is known to be
-// connected, which settles most pairs near u and v.
+// LocalCutKernel. A pair the kernel classifies costs one bounded BFS of its
+// ball N^r[{u, v}] plus at most one labelling of that ball, and
+// N^r[{u, v}] ⊆ N^{2r}[v], so a whole-graph function costs at most
+// O(Σ_v |N^r[v]| · vol(N^{2r}[v])): linear in n while the balls stay
+// bounded, and never a traversal of the whole graph per pair. The labelling
+// stops once the ball minus the pair is known to be connected, which
+// settles most pairs near u and v. Most pairs never reach the kernel: the
+// 2-cut loops draw partners from a PairFilter, which enumerates only pairs
+// that share a block (none in a tree) and rejects a pair with a connected
+// link at the cost of a block lookup and at most two link searches, not a
+// ball. A 1-cut test skips the ball when the vertex's link is connected.
 
 #include <vector>
 
@@ -50,10 +55,6 @@ class LocalCutKernel {
   /// True iff v is an articulation point of G[N^r[v]].
   bool is_one_cut(const Graph& g, Vertex v, int r);
 
-  /// Sorted N^r[v], the candidate partners of v (v included). Valid until
-  /// the next candidates() call.
-  const std::vector<Vertex>& candidates(const Graph& g, Vertex v, int r);
-
   /// True iff d(u, v) <= r, by a BFS from v capped at radius r.
   bool within(const Graph& g, Vertex u, Vertex v, int r);
 
@@ -70,10 +71,49 @@ class LocalCutKernel {
   graph::BfsScratch ball_;   // ball members; dist = distance to the sources
   graph::BfsScratch label_;  // labelled vertices; dist = label class
   std::vector<int> parent_;  // per label class: union-find parent
-  std::vector<Vertex> candidates_;
   std::vector<int> size_;    // per component root: vertices,
   std::vector<int> near_u_;  // ... of which neighbours of u,
   std::vector<int> near_v_;  // ... of which neighbours of v
+};
+
+/// Two necessary conditions for {u, v} to be an r-local minimal 2-cut, both
+/// valid for every r >= 1 and read from g once:
+///  * block test: two full components give two internally disjoint u–v
+///    paths, so u and v share a block of g with >= 3 vertices;
+///  * link test: if G[N(u) − v] is connected, u's other neighbours lie in
+///    one component of the ball minus {u, v}, so at most one component is
+///    adjacent to u (likewise for v). It reads only edges among N(u), which
+///    every ball holds.
+/// A pair either test rejects is no minimal pair, so asking the filter
+/// before LocalCutKernel::pair changes cost, not answers. Built from a
+/// LOCAL view, it reads only that view. Single-owner, like the kernel; g
+/// must outlive the filter.
+class PairFilter {
+ public:
+  explicit PairFilter(const Graph& g);
+
+  /// The block test.
+  bool share_block(Vertex u, Vertex v) const;
+
+  /// The link test for both ends: G[N(u) − v] and G[N(v) − u] are both
+  /// disconnected. A partner outside N(u) reads u's cached link.
+  bool links_split(Vertex u, Vertex v);
+
+  /// Sorted: every u != v with d(u, v) <= r that shares a block of >= 3
+  /// vertices with v. A shortest path between two vertices of a block stays
+  /// in it, so one BFS inside each of v's blocks finds them. Valid until
+  /// the next partners() call.
+  const std::vector<Vertex>& partners(Vertex v, int r);
+
+ private:
+  bool in_block(Vertex w, int b) const;
+
+  const Graph& g_;
+  std::vector<int> first_;          // v's blocks of >= 3 vertices are
+  std::vector<int> blocks_;         // blocks_[first_[v], first_[v + 1]), ascending
+  std::vector<signed char> split_;  // per vertex: is its link split (-1: not yet known)
+  graph::BfsScratch scratch_;
+  std::vector<Vertex> partners_;
 };
 
 /// True iff {v} is an r-local (minimal) 1-cut: v is an articulation point of
@@ -89,7 +129,7 @@ std::vector<Vertex> local_one_cuts(const Graph& g, int r);
 bool is_local_two_cut(const Graph& g, Vertex u, Vertex v, int r);
 
 /// All r-local minimal 2-cuts of g (u < v in each pair), in lexicographic
-/// order. One kernel pass per pair at distance <= r.
+/// order. One kernel pass per pair at distance <= r that the filter keeps.
 std::vector<VertexPair> local_two_cuts(const Graph& g, int r);
 
 /// Sorted list of vertices appearing in some r-local minimal 2-cut.

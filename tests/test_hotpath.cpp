@@ -27,7 +27,9 @@
 #include "api/executor.hpp"
 #include "api/registry.hpp"
 #include "core/baselines.hpp"
+#include "core/constants.hpp"
 #include "core/theorem44.hpp"
+#include "cuts/block_cut.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
 #include "ding/generators.hpp"
@@ -303,7 +305,7 @@ TEST(LocalCutKernel, ScratchReuseAcrossGraphSizesIsClean) {
           const int d = graph::distance(g, u, v);
           EXPECT_EQ(kernel.within(g, u, v, r), d >= 0 && d <= r) << where;
         }
-        for (const Vertex u : kernel.candidates(g, v, r)) {
+        for (const Vertex u : graph::ball(g, v, r)) {
           if (u == v) continue;
           const cuts::PairCut cut = kernel.pair(g, u, v, r);
           EXPECT_EQ(cut.minimal, ref::is_local_two_cut_reference(g, u, v, r)) << where;
@@ -315,6 +317,196 @@ TEST(LocalCutKernel, ScratchReuseAcrossGraphSizesIsClean) {
               << where;
         }
       }
+    }
+  }
+}
+
+// The pair filter's test set, part one: the five soak families at sizes
+// 4–150, and disconnected family graphs with an isolated vertex.
+std::vector<Graph> filter_family_suite() {
+  std::vector<Graph> gs;
+  for (const int n : {4, 6, 9, 14, 22, 35, 55, 90, 150}) {
+    const auto seed = static_cast<std::uint64_t>(n);
+    gs.push_back(graph::gen::random_tree(n, seed));
+    gs.push_back(graph::gen::random_maximal_outerplanar(n, seed));
+    const int parallel = 2 + n % 3;
+    gs.push_back(graph::gen::theta_chain(std::max(1, (n - 1) / (parallel + 1)), parallel));
+    ding::CactusConfig cc;
+    cc.pieces = std::max(1, n / 6);
+    cc.max_piece_size = 8;
+    gs.push_back(ding::random_cactus_of_structures(cc, seed));
+    gs.push_back(graph::gen::apollonian(n, seed));
+  }
+  const Graph lone = graph::gen::path(1);
+  gs.push_back(graph::disjoint_union(
+      graph::disjoint_union(graph::gen::theta_chain(5, 2), lone),
+      graph::gen::random_maximal_outerplanar(12, 7)));
+  gs.push_back(graph::disjoint_union(graph::gen::cycle(7), graph::gen::grid(3, 4)));
+  return gs;
+}
+
+// Part two: 1000 seeded random graphs of 1–40 vertices. A quarter are
+// dense (as many extra edges as vertices) and a quarter disconnected, so
+// most are not minor-free.
+std::vector<Graph> filter_random_suite() {
+  std::vector<Graph> gs;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    const int n = 1 + static_cast<int>(seed % 40);
+    if (seed % 4 == 0) {
+      gs.push_back(graph::gen::random_connected(n, n / 4, seed));
+    } else if (seed % 4 == 1) {
+      gs.push_back(graph::gen::random_connected(n, n, seed));
+    } else if (seed % 4 == 2) {
+      gs.push_back(graph::gen::random_max_degree(n, 3 + static_cast<int>(seed % 3), n / 2, seed));
+    } else {
+      gs.push_back(graph::disjoint_union(graph::gen::random_connected(n / 2 + 1, n / 3, seed),
+                                         graph::gen::random_connected((n + 1) / 2, n / 3, ~seed)));
+    }
+  }
+  return gs;
+}
+
+// Radii 1–12 and the paper radii m3.2, m3.3 for t = 2..5, each clamped to
+// the largest eccentricity inside a component (a larger radius gives the
+// same balls), ascending and distinct.
+std::vector<int> filter_radii(const Graph& g) {
+  int reach = 1;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    for (const int d : graph::bfs_distances(g, v)) reach = std::max(reach, d);
+  }
+  std::vector<int> radii;
+  for (int r = 1; r <= 12; ++r) radii.push_back(std::min(r, reach));
+  for (int t = 2; t <= 5; ++t) {
+    radii.push_back(std::min(core::PaperConstants{t}.m32(), reach));
+    radii.push_back(std::min(core::PaperConstants{t}.m33(), reach));
+  }
+  std::sort(radii.begin(), radii.end());
+  radii.erase(std::unique(radii.begin(), radii.end()), radii.end());
+  return radii;
+}
+
+// G[N(u) − skip] has two vertices that no path inside it joins.
+bool link_disconnected(const Graph& g, Vertex u, Vertex skip) {
+  std::vector<Vertex> link;
+  for (const Vertex w : g.neighbors(u)) {
+    if (w != skip) link.push_back(w);
+  }
+  return graph::connected_components(graph::induced_subgraph(g, link).graph).count >= 2;
+}
+
+// Every pair at distance <= r of the whole test set, at every radius: the
+// filter keeps each pair the kernel calls minimal, and its partners are
+// exactly the ball members that share a block. The block and link tests are
+// also held to their definitions (block_cut_tree's blocks, and the
+// connectivity of an induced link).
+TEST(PairFilter, NeverRejectsAMinimalPair) {
+  cuts::LocalCutKernel kernel;
+  std::size_t pairs = 0;
+  std::size_t minimal = 0;
+  std::size_t kept = 0;
+  std::vector<Graph> gs = filter_family_suite();
+  for (Graph& g : filter_random_suite()) gs.push_back(std::move(g));
+  for (const Graph& g : gs) {
+    const Vertex n = g.num_vertices();
+    cuts::PairFilter filter(g);
+    const cuts::BlockCutTree bct = cuts::block_cut_tree(g);
+    for (Vertex v = 0; v < n; ++v) {
+      for (Vertex u = 0; u < n; ++u) {
+        if (u == v) continue;
+        bool share = false;
+        for (const auto& block : bct.blocks) {
+          share = share || (block.size() >= 3 &&
+                            std::binary_search(block.begin(), block.end(), u) &&
+                            std::binary_search(block.begin(), block.end(), v));
+        }
+        ASSERT_EQ(filter.share_block(u, v), share) << g.summary() << " u=" << u << " v=" << v;
+        ASSERT_EQ(filter.links_split(u, v), link_disconnected(g, u, v) && link_disconnected(g, v, u))
+            << g.summary() << " u=" << u << " v=" << v;
+      }
+    }
+    for (const int r : filter_radii(g)) {
+      for (Vertex v = 0; v < n; ++v) {
+        const std::string at = g.summary() + " r=" + std::to_string(r) + " v=" + std::to_string(v);
+        const std::vector<Vertex> ball = graph::ball(g, v, r);
+        std::vector<Vertex> sharing;
+        for (const Vertex u : ball) {
+          if (u != v && filter.share_block(u, v)) sharing.push_back(u);
+        }
+        ASSERT_EQ(filter.partners(v, r), sharing) << at;
+        for (const Vertex u : ball) {
+          if (u <= v) continue;
+          ++pairs;
+          const bool pass = filter.share_block(u, v) && filter.links_split(u, v);
+          kept += pass ? 1 : 0;
+          if (!kernel.pair(g, u, v, r).minimal) continue;
+          ++minimal;
+          ASSERT_TRUE(pass) << at << " u=" << u;
+        }
+      }
+    }
+  }
+  // The set holds minimal pairs, and pairs the filter rejects.
+  EXPECT_GT(minimal, 0u);
+  EXPECT_LT(kept, pairs);
+  std::printf("pair filter: %zu pairs at distance <= r, %zu kept, %zu minimal\n", pairs, kept,
+              minimal);
+}
+
+// The filtered whole-graph functions, and the per-view rules on the views
+// Algorithm 1's LOCAL run gathers for radius1 = radius2 = r (each filter
+// built from its view), against the seed oracles. The soak families run at
+// every radius of filter_radii; the seed oracles cost O(n) per pair, so the
+// 1000 random graphs run at r = 1, 2 and their largest radius (the pair
+// test above takes them at every radius).
+TEST(PairFilter, FilteredCutsEqualTheSeedOracle) {
+  namespace ref = cuts::detail;
+  const auto check = [](const Graph& g, int r) {
+    const std::string where = g.summary() + " r=" + std::to_string(r);
+    const std::vector<Vertex> ones = ref::local_one_cuts_reference(g, r);
+    const std::vector<cuts::VertexPair> pairs = ref::local_two_cuts_reference(g, r);
+    // vertices_in_local_two_cuts_reference lists the ends of these pairs, and
+    // certifies_interesting_reference is false off them, so both sets read
+    // from the pairs rather than rerunning the oracle.
+    std::vector<char> in(static_cast<std::size_t>(g.num_vertices()), 0);
+    std::vector<char> picked(in.size(), 0);
+    for (const cuts::VertexPair p : pairs) {
+      const auto u = static_cast<std::size_t>(p.u);
+      const auto v = static_cast<std::size_t>(p.v);
+      in[u] = in[v] = 1;
+      picked[u] = picked[u] || ref::certifies_interesting_reference(g, p.u, p.v, r);
+      picked[v] = picked[v] || ref::certifies_interesting_reference(g, p.v, p.u, r);
+    }
+    ASSERT_EQ(cuts::local_one_cuts(g, r), ones) << where;
+    ASSERT_EQ(cuts::local_two_cuts(g, r), pairs) << where;
+    const std::vector<Vertex> in_cuts = cuts::vertices_in_local_two_cuts(g, r);
+    const std::vector<Vertex> interesting = cuts::interesting_vertices(g, r);
+    const local::Network net(g);
+    const int radius = std::min(2 * r, g.num_vertices());
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const auto at = static_cast<std::size_t>(v);
+      ASSERT_EQ(std::binary_search(in_cuts.begin(), in_cuts.end(), v), in[at] != 0) << where;
+      ASSERT_EQ(std::binary_search(interesting.begin(), interesting.end(), v), picked[at] != 0)
+          << where;
+      const local::BallView view = local::cut_view(net, v, radius);
+      const int rule_r = std::min(r, radius);
+      const bool one = std::binary_search(ones.begin(), ones.end(), v);
+      ASSERT_EQ(cuts::is_local_one_cut(view.graph, view.centre, rule_r), one) << where << " v=" << v;
+      ASSERT_EQ(cuts::in_local_two_cut(view.graph, view.centre, rule_r), in[at] != 0)
+          << where << " v=" << v;
+      ASSERT_EQ(cuts::is_interesting(view.graph, view.centre, rule_r), picked[at] != 0)
+          << where << " v=" << v;
+    }
+  };
+  for (const Graph& g : filter_family_suite()) {
+    const std::vector<int> radii = filter_radii(g);
+    for (const int r : radii) {
+      if (g.num_vertices() <= 90 || r <= 4 || r == radii.back()) check(g, r);
+    }
+  }
+  for (const Graph& g : filter_random_suite()) {
+    const std::vector<int> radii = filter_radii(g);
+    for (const int r : radii) {
+      if (r <= 2 || r == radii.back()) check(g, r);
     }
   }
 }
