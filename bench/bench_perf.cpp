@@ -21,7 +21,10 @@
 //     (cuts::interesting_vertices, cuts::vertices_in_local_two_cuts) at
 //     r = 4 on a random maximal outerplanar graph of min(1200, --vertices)
 //     vertices, kernel vs the seed predicates (cuts::detail::*_reference);
-//     a set mismatch exits 1;
+//     a set mismatch exits 1; then Algorithm 1 at t = 3's paper radii,
+//     centralized, on random_tree(2000), theta_chain(230, 2) and a
+//     1200-vertex random maximal outerplanar graph (scaled down below the
+//     default --vertices), fast path only;
 //   * baselines      — greedy on a 100x100 grid and single-thread ksv on the
 //     --vertices grid vs their seed code (*_reference); a set mismatch
 //     exits 1.
@@ -33,7 +36,8 @@
 // workers resolve and the parallel arm was granted at least 2 CPUs — a
 // host that grants one cannot speed anything up; otherwise the row prints
 // "unresolved"), the local cut kernel is >= 5x the reference for each
-// variant, greedy is >= 20x and ksv >= 2x their seed code. --json writes
+// variant, each paper-radii instance takes <= 1 s of CPU, greedy is >= 20x
+// and ksv >= 2x their seed code. --json writes
 // runs[].graphs_per_sec (views, solves or classified vertices per second)
 // for scripts/bench_regression.py and the BENCH_* artifact trail.
 
@@ -50,6 +54,7 @@
 #include "api/registry.hpp"
 #include "bench_common.hpp"
 #include "common/parallel.hpp"
+#include "core/algorithm1.hpp"
 #include "core/baselines.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
@@ -274,6 +279,40 @@ int main(int argc, char** argv) {
     }
     add_run("local_cuts", g.num_vertices() / fast_total, g.num_vertices() / ref_total,
             ref_total / fast_total);
+  }
+
+  // ------------------------------------------------------------------- 4b.
+  // Algorithm 1 at t = 3's paper radii (radius1 = radius2 = 0), centralized,
+  // fast path only: the seed predicates would take minutes. The instances
+  // scale with --vertices up to their full size at the default 100k; under
+  // --check each must take at most 1 s of CPU.
+  {
+    const auto scaled = [&](int full) {
+      return std::max(4, static_cast<int>(static_cast<long long>(full) *
+                                          std::min(vertices, 100'000) / 100'000));
+    };
+    const std::pair<const char*, Graph> instances[] = {
+        {"tree", graph::gen::random_tree(scaled(2000), 2025)},
+        {"theta", graph::gen::theta_chain(scaled(230), 2)},
+        {"outerplanar", graph::gen::random_maximal_outerplanar(scaled(1200), 2025)}};
+    core::Algorithm1Config cfg;
+    cfg.t = 3;
+    cfg.radius1 = 0;
+    cfg.radius2 = 0;
+    double cpu_total = 0;
+    for (const auto& [name, g] : instances) {
+      const double cpu_start = bench::cpu_seconds();
+      const auto out = core::algorithm1(g, cfg);
+      const double cpu = bench::cpu_seconds() - cpu_start;
+      cpu_total += cpu;
+      std::printf("paper_radii %-11s %5d vertices t=3  cpu %8.3f s   |S| %d\n", name,
+                  g.num_vertices(), cpu, static_cast<int>(out.solution.size()));
+      h.gate(cpu <= 1.0, "Algorithm 1 at t = 3's paper radii on %s took %.2f s of CPU (need <= 1 s)",
+             name, cpu);
+    }
+    runs.push_back({{"name", bench::json_str("paper_radii")},
+                    {"graphs_per_sec", bench::json_num(cpu_total > 0 ? 3 / cpu_total : 0, 2)},
+                    {"cpu_s", bench::json_num(cpu_total, 3)}});
   }
 
   // -------------------------------------------------------------------- 5.
