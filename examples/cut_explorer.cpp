@@ -1,8 +1,9 @@
-// Structure explorer: dissects a graph with the library's connectivity
-// substrate — block-cut tree, SPQR decomposition, r-local cuts at several
-// radii, interesting vertices, and the §5.3 interesting-2-cut forest — then
-// runs every solver the api::Registry knows on it, so the structural view
-// and the algorithmic outcomes sit side by side.
+// Structure explorer: dissects a graph — block-cut tree, SPQR decomposition,
+// r-local cuts at several radii, interesting vertices, and the §5.3
+// interesting-2-cut forest — then runs every solver the api::Registry knows
+// on it, so the structural view and the algorithmic outcomes sit side by
+// side. The r-local cuts are the library's; the block-cut tree, SPQR tree
+// and forest are the analysis code in tests/support (lmds_test_support).
 // Run on a terminal it demonstrates on a built-in instance; otherwise it
 // reads an edge list from stdin, so empty input dissects the empty graph.
 //
@@ -16,7 +17,6 @@
 #include <unistd.h>
 
 #include "api/registry.hpp"
-#include "cuts/block_cut.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
 #include "graph/builder.hpp"
@@ -24,8 +24,9 @@
 #include "graph/hash.hpp"
 #include "graph/io.hpp"
 #include "graph/ops.hpp"
-#include "spqr/cut_forest.hpp"
-#include "spqr/spqr_tree.hpp"
+#include "support/cut_forest.hpp"
+#include "support/global_cuts.hpp"
+#include "support/spqr_tree.hpp"
 
 int main() {
   using namespace lmds;

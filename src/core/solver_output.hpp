@@ -1,8 +1,8 @@
 #pragma once
 // The one shape of a solver's answer: the solution plus the Diagnostics of
 // the run. The core entry points (Algorithm 1 and its MVC variant, the
-// Theorem 4.4 rules, Algorithm 2) return it, the registry's adapters return
-// it unchanged, and api re-exports both types (api/api.hpp).
+// Theorem 4.4 rules) return it, the registry's adapters return it
+// unchanged, and api re-exports both types (api/api.hpp).
 
 #include <vector>
 

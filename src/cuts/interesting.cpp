@@ -1,37 +1,12 @@
 #include "cuts/interesting.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "cuts/local_cuts.hpp"
-#include "graph/bfs.hpp"
 
 namespace lmds::cuts {
 
 namespace {
-
-// Condition (2) in a host graph h where {u, v} is a minimal 2-cut: at least
-// two components of h − {u, v} that the pair touches hold a vertex
-// non-adjacent to u. A component holds a neighbour of u or of v iff it is
-// reachable from the pair in h, i.e. lies in the pair's own component.
-bool condition2(const Graph& h, Vertex v, Vertex u) {
-  const Vertex removed[] = {u, v};
-  const auto comps = graph::components_without(h, removed);
-  const std::vector<int> reach = graph::bfs_distances_multi(h, removed);
-  std::vector<char> has_nonneighbor(static_cast<std::size_t>(comps.count), 0);
-  for (Vertex w = 0; w < h.num_vertices(); ++w) {
-    const int c = comps.component[static_cast<std::size_t>(w)];
-    if (c >= 0 && reach[static_cast<std::size_t>(w)] >= 0 && !h.has_edge(w, u)) {
-      has_nonneighbor[static_cast<std::size_t>(c)] = 1;
-    }
-  }
-  return std::count(has_nonneighbor.begin(), has_nonneighbor.end(), 1) >= 2;
-}
-
-// Conditions (1) N[v] ⊄ N[u] and (2), both in h.
-bool interesting_conditions(const Graph& h, Vertex v, Vertex u) {
-  return !h.closed_neighborhood_contained(v, u) && condition2(h, v, u);
-}
 
 // v is interesting with partner u, given the kernel's verdict on {u, v}:
 // the pair is a minimal 2-cut, (1) N[v] ⊄ N[u], and (2) holds. r >= 1 puts
@@ -100,35 +75,6 @@ std::vector<Vertex> interesting_vertices(const Graph& g, int r) {
     if (is_selected(v)) result.push_back(v);
   }
   return result;
-}
-
-bool certifies_globally_interesting(const Graph& g, Vertex v, Vertex u) {
-  if (u == v) return false;
-  if (!is_minimal_two_cut(g, u, v)) return false;
-  return interesting_conditions(g, v, u);
-}
-
-bool is_globally_interesting(const Graph& g, Vertex v) {
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (u == v) continue;
-    if (certifies_globally_interesting(g, v, u)) return true;
-  }
-  return false;
-}
-
-std::vector<Vertex> globally_interesting_vertices(const Graph& g) {
-  std::vector<Vertex> result;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (is_globally_interesting(g, v)) result.push_back(v);
-  }
-  return result;
-}
-
-bool is_almost_interesting(const Graph& g, Vertex v) {
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (u != v && is_minimal_two_cut(g, u, v) && condition2(g, v, u)) return true;
-  }
-  return false;
 }
 
 }  // namespace lmds::cuts

@@ -7,13 +7,13 @@
 //   (2) at least two connected components of G[N^r[c]] − c contain a vertex
 //       non-adjacent to u (u cannot dominate all but one attached component).
 //
-// The paper also uses the global analogue (r = ∞) where the components are
-// those of G − c; that version feeds the SPQR-based analysis of §5.3
-// (friends, almost-interesting vertices, Proposition 5.8).
+// The paper's global analogue (r = ∞, the components of G − c), which feeds
+// the SPQR-based analysis of §5.3, is a test oracle:
+// tests/support/global_cuts.hpp.
 
 #include <vector>
 
-#include "cuts/two_cuts.hpp"
+#include "cuts/local_cuts.hpp"
 #include "graph/graph.hpp"
 
 namespace lmds::cuts {
@@ -40,21 +40,5 @@ bool in_local_two_cut(const Graph& g, Vertex v, int r);
 /// link test rejects it for a block lookup and at most two link searches
 /// (cuts/local_cuts.hpp); a pair in no common block costs nothing.
 std::vector<Vertex> interesting_vertices(const Graph& g, int r);
-
-/// Global variant: {u, v} is a minimal 2-cut of g, N[v] ⊄ N[u], and at least
-/// two components of G − {u, v} contain a vertex non-adjacent to u. Then v is
-/// "interesting" and u is a "friend" of v (§5.3 wording: v interesting with
-/// friend u ⇔ the cut {v, u} is interesting for v).
-bool certifies_globally_interesting(const Graph& g, Vertex v, Vertex u);
-
-/// True iff some u makes v globally interesting.
-bool is_globally_interesting(const Graph& g, Vertex v);
-
-/// Sorted list of globally interesting vertices.
-std::vector<Vertex> globally_interesting_vertices(const Graph& g);
-
-/// "Almost interesting" (§5.3): v satisfies condition (2) only, for some
-/// minimal 2-cut {u, v} of g.
-bool is_almost_interesting(const Graph& g, Vertex v);
 
 }  // namespace lmds::cuts

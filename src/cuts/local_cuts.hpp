@@ -6,12 +6,13 @@
 // articulation point of its own r-ball; for k = 2 it means {u, v} is a
 // minimal 2-cut of the union of the two r-balls.
 //
-// Locality: deciding "is v in an r-local 1-cut" needs only N^{r}[v] plus the
-// edges among it, i.e. a radius-(r+1) view; deciding "is {u,v} an r-local
-// 2-cut" from v's perspective needs N^r[u] ∪ N^r[v] ⊆ N^{2r}[v], i.e. a
-// radius-(2r+1) view. The LOCAL runner (local/runner.hpp) uses exactly these
-// view radii, which is where the round counts reported by the benches come
-// from.
+// Locality: deciding "is v in an r-local 1-cut" needs only G[N^r[v]], a
+// radius-r view (r + 1 rounds of flooding, local/view.hpp); deciding "is
+// {u,v} an r-local 2-cut" from v's perspective needs G[N^r[u] ∪ N^r[v]],
+// which lies in the radius-2r view since N^r[u] ∪ N^r[v] ⊆ N^{2r}[v].
+// Algorithm 1's LOCAL run gathers one view per vertex, of radius
+// max(r1, 2·r2), for both steps (cut_steps in core/algorithm1.cpp); that
+// gather's rounds are where its reported round counts come from.
 //
 // Cost. Every predicate here and in cuts/interesting.hpp is a loop over one
 // LocalCutKernel. A pair the kernel classifies costs one bounded BFS of its
@@ -28,11 +29,27 @@
 
 #include <vector>
 
-#include "cuts/two_cuts.hpp"
 #include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace lmds::cuts {
+
+using graph::Graph;
+using graph::Vertex;
+
+/// Unordered vertex pair with u < v.
+struct VertexPair {
+  Vertex u = graph::kNoVertex;
+  Vertex v = graph::kNoVertex;
+
+  friend bool operator==(const VertexPair&, const VertexPair&) = default;
+  friend auto operator<=>(const VertexPair&, const VertexPair&) = default;
+};
+
+/// Normalises an unordered pair.
+inline VertexPair make_pair_sorted(Vertex a, Vertex b) {
+  return a < b ? VertexPair{a, b} : VertexPair{b, a};
+}
 
 /// What one kernel pass learns about a candidate pair {u, v}: how the
 /// components of G[N^r[{u, v}]] − {u, v} attach to u and v.

@@ -9,11 +9,6 @@ void mark_ball(const Graph& g, std::span<const Vertex> sources, int r, BfsScratc
   mark_ball_if(g, sources, r, scratch, [](std::size_t, Vertex) { return true; });
 }
 
-void ball_into(const Graph& g, Vertex v, int r, BfsScratch& scratch, std::vector<Vertex>& out) {
-  const Vertex sources[] = {v};
-  ball_of_set_into(g, sources, r, scratch, out);
-}
-
 void ball_of_set_into(const Graph& g, std::span<const Vertex> sources, int r,
                       BfsScratch& scratch, std::vector<Vertex>& out) {
   mark_ball(g, sources, r, scratch);

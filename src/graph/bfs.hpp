@@ -108,12 +108,9 @@ void mark_ball_if(const Graph& g, std::span<const Vertex> sources, int r, BfsScr
   }
 }
 
-/// Sorted ball N^r[v] written into `out` (cleared first) using the caller's
-/// scratch — the allocation-free variant of ball(). Leaves the scratch
-/// marked as mark_ball() does.
-void ball_into(const Graph& g, Vertex v, int r, BfsScratch& scratch, std::vector<Vertex>& out);
-
-/// Sorted ball N^r[S] written into `out`; scratch marks as in ball_into.
+/// Sorted ball N^r[S] written into `out` (cleared first) using the caller's
+/// scratch — the allocation-free variant of ball_of_set(). Leaves the
+/// scratch marked as mark_ball() does.
 void ball_of_set_into(const Graph& g, std::span<const Vertex> sources, int r,
                       BfsScratch& scratch, std::vector<Vertex>& out);
 

@@ -1,4 +1,4 @@
-#include "core/algorithm2.hpp"
+#include "support/algorithm2.hpp"
 
 #include <stdexcept>
 

@@ -4,7 +4,9 @@
 // input graph; the radii become m3.2 = f(5)+2 and m3.3 = f(11)+5, the ratio
 // becomes c3.2(d) + c3.3(d) + 1, and no knowledge of the excluded K_{2,t} is
 // needed (the round complexity silently depends on the largest K_{2,t} minor
-// of the input, per the paper).
+// of the input, per the paper). It is Algorithm 1 run with other radii and
+// no solver is registered for it, so it lives outside the library, in
+// lmds_test_support.
 
 #include <functional>
 

@@ -1,11 +1,11 @@
-#include "spqr/cut_forest.hpp"
+#include "support/cut_forest.hpp"
 
 #include <algorithm>
 #include <set>
 
-#include "cuts/block_cut.hpp"
 #include "graph/ops.hpp"
-#include "spqr/split_pairs.hpp"
+#include "support/global_cuts.hpp"
+#include "support/split_pairs.hpp"
 
 namespace lmds::spqr {
 

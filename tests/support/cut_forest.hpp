@@ -14,7 +14,7 @@
 #include <array>
 #include <vector>
 
-#include "spqr/spqr_tree.hpp"
+#include "support/spqr_tree.hpp"
 
 namespace lmds::spqr {
 

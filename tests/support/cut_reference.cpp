@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "cuts/block_cut.hpp"
 #include "graph/bfs.hpp"
 #include "graph/ops.hpp"
+#include "support/global_cuts.hpp"
 #include "support/rule_reference.hpp"
 
 namespace lmds::cuts::detail {

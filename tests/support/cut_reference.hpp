@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "cuts/two_cuts.hpp"
+#include "cuts/local_cuts.hpp"
 
 namespace lmds::cuts::detail {
 

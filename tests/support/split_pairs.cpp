@@ -1,8 +1,9 @@
-#include "spqr/split_pairs.hpp"
+#include "support/split_pairs.hpp"
 
 #include <algorithm>
 
 #include "graph/bfs.hpp"
+#include "support/global_cuts.hpp"
 
 namespace lmds::spqr {
 

@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "cuts/two_cuts.hpp"
+#include "cuts/local_cuts.hpp"
 #include "graph/graph.hpp"
 
 namespace lmds::spqr {

@@ -1,4 +1,4 @@
-#include "spqr/spqr_tree.hpp"
+#include "support/spqr_tree.hpp"
 
 #include <algorithm>
 #include <functional>

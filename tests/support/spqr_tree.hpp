@@ -8,12 +8,12 @@
 // up as a virtual edge / P pole pair / non-adjacent S-node pair).
 //
 // The construction is the straightforward recursive split decomposition on
-// multigraphs (O(n·m²), fine for analysis workloads — this library never
-// puts SPQR on the hot path).
+// multigraphs (O(n·m²), fine for analysis workloads; it sits outside the
+// library, in lmds_test_support, because no solver calls it).
 
 #include <vector>
 
-#include "cuts/two_cuts.hpp"
+#include "cuts/local_cuts.hpp"
 #include "graph/graph.hpp"
 
 namespace lmds::spqr {

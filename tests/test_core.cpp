@@ -7,7 +7,6 @@
 #include <random>
 
 #include "core/algorithm1.hpp"
-#include "core/algorithm2.hpp"
 #include "core/baselines.hpp"
 #include "core/constants.hpp"
 #include "core/metrics.hpp"
@@ -21,6 +20,7 @@
 #include "solve/exact_mvc.hpp"
 #include "solve/tree_dp.hpp"
 #include "solve/validate.hpp"
+#include "support/algorithm2.hpp"
 
 namespace lmds::core {
 namespace {

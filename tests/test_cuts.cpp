@@ -6,14 +6,13 @@
 
 #include <random>
 
-#include "cuts/block_cut.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
-#include "cuts/two_cuts.hpp"
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
+#include "support/global_cuts.hpp"
 
 namespace lmds::cuts {
 namespace {
@@ -39,15 +38,26 @@ TEST(Articulation, StarCentre) {
 }
 
 TEST(Articulation, MatchesBruteForce) {
-  std::mt19937_64 rng(71);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Graph g = graph::gen::random_connected(25, 8, rng);
+  const auto expect_matches = [](const Graph& g) {
     const auto fast = articulation_points(g);
     std::vector<Vertex> brute;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       if (is_cut_vertex(g, v)) brute.push_back(v);
     }
-    EXPECT_EQ(fast, brute);
+    EXPECT_EQ(fast, brute) << g.summary();
+  };
+  std::mt19937_64 rng(71);
+  for (int trial = 0; trial < 20; ++trial) {
+    expect_matches(graph::gen::random_connected(25, 8, rng));
+  }
+  // Disconnected inputs: two random components, a lone bridge and an
+  // isolated vertex.
+  const Graph isolated(std::vector<std::vector<Vertex>>(1));
+  const Graph bridge_and_isolated = graph::disjoint_union(graph::gen::path(2), isolated);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Graph a = graph::gen::random_connected(15, 4, rng);
+    const Graph b = graph::gen::random_connected(10, 3, rng);
+    expect_matches(graph::disjoint_union(graph::disjoint_union(a, b), bridge_and_isolated));
   }
 }
 

@@ -10,7 +10,6 @@
 
 #include "asdim/cover.hpp"
 #include "core/algorithm1.hpp"
-#include "core/algorithm2.hpp"
 #include "core/baselines.hpp"
 #include "core/metrics.hpp"
 #include "core/theorem44.hpp"
@@ -20,6 +19,7 @@
 #include "local/runner.hpp"
 #include "solve/exact_mds.hpp"
 #include "solve/validate.hpp"
+#include "support/algorithm2.hpp"
 
 namespace lmds {
 namespace {

@@ -29,7 +29,6 @@
 #include "core/baselines.hpp"
 #include "core/constants.hpp"
 #include "core/theorem44.hpp"
-#include "cuts/block_cut.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
 #include "ding/generators.hpp"
@@ -49,6 +48,7 @@
 #include "solve/greedy.hpp"
 #include "support/baseline_reference.hpp"
 #include "support/cut_reference.hpp"
+#include "support/global_cuts.hpp"
 #include "support/rule_reference.hpp"
 #include "support/view_reference.hpp"
 

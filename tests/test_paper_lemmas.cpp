@@ -27,6 +27,7 @@
 #include "solve/exact_mds.hpp"
 #include "solve/tree_dp.hpp"
 #include "solve/validate.hpp"
+#include "support/global_cuts.hpp"
 
 namespace lmds {
 namespace {

@@ -17,7 +17,6 @@
 #include "core/algorithm1.hpp"
 #include "cuts/interesting.hpp"
 #include "cuts/local_cuts.hpp"
-#include "cuts/two_cuts.hpp"
 #include "ding/generators.hpp"
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
@@ -27,7 +26,8 @@
 #include "solve/exact_mds.hpp"
 #include "local/runner.hpp"
 #include "solve/validate.hpp"
-#include "spqr/spqr_tree.hpp"
+#include "support/global_cuts.hpp"
+#include "support/spqr_tree.hpp"
 
 namespace lmds {
 namespace {

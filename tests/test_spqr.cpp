@@ -5,13 +5,12 @@
 
 #include <random>
 
-#include "cuts/interesting.hpp"
-#include "cuts/two_cuts.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "spqr/cut_forest.hpp"
-#include "spqr/split_pairs.hpp"
-#include "spqr/spqr_tree.hpp"
+#include "support/cut_forest.hpp"
+#include "support/global_cuts.hpp"
+#include "support/split_pairs.hpp"
+#include "support/spqr_tree.hpp"
 
 namespace lmds::spqr {
 namespace {
